@@ -110,16 +110,6 @@ std::vector<long> CimSystem::vmm_int(std::span<const std::uint32_t> inputs,
   return y;
 }
 
-std::vector<std::vector<long>> CimSystem::vmm_int_batch(
-    std::span<const std::vector<std::uint32_t>> inputs, int input_bits,
-    util::ThreadPool* pool, crossbar::FidelityTier tier) {
-  std::vector<std::vector<long>> out;
-  out.reserve(inputs.size());
-  for (const auto& x : inputs)
-    out.push_back(vmm_int(x, input_bits, pool, tier));
-  return out;
-}
-
 CimSystem::RequestLatencyParts CimSystem::request_latency_parts(
     int input_bits) const {
   RequestLatencyParts p;

@@ -62,18 +62,6 @@ class CimSystem {
       util::ThreadPool* pool = nullptr,
       crossbar::FidelityTier tier = crossbar::FidelityTier::kFull);
 
-  /// Batched execution path for coalesced request dispatch: runs every
-  /// input vector of `inputs` through the tile grid in order, exactly as
-  /// back-to-back vmm_int() calls would (array state — noise streams, read
-  /// disturb, caches — evolves across samples identically, so result b is
-  /// bit-identical to the b'th sequential call). One dispatch onto the
-  /// system serves the whole batch; the serving controller amortizes its
-  /// per-dispatch issue overhead across these samples.
-  std::vector<std::vector<long>> vmm_int_batch(
-      std::span<const std::vector<std::uint32_t>> inputs, int input_bits,
-      util::ThreadPool* pool = nullptr,
-      crossbar::FidelityTier tier = crossbar::FidelityTier::kFull);
-
   /// Simulated service latency of one vmm_int of `input_bits` bits (ns):
   /// the slowest tile's bit-serial time plus the reduction-tree hops. Data
   /// independent and an exact closed form of the per-call stats().time_ns

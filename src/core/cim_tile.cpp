@@ -7,6 +7,7 @@
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
 #include "periphery/dac.hpp"
+#include "util/kernels.hpp"
 
 namespace cim::core {
 
@@ -34,7 +35,31 @@ CimTile::CimTile(CimTileConfig cfg)
           .sample_rate_gsps = 1.28,
           .full_scale_ua = plus_->tech().v_read * plus_->tech().g_on_us() *
                            static_cast<double>(cfg.tile.rows)}),
-      weights_(cfg.tile.cols, cfg.tile.rows) {}
+      weights_(cfg.tile.cols, cfg.tile.rows),
+      volts_(cfg.tile.rows),
+      i_plus_(cfg.tile.cols),
+      i_minus_(cfg.tile.cols),
+      acc_(cfg.tile.cols) {
+  const auto& tech = plus_->tech();
+  v_read_ = tech.v_read;
+  g_min_us_ = plus_->scheme().g_min_us();
+  step_us_ = plus_->scheme().step_us();
+  t_read_ns_ = tech.t_read_ns;
+
+  // One wordline read plus ceil(cols/adcs) conversion slots per cycle; the
+  // differential pair's two conversions per column share a slot across the
+  // two arrays.
+  const double adc_conversions_per_cycle =
+      2.0 * std::ceil(static_cast<double>(cols()) /
+                      static_cast<double>(cfg_.tile.adcs));
+  t_adc_ns_ = (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
+  t_cycle_ns_ = t_read_ns_ + t_adc_ns_;
+  e_adc_pj_ = adc_conversions_per_cycle * adc_.energy_per_sample_pj();
+  e_dac_pj_ = 2.0 * static_cast<double>(rows()) *
+              periphery::Dac({.bits = cfg_.tile.dac_bits})
+                  .energy_per_conversion_pj();
+  e_dig_pj_ = 0.2 * t_read_ns_;  // shift&add power * window
+}
 
 std::size_t CimTile::rows() const { return cfg_.tile.rows; }
 std::size_t CimTile::cols() const { return cfg_.tile.cols; }
@@ -72,14 +97,6 @@ void CimTile::program_weights(const util::Matrix& w_int) {
   trace_.record({OpKind::kProgramCell, 0, cycle_, 0.0, 0.0});
 }
 
-double CimTile::decode_level_sum(double current_ua,
-                                 double active_inputs) const {
-  const auto& tech = plus_->tech();
-  const auto& sch = plus_->scheme();
-  return (current_ua / tech.v_read - active_inputs * sch.g_min_us()) /
-         sch.step_us();
-}
-
 std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
                                    int input_bits,
                                    crossbar::FidelityTier tier) {
@@ -89,98 +106,77 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
     throw std::invalid_argument("vmm_int: input_bits in [1,16]");
   CIM_OBS_SPAN_NAMED(span, "tile.vmm_int", obs::Component::kDigital);
 
-  const auto& tech = plus_->tech();
-  const double v = tech.v_read;
-  const periphery::Dac dac({.bits = cfg_.tile.dac_bits});
-
-  std::vector<double> acc(cols(), 0.0);
-  std::vector<double> volts(rows());
-
-  const double adc_conversions_per_cycle =
-      2.0 * std::ceil(static_cast<double>(cols()) /
-                      static_cast<double>(cfg_.tile.adcs));
+  std::fill(acc_.begin(), acc_.end(), 0.0);
+  util::simd::AdcDecode decode{
+      .full_scale = adc_.config().full_scale_ua,
+      .max_code = static_cast<double>(adc_.max_code()),
+      .v_read = v_read_,
+      .step = step_us_,
+  };
 
   for (int b = 0; b < input_bits; ++b) {
     double active = 0.0;
     for (std::size_t r = 0; r < rows(); ++r) {
       const bool on = (inputs[r] >> b) & 1u;
-      volts[r] = on ? v : 0.0;
+      volts_[r] = on ? v_read_ : 0.0;
       if (on) active += 1.0;
     }
 
     const double e_before =
         plus_->stats().energy_pj + minus_->stats().energy_pj;
-    auto i_plus = plus_->vmm(volts, tier);
-    auto i_minus = minus_->vmm(volts, tier);
+    plus_->vmm(volts_, i_plus_, tier);
+    minus_->vmm(volts_, i_minus_, tier);
     const double e_array =
         plus_->stats().energy_pj + minus_->stats().energy_pj - e_before;
 
-    const bool health = obs::health_enabled();
-    for (std::size_t c = 0; c < cols(); ++c) {
-      const double ip = adc_.dequantize(adc_.quantize(i_plus[c]));
-      const double im = adc_.dequantize(adc_.quantize(i_minus[c]));
-      if (health) {
-        // Two conversions per column per bit cycle (differential pair);
-        // clipping means the bitline current fell outside full scale.
-        auto& h = health_monitor();
-        h.record_adc_sample(c, adc_.clips(i_plus[c]));
-        h.record_adc_sample(c, adc_.clips(i_minus[c]));
+    if (obs::health_enabled()) {
+      // Two conversions per column per bit cycle (differential pair);
+      // clipping means the bitline current fell outside full scale.
+      auto& h = health_monitor();
+      for (std::size_t c = 0; c < cols(); ++c) {
+        h.record_adc_sample(c, adc_.clips(i_plus_[c]));
+        h.record_adc_sample(c, adc_.clips(i_minus_[c]));
       }
-      const double sum =
-          decode_level_sum(ip, active) - decode_level_sum(im, active);
-      acc[c] += std::ldexp(sum, b);
     }
+    // Convert both arrays' columns, decode the level sums, shift and add.
+    decode.offset = active * g_min_us_;
+    decode.weight = std::ldexp(1.0, b);
+    util::kernels::adc_decode_accumulate(i_plus_.data(), i_minus_.data(),
+                                         acc_.data(), cols(), decode);
 
     // Cost accounting for the cycle.
-    const double t_cycle =
-        tech.t_read_ns + (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-    const double e_adc =
-        adc_conversions_per_cycle * adc_.energy_per_sample_pj();
-    const double e_dac =
-        2.0 * static_cast<double>(rows()) * dac.energy_per_conversion_pj();
-    const double e_dig = 0.2 * tech.t_read_ns;  // shift&add power * window
-
-    stats_.time_ns += t_cycle;
-    stats_.energy_pj += e_array + e_adc + e_dac + e_dig;
+    stats_.time_ns += t_cycle_ns_;
+    stats_.energy_pj += e_array + e_adc_pj_ + e_dac_pj_ + e_dig_pj_;
     stats_.array_energy_pj += e_array;
-    stats_.adc_energy_pj += e_adc;
-    stats_.dac_energy_pj += e_dac;
-    stats_.digital_energy_pj += e_dig;
+    stats_.adc_energy_pj += e_adc_pj_;
+    stats_.dac_energy_pj += e_dac_pj_;
+    stats_.digital_energy_pj += e_dig_pj_;
     ++stats_.cycles;
     ++cycle_;
     if (obs::enabled()) {
       // Periphery attribution per bit-serial cycle; the crossbars already
       // attributed e_array to kArray inside charge().
-      const double t_adc = (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-      obs::attribute(obs::Component::kAdc, t_adc, e_adc);
-      obs::attribute(obs::Component::kDac, 0.0, e_dac);
-      obs::attribute(obs::Component::kDigital, 0.0, e_dig);
-      span.add_sim_time_ns(t_cycle);
-      span.add_energy_pj(e_array + e_adc + e_dac + e_dig);
+      obs::attribute(obs::Component::kAdc, t_adc_ns_, e_adc_pj_);
+      obs::attribute(obs::Component::kDac, 0.0, e_dac_pj_);
+      obs::attribute(obs::Component::kDigital, 0.0, e_dig_pj_);
+      span.add_sim_time_ns(t_cycle_ns_);
+      span.add_energy_pj(e_array + e_adc_pj_ + e_dac_pj_ + e_dig_pj_);
     }
-    trace_.record({OpKind::kRowActivate, 0, cycle_, tech.t_read_ns, e_dac});
-    trace_.record({OpKind::kSenseColumns, 0, cycle_,
-                   t_cycle - tech.t_read_ns, e_adc});
-    trace_.record({OpKind::kShiftAdd, 0, cycle_, 0.0, e_dig});
+    trace_.record({OpKind::kRowActivate, 0, cycle_, t_read_ns_, e_dac_pj_});
+    trace_.record({OpKind::kSenseColumns, 0, cycle_, t_cycle_ns_ - t_read_ns_,
+                   e_adc_pj_});
+    trace_.record({OpKind::kShiftAdd, 0, cycle_, 0.0, e_dig_pj_});
   }
 
   ++stats_.vmm_ops;
   std::vector<long> y(cols());
   for (std::size_t c = 0; c < cols(); ++c)
-    y[c] = std::lround(acc[c]);
+    y[c] = std::lround(acc_[c]);
   return y;
 }
 
 double CimTile::vmm_latency_ns(int input_bits) const {
-  // Mirrors the per-cycle accounting in vmm_int(): one wordline read plus
-  // ceil(cols/adcs) conversion slots (the differential pair's two
-  // conversions per column share a slot across the two arrays).
-  const double adc_conversions_per_cycle =
-      2.0 * std::ceil(static_cast<double>(cols()) /
-                      static_cast<double>(cfg_.tile.adcs));
-  const double t_cycle = plus_->tech().t_read_ns +
-                         (adc_conversions_per_cycle / 2.0) * adc_.latency_ns();
-  return static_cast<double>(input_bits) * t_cycle;
+  return static_cast<double>(input_bits) * t_cycle_ns_;
 }
 
 std::vector<long> CimTile::ideal_vmm_int(

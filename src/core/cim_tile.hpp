@@ -66,8 +66,9 @@ class CimTile {
 
   /// Simulated latency of one vmm_int of `input_bits` bits on this tile
   /// (ns). The bit-serial pipeline's cycle time is data-independent
-  /// (wordline read + ADC conversions), so this is an exact closed form of
-  /// the per-call stats().time_ns increment — the quantity the serving
+  /// (wordline read + ADC conversions), so this closed form is the per-call
+  /// stats().time_ns increment (vmm_int sums the same cycle time once per
+  /// bit, so the two agree to rounding) — the quantity the serving
   /// controller schedules against without executing the request.
   double vmm_latency_ns(int input_bits) const;
 
@@ -96,8 +97,6 @@ class CimTile {
   crossbar::Crossbar& minus_array() { return *minus_; }
 
  private:
-  double decode_level_sum(double current_ua, double active_inputs) const;
-
   CimTileConfig cfg_;
   std::unique_ptr<crossbar::Crossbar> plus_;
   std::unique_ptr<crossbar::Crossbar> minus_;
@@ -107,6 +106,26 @@ class CimTile {
   Trace trace_;
   std::uint64_t cycle_ = 0;
   std::shared_ptr<obs::HealthMonitor> health_;
+
+  // Constants of one bit-serial cycle, fixed at construction: the cycle's
+  // time and periphery energies are data-independent, and so are the
+  // array's read voltage and level scheme.
+  double v_read_ = 0.0;      ///< wordline read voltage (V)
+  double g_min_us_ = 0.0;    ///< level-0 conductance (uS)
+  double step_us_ = 0.0;     ///< conductance step between weight levels
+  double t_read_ns_ = 0.0;   ///< wordline read window (ns)
+  double t_adc_ns_ = 0.0;    ///< ADC conversion slots of one cycle (ns)
+  double t_cycle_ns_ = 0.0;  ///< t_read_ns_ + t_adc_ns_
+  double e_adc_pj_ = 0.0;    ///< both arrays' conversions of one cycle
+  double e_dac_pj_ = 0.0;    ///< both arrays' wordline drivers of one cycle
+  double e_dig_pj_ = 0.0;    ///< shift&add of one cycle
+
+  // Scratch of vmm_int, sized once: wordline voltages, the two arrays'
+  // bitline currents, and the shift-and-add accumulators.
+  std::vector<double> volts_;
+  std::vector<double> i_plus_;
+  std::vector<double> i_minus_;
+  std::vector<double> acc_;
 };
 
 }  // namespace cim::core

@@ -224,8 +224,10 @@ enum class Component : int {
 inline constexpr std::size_t kComponentCount = 6;
 std::string_view component_name(Component c);
 
-/// Aggregate per component. wall_ns comes from spans; sim_time_ns/energy_pj
-/// come from attribute() calls at simulation-accounting sites.
+/// Aggregate per component. wall_ns is the self time of the component's
+/// spans (each span's wall time minus its child spans' on the same
+/// thread), so nested spans are counted once; sim_time_ns/energy_pj come
+/// from attribute() calls at simulation-accounting sites.
 struct ComponentAgg {
   Counter events;
   AtomicF64 wall_ns;
@@ -250,16 +252,15 @@ struct SpanStat {
 
 class SpanHandle;
 
-/// RAII scoped span. Construction samples the clock only when enabled;
-/// destruction records into the handle's SpanStat, adds wall time to the
-/// component aggregate, and (in trace mode) appends a Chrome trace event.
+/// RAII scoped span. Construction samples the clock and becomes the
+/// thread's innermost open span, only when enabled; destruction records its
+/// inclusive wall time into the handle's SpanStat, adds its self time
+/// (inclusive minus the enclosed child spans) to the component aggregate,
+/// and (in trace mode) appends a Chrome trace event.
 class Span {
  public:
   explicit Span(SpanHandle& handle) {
-    if ((detail::mode_int() & 1) != 0) {
-      handle_ = &handle;
-      start_ns_ = detail::now_ns();
-    }
+    if ((detail::mode_int() & 1) != 0) open(handle);
   }
   ~Span() {
     if (handle_ != nullptr) finish();
@@ -273,10 +274,13 @@ class Span {
   void add_sim_time_ns(double ns) noexcept { sim_ns_ += ns; }
 
  private:
+  void open(SpanHandle& handle) noexcept;
   void finish() noexcept;
 
   SpanHandle* handle_ = nullptr;
+  Span* parent_ = nullptr;         ///< enclosing open span on this thread
   std::uint64_t start_ns_ = 0;
+  std::uint64_t child_ns_ = 0;     ///< wall time of closed child spans
   double energy_pj_ = 0.0;
   double sim_ns_ = 0.0;
 };

@@ -142,19 +142,36 @@ SpanStat& SpanHandle::stat() {
   return *s;
 }
 
+namespace {
+/// Innermost open span of this thread. Spans are scoped, so they open and
+/// close in stack order and each one's parent is the span open around it.
+thread_local Span* t_open_span = nullptr;
+}  // namespace
+
+void Span::open(SpanHandle& handle) noexcept {
+  handle_ = &handle;
+  parent_ = t_open_span;
+  t_open_span = this;
+  start_ns_ = detail::now_ns();
+}
+
 void Span::finish() noexcept {
   const std::uint64_t end_ns = detail::now_ns();
   const std::uint64_t dur_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
+  t_open_span = parent_;
+  if (parent_ != nullptr) parent_->child_ns_ += dur_ns;
 
+  // Per name: inclusive wall time, so nesting tables can subtract children.
   SpanStat& stat = handle_->stat();
   stat.count.add(1);
   stat.wall_ns.add(static_cast<double>(dur_ns));
   stat.sim_time_ns.add(sim_ns_);
   stat.energy_pj.add(energy_pj_);
 
-  // Wall time per component; simulated cost goes through attribute().
+  // Per component: self wall time, so the components sum to the outermost
+  // spans' wall time. Simulated cost goes through attribute().
   ComponentAgg& agg = Registry::global().component(handle_->comp());
-  agg.wall_ns.add(static_cast<double>(dur_ns));
+  agg.wall_ns.add(static_cast<double>(dur_ns - std::min(child_ns_, dur_ns)));
 
   if (trace_enabled())
     detail::record_trace_event(handle_->name(), handle_->comp(), start_ns_,

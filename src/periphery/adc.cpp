@@ -21,6 +21,8 @@ Adc::Adc(AdcConfig cfg) : cfg_(cfg) {
 }
 
 std::uint32_t Adc::quantize(double current_ua) const {
+  // lround(NaN) is unspecified; a NaN current converts to code 0.
+  if (std::isnan(current_ua)) return 0;
   const double clipped = std::clamp(current_ua, 0.0, cfg_.full_scale_ua);
   const double scaled =
       clipped / cfg_.full_scale_ua * static_cast<double>(max_code());

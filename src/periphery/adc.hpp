@@ -37,7 +37,9 @@ class Adc {
   int bits() const { return cfg_.bits; }
   std::uint32_t max_code() const { return (1u << cfg_.bits) - 1; }
 
-  /// Quantizes a current (uA) to a code; clips outside [0, full_scale].
+  /// Quantizes a current (uA) to a code: clips to [0, full_scale], rounds
+  /// half away from zero, and maps NaN to code 0. The tile's per-cycle
+  /// util::kernels::adc_decode_accumulate reproduces this bit for bit.
   std::uint32_t quantize(double current_ua) const;
 
   /// True when `current_ua` falls outside the converter's input range, i.e.

@@ -454,14 +454,10 @@ ServeReport Controller::run(std::span<const Request> requests,
     core::CimSystem& sys = pool_.replica(r);
     for (const std::size_t p : by_replica[r]) {
       const PlannedBatch& pb = plan[p];
-      std::vector<std::vector<std::uint32_t>> inputs;
-      inputs.reserve(pb.members.size());
-      for (const std::size_t idx : pb.members)
-        inputs.push_back(requests[idx].input);
-      auto results = sys.vmm_int_batch(inputs, pb.input_bits, nullptr, pb.tier);
-      for (std::size_t j = 0; j < pb.members.size(); ++j) {
-        Completion& c = completions[pb.members[j]];
-        c.result = std::move(results[j]);
+      for (const std::size_t idx : pb.members) {
+        Completion& c = completions[idx];
+        c.result =
+            sys.vmm_int(requests[idx].input, pb.input_bits, nullptr, pb.tier);
         if (c.kind == RequestKind::kInference) c.label = argmax_label(c.result);
       }
     }

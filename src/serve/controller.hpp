@@ -17,10 +17,12 @@
 ///     entire timing plan needs no execution — and is bit-identical at any
 ///     `CIM_THREADS`.
 ///  2. **Execute** (parallel): replay the planned batches replica-by-
-///     replica across the thread pool via `CimSystem::vmm_int_batch` — one
-///     lane per replica, per-replica batches in flush order, so device
-///     state (noise streams, disturb, caches) evolves deterministically
-///     and per-request results are bit-identical for any pool size.
+///     replica across the thread pool — one lane per replica, per-replica
+///     batches in flush order, each member one `CimSystem::vmm_int` in
+///     member order. A batch is thus exactly back-to-back vmm_int calls:
+///     device state (noise streams, read disturb, caches) evolves across
+///     the members as the schedule says, so per-request results are
+///     bit-identical for any pool size.
 ///
 /// **Why batching wins** (the headline perf story): every dispatch onto a
 /// tile pays `issue_overhead_ns` — operand staging into the DAC buffers,

@@ -3,10 +3,10 @@
 ///        inner loops (crossbar VMM, dense matvec/GEMM, im2col conv).
 ///
 /// These are the tight loops NeuroSim/MNSIM-class frameworks spend their
-/// time in. Layout assumptions are uniform across the repo: dense row-major
-/// `double` storage (util::Matrix, the crossbar conductance caches), so the
-/// kernels take raw pointers + lengths and leave bounds checking to the
-/// callers.
+/// time in, plus the tile's per-cycle ADC conversion and decode. Layout
+/// assumptions are uniform across the repo: dense row-major `double`
+/// storage (util::Matrix, the crossbar conductance caches), so the kernels
+/// take raw pointers + lengths and leave bounds checking to the callers.
 ///
 /// Each entry point forwards through the active simd::KernelTable (one
 /// relaxed atomic load), selected at startup from CPUID and the `CIM_SIMD`
@@ -26,6 +26,9 @@
 ///    VMM loop on every table — the crossbar's bit-identical output
 ///    contract (serial vmm == batched vmm == any CIM_SIMD setting) depends
 ///    on it. Only its `energy` reduction reassociates across tables.
+///  - `adc_decode_accumulate` is element-wise and bit-identical on every
+///    table to the scalar chain Adc::quantize -> Adc::dequantize -> level
+///    decode -> ldexp.
 ///  - `dot_serial` is the order-preserving escape hatch: strict
 ///    left-to-right summation, never dispatched, bit-identical everywhere.
 ///    Route callers that require reproducible sums across ISA settings
@@ -80,6 +83,22 @@ inline void vmm_row_accumulate(double v, const double* g, double* currents,
                                double& energy) {
   simd::active().vmm_row_accumulate(v, g, currents, noise_var, noise_frac,
                                     t_read_ns, n, energy);
+}
+
+/// One bit-serial cycle of a differential CIM tile's periphery, per column:
+///
+///   code(x)  = lround(clamp(x, 0, full_scale) / full_scale * max_code),
+///              and 0 for a NaN x                      (Adc::quantize)
+///   level(x) = (code(x) / max_code * full_scale / v_read - offset) / step
+///   acc[c]  += (level(i_plus[c]) - level(i_minus[c])) * weight
+///
+/// Same expressions, separate mul and add, on every table: bit-identical
+/// across CIM_SIMD settings, and to Adc::dequantize(Adc::quantize(x)) fed
+/// through the decode with ldexp(sum, b) for weight = 2^b.
+inline void adc_decode_accumulate(const double* i_plus, const double* i_minus,
+                                  double* acc, std::size_t n,
+                                  const simd::AdcDecode& p) {
+  simd::active().adc_decode_accumulate(i_plus, i_minus, acc, n, p);
 }
 
 /// C (m x n) += A (m x k) * B (k x n), all row-major with the given leading

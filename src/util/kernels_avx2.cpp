@@ -5,8 +5,8 @@
 /// contraction is disabled so the element-wise kernels (axpy, gemm's inner
 /// axpy, vmm_row_accumulate's currents/noise_var updates) keep the separate
 /// multiply-then-add rounding of the scalar baseline and stay bit-identical
-/// to it. FMA is used only where the contract already permits
-/// reassociation: the dot reduction. The energy reduction of
+/// to it (adc_decode_accumulate too). FMA is used only where the contract
+/// already permits reassociation: the dot reduction. The energy reduction of
 /// vmm_row_accumulate runs in four per-lane partial sums (columns c, c+4,
 /// ... per lane) reduced once at the end — deterministic, but reassociated
 /// relative to the scalar serial chain.
@@ -105,6 +105,47 @@ void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
     e += std::abs(v * i) * t_read_ns * 1e-3;
   }
   energy = e;
+}
+
+namespace {
+/// adc_level() on four lanes, operation for operation. max(x, 0) returns
+/// its second operand for a NaN or -0.0 lane, so both clip to +0 like the
+/// scalar `x > 0` test.
+inline __m256d adc_level_avx2(__m256d x, __m256d fs, __m256d max_code,
+                              __m256d v_read, __m256d offset, __m256d step) {
+  const __m256d clipped =
+      _mm256_min_pd(_mm256_max_pd(x, _mm256_setzero_pd()), fs);
+  const __m256d s = _mm256_mul_pd(_mm256_div_pd(clipped, fs), max_code);
+  const __m256d t = _mm256_round_pd(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d up = _mm256_and_pd(
+      _mm256_cmp_pd(_mm256_sub_pd(s, t), _mm256_set1_pd(0.5), _CMP_GE_OQ),
+      _mm256_set1_pd(1.0));
+  const __m256d q =
+      _mm256_mul_pd(_mm256_div_pd(_mm256_add_pd(t, up), max_code), fs);
+  return _mm256_div_pd(_mm256_sub_pd(_mm256_div_pd(q, v_read), offset), step);
+}
+}  // namespace
+
+void adc_decode_accumulate_avx2(const double* i_plus, const double* i_minus,
+                                double* acc, std::size_t n,
+                                const simd::AdcDecode& p) {
+  const __m256d fs = _mm256_set1_pd(p.full_scale);
+  const __m256d max_code = _mm256_set1_pd(p.max_code);
+  const __m256d v_read = _mm256_set1_pd(p.v_read);
+  const __m256d offset = _mm256_set1_pd(p.offset);
+  const __m256d step = _mm256_set1_pd(p.step);
+  const __m256d weight = _mm256_set1_pd(p.weight);
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const __m256d lp = adc_level_avx2(_mm256_loadu_pd(i_plus + c), fs,
+                                      max_code, v_read, offset, step);
+    const __m256d lm = adc_level_avx2(_mm256_loadu_pd(i_minus + c), fs,
+                                      max_code, v_read, offset, step);
+    const __m256d sum = _mm256_mul_pd(_mm256_sub_pd(lp, lm), weight);
+    _mm256_storeu_pd(acc + c, _mm256_add_pd(_mm256_loadu_pd(acc + c), sum));
+  }
+  for (; c < n; ++c)
+    acc[c] += (adc_level(i_plus[c], p) - adc_level(i_minus[c], p)) * p.weight;
 }
 
 namespace {

@@ -45,6 +45,13 @@ void vmm_row_accumulate_scalar(double v, const double* g, double* currents,
   energy = e;
 }
 
+void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,
+                                  double* acc, std::size_t n,
+                                  const simd::AdcDecode& p) {
+  for (std::size_t c = 0; c < n; ++c)
+    acc[c] += (adc_level(i_plus[c], p) - adc_level(i_minus[c], p)) * p.weight;
+}
+
 namespace {
 // Block sizes sized for a ~32 KiB L1d: one B panel (kKc x kNc doubles) plus
 // the C row slice stay resident while the k-loop streams over it.

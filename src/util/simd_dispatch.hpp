@@ -1,14 +1,14 @@
 /// \file simd_dispatch.hpp
 /// \brief Runtime ISA dispatch for the util::kernels micro-kernels.
 ///
-/// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate)
-/// exist in up to three implementations — portable scalar, AVX2+FMA, and
-/// AVX-512 — compiled into separate translation units with per-file ISA
-/// flags. At startup the best table supported by both the build and the
-/// CPU (CPUID) is selected, overridable with the `CIM_SIMD` environment
-/// variable (`scalar`, `avx2`, `avx512`, `auto`); requests the host cannot
-/// honour are clamped down with a one-time stderr notice. The hot path is
-/// one relaxed atomic load of the active table pointer.
+/// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate,
+/// adc_decode_accumulate) exist in up to three implementations — portable
+/// scalar, AVX2+FMA, and AVX-512 — compiled into separate translation units
+/// with per-file ISA flags. At startup the best table supported by both the
+/// build and the CPU (CPUID) is selected, overridable with the `CIM_SIMD`
+/// environment variable (`scalar`, `avx2`, `avx512`, `auto`); requests the
+/// host cannot honour are clamped down with a one-time stderr notice. The
+/// hot path is one relaxed atomic load of the active table pointer.
 ///
 /// Bit-exactness contract across tables (tested by tests/util
 /// /test_simd_kernels.cpp, enforced by compiling the SIMD TUs with
@@ -17,6 +17,11 @@
 ///    of `vmm_row_accumulate` are **bit-identical** on every table: all are
 ///    element-wise mul-then-add updates in the same element order, and the
 ///    SIMD variants use separate multiply and add (no FMA) for them.
+///  - `adc_decode_accumulate` is **bit-identical** on every table: it is
+///    element-wise, and every variant evaluates the same expressions in the
+///    same order with separate multiply and add. Its rounding step uses
+///    `t + (s - t >= 0.5)` with `t = trunc(s)`, which equals `lround(s)`
+///    for every `s` in [0, max_code], and its `* weight` equals `ldexp`.
 ///  - `dot` and the `energy` reduction of `vmm_row_accumulate` are
 ///    *reductions*: each table reassociates them differently (scalar: the
 ///    historical 4-way / serial chains; SIMD: per-lane partials reduced at
@@ -47,7 +52,18 @@ constexpr const char* isa_name(Isa isa) {
   return "unknown";
 }
 
-/// One resolved implementation set. All four entry points share layout and
+/// Per-cycle constants of adc_decode_accumulate (kernels.hpp): the ADC's
+/// range and the tile's level decode for one input bit plane.
+struct AdcDecode {
+  double full_scale = 0.0;  ///< ADC input range (uA); currents clip to it
+  double max_code = 0.0;    ///< largest ADC code, 2^bits - 1
+  double v_read = 0.0;      ///< wordline read voltage (V)
+  double offset = 0.0;      ///< active rows x g_min (uS): the level-0 floor
+  double step = 0.0;        ///< conductance step between weight levels (uS)
+  double weight = 0.0;      ///< 2^b for input bit plane b
+};
+
+/// One resolved implementation set. All entry points share layout and
 /// contracts with util::kernels (see kernels.hpp for the semantics).
 struct KernelTable {
   Isa isa = Isa::kScalar;
@@ -61,6 +77,9 @@ struct KernelTable {
                              double* noise_var, double noise_frac,
                              double t_read_ns, std::size_t n,
                              double& energy) = nullptr;
+  void (*adc_decode_accumulate)(const double* i_plus, const double* i_minus,
+                                double* acc, std::size_t n,
+                                const AdcDecode& p) = nullptr;
 };
 
 /// The active kernel table: one relaxed load; first call resolves CPUID +

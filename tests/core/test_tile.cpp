@@ -162,6 +162,31 @@ TEST(CimTile, ShapeValidation) {
   EXPECT_THROW((void)tile.vmm_int(ok, 0), std::invalid_argument);
 }
 
+TEST(CimTile, VmmLatencyMatchesChargedTime) {
+  // The serve controller schedules every request with vmm_latency_ns; one
+  // vmm_int on a fresh tile must charge exactly that much simulated time.
+  // 3 ADCs do not divide 7 columns, so the conversion slots round up.
+  for (const auto kind :
+       {periphery::AdcKind::kSar, periphery::AdcKind::kFlash}) {
+    for (int bits = 1; bits <= 16; ++bits) {
+      auto cfg = small_tile(16, 7);
+      cfg.tile.adc_kind = kind;
+      cfg.tile.adcs = 3;
+      CimTile tile(cfg);
+      tile.program_weights(random_weights(7, 16, 4, 31));
+      std::vector<std::uint32_t> x(16);
+      util::Rng rng(static_cast<std::uint64_t>(bits));
+      for (auto& v : x)
+        v = static_cast<std::uint32_t>(rng.uniform_int(1u << bits));
+      ASSERT_EQ(tile.stats().time_ns, 0.0);
+      (void)tile.vmm_int(x, bits);
+      const double expected = tile.vmm_latency_ns(bits);
+      EXPECT_NEAR(tile.stats().time_ns, expected, 1e-12 * expected)
+          << "bits=" << bits;
+    }
+  }
+}
+
 TEST(CimTile, TraceRecordsOps) {
   CimTile tile(small_tile());
   tile.program_weights(random_weights(8, 16, 4, 25));

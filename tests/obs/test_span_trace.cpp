@@ -3,6 +3,7 @@
 /// checks (crossbar spans, trace span sink, thread-pool lanes).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <vector>
 
@@ -97,6 +98,51 @@ TEST_F(SpanTest, MetricsModeDoesNotCaptureEvents) {
   }
   for (const auto& e : detail::collect_trace_events())
     EXPECT_NE(std::string_view(e.name), "test.span.untraced");
+}
+
+TEST_F(SpanTest, NestedSpansCreditComponentsWithSelfTime) {
+  // system -> tile -> crossbar shape: three nested spans in three
+  // components. Each component gets its span's self time, so the
+  // component walls sum to the outer span's wall; per-name walls stay
+  // inclusive.
+  const auto spin = [] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  {
+    CIM_OBS_SPAN("test.nest.outer", Component::kInterconnect);
+    spin();
+    {
+      CIM_OBS_SPAN("test.nest.mid", Component::kDigital);
+      spin();
+      {
+        CIM_OBS_SPAN("test.nest.inner", Component::kArray);
+        spin();
+      }
+    }
+  }
+  const Snapshot s = snapshot();
+  double outer = 0.0, mid = 0.0, inner = 0.0;
+  for (const auto& row : s.spans) {
+    if (row.name == "test.nest.outer") outer = row.wall_ns;
+    if (row.name == "test.nest.mid") mid = row.wall_ns;
+    if (row.name == "test.nest.inner") inner = row.wall_ns;
+  }
+  EXPECT_GT(inner, 0.0);
+  EXPECT_GT(mid, inner);
+  EXPECT_GT(outer, mid);
+  double component_sum = 0.0;
+  for (const auto& row : s.components) {
+    component_sum += row.wall_ns;
+    const double self = row.comp == Component::kArray     ? inner
+                        : row.comp == Component::kDigital ? mid - inner
+                        : row.comp == Component::kInterconnect ? outer - mid
+                                                               : 0.0;
+    EXPECT_EQ(row.wall_ns, self) << component_name(row.comp);
+  }
+  EXPECT_EQ(component_sum, outer);
 }
 
 TEST_F(SpanTest, CrossbarVmmRecordsSpanAndArrayAttribution) {

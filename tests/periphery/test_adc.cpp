@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace cim::periphery {
 namespace {
@@ -19,6 +20,44 @@ TEST(Adc, ClipsOutsideRange) {
   Adc adc({.bits = 4, .full_scale_ua = 100.0});
   EXPECT_EQ(adc.quantize(-5.0), 0u);
   EXPECT_EQ(adc.quantize(500.0), adc.max_code());
+}
+
+TEST(Adc, QuantizeEdgeInputs) {
+  Adc adc({.bits = 8, .full_scale_ua = 100.0});
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(adc.quantize(std::nan("")), 0u);
+  EXPECT_EQ(adc.quantize(inf), adc.max_code());
+  EXPECT_EQ(adc.quantize(-inf), 0u);
+  EXPECT_EQ(adc.quantize(-0.0), 0u);
+  EXPECT_EQ(adc.quantize(100.0), adc.max_code());
+  EXPECT_EQ(adc.quantize(std::nextafter(100.0, inf)), adc.max_code());
+  EXPECT_EQ(adc.quantize(1e300), adc.max_code());
+  EXPECT_FALSE(adc.clips(std::nan("")));
+}
+
+TEST(Adc, QuantizeRoundsHalfCodesAwayFromZero) {
+  // For codes k across the range: the smallest current whose scaled value
+  // current / full_scale * max_code reaches k + 0.5 converts to k + 1, and
+  // the double just below it to k.
+  const double fs = 100.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int bits : {3, 8, 12}) {
+    Adc adc({.bits = bits, .full_scale_ua = fs});
+    const double m = static_cast<double>(adc.max_code());
+    int exact_halves = 0;
+    const std::uint32_t stride = 1 + adc.max_code() / 40;
+    for (std::uint32_t k = 0; k < adc.max_code(); k += stride) {
+      const double half = static_cast<double>(k) + 0.5;
+      double x = half / m * fs;
+      while (x / fs * m >= half) x = std::nextafter(x, 0.0);
+      while (x / fs * m < half) x = std::nextafter(x, inf);
+      if (x / fs * m == half) ++exact_halves;
+      EXPECT_EQ(adc.quantize(x), k + 1) << "bits=" << bits << " k=" << k;
+      EXPECT_EQ(adc.quantize(std::nextafter(x, 0.0)), k)
+          << "bits=" << bits << " k=" << k;
+    }
+    EXPECT_GT(exact_halves, 0) << "bits=" << bits;
+  }
 }
 
 TEST(Adc, MaxCodeMatchesBits) {

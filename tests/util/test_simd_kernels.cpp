@@ -8,14 +8,19 @@
 //     BIT-IDENTICAL to the portable scalar table,
 //   - dot / vmm_row energy are reductions: deterministic per table, only
 //     tolerance-equal across tables,
+//   - adc_decode_accumulate is BIT-IDENTICAL on every table to the
+//     Adc::quantize -> Adc::dequantize -> decode -> ldexp chain,
 //   - dot_serial is the strict left-to-right escape hatch,
 //   - set_isa / table_for clamp unsupported requests downward.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "periphery/adc.hpp"
 #include "util/kernels.hpp"
 #include "util/simd_dispatch.hpp"
 
@@ -80,6 +85,7 @@ TEST(SimdDispatch, TableForClampsToSupported) {
     ASSERT_NE(t.axpy, nullptr);
     ASSERT_NE(t.gemm_accumulate, nullptr);
     ASSERT_NE(t.vmm_row_accumulate, nullptr);
+    ASSERT_NE(t.adc_decode_accumulate, nullptr);
     EXPECT_LE(static_cast<int>(t.isa), static_cast<int>(max));
     if (static_cast<int>(req) <= static_cast<int>(max))
       EXPECT_EQ(t.isa, req);  // supported requests are honoured exactly
@@ -236,6 +242,92 @@ TEST(SimdKernels, VmmRowAccumulateCurrentsNoiseBitIdentical) {
                              var2.data() + off, noise_frac, t_read, n,
                              e_again);
         EXPECT_EQ(e_again, e_got);
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Currents that stress Adc::quantize: NaN, +-inf, -0.0, zero, the
+/// smallest subnormal, tiny negatives, full scale and beyond, and for a
+/// spread of codes k the half-code boundary (the smallest current that
+/// rounds up to k + 1) plus the double just below it.
+std::vector<double> adversarial_currents(const cim::periphery::Adc& adc) {
+  const double fs = adc.config().full_scale_ua;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> x{std::nan(""),
+                        inf,
+                        -inf,
+                        -0.0,
+                        0.0,
+                        std::numeric_limits<double>::denorm_min(),
+                        -1e-300,
+                        -0.25 * fs,
+                        fs,
+                        std::nextafter(fs, 0.0),
+                        std::nextafter(fs, inf),
+                        3.0 * fs};
+  const std::uint32_t max_code = adc.max_code();
+  for (std::uint32_t k = 0; k < max_code; k += 1 + max_code / 9) {
+    // Bisect on the bit patterns of positive doubles (monotone in value).
+    auto lo = std::bit_cast<std::uint64_t>(0.0);
+    auto hi = std::bit_cast<std::uint64_t>(fs);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (adc.quantize(std::bit_cast<double>(mid)) > k ? hi : lo) = mid;
+    }
+    x.push_back(std::bit_cast<double>(hi));
+    x.push_back(std::bit_cast<double>(lo));
+  }
+  return x;
+}
+
+/// Reference: Adc::quantize -> Adc::dequantize -> the tile's level decode.
+double chain_level(const cim::periphery::Adc& adc, double current,
+                   const simd::AdcDecode& p) {
+  const double q = adc.dequantize(adc.quantize(current));
+  return (q / p.v_read - p.offset) / p.step;
+}
+
+}  // namespace
+
+TEST(SimdKernels, AdcDecodeAccumulateMatchesAdcChainOnEveryTable) {
+  for (const int bits : {3, 8, 12}) {
+    const cim::periphery::Adc adc({.bits = bits, .full_scale_ua = 1280.0});
+    const auto pool = adversarial_currents(adc);
+    for (const int b : {0, 5, 15}) {
+      simd::AdcDecode p{.full_scale = adc.config().full_scale_ua,
+                        .max_code = static_cast<double>(adc.max_code()),
+                        .v_read = 0.2,
+                        .offset = static_cast<double>(b + 3) * 1.25,
+                        .step = 6.6,
+                        .weight = std::ldexp(1.0, b)};
+      for (std::size_t n = 0; n <= 67; ++n) {
+        for (std::size_t off : kOffsets) {
+          std::vector<double> ip(n + off), im(n + off);
+          for (std::size_t c = 0; c < n; ++c) {
+            ip[off + c] = pool[(c * 7 + n) % pool.size()];
+            im[off + c] = pool[(c * 5 + 3 * n + 1) % pool.size()];
+          }
+          const auto acc0 = make_vec(n, 89, off);
+          auto ref = acc0;
+          for (std::size_t c = 0; c < n; ++c)
+            ref[off + c] += std::ldexp(chain_level(adc, ip[off + c], p) -
+                                           chain_level(adc, im[off + c], p),
+                                       b);
+          for (simd::Isa isa : simd::supported_isas()) {
+            auto got = acc0;
+            simd::table_for(isa).adc_decode_accumulate(
+                ip.data() + off, im.data() + off, got.data() + off, n, p);
+            for (std::size_t i = 0; i < got.size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                        std::bit_cast<std::uint64_t>(ref[i]))
+                  << "isa=" << simd::isa_name(isa) << " adc_bits=" << bits
+                  << " b=" << b << " n=" << n << " off=" << off
+                  << " i=" << i << " got=" << got[i] << " ref=" << ref[i];
+          }
+        }
       }
     }
   }
