@@ -2,7 +2,8 @@
 /// \brief Micro-kernel throughput bench. Default mode sweeps every
 ///        runtime-dispatched ISA variant (scalar / avx2 / avx512) of the
 ///        util::kernels hot loops — dot, axpy, gemm_accumulate,
-///        vmm_row_accumulate — across sizes, reporting GB/s and speedup vs
+///        vmm_row_accumulate, bitplane_accumulate — across sizes,
+///        reporting GB/s and speedup vs
 ///        the portable scalar table, and ends with the standard BENCH_JSON
 ///        line (per-variant extras) scraped into BENCH_PR<N>.json by
 ///        scripts/collect_bench.sh.
@@ -143,7 +144,7 @@ double time_reps(int reps, F&& body) {
 }
 
 struct KernelResult {
-  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm_row"
+  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm_row" / "bitplane"
   std::size_t n;       // problem size (elements or MACs)
   double bytes;        // bytes touched per invocation
   // seconds/rep, indexed like supported_isas()
@@ -223,6 +224,30 @@ int run_isa_sweep() {
     }
   }
 
+  // Fused bit-plane read of one 4-bit request on a 64x64 array (the
+  // serving tiles' shape): every row's bit pattern drawn uniformly, so on
+  // average half the rows drive each plane. Bytes: the conductance matrix
+  // once plus each plane's currents read and written.
+  {
+    constexpr std::size_t kRows = 64, kCols = 64;
+    constexpr int kPlanes = 4;
+    auto g = bench_vec(kRows * kCols, 23);
+    for (auto& x : g) x = x < 0 ? -x : x;
+    util::Rng rng(29);
+    std::vector<std::uint32_t> bits(kRows);
+    for (auto& b : bits) b = static_cast<std::uint32_t>(rng.uniform_int(16));
+    auto currents = std::vector<double>(kPlanes * kCols, 0.0);
+    sweep_kernel(results, "bitplane", kRows * kCols * kPlanes,
+                 8.0 * static_cast<double>(kRows * kCols +
+                                           2 * kPlanes * kCols),
+                 20000, isas, [&](const util::simd::KernelTable& t) {
+                   t.bitplane_accumulate(0.2, g.data(), kRows, kCols,
+                                         bits.data(), kPlanes,
+                                         currents.data());
+                   checksum_sink += currents[kCols / 2];
+                 });
+  }
+
   // Human-readable report.
   {
     std::vector<std::string> headers = {"kernel", "n"};
@@ -256,7 +281,8 @@ int run_isa_sweep() {
   std::vector<std::pair<std::string, double>> extras;
   double ops = 0.0;
   for (const auto& r : results) ops += static_cast<double>(r.n);
-  for (const std::string kernel : {"dot", "axpy", "vmm_row", "gemm"}) {
+  for (const std::string kernel :
+       {"dot", "axpy", "vmm_row", "gemm", "bitplane"}) {
     const KernelResult* best = nullptr;
     for (const auto& r : results)
       if (r.kernel == kernel &&

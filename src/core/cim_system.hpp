@@ -52,7 +52,8 @@ class CimSystem {
   CimTile& tile(std::size_t i) { return *tiles_.at(i).tile; }
   const CimTile& tile(std::size_t i) const { return *tiles_.at(i).tile; }
 
-  /// y = W x over the tile grid, with digital partial-sum reduction.
+  /// y = W x over the tile grid, with digital partial-sum reduction. Only
+  /// the low `input_bits` bits of each input are read (CimTile::vmm_int).
   /// Independent tiles execute concurrently on `pool` (serial when null);
   /// every tile owns its crossbars and RNG streams, and the partial-sum
   /// reduction runs serially in block order, so results are bit-identical

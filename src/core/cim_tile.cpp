@@ -36,15 +36,19 @@ CimTile::CimTile(CimTileConfig cfg)
           .full_scale_ua = plus_->tech().v_read * plus_->tech().g_on_us() *
                            static_cast<double>(cfg.tile.rows)}),
       weights_(cfg.tile.cols, cfg.tile.rows),
-      volts_(cfg.tile.rows),
-      i_plus_(cfg.tile.cols),
-      i_minus_(cfg.tile.cols),
       acc_(cfg.tile.cols) {
   const auto& tech = plus_->tech();
   v_read_ = tech.v_read;
   g_min_us_ = plus_->scheme().g_min_us();
   step_us_ = plus_->scheme().step_us();
   t_read_ns_ = tech.t_read_ns;
+
+  // The decode's dequantize step depends only on the integer code, so
+  // every code's value is formed once, by the same expression the
+  // Adc::dequantize -> / v_read chain evaluates.
+  dequant_.resize(std::size_t{adc_.max_code()} + 1);
+  for (std::uint32_t k = 0; k <= adc_.max_code(); ++k)
+    dequant_[k] = adc_.dequantize(k) / v_read_;
 
   // One wordline read plus ceil(cols/adcs) conversion slots per cycle; the
   // differential pair's two conversions per column share a slot across the
@@ -106,43 +110,60 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
     throw std::invalid_argument("vmm_int: input_bits in [1,16]");
   CIM_OBS_SPAN_NAMED(span, "tile.vmm_int", obs::Component::kDigital);
 
+  const auto planes = static_cast<std::size_t>(input_bits);
+  if (e_plus_.size() < planes) {
+    i_plus_.resize(planes * cols());
+    i_minus_.resize(planes * cols());
+    e_plus_.resize(planes);
+    e_minus_.resize(planes);
+    active_.resize(planes);
+  }
+  const std::span<double> i_plus(i_plus_.data(), planes * cols());
+  const std::span<double> i_minus(i_minus_.data(), planes * cols());
+  const std::span<double> e_plus(e_plus_.data(), planes);
+  const std::span<double> e_minus(e_minus_.data(), planes);
+
+  // Both arrays read every bit plane first; the charges they make land in
+  // plane order, so replaying them on the arrays' running energy totals
+  // below reproduces each cycle's e_array bit for bit.
+  double plus_energy = plus_->stats().energy_pj;
+  double minus_energy = minus_->stats().energy_pj;
+  plus_->vmm_bit_planes(inputs, input_bits, v_read_, i_plus, e_plus, tier);
+  minus_->vmm_bit_planes(inputs, input_bits, v_read_, i_minus, e_minus, tier);
+
+  std::fill(active_.begin(), active_.begin() + input_bits, 0);
+  for (const std::uint32_t x : inputs)
+    for (std::size_t b = 0; b < planes; ++b) active_[b] += (x >> b) & 1u;
+
   std::fill(acc_.begin(), acc_.end(), 0.0);
   util::simd::AdcDecode decode{
       .full_scale = adc_.config().full_scale_ua,
       .max_code = static_cast<double>(adc_.max_code()),
-      .v_read = v_read_,
+      .dequant = dequant_.data(),
       .step = step_us_,
   };
 
-  for (int b = 0; b < input_bits; ++b) {
-    double active = 0.0;
-    for (std::size_t r = 0; r < rows(); ++r) {
-      const bool on = (inputs[r] >> b) & 1u;
-      volts_[r] = on ? v_read_ : 0.0;
-      if (on) active += 1.0;
-    }
-
-    const double e_before =
-        plus_->stats().energy_pj + minus_->stats().energy_pj;
-    plus_->vmm(volts_, i_plus_, tier);
-    minus_->vmm(volts_, i_minus_, tier);
-    const double e_array =
-        plus_->stats().energy_pj + minus_->stats().energy_pj - e_before;
+  for (std::size_t b = 0; b < planes; ++b) {
+    const double* ip = i_plus_.data() + b * cols();
+    const double* im = i_minus_.data() + b * cols();
+    const double e_before = plus_energy + minus_energy;
+    plus_energy += e_plus_[b];
+    minus_energy += e_minus_[b];
+    const double e_array = plus_energy + minus_energy - e_before;
 
     if (obs::health_enabled()) {
       // Two conversions per column per bit cycle (differential pair);
       // clipping means the bitline current fell outside full scale.
       auto& h = health_monitor();
       for (std::size_t c = 0; c < cols(); ++c) {
-        h.record_adc_sample(c, adc_.clips(i_plus_[c]));
-        h.record_adc_sample(c, adc_.clips(i_minus_[c]));
+        h.record_adc_sample(c, adc_.clips(ip[c]));
+        h.record_adc_sample(c, adc_.clips(im[c]));
       }
     }
     // Convert both arrays' columns, decode the level sums, shift and add.
-    decode.offset = active * g_min_us_;
-    decode.weight = std::ldexp(1.0, b);
-    util::kernels::adc_decode_accumulate(i_plus_.data(), i_minus_.data(),
-                                         acc_.data(), cols(), decode);
+    decode.offset = static_cast<double>(active_[b]) * g_min_us_;
+    decode.weight = std::ldexp(1.0, static_cast<int>(b));
+    util::kernels::adc_decode_accumulate(ip, im, acc_.data(), cols(), decode);
 
     // Cost accounting for the cycle.
     stats_.time_ns += t_cycle_ns_;

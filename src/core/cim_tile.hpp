@@ -52,11 +52,13 @@ class CimTile {
   void program_weights(const util::Matrix& w_int);
 
   /// Executes y = W x for unsigned integer inputs of `input_bits` bits,
-  /// streamed bit-serially. Returns signed integer outputs (subject to ADC
+  /// streamed bit-serially; only the low `input_bits` bits of each input
+  /// are read. Returns signed integer outputs (subject to ADC
   /// quantization and analog non-idealities). `tier` selects the array
   /// fidelity of every bit-serial VMM cycle (crossbar/fidelity.hpp); the
   /// bit-sliced wordline voltages are exactly the uniform-|v| inputs the
-  /// tier-1 noise calibration is exact for.
+  /// tier-1 noise calibration is exact for. Each array reads all bit
+  /// planes in one Crossbar::vmm_bit_planes call.
   std::vector<long> vmm_int(
       std::span<const std::uint32_t> inputs, int input_bits,
       crossbar::FidelityTier tier = crossbar::FidelityTier::kFull);
@@ -120,11 +122,18 @@ class CimTile {
   double e_dac_pj_ = 0.0;    ///< both arrays' wordline drivers of one cycle
   double e_dig_pj_ = 0.0;    ///< shift&add of one cycle
 
-  // Scratch of vmm_int, sized once: wordline voltages, the two arrays'
-  // bitline currents, and the shift-and-add accumulators.
-  std::vector<double> volts_;
+  /// ADC dequantize table, built once: dequant_[k] =
+  /// adc_.dequantize(k) / v_read_ for every code k in [0, max_code].
+  std::vector<double> dequant_;
+
+  // Scratch of vmm_int, grown to the widest call seen: the two arrays'
+  // bitline currents and per-plane energies (plane-major), the active
+  // row count of each plane, and the shift-and-add accumulators.
   std::vector<double> i_plus_;
   std::vector<double> i_minus_;
+  std::vector<double> e_plus_;
+  std::vector<double> e_minus_;
+  std::vector<std::size_t> active_;
   std::vector<double> acc_;
 };
 

@@ -1,6 +1,7 @@
 #include "crossbar/crossbar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,6 +38,13 @@ struct ObsCounters {
 ObsCounters& obs_counters() {
   static ObsCounters counters;
   return counters;
+}
+
+/// Serial sum of |v_r| in row order (the sneak background's input).
+double abs_sum(std::span<const double> v_rows) {
+  double s = 0.0;
+  for (const double v : v_rows) s += std::abs(v);
+  return s;
 }
 
 }  // namespace
@@ -415,21 +423,18 @@ void Crossbar::accumulate_currents(std::span<const double> v_rows,
   }
 }
 
-double Crossbar::sneak_background_per_col(
-    std::span<const double> v_rows) const {
+double Crossbar::sneak_background_per_col(double v_abs_sum) const {
   // Passive 0T1R arrays: half-selected cells leak a sneak background whose
   // magnitude scales with the mean conductance of the unselected matrix.
   const double g_mean = g_true_sum_ / static_cast<double>(cells_.size());
-  double v_mean = 0.0;
-  for (double v : v_rows) v_mean += std::abs(v);
-  v_mean /= static_cast<double>(v_rows.size());
+  const double v_mean = v_abs_sum / static_cast<double>(cfg_.rows);
   // One effective 3-cell series path per unselected row.
   return v_mean * (g_mean / 3.0) * 0.1 * static_cast<double>(cfg_.rows - 1);
 }
 
-void Crossbar::apply_read_disturb(util::Rng& rng) {
+bool Crossbar::apply_read_disturb(util::Rng& rng) {
   // Read disturb: expected number of disturbed cells this cycle.
-  if (tech_.read_disturb_prob <= 0.0) return;
+  if (tech_.read_disturb_prob <= 0.0) return false;
   const double expected =
       tech_.read_disturb_prob * static_cast<double>(cells_.size());
   std::size_t hits = static_cast<std::size_t>(expected);
@@ -444,6 +449,7 @@ void Crossbar::apply_read_disturb(util::Rng& rng) {
       health_monitor().record_disturb(idx / cfg_.cols, idx % cfg_.cols,
                                       cl.true_conductance_us());
   }
+  return hits > 0;
 }
 
 std::vector<double> Crossbar::vmm(std::span<const double> v_rows,
@@ -465,51 +471,61 @@ void Crossbar::accumulate_currents_plain(std::span<const double> v_rows,
   }
 }
 
-double Crossbar::vmm_energy_from_rowsums(
-    std::span<const double> v_rows, const std::vector<double>& rowsum) const {
-  // Tier 0 charges sum_{r,c} |v_r * (v_r * g)| * t * 1e-3. With g >= 0 the
-  // inner |.| is v_r^2 * g, so the double sum collapses onto the cached
-  // per-row conductance sums (agrees with tier 0 up to reassociation ulps).
-  double e = 0.0;
-  for (std::size_t r = 0; r < cfg_.rows; ++r)
-    e += v_rows[r] * v_rows[r] * rowsum[r];
-  return e * tech_.t_read_ns * 1e-3;
-}
-
-double Crossbar::calibrated_scale_and_energy(std::span<const double> v_rows,
-                                             double& energy) const {
-  // One pass over rows serves both tier-1 closed forms. Noise: tier-0
-  // column variance is sum_r (noise_frac * v_r * g_eff[r][c])^2; the
-  // mean-field calibration factorises it as (mean_r v_r^2) * sum_r g^2 —
-  // exact when |v_r| is uniform across rows (the bit-sliced DAC encodings
-  // the tile layer feeds are exactly that), within the documented budget
-  // otherwise. Per-column std = scale * g_eff_col_std_[c]. Energy: same
-  // accumulation order as vmm_energy_from_rowsums, so the collapse onto
-  // the cached row sums stays bit-identical to the unfused helper.
-  double v_sq_sum = 0.0;
-  double e = 0.0;
+Crossbar::ReadSums Crossbar::read_sums(std::span<const double> v_rows,
+                                       const std::vector<double>& rowsum) const {
+  ReadSums s;
   for (std::size_t r = 0; r < cfg_.rows; ++r) {
     const double vv = v_rows[r] * v_rows[r];
-    v_sq_sum += vv;
-    e += vv * g_eff_rowsum_[r];
+    s.v_abs += std::abs(v_rows[r]);
+    s.v_sq += vv;
+    s.e_row += vv * rowsum[r];
   }
-  energy = e * tech_.t_read_ns * 1e-3;
-  return tech_.read_noise_frac *
-         std::sqrt(v_sq_sum / static_cast<double>(cfg_.rows));
+  return s;
 }
 
-void Crossbar::vmm_calibrated(std::span<const double> v_rows,
-                              std::span<double> currents) {
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
-  ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
+double Crossbar::read_energy(const ReadSums& s) const {
+  return s.e_row * tech_.t_read_ns * 1e-3;
+}
+
+double Crossbar::calibrated_noise_scale(const ReadSums& s) const {
+  return tech_.read_noise_frac *
+         std::sqrt(s.v_sq / static_cast<double>(cfg_.rows));
+}
+
+void Crossbar::plane_read_sums(std::span<const std::uint32_t> inputs,
+                               int planes, double v,
+                               const std::vector<double>& rowsum,
+                               std::span<ReadSums> out) {
+  // read_sums of each plane's voltages, over the rows the plane drives: an
+  // undriven row's terms are +-0, and adding +-0 changes none of these
+  // sums (a sum that starts at +0 can never become -0). Each sum is then a
+  // serial sum over a plane's rows in row order — the masked accumulation
+  // bitplane_accumulate makes — of the per-row terms |v|, v^2 and
+  // v^2 * rowsum[r]; the kernel's multiply by 1.0 is exact.
+  const std::size_t rows = cfg_.rows;
+  auto& terms = bit_planes_scratch_;
+  terms.resize(3 * rows);
+  const double vv = v * v;
+  for (std::size_t r = 0; r < rows; ++r) {
+    terms[3 * r] = std::abs(v);
+    terms[3 * r + 1] = vv;
+    terms[3 * r + 2] = vv * rowsum[r];
+  }
+  std::array<double, 3 * 16> sums{};
+  util::kernels::bitplane_accumulate(1.0, terms.data(), rows, 3,
+                                     inputs.data(), planes, sums.data());
+  for (std::size_t b = 0; b < out.size(); ++b)
+    out[b] = {sums[3 * b], sums[3 * b + 1], sums[3 * b + 2]};
+}
+
+double Crossbar::finish_calibrated_read(const ReadSums& s,
+                                        std::span<double> currents) {
   if (cfg_.passive_array) {
-    const double sneak_per_col = sneak_background_per_col(v_rows);
+    const double sneak_per_col = sneak_background_per_col(s.v_abs);
     for (double& i : currents) i += sneak_per_col;
   }
-  double energy = 0.0;
-  const double scale = calibrated_scale_and_energy(v_rows, energy);
+  const double energy = read_energy(s);
+  const double scale = calibrated_noise_scale(s);
   if (scale > 0.0) {
     // One serial generator advance keys the whole draw; each column's
     // noise is then a pure counter hash against the cached column std —
@@ -525,6 +541,30 @@ void Crossbar::vmm_calibrated(std::span<const double> v_rows,
   if (obs::enabled()) {
     obs_counters().vmm_ops.add(1);
     obs_counters().vmm_fast_ops.add(1);
+  }
+  return energy;
+}
+
+double Crossbar::finish_ideal_read(const ReadSums& s) {
+  const double energy = read_energy(s);
+  ++stats_.vmm_ops;
+  charge(tech_.t_read_ns, energy);
+  if (obs::enabled()) {
+    obs_counters().vmm_ops.add(1);
+    obs_counters().vmm_ideal_ops.add(1);
+  }
+  return energy;
+}
+
+void Crossbar::vmm_calibrated(std::span<const double> v_rows,
+                              std::span<double> currents) {
+  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
+  ensure_conductance_cache();
+  std::fill(currents.begin(), currents.end(), 0.0);
+  accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
+  const double energy =
+      finish_calibrated_read(read_sums(v_rows, g_eff_rowsum_), currents);
+  if (obs::enabled()) {
     span.add_sim_time_ns(tech_.t_read_ns);
     span.add_energy_pj(energy);
   }
@@ -536,15 +576,48 @@ void Crossbar::vmm_ideal(std::span<const double> v_rows,
   ensure_conductance_cache();
   std::fill(currents.begin(), currents.end(), 0.0);
   accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
-  const double energy = vmm_energy_from_rowsums(v_rows, g_ideal_rowsum_);
-  ++stats_.vmm_ops;
-  charge(tech_.t_read_ns, energy);
+  const double energy = finish_ideal_read(read_sums(v_rows, g_ideal_rowsum_));
   if (obs::enabled()) {
-    obs_counters().vmm_ops.add(1);
-    obs_counters().vmm_ideal_ops.add(1);
     span.add_sim_time_ns(tech_.t_read_ns);
     span.add_energy_pj(energy);
   }
+}
+
+bool Crossbar::finish_full_read(double v_abs_sum, std::span<double> currents,
+                                std::span<const double> noise_var,
+                                double energy) {
+  if (cfg_.passive_array) {
+    const double sneak_per_col = sneak_background_per_col(v_abs_sum);
+    for (double& i : currents) i += sneak_per_col;
+    if (obs::health_enabled()) {
+      auto& h = health_monitor();
+      for (std::size_t c = 0; c < cfg_.cols; ++c)
+        h.record_sneak_current(c, sneak_per_col);
+    }
+  }
+
+  // Aggregate read noise per column.
+  for (std::size_t c = 0; c < cfg_.cols; ++c)
+    currents[c] += rng_.normal(0.0, std::sqrt(noise_var[c]));
+
+  const bool disturbed = apply_read_disturb(rng_);
+
+  ++stats_.vmm_ops;
+  charge(tech_.t_read_ns, energy);
+  if (obs::enabled()) obs_counters().vmm_ops.add(1);
+  return disturbed;
+}
+
+double Crossbar::vmm_full(std::span<const double> v_rows,
+                          std::span<double> currents) {
+  ensure_conductance_cache();
+  std::fill(currents.begin(), currents.end(), 0.0);
+  vmm_noise_scratch_.assign(cfg_.cols, 0.0);
+  double energy = 0.0;
+  accumulate_currents(v_rows, currents, vmm_noise_scratch_, energy);
+  finish_full_read(cfg_.passive_array ? abs_sum(v_rows) : 0.0, currents,
+                   vmm_noise_scratch_, energy);
+  return energy;
 }
 
 void Crossbar::vmm(std::span<const double> v_rows, std::span<double> currents,
@@ -556,34 +629,120 @@ void Crossbar::vmm(std::span<const double> v_rows, std::span<double> currents,
   if (tier == FidelityTier::kCalibrated) return vmm_calibrated(v_rows, currents);
   if (tier == FidelityTier::kIdeal) return vmm_ideal(v_rows, currents);
   CIM_OBS_SPAN_NAMED(span, "crossbar.vmm", obs::Component::kArray);
-  ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  vmm_noise_scratch_.assign(cfg_.cols, 0.0);
-  double energy = 0.0;
-  accumulate_currents(v_rows, currents, vmm_noise_scratch_, energy);
-
-  if (cfg_.passive_array) {
-    const double sneak_per_col = sneak_background_per_col(v_rows);
-    for (double& i : currents) i += sneak_per_col;
-    if (obs::health_enabled()) {
-      auto& h = health_monitor();
-      for (std::size_t c = 0; c < cfg_.cols; ++c)
-        h.record_sneak_current(c, sneak_per_col);
-    }
-  }
-
-  // Aggregate read noise per column.
-  for (std::size_t c = 0; c < cfg_.cols; ++c)
-    currents[c] += rng_.normal(0.0, std::sqrt(vmm_noise_scratch_[c]));
-
-  apply_read_disturb(rng_);
-
-  ++stats_.vmm_ops;
-  charge(tech_.t_read_ns, energy);
+  const double energy = vmm_full(v_rows, currents);
   if (obs::enabled()) {
-    obs_counters().vmm_ops.add(1);
     span.add_sim_time_ns(tech_.t_read_ns);
     span.add_energy_pj(energy);
+  }
+}
+
+void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
+                              int planes, double v,
+                              std::span<double> currents,
+                              std::span<double> energy, FidelityTier tier) {
+  if (planes < 1 || planes > 16)
+    throw std::invalid_argument("vmm_bit_planes: planes in [1,16]");
+  if (inputs.size() != cfg_.rows)
+    throw std::invalid_argument("vmm_bit_planes: input size != rows");
+  const auto np = static_cast<std::size_t>(planes);
+  const std::size_t cols = cfg_.cols;
+  if (currents.size() != np * cols)
+    throw std::invalid_argument("vmm_bit_planes: output size != planes*cols");
+  if (energy.size() != np)
+    throw std::invalid_argument("vmm_bit_planes: energy size != planes");
+  if (tier == FidelityTier::kCalibrated)
+    return bit_planes_calibrated(inputs, planes, v, currents, energy);
+  if (tier == FidelityTier::kIdeal)
+    return bit_planes_ideal(inputs, planes, v, currents, energy);
+  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm", obs::Component::kArray);
+  ensure_conductance_cache();
+
+  // One pass forms every plane's pre-noise currents, noise variance and
+  // energy. vmm() skips every 0 V row, so a 0 V request drives none.
+  std::fill(currents.begin(), currents.end(), 0.0);
+  std::fill(energy.begin(), energy.end(), 0.0);
+  vmm_noise_scratch_.assign(np * cols, 0.0);
+  if (v != 0.0)
+    util::kernels::bitplane_accumulate_noisy(
+        v, g_eff_cache_.data(), cfg_.rows, cols, inputs.data(), planes,
+        currents.data(), vmm_noise_scratch_.data(), tech_.read_noise_frac,
+        tech_.t_read_ns, energy.data());
+  std::array<ReadSums, 16> sums{};  // tier 0 needs only the sneak input
+  if (cfg_.passive_array)
+    plane_read_sums(inputs, planes, v, g_eff_rowsum_,
+                    std::span(sums).first(np));
+
+  // Then each plane's stochastic tail, in plane order. Once a read disturb
+  // has dirtied a cell, the fused currents of the later planes are stale:
+  // those planes are read one at a time, each repairing the caches first,
+  // exactly as a vmm() per plane would (vmm_full reuses the noise scratch,
+  // whose fused values are dead by then).
+  bool stale = false;
+  for (std::size_t b = 0; b < np; ++b) {
+    const auto cur = currents.subspan(b * cols, cols);
+    if (!stale) {
+      stale = finish_full_read(
+          sums[b].v_abs, cur,
+          std::span<const double>(vmm_noise_scratch_).subspan(b * cols, cols),
+          energy[b]);
+    } else {
+      auto& volts = bit_planes_scratch_;
+      volts.resize(cfg_.rows);
+      for (std::size_t r = 0; r < cfg_.rows; ++r)
+        volts[r] = ((inputs[r] >> b) & 1u) != 0 ? v : 0.0;
+      energy[b] = vmm_full(volts, cur);
+    }
+    if (obs::enabled()) {
+      span.add_sim_time_ns(tech_.t_read_ns);
+      span.add_energy_pj(energy[b]);
+    }
+  }
+}
+
+void Crossbar::bit_planes_calibrated(std::span<const std::uint32_t> inputs,
+                                     int planes, double v,
+                                     std::span<double> currents,
+                                     std::span<double> energy) {
+  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
+  ensure_conductance_cache();
+  std::fill(currents.begin(), currents.end(), 0.0);
+  if (v != 0.0)
+    util::kernels::bitplane_accumulate(v, g_eff_cache_.data(), cfg_.rows,
+                                       cfg_.cols, inputs.data(), planes,
+                                       currents.data());
+  std::array<ReadSums, 16> sums{};
+  plane_read_sums(inputs, planes, v, g_eff_rowsum_,
+                  std::span(sums).first(energy.size()));
+  for (std::size_t b = 0; b < energy.size(); ++b) {
+    energy[b] = finish_calibrated_read(
+        sums[b], currents.subspan(b * cfg_.cols, cfg_.cols));
+    if (obs::enabled()) {
+      span.add_sim_time_ns(tech_.t_read_ns);
+      span.add_energy_pj(energy[b]);
+    }
+  }
+}
+
+void Crossbar::bit_planes_ideal(std::span<const std::uint32_t> inputs,
+                                int planes, double v,
+                                std::span<double> currents,
+                                std::span<double> energy) {
+  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.ideal", obs::Component::kArray);
+  ensure_conductance_cache();
+  std::fill(currents.begin(), currents.end(), 0.0);
+  if (v != 0.0)
+    util::kernels::bitplane_accumulate(v, g_ideal_cache_.data(), cfg_.rows,
+                                       cfg_.cols, inputs.data(), planes,
+                                       currents.data());
+  std::array<ReadSums, 16> sums{};
+  plane_read_sums(inputs, planes, v, g_ideal_rowsum_,
+                  std::span(sums).first(energy.size()));
+  for (std::size_t b = 0; b < energy.size(); ++b) {
+    energy[b] = finish_ideal_read(sums[b]);
+    if (obs::enabled()) {
+      span.add_sim_time_ns(tech_.t_read_ns);
+      span.add_energy_pj(energy[b]);
+    }
   }
 }
 
@@ -626,7 +785,7 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
     double energy = 0.0;
     accumulate_currents(v_rows, currents, noise_var, energy);
     if (cfg_.passive_array) {
-      const double sneak_per_col = sneak_background_per_col(v_rows);
+      const double sneak_per_col = sneak_background_per_col(abs_sum(v_rows));
       for (double& i : currents) i += sneak_per_col;
       // Relaxed-atomic accumulators tolerate the pool's concurrent lanes.
       if (hm != nullptr)
@@ -677,12 +836,12 @@ void Crossbar::vmm_batch_calibrated(const util::Matrix& v_batch,
     auto currents = out.row(s);
     std::fill(currents.begin(), currents.end(), 0.0);
     accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
+    const ReadSums sums = read_sums(v_rows, g_eff_rowsum_);
     if (cfg_.passive_array) {
-      const double sneak_per_col = sneak_background_per_col(v_rows);
+      const double sneak_per_col = sneak_background_per_col(sums.v_abs);
       for (double& i : currents) i += sneak_per_col;
     }
-    double energy = 0.0;
-    const double scale = calibrated_scale_and_energy(v_rows, energy);
+    const double scale = calibrated_noise_scale(sums);
     if (scale > 0.0) {
       // Counter-split per sample, counter-hashed per column: pure
       // functions of (master, s, c), so the fan-out stays bit-identical
@@ -692,7 +851,7 @@ void Crossbar::vmm_batch_calibrated(const util::Matrix& v_batch,
         currents[c] +=
             scale * g_eff_col_std_[c] * util::Rng::normal_hash(key, c);
     }
-    sample_energy[s] = energy;
+    sample_energy[s] = read_energy(sums);
   });
   for (std::size_t s = 0; s < batch; ++s) {
     ++stats_.vmm_ops;
@@ -722,7 +881,7 @@ void Crossbar::vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
     auto currents = out.row(s);
     std::fill(currents.begin(), currents.end(), 0.0);
     accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
-    sample_energy[s] = vmm_energy_from_rowsums(v_rows, g_ideal_rowsum_);
+    sample_energy[s] = read_energy(read_sums(v_rows, g_ideal_rowsum_));
   });
   for (std::size_t s = 0; s < batch; ++s) {
     ++stats_.vmm_ops;

@@ -160,6 +160,23 @@ class Crossbar {
   void vmm(std::span<const double> v_rows, std::span<double> currents,
            FidelityTier tier = FidelityTier::kFull);
 
+  /// Reads every input bit plane of one bit-serial request in one call.
+  /// Plane b (planes in [1, 16]) drives `v` volts on the rows whose
+  /// `inputs[r]` has bit b set and 0 V on the others; its bitline currents
+  /// land in currents[b*cols, (b+1)*cols) and the energy charged for it in
+  /// energy[b]. Currents, energies, stats, RNG draws and cache repairs are
+  /// bit-identical to `planes` calls of vmm() on those voltages in plane
+  /// order, at every tier: each row's products are formed once and shared
+  /// by every plane whose bit is set (util::kernels::bitplane_accumulate*).
+  /// At kFull, once a plane's read disturb dirties a cell, the remaining
+  /// planes are read one at a time from the repaired array. Counts one
+  /// `vmm_ops` per plane. Throws std::invalid_argument on a bad plane
+  /// count or span size.
+  void vmm_bit_planes(std::span<const std::uint32_t> inputs, int planes,
+                      double v, std::span<double> currents,
+                      std::span<double> energy,
+                      FidelityTier tier = FidelityTier::kFull);
+
   /// Batched analog VMM: row b of `v_batch` is one input vector; result b
   /// lands in row b of `out` (resized only on shape change, so the storage
   /// is reused across batches). Samples fan out across `pool` (the global
@@ -326,11 +343,72 @@ class Crossbar {
                            std::span<double> currents,
                            std::span<double> noise_var, double& energy) const;
 
+  /// Tier-0 single read without a span (the body of vmm() and of the
+  /// vmm_bit_planes disturb fallback): cache repair, current accumulation,
+  /// then finish_full_read. Returns the energy charged.
+  double vmm_full(std::span<const double> v_rows, std::span<double> currents);
+
+  /// Tier-0 tail of one read, after its pre-noise accumulation: passive
+  /// sneak background (and its health record; `v_abs_sum` is read only
+  /// for passive arrays), per-column Box-Muller noise, read disturb, stats
+  /// and charge. Returns true when the read disturb dirtied a cell, i.e.
+  /// the next read must repair the caches.
+  bool finish_full_read(double v_abs_sum, std::span<double> currents,
+                        std::span<const double> noise_var, double energy);
+
+  /// Serial sums over one read's wordline voltages, in row order: the
+  /// sneak background's sum |v_r|, and the closed forms' sum v_r^2 and
+  /// sum v_r^2 * rowsum[r] (rowsum: a tier's cached per-row conductance
+  /// sums).
+  struct ReadSums {
+    double v_abs = 0.0;
+    double v_sq = 0.0;
+    double e_row = 0.0;
+  };
+  ReadSums read_sums(std::span<const double> v_rows,
+                     const std::vector<double>& rowsum) const;
+
+  /// read_sums of every plane of a vmm_bit_planes request into out[b]
+  /// (out.size() == planes).
+  void plane_read_sums(std::span<const std::uint32_t> inputs, int planes,
+                       double v, const std::vector<double>& rowsum,
+                       std::span<ReadSums> out);
+
+  /// Closed-form VMM energy (pJ) from the per-row conductance sums:
+  /// sum_r v_r^2 * rowsum[r] * t_read * 1e-3 — exact for tier 0's
+  /// per-cell energy formula because conductances are non-negative
+  /// (agrees with tier 0 up to reassociation ulps).
+  double read_energy(const ReadSums& s) const;
+
+  /// Tier-1 noise scale factor (mean-field over rows): tier-0 column
+  /// variance is sum_r (noise_frac * v_r * g_eff[r][c])^2, which the
+  /// calibration factorises as (mean_r v_r^2) * sum_r g^2 — exact when
+  /// |v_r| is uniform across rows (the bit-sliced DAC encodings the tile
+  /// layer feeds are exactly that), within the documented budget
+  /// otherwise. Per-column std = scale * g_eff_col_std_[c].
+  double calibrated_noise_scale(const ReadSums& s) const;
+
   /// Tier-1/2 serial VMM bodies (dispatched from vmm()). Both assume a
   /// valid conductance cache.
   void vmm_calibrated(std::span<const double> v_rows,
                       std::span<double> currents);
   void vmm_ideal(std::span<const double> v_rows, std::span<double> currents);
+
+  /// Tier-1/2 vmm_bit_planes bodies.
+  void bit_planes_calibrated(std::span<const std::uint32_t> inputs,
+                             int planes, double v, std::span<double> currents,
+                             std::span<double> energy);
+  void bit_planes_ideal(std::span<const std::uint32_t> inputs, int planes,
+                        double v, std::span<double> currents,
+                        std::span<double> energy);
+
+  /// Tier-1 tail of one read, after its plain current accumulation: sneak
+  /// background, calibrated noise keyed by one generator draw, stats and
+  /// charge. Returns the energy charged.
+  double finish_calibrated_read(const ReadSums& s, std::span<double> currents);
+
+  /// Tier-2 tail of one read: stats and charge. Returns the energy charged.
+  double finish_ideal_read(const ReadSums& s);
 
   /// Shared tier-1/2 current accumulation: currents[c] += v_r * g[r][c]
   /// over the given flat conductance matrix, same element order and
@@ -339,31 +417,20 @@ class Crossbar {
                                  const double* g_flat,
                                  std::span<double> currents) const;
 
-  /// Closed-form VMM energy (pJ) from the per-row conductance sums:
-  /// sum_r v_r^2 * rowsum[r] * t_read * 1e-3 — exact for tier 0's
-  /// per-cell energy formula because conductances are non-negative.
-  double vmm_energy_from_rowsums(std::span<const double> v_rows,
-                                 const std::vector<double>& rowsum) const;
-
-  /// Tier-1 fused input pass: returns the calibrated noise scale factor
-  /// (mean-field over rows; exact when |v| is uniform — per-column std is
-  /// scale * g_eff_col_std_[c]) and writes the closed-form VMM energy from
-  /// the cached row sums into `energy`, both from one loop over v_rows.
-  double calibrated_scale_and_energy(std::span<const double> v_rows,
-                                     double& energy) const;
-
   /// Tier-dependent batch fan-out bodies (dispatched from vmm_batch()).
   void vmm_batch_calibrated(const util::Matrix& v_batch, util::Matrix& out,
                             util::ThreadPool& pool);
   void vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
                        util::ThreadPool& pool);
 
-  /// Sneak background current per column of a passive 0T1R array (from the
-  /// cached conductance sum; requires a valid cache).
-  double sneak_background_per_col(std::span<const double> v_rows) const;
+  /// Sneak background current per column of a passive 0T1R array, given
+  /// the read's sum of |v_r| (from the cached conductance sum; requires a
+  /// valid cache).
+  double sneak_background_per_col(double v_abs_sum) const;
 
-  /// Expected-count read-disturb events for one VMM cycle, drawn from `rng`.
-  void apply_read_disturb(util::Rng& rng);
+  /// Expected-count read-disturb events for one VMM cycle, drawn from
+  /// `rng`. Returns true when any cell was disturbed (and marked dirty).
+  bool apply_read_disturb(util::Rng& rng);
 
   CrossbarConfig cfg_;
   device::TechnologyParams tech_;
@@ -398,8 +465,13 @@ class Crossbar {
   std::vector<std::uint64_t> dirty_bits_;
   std::size_t dirty_words_per_row_ = 0;
 
-  std::vector<double> vmm_noise_scratch_;  ///< per-call noise-variance buffer
+  /// Noise variances of one read (cols), or of every plane of a
+  /// vmm_bit_planes call (planes x cols).
+  std::vector<double> vmm_noise_scratch_;
   std::vector<double> batch_energy_scratch_;  ///< per-sample energy (vmm_batch)
+  /// vmm_bit_planes: the rows x 3 terms of plane_read_sums, then one
+  /// plane's voltages in the disturb fallback.
+  std::vector<double> bit_planes_scratch_;
 };
 
 }  // namespace cim::crossbar

@@ -1,5 +1,7 @@
 #include "serve/trace_io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -116,11 +118,28 @@ std::optional<std::vector<Request>> parse_trace(std::istream& is,
     prev_arrival = req.arrival_ns;
 
     req.input.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      if (!(fields >> req.input[i]))
+    for (std::size_t i = 0; i < n; ++i) {
+      // Parsed as text: `>>` into an unsigned type would take "-1" as
+      // 2^32 - 1.
+      std::string tok;
+      if (!(fields >> tok))
         return fail(error, lineno,
                     "req declares " + std::to_string(n) + " inputs but has " +
                         std::to_string(i));
+      std::uint64_t value = 0;
+      const char* end = tok.data() + tok.size();
+      const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+      if (ec != std::errc{} || ptr != end)
+        return fail(error, lineno,
+                    "input " + std::to_string(i) + " '" + tok +
+                        "' is not an unsigned integer");
+      if ((value >> req.input_bits) != 0)
+        return fail(error, lineno,
+                    "input " + std::to_string(i) + " = " + tok +
+                        " does not fit in input_bits = " +
+                        std::to_string(req.input_bits));
+      req.input[i] = static_cast<std::uint32_t>(value);
+    }
     std::string extra;
     if (fields >> extra)
       return fail(error, lineno, "trailing fields after input vector");

@@ -20,6 +20,9 @@
 ///
 /// `arrival_ns` is printed with 17 significant digits so the double
 /// round-trips bit-exactly; arrivals must be non-decreasing in file order.
+/// Each input `v_i` is an unsigned decimal below 2^input_bits: the tile
+/// reads only the low input_bits bits, so a wider (or negative) value
+/// would run on other inputs than the file states, and is rejected.
 #pragma once
 
 #include <iosfwd>

@@ -26,9 +26,16 @@
 ///    VMM loop on every table — the crossbar's bit-identical output
 ///    contract (serial vmm == batched vmm == any CIM_SIMD setting) depends
 ///    on it. Only its `energy` reduction reassociates across tables.
+///  - `bitplane_accumulate` / `bitplane_accumulate_noisy` fuse the
+///    per-plane reads of one bit-serial request: per plane they make the
+///    exact updates of per-plane `axpy` / `vmm_row_accumulate` calls, so
+///    their currents and noise variances are bit-identical on every table,
+///    and the noisy energy is bit-identical to that table's
+///    `vmm_row_accumulate`.
 ///  - `adc_decode_accumulate` is element-wise and bit-identical on every
 ///    table to the scalar chain Adc::quantize -> Adc::dequantize -> level
-///    decode -> ldexp.
+///    decode -> ldexp; the dequantize step is a lookup in a table built
+///    from Adc::dequantize itself.
 ///  - `dot_serial` is the order-preserving escape hatch: strict
 ///    left-to-right summation, never dispatched, bit-identical everywhere.
 ///    Route callers that require reproducible sums across ISA settings
@@ -37,6 +44,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "util/simd_dispatch.hpp"
 
@@ -85,15 +93,52 @@ inline void vmm_row_accumulate(double v, const double* g, double* currents,
                                     t_read_ns, n, energy);
 }
 
+/// Every input bit plane of one request read through one conductance
+/// matrix `g` (rows x cols, row-major). Plane b drives `v` on the rows r
+/// whose `bits[r]` has bit b set (b < planes) and 0 V elsewhere:
+///
+///   currents[b*cols + c] += v * g[r*cols + c]   for each such r, in
+///                                               increasing r
+///
+/// The product is formed once per row and shared by every active plane;
+/// per plane the updates are exactly those of `axpy(v, g_r, currents_b)`
+/// over the active rows, so the result is bit-identical on every table.
+inline void bitplane_accumulate(double v, const double* g, std::size_t rows,
+                                std::size_t cols, const std::uint32_t* bits,
+                                int planes, double* currents) {
+  simd::active().bitplane_accumulate(v, g, rows, cols, bits, planes,
+                                     currents);
+}
+
+/// Tier-0 counterpart of bitplane_accumulate: per plane b, the updates of
+/// `vmm_row_accumulate(v, g_r, currents_b, noise_var_b, noise_frac,
+/// t_read_ns, cols, energy[b])` over the rows whose bit b is set, in
+/// increasing row order. Currents and noise variances are bit-identical on
+/// every table; energy[b] is bit-identical to the same table's
+/// vmm_row_accumulate calls (each row's lane partials are reduced as that
+/// kernel reduces them, added to every active plane, then the tail columns
+/// one at a time).
+inline void bitplane_accumulate_noisy(double v, const double* g,
+                                      std::size_t rows, std::size_t cols,
+                                      const std::uint32_t* bits, int planes,
+                                      double* currents, double* noise_var,
+                                      double noise_frac, double t_read_ns,
+                                      double* energy) {
+  simd::active().bitplane_accumulate_noisy(v, g, rows, cols, bits, planes,
+                                           currents, noise_var, noise_frac,
+                                           t_read_ns, energy);
+}
+
 /// One bit-serial cycle of a differential CIM tile's periphery, per column:
 ///
 ///   code(x)  = lround(clamp(x, 0, full_scale) / full_scale * max_code),
 ///              and 0 for a NaN x                      (Adc::quantize)
-///   level(x) = (code(x) / max_code * full_scale / v_read - offset) / step
+///   level(x) = (dequant[code(x)] - offset) / step
 ///   acc[c]  += (level(i_plus[c]) - level(i_minus[c])) * weight
 ///
-/// Same expressions, separate mul and add, on every table: bit-identical
-/// across CIM_SIMD settings, and to Adc::dequantize(Adc::quantize(x)) fed
+/// with dequant[k] = Adc::dequantize(k) / v_read built by the caller. Same
+/// expressions, separate mul and add, on every table: bit-identical across
+/// CIM_SIMD settings, and to Adc::dequantize(Adc::quantize(x)) / v_read fed
 /// through the decode with ldexp(sum, b) for weight = 2^b.
 inline void adc_decode_accumulate(const double* i_plus, const double* i_minus,
                                   double* acc, std::size_t n,

@@ -5,11 +5,12 @@
 /// contraction is disabled so the element-wise kernels (axpy, gemm's inner
 /// axpy, vmm_row_accumulate's currents/noise_var updates) keep the separate
 /// multiply-then-add rounding of the scalar baseline and stay bit-identical
-/// to it (adc_decode_accumulate too). FMA is used only where the contract
-/// already permits reassociation: the dot reduction. The energy reduction of
-/// vmm_row_accumulate runs in four per-lane partial sums (columns c, c+4,
-/// ... per lane) reduced once at the end — deterministic, but reassociated
-/// relative to the scalar serial chain.
+/// to it (the bit-plane kernels and adc_decode_accumulate too). FMA is used
+/// only where the contract already permits reassociation: the dot
+/// reduction. The energy reduction of vmm_row_accumulate runs in four
+/// per-lane partial sums (columns c, c+4, ... per lane) reduced once at the
+/// end — deterministic, but reassociated relative to the scalar serial
+/// chain; bitplane_accumulate_noisy reduces each row the same way.
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
@@ -107,12 +108,112 @@ void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
   energy = e;
 }
 
+void bitplane_accumulate_avx2(double v, const double* g, std::size_t rows,
+                              std::size_t cols, const std::uint32_t* bits,
+                              int planes, double* currents) {
+  // Row-outer, accumulators in memory: each row's products are formed once
+  // per 4-lane chunk and added into the currents of the planes whose bit
+  // is set. Register blocking with blends (the AVX-512 layout) measured no
+  // faster on 256-bit lanes: it pays an add and a two-uop blend for every
+  // plane, active or not.
+  const __m256d vv = _mm256_set1_pd(v);
+  const std::uint32_t all = plane_mask(planes);
+  int act[16];
+  double* cur[16];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int na = active_planes(bits[r] & all, act);
+    if (na == 0) continue;
+    for (int k = 0; k < na; ++k)
+      cur[k] = currents + static_cast<std::size_t>(act[k]) * cols;
+    const double* gr = g + r * cols;
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      const __m256d x = _mm256_mul_pd(vv, _mm256_loadu_pd(gr + c));
+      for (int k = 0; k < na; ++k)
+        _mm256_storeu_pd(cur[k] + c,
+                         _mm256_add_pd(_mm256_loadu_pd(cur[k] + c), x));
+    }
+    for (; c < cols; ++c) {
+      const double x = v * gr[c];
+      for (int k = 0; k < na; ++k) cur[k][c] += x;
+    }
+  }
+}
+
+void bitplane_accumulate_noisy_avx2(double v, const double* g,
+                                    std::size_t rows, std::size_t cols,
+                                    const std::uint32_t* bits, int planes,
+                                    double* currents, double* noise_var,
+                                    double noise_frac, double t_read_ns,
+                                    double* energy) {
+  const __m256d vv = _mm256_set1_pd(v);
+  const __m256d vnf = _mm256_set1_pd(noise_frac);
+  const __m256d vt = _mm256_set1_pd(t_read_ns);
+  const __m256d vmilli = _mm256_set1_pd(1e-3);
+  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
+      static_cast<long long>(0x7fffffffffffffffULL)));
+  const std::uint32_t all = plane_mask(planes);
+  int act[16];
+  double* cur[16];
+  double* var[16];
+  // Row-outer, accumulators in memory: each row's products are formed
+  // once and added into every active plane's accumulators. Sparse inputs
+  // (post-ReLU activations) skip most rows outright, and each row's energy
+  // lanes reduce as soon as its columns are done — register blocking would
+  // walk every row once per column block and carry those lanes across
+  // blocks.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int na = active_planes(bits[r] & all, act);
+    if (na == 0) continue;
+    for (int k = 0; k < na; ++k) {
+      cur[k] = currents + static_cast<std::size_t>(act[k]) * cols;
+      var[k] = noise_var + static_cast<std::size_t>(act[k]) * cols;
+    }
+    const double* gr = g + r * cols;
+    __m256d e_acc = _mm256_setzero_pd();
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      const __m256d icur = _mm256_mul_pd(vv, _mm256_loadu_pd(gr + c));
+      const __m256d cell_noise = _mm256_mul_pd(vnf, icur);
+      const __m256d sq = _mm256_mul_pd(cell_noise, cell_noise);
+      const __m256d vi = _mm256_and_pd(_mm256_mul_pd(vv, icur), abs_mask);
+      e_acc = _mm256_add_pd(e_acc,
+                            _mm256_mul_pd(_mm256_mul_pd(vi, vt), vmilli));
+      for (int k = 0; k < na; ++k) {
+        _mm256_storeu_pd(cur[k] + c,
+                         _mm256_add_pd(_mm256_loadu_pd(cur[k] + c), icur));
+        _mm256_storeu_pd(var[k] + c,
+                         _mm256_add_pd(_mm256_loadu_pd(var[k] + c), sq));
+      }
+    }
+    // The row's lane partials reduce exactly as vmm_row_accumulate_avx2
+    // reduces them, then join each active plane's running energy.
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, e_acc);
+    const double row_e = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    for (int k = 0; k < na; ++k) energy[act[k]] = energy[act[k]] + row_e;
+    for (; c < cols; ++c) {
+      const double i = v * gr[c];
+      const double cell_noise = noise_frac * i;
+      const double sq = cell_noise * cell_noise;
+      const double e = std::abs(v * i) * t_read_ns * 1e-3;
+      for (int k = 0; k < na; ++k) {
+        cur[k][c] += i;
+        var[k][c] += sq;
+        energy[act[k]] += e;
+      }
+    }
+  }
+}
+
 namespace {
 /// adc_level() on four lanes, operation for operation. max(x, 0) returns
 /// its second operand for a NaN or -0.0 lane, so both clip to +0 like the
-/// scalar `x > 0` test.
+/// scalar `x > 0` test. The code is an exact small integer in a double;
+/// truncating it gives the dequantize-table index.
 inline __m256d adc_level_avx2(__m256d x, __m256d fs, __m256d max_code,
-                              __m256d v_read, __m256d offset, __m256d step) {
+                              const double* dequant, __m256d offset,
+                              __m256d step) {
   const __m256d clipped =
       _mm256_min_pd(_mm256_max_pd(x, _mm256_setzero_pd()), fs);
   const __m256d s = _mm256_mul_pd(_mm256_div_pd(clipped, fs), max_code);
@@ -120,9 +221,13 @@ inline __m256d adc_level_avx2(__m256d x, __m256d fs, __m256d max_code,
   const __m256d up = _mm256_and_pd(
       _mm256_cmp_pd(_mm256_sub_pd(s, t), _mm256_set1_pd(0.5), _CMP_GE_OQ),
       _mm256_set1_pd(1.0));
-  const __m256d q =
-      _mm256_mul_pd(_mm256_div_pd(_mm256_add_pd(t, up), max_code), fs);
-  return _mm256_div_pd(_mm256_sub_pd(_mm256_div_pd(q, v_read), offset), step);
+  const __m128i code = _mm256_cvttpd_epi32(_mm256_add_pd(t, up));
+  // The masked form with an all-lanes mask is the plain gather; its
+  // explicit source operand keeps GCC's -Wmaybe-uninitialized quiet.
+  const __m256d q = _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), dequant, code,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+  return _mm256_div_pd(_mm256_sub_pd(q, offset), step);
 }
 }  // namespace
 
@@ -131,16 +236,15 @@ void adc_decode_accumulate_avx2(const double* i_plus, const double* i_minus,
                                 const simd::AdcDecode& p) {
   const __m256d fs = _mm256_set1_pd(p.full_scale);
   const __m256d max_code = _mm256_set1_pd(p.max_code);
-  const __m256d v_read = _mm256_set1_pd(p.v_read);
   const __m256d offset = _mm256_set1_pd(p.offset);
   const __m256d step = _mm256_set1_pd(p.step);
   const __m256d weight = _mm256_set1_pd(p.weight);
   std::size_t c = 0;
   for (; c + 4 <= n; c += 4) {
     const __m256d lp = adc_level_avx2(_mm256_loadu_pd(i_plus + c), fs,
-                                      max_code, v_read, offset, step);
+                                      max_code, p.dequant, offset, step);
     const __m256d lm = adc_level_avx2(_mm256_loadu_pd(i_minus + c), fs,
-                                      max_code, v_read, offset, step);
+                                      max_code, p.dequant, offset, step);
     const __m256d sum = _mm256_mul_pd(_mm256_sub_pd(lp, lm), weight);
     _mm256_storeu_pd(acc + c, _mm256_add_pd(_mm256_loadu_pd(acc + c), sum));
   }

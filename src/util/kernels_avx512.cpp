@@ -6,7 +6,8 @@
 /// element-wise kernels use separate multiply and add so they stay
 /// bit-identical to the scalar baseline; only the dot reduction uses FMA,
 /// and the vmm_row energy reduction runs in eight per-lane partials
-/// reduced once at the end.
+/// reduced once at the end (bitplane_accumulate_noisy reduces each row the
+/// same way).
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX512F__) && defined(__AVX512DQ__) && \
@@ -98,6 +99,164 @@ void vmm_row_accumulate_avx512(double v, const double* g, double* currents,
     e += std::abs(v * i) * t_read_ns * 1e-3;
   }
   energy = e;
+}
+
+namespace {
+
+/// Whole-register lane mask: all eight lanes when `on` is 1, none when 0.
+inline __mmask8 lane_select(std::uint32_t on) {
+  return static_cast<__mmask8>(0u - on);
+}
+
+/// bitplane_accumulate over planes [p0, p0 + NP): every plane's
+/// accumulators for a 32-column block (four 8-lane chunks) stay in
+/// registers across the whole row loop, 4·NP independent add chains. A
+/// masked add leaves a plane's lanes unchanged on rows whose bit is clear,
+/// which equals skipping the row. Rows are never skipped by a branch: on
+/// random bit patterns its mispredictions cost more than the adds it
+/// saves. Columns past the last full block go one masked 8-lane chunk at
+/// a time.
+template <int NP>
+void bitplane_group_avx512(double v, const double* g, std::size_t rows,
+                           std::size_t cols, const std::uint32_t* bits,
+                           int p0, double* currents) {
+  constexpr std::uint32_t kGroup = (1u << NP) - 1u;
+  const __m512d vv = _mm512_set1_pd(v);
+  double* cur[NP];
+  for (int k = 0; k < NP; ++k)
+    cur[k] = currents + static_cast<std::size_t>(p0 + k) * cols;
+  std::size_t c = 0;
+  for (; c + 32 <= cols; c += 32) {
+    __m512d a0[NP], a1[NP], a2[NP], a3[NP];
+    for (int k = 0; k < NP; ++k) {
+      a0[k] = _mm512_loadu_pd(cur[k] + c);
+      a1[k] = _mm512_loadu_pd(cur[k] + c + 8);
+      a2[k] = _mm512_loadu_pd(cur[k] + c + 16);
+      a3[k] = _mm512_loadu_pd(cur[k] + c + 24);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint32_t m = (bits[r] >> p0) & kGroup;
+      const double* gr = g + r * cols + c;
+      const __m512d x0 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr));
+      const __m512d x1 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 8));
+      const __m512d x2 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 16));
+      const __m512d x3 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 24));
+      for (int k = 0; k < NP; ++k) {
+        const __mmask8 on = lane_select((m >> k) & 1u);
+        a0[k] = _mm512_mask_add_pd(a0[k], on, a0[k], x0);
+        a1[k] = _mm512_mask_add_pd(a1[k], on, a1[k], x1);
+        a2[k] = _mm512_mask_add_pd(a2[k], on, a2[k], x2);
+        a3[k] = _mm512_mask_add_pd(a3[k], on, a3[k], x3);
+      }
+    }
+    for (int k = 0; k < NP; ++k) {
+      _mm512_storeu_pd(cur[k] + c, a0[k]);
+      _mm512_storeu_pd(cur[k] + c + 8, a1[k]);
+      _mm512_storeu_pd(cur[k] + c + 16, a2[k]);
+      _mm512_storeu_pd(cur[k] + c + 24, a3[k]);
+    }
+  }
+  for (; c < cols; c += 8) {
+    const std::size_t w = std::min<std::size_t>(8, cols - c);
+    const auto lanes = static_cast<__mmask8>(0xffu >> (8 - w));
+    __m512d a[NP];
+    for (int k = 0; k < NP; ++k)
+      a[k] = _mm512_maskz_loadu_pd(lanes, cur[k] + c);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint32_t m = (bits[r] >> p0) & kGroup;
+      const __m512d x =
+          _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(lanes, g + r * cols + c));
+      for (int k = 0; k < NP; ++k)
+        a[k] = _mm512_mask_add_pd(a[k], lane_select((m >> k) & 1u), a[k], x);
+    }
+    for (int k = 0; k < NP; ++k)
+      _mm512_mask_storeu_pd(cur[k] + c, lanes, a[k]);
+  }
+}
+
+}  // namespace
+
+void bitplane_accumulate_avx512(double v, const double* g, std::size_t rows,
+                                std::size_t cols, const std::uint32_t* bits,
+                                int planes, double* currents) {
+  for (int p0 = 0; p0 < planes; p0 += 4) {
+    switch (std::min(4, planes - p0)) {
+      case 1:
+        bitplane_group_avx512<1>(v, g, rows, cols, bits, p0, currents);
+        break;
+      case 2:
+        bitplane_group_avx512<2>(v, g, rows, cols, bits, p0, currents);
+        break;
+      case 3:
+        bitplane_group_avx512<3>(v, g, rows, cols, bits, p0, currents);
+        break;
+      default:
+        bitplane_group_avx512<4>(v, g, rows, cols, bits, p0, currents);
+        break;
+    }
+  }
+}
+
+void bitplane_accumulate_noisy_avx512(double v, const double* g,
+                                      std::size_t rows, std::size_t cols,
+                                      const std::uint32_t* bits, int planes,
+                                      double* currents, double* noise_var,
+                                      double noise_frac, double t_read_ns,
+                                      double* energy) {
+  const __m512d vv = _mm512_set1_pd(v);
+  const __m512d vnf = _mm512_set1_pd(noise_frac);
+  const __m512d vt = _mm512_set1_pd(t_read_ns);
+  const __m512d vmilli = _mm512_set1_pd(1e-3);
+  const std::uint32_t all = plane_mask(planes);
+  int act[16];
+  double* cur[16];
+  double* var[16];
+  // Row-outer, accumulators in memory: each row's products are formed
+  // once and added into every active plane's accumulators. Sparse inputs
+  // (post-ReLU activations) skip most rows outright, and each row's energy
+  // lanes reduce as soon as its columns are done — register blocking would
+  // walk every row once per column block and carry those lanes across
+  // blocks.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int na = active_planes(bits[r] & all, act);
+    if (na == 0) continue;
+    for (int k = 0; k < na; ++k) {
+      cur[k] = currents + static_cast<std::size_t>(act[k]) * cols;
+      var[k] = noise_var + static_cast<std::size_t>(act[k]) * cols;
+    }
+    const double* gr = g + r * cols;
+    __m512d e_acc = _mm512_setzero_pd();
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      const __m512d icur = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + c));
+      const __m512d cell_noise = _mm512_mul_pd(vnf, icur);
+      const __m512d sq = _mm512_mul_pd(cell_noise, cell_noise);
+      const __m512d vi = _mm512_abs_pd(_mm512_mul_pd(vv, icur));
+      e_acc = _mm512_add_pd(e_acc,
+                            _mm512_mul_pd(_mm512_mul_pd(vi, vt), vmilli));
+      for (int k = 0; k < na; ++k) {
+        _mm512_storeu_pd(cur[k] + c,
+                         _mm512_add_pd(_mm512_loadu_pd(cur[k] + c), icur));
+        _mm512_storeu_pd(var[k] + c,
+                         _mm512_add_pd(_mm512_loadu_pd(var[k] + c), sq));
+      }
+    }
+    // The row's lane partials reduce exactly as vmm_row_accumulate_avx512
+    // reduces them, then join each active plane's running energy.
+    const double row_e = _mm512_reduce_add_pd(e_acc);
+    for (int k = 0; k < na; ++k) energy[act[k]] = energy[act[k]] + row_e;
+    for (; c < cols; ++c) {
+      const double i = v * gr[c];
+      const double cell_noise = noise_frac * i;
+      const double sq = cell_noise * cell_noise;
+      const double e = std::abs(v * i) * t_read_ns * 1e-3;
+      for (int k = 0; k < na; ++k) {
+        cur[k][c] += i;
+        var[k][c] += sq;
+        energy[act[k]] += e;
+      }
+    }
+  }
 }
 
 namespace {

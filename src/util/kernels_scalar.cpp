@@ -45,6 +45,72 @@ void vmm_row_accumulate_scalar(double v, const double* g, double* currents,
   energy = e;
 }
 
+namespace {
+// Column block of the bit-plane kernels' per-row product buffers.
+constexpr std::size_t kPlaneBlock = 64;
+}  // namespace
+
+void bitplane_accumulate_scalar(double v, const double* g, std::size_t rows,
+                                std::size_t cols, const std::uint32_t* bits,
+                                int planes, double* currents) {
+  const std::uint32_t all = plane_mask(planes);
+  int act[16];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int na = active_planes(bits[r] & all, act);
+    if (na == 0) continue;
+    const double* gr = g + r * cols;
+    for (std::size_t c0 = 0; c0 < cols; c0 += kPlaneBlock) {
+      const std::size_t n = std::min(kPlaneBlock, cols - c0);
+      double x[kPlaneBlock];
+      for (std::size_t j = 0; j < n; ++j) x[j] = v * gr[c0 + j];
+      for (int k = 0; k < na; ++k) {
+        double* cur = currents + static_cast<std::size_t>(act[k]) * cols + c0;
+        for (std::size_t j = 0; j < n; ++j) cur[j] += x[j];
+      }
+    }
+  }
+}
+
+void bitplane_accumulate_noisy_scalar(double v, const double* g,
+                                      std::size_t rows, std::size_t cols,
+                                      const std::uint32_t* bits, int planes,
+                                      double* currents, double* noise_var,
+                                      double noise_frac, double t_read_ns,
+                                      double* energy) {
+  const std::uint32_t all = plane_mask(planes);
+  int act[16];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int na = active_planes(bits[r] & all, act);
+    if (na == 0) continue;
+    const double* gr = g + r * cols;
+    for (std::size_t c0 = 0; c0 < cols; c0 += kPlaneBlock) {
+      const std::size_t n = std::min(kPlaneBlock, cols - c0);
+      double x[kPlaneBlock], sq[kPlaneBlock], e[kPlaneBlock];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double i = v * gr[c0 + j];
+        const double cell_noise = noise_frac * i;
+        x[j] = i;
+        sq[j] = cell_noise * cell_noise;
+        e[j] = std::abs(v * i) * t_read_ns * 1e-3;
+      }
+      for (int k = 0; k < na; ++k) {
+        const std::size_t off = static_cast<std::size_t>(act[k]) * cols + c0;
+        double* cur = currents + off;
+        double* var = noise_var + off;
+        for (std::size_t j = 0; j < n; ++j) {
+          cur[j] += x[j];
+          var[j] += sq[j];
+        }
+        // vmm_row_accumulate_scalar's energy is one serial chain over the
+        // columns, so every column's term goes straight to the plane's sum.
+        double acc = energy[act[k]];
+        for (std::size_t j = 0; j < n; ++j) acc += e[j];
+        energy[act[k]] = acc;
+      }
+    }
+  }
+}
+
 void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,
                                   double* acc, std::size_t n,
                                   const simd::AdcDecode& p) {

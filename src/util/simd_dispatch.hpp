@@ -2,7 +2,8 @@
 /// \brief Runtime ISA dispatch for the util::kernels micro-kernels.
 ///
 /// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate,
-/// adc_decode_accumulate) exist in up to three implementations — portable
+/// bitplane_accumulate, bitplane_accumulate_noisy, adc_decode_accumulate)
+/// exist in up to three implementations — portable
 /// scalar, AVX2+FMA, and AVX-512 — compiled into separate translation units
 /// with per-file ISA flags. At startup the best table supported by both the
 /// build and the CPU (CPUID) is selected, overridable with the `CIM_SIMD`
@@ -17,11 +18,23 @@
 ///    of `vmm_row_accumulate` are **bit-identical** on every table: all are
 ///    element-wise mul-then-add updates in the same element order, and the
 ///    SIMD variants use separate multiply and add (no FMA) for them.
+///  - `bitplane_accumulate` and the `currents` / `noise_var` outputs of
+///    `bitplane_accumulate_noisy` are **bit-identical** on every table:
+///    per plane they make exactly the updates of per-plane `axpy` /
+///    `vmm_row_accumulate` calls (one separate multiply and add per active
+///    row, rows in increasing order). A plane whose bit is clear leaves
+///    its lane unchanged (masked add / blend), which equals skipping the
+///    row. The `energy` of `bitplane_accumulate_noisy` is bit-identical to
+///    per-plane `vmm_row_accumulate` calls *of the same table*: it reduces
+///    each row's lane partials the way that table's `vmm_row_accumulate`
+///    does, so it shares that kernel's per-table reduction shape.
 ///  - `adc_decode_accumulate` is **bit-identical** on every table: it is
 ///    element-wise, and every variant evaluates the same expressions in the
 ///    same order with separate multiply and add. Its rounding step uses
 ///    `t + (s - t >= 0.5)` with `t = trunc(s)`, which equals `lround(s)`
-///    for every `s` in [0, max_code], and its `* weight` equals `ldexp`.
+///    for every `s` in [0, max_code]; the code then indexes the caller's
+///    dequantize table, whose entries are `Adc::dequantize(k) / v_read`,
+///    and its `* weight` equals `ldexp`.
 ///  - `dot` and the `energy` reduction of `vmm_row_accumulate` are
 ///    *reductions*: each table reassociates them differently (scalar: the
 ///    historical 4-way / serial chains; SIMD: per-lane partials reduced at
@@ -32,6 +45,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace cim::util::simd {
@@ -57,7 +71,9 @@ constexpr const char* isa_name(Isa isa) {
 struct AdcDecode {
   double full_scale = 0.0;  ///< ADC input range (uA); currents clip to it
   double max_code = 0.0;    ///< largest ADC code, 2^bits - 1
-  double v_read = 0.0;      ///< wordline read voltage (V)
+  /// Dequantize table, max_code + 1 entries: dequant[k] is the code's
+  /// current over the read voltage, Adc::dequantize(k) / v_read (uS).
+  const double* dequant = nullptr;
   double offset = 0.0;      ///< active rows x g_min (uS): the level-0 floor
   double step = 0.0;        ///< conductance step between weight levels (uS)
   double weight = 0.0;      ///< 2^b for input bit plane b
@@ -77,6 +93,15 @@ struct KernelTable {
                              double* noise_var, double noise_frac,
                              double t_read_ns, std::size_t n,
                              double& energy) = nullptr;
+  void (*bitplane_accumulate)(double v, const double* g, std::size_t rows,
+                              std::size_t cols, const std::uint32_t* bits,
+                              int planes, double* currents) = nullptr;
+  void (*bitplane_accumulate_noisy)(double v, const double* g,
+                                    std::size_t rows, std::size_t cols,
+                                    const std::uint32_t* bits, int planes,
+                                    double* currents, double* noise_var,
+                                    double noise_frac, double t_read_ns,
+                                    double* energy) = nullptr;
   void (*adc_decode_accumulate)(const double* i_plus, const double* i_minus,
                                 double* acc, std::size_t n,
                                 const AdcDecode& p) = nullptr;

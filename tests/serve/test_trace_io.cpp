@@ -136,6 +136,10 @@ TEST(TraceIo, ErrorsCarryLineNumbers) {
        "decreased"},
       {"cim-trace-v1\nreq 0 0 vmm 4 full 3 1 2\n", "declares 3"},
       {"cim-trace-v1\nreq 0 0 vmm 4 full 1 1 9\n", "trailing"},
+      {"cim-trace-v1\nreq 0 0 vmm 4 full 2 1 -1\n",
+       "line 2: input 1 '-1' is not an unsigned integer"},
+      {"cim-trace-v1\nreq 0 0 vmm 4 full 2 15 16\n",
+       "line 2: input 1 = 16 does not fit in input_bits = 4"},
       {"", "missing"},
   };
   for (const auto& c : cases) {

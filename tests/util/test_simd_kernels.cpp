@@ -8,7 +8,11 @@
 //     BIT-IDENTICAL to the portable scalar table,
 //   - dot / vmm_row energy are reductions: deterministic per table, only
 //     tolerance-equal across tables,
-//   - adc_decode_accumulate is BIT-IDENTICAL on every table to the
+//   - bitplane_accumulate / bitplane_accumulate_noisy are BIT-IDENTICAL to
+//     per-plane axpy / vmm_row_accumulate calls of the same table
+//     (currents and noise_var also across tables, energy per table),
+//   - adc_decode_accumulate, driven by a dequantize table built from
+//     Adc::dequantize, is BIT-IDENTICAL on every table to the
 //     Adc::quantize -> Adc::dequantize -> decode -> ldexp chain,
 //   - dot_serial is the strict left-to-right escape hatch,
 //   - set_isa / table_for clamp unsupported requests downward.
@@ -85,6 +89,8 @@ TEST(SimdDispatch, TableForClampsToSupported) {
     ASSERT_NE(t.axpy, nullptr);
     ASSERT_NE(t.gemm_accumulate, nullptr);
     ASSERT_NE(t.vmm_row_accumulate, nullptr);
+    ASSERT_NE(t.bitplane_accumulate, nullptr);
+    ASSERT_NE(t.bitplane_accumulate_noisy, nullptr);
     ASSERT_NE(t.adc_decode_accumulate, nullptr);
     EXPECT_LE(static_cast<int>(t.isa), static_cast<int>(max));
     if (static_cast<int>(req) <= static_cast<int>(max))
@@ -285,21 +291,26 @@ std::vector<double> adversarial_currents(const cim::periphery::Adc& adc) {
 
 /// Reference: Adc::quantize -> Adc::dequantize -> the tile's level decode.
 double chain_level(const cim::periphery::Adc& adc, double current,
-                   const simd::AdcDecode& p) {
+                   double v_read, const simd::AdcDecode& p) {
   const double q = adc.dequantize(adc.quantize(current));
-  return (q / p.v_read - p.offset) / p.step;
+  return (q / v_read - p.offset) / p.step;
 }
 
 }  // namespace
 
 TEST(SimdKernels, AdcDecodeAccumulateMatchesAdcChainOnEveryTable) {
+  const double v_read = 0.2;
   for (const int bits : {3, 8, 12}) {
     const cim::periphery::Adc adc({.bits = bits, .full_scale_ua = 1280.0});
     const auto pool = adversarial_currents(adc);
+    // The dequantize table a CimTile builds at construction.
+    std::vector<double> dequant(std::size_t{adc.max_code()} + 1);
+    for (std::uint32_t k = 0; k <= adc.max_code(); ++k)
+      dequant[k] = adc.dequantize(k) / v_read;
     for (const int b : {0, 5, 15}) {
       simd::AdcDecode p{.full_scale = adc.config().full_scale_ua,
                         .max_code = static_cast<double>(adc.max_code()),
-                        .v_read = 0.2,
+                        .dequant = dequant.data(),
                         .offset = static_cast<double>(b + 3) * 1.25,
                         .step = 6.6,
                         .weight = std::ldexp(1.0, b)};
@@ -313,9 +324,10 @@ TEST(SimdKernels, AdcDecodeAccumulateMatchesAdcChainOnEveryTable) {
           const auto acc0 = make_vec(n, 89, off);
           auto ref = acc0;
           for (std::size_t c = 0; c < n; ++c)
-            ref[off + c] += std::ldexp(chain_level(adc, ip[off + c], p) -
-                                           chain_level(adc, im[off + c], p),
-                                       b);
+            ref[off + c] +=
+                std::ldexp(chain_level(adc, ip[off + c], v_read, p) -
+                               chain_level(adc, im[off + c], v_read, p),
+                           b);
           for (simd::Isa isa : simd::supported_isas()) {
             auto got = acc0;
             simd::table_for(isa).adc_decode_accumulate(
@@ -331,6 +343,152 @@ TEST(SimdKernels, AdcDecodeAccumulateMatchesAdcChainOnEveryTable) {
       }
     }
   }
+}
+
+namespace {
+
+/// Inputs of one bit-plane kernel call: `rows` x `n` conductances at a
+/// misaligned offset (non-negative, with planted 0.0 and subnormals), one
+/// bit pattern per row (with all-zero and all-ones rows), and starting
+/// accumulators that include -0.0, so a plane that skips a row must leave
+/// it bitwise untouched.
+struct BitPlaneCase {
+  std::size_t rows, n, off;
+  int planes;
+  double v;
+  std::vector<double> g;
+  std::vector<std::uint32_t> bits;
+  std::vector<double> cur0, var0, energy0;
+
+  BitPlaneCase(std::size_t rows_, std::size_t n_, int planes_,
+               std::uint64_t salt)
+      : rows(rows_), n(n_), off(salt % 4), planes(planes_),
+        v(pattern(salt, 7)), g(make_vec(rows_ * n_, salt, off)),
+        bits(rows_) {
+    const auto np = static_cast<std::size_t>(planes);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g[i] = std::abs(g[i]);
+      if (i % 11 == 3) g[i] = 0.0;
+      if (i % 13 == 5) g[i] = std::numeric_limits<double>::denorm_min();
+      if (i % 17 == 9) g[i] = 3e-310;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      bits[r] = static_cast<std::uint32_t>((r + 1) * 0x9e3779b97f4a7c15ULL *
+                                           (salt | 1) >> 29);
+      if (r % 5 == 1) bits[r] = 0;
+      if (r % 7 == 2) bits[r] = 0xffffffffu;
+    }
+    cur0 = make_vec(np * n, salt + 1, off);
+    var0 = make_vec(np * n, salt + 2, off);
+    for (auto& x : var0) x = std::abs(x);
+    for (std::size_t i = off; i < cur0.size(); i += 9) cur0[i] = -0.0;
+    energy0 = make_vec(np, salt + 3);
+    for (auto& x : energy0) x = std::abs(x);
+  }
+  const double* g_row(std::size_t r) const { return g.data() + off + r * n; }
+  bool on(std::size_t r, std::size_t b) const { return (bits[r] >> b) & 1u; }
+};
+
+void expect_bitwise(const std::vector<double>& got,
+                    const std::vector<double>& ref, const char* what,
+                    simd::Isa isa, const BitPlaneCase& k) {
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(ref[i]))
+        << what << " isa=" << simd::isa_name(isa) << " rows=" << k.rows
+        << " n=" << k.n << " planes=" << k.planes << " off=" << k.off
+        << " i=" << i;
+}
+
+/// bitplane_accumulate vs per-plane axpy of the same table, and vs the
+/// scalar table's bitplane_accumulate.
+void check_bitplane(const BitPlaneCase& k) {
+  const std::size_t off = k.off;
+  const auto& scalar = simd::table_for(simd::Isa::kScalar);
+  auto scalar_got = k.cur0;
+  scalar.bitplane_accumulate(k.v, k.g_row(0), k.rows, k.n, k.bits.data(),
+                             k.planes, scalar_got.data() + off);
+  for (simd::Isa isa : simd::supported_isas()) {
+    const auto& t = simd::table_for(isa);
+    auto ref = k.cur0;
+    for (int b = 0; b < k.planes; ++b)
+      for (std::size_t r = 0; r < k.rows; ++r)
+        if (k.on(r, static_cast<std::size_t>(b)))
+          t.axpy(k.v, k.g_row(r),
+                 ref.data() + off + static_cast<std::size_t>(b) * k.n, k.n);
+    auto got = k.cur0;
+    t.bitplane_accumulate(k.v, k.g_row(0), k.rows, k.n, k.bits.data(),
+                          k.planes, got.data() + off);
+    expect_bitwise(got, ref, "currents", isa, k);
+    expect_bitwise(got, scalar_got, "currents vs scalar", isa, k);
+  }
+}
+
+/// bitplane_accumulate_noisy vs per-plane vmm_row_accumulate of the same
+/// table (currents, noise_var and energy), and vs the scalar table's
+/// currents and noise_var.
+void check_bitplane_noisy(const BitPlaneCase& k) {
+  const std::size_t off = k.off;
+  const double nf = 0.013;
+  const double t_read = 1.7;
+  const auto np = static_cast<std::size_t>(k.planes);
+  const auto& scalar = simd::table_for(simd::Isa::kScalar);
+  auto s_cur = k.cur0;
+  auto s_var = k.var0;
+  auto s_e = k.energy0;
+  scalar.bitplane_accumulate_noisy(k.v, k.g_row(0), k.rows, k.n,
+                                   k.bits.data(), k.planes, s_cur.data() + off,
+                                   s_var.data() + off, nf, t_read, s_e.data());
+  for (simd::Isa isa : simd::supported_isas()) {
+    const auto& t = simd::table_for(isa);
+    auto ref_cur = k.cur0;
+    auto ref_var = k.var0;
+    auto ref_e = k.energy0;
+    for (std::size_t b = 0; b < np; ++b)
+      for (std::size_t r = 0; r < k.rows; ++r)
+        if (k.on(r, b))
+          t.vmm_row_accumulate(k.v, k.g_row(r), ref_cur.data() + off + b * k.n,
+                               ref_var.data() + off + b * k.n, nf, t_read, k.n,
+                               ref_e[b]);
+    auto cur = k.cur0;
+    auto var = k.var0;
+    auto e = k.energy0;
+    t.bitplane_accumulate_noisy(k.v, k.g_row(0), k.rows, k.n, k.bits.data(),
+                                k.planes, cur.data() + off, var.data() + off,
+                                nf, t_read, e.data());
+    expect_bitwise(cur, ref_cur, "currents", isa, k);
+    expect_bitwise(var, ref_var, "noise_var", isa, k);
+    expect_bitwise(e, ref_e, "energy", isa, k);
+    expect_bitwise(cur, s_cur, "currents vs scalar", isa, k);
+    expect_bitwise(var, s_var, "noise_var vs scalar", isa, k);
+  }
+}
+
+}  // namespace
+
+TEST(SimdKernels, BitplaneAccumulateMatchesPerPlaneAxpy) {
+  // Every width n = 0..67 with every plane count, rows cycling 0..70; then
+  // every row count 0..70 at a vector-block-straddling width.
+  for (std::size_t n = 0; n <= 67; ++n)
+    for (int planes = 1; planes <= 16; ++planes)
+      check_bitplane(BitPlaneCase((n * 7 + static_cast<std::size_t>(planes)) %
+                                      71,
+                                  n, planes, n * 16 + planes));
+  for (std::size_t rows = 0; rows <= 70; ++rows)
+    for (int planes = 1; planes <= 16; ++planes)
+      check_bitplane(BitPlaneCase(rows, 19, planes, 5000 + rows * 16 + planes));
+}
+
+TEST(SimdKernels, BitplaneAccumulateNoisyMatchesPerPlaneVmmRow) {
+  for (std::size_t n = 0; n <= 67; ++n)
+    for (int planes = 1; planes <= 16; ++planes)
+      check_bitplane_noisy(BitPlaneCase(
+          (n * 7 + static_cast<std::size_t>(planes)) % 71, n, planes,
+          n * 16 + planes));
+  for (std::size_t rows = 0; rows <= 70; ++rows)
+    for (int planes = 1; planes <= 16; ++planes)
+      check_bitplane_noisy(
+          BitPlaneCase(rows, 19, planes, 5000 + rows * 16 + planes));
 }
 
 TEST(SimdKernels, DispatchedWrappersFollowActiveTable) {
