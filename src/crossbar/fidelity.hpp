@@ -9,6 +9,9 @@
 /// fidelity tiers" for the per-tier model deltas).
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 namespace cim::crossbar {
 
 /// How much of the analog device model a VMM pays for.
@@ -36,6 +39,14 @@ constexpr const char* tier_name(FidelityTier tier) {
     case FidelityTier::kIdeal: return "ideal";
   }
   return "unknown";
+}
+
+/// Inverse of tier_name; nullopt for a name no tier has.
+constexpr std::optional<FidelityTier> tier_from_name(std::string_view name) {
+  for (const FidelityTier t :
+       {FidelityTier::kFull, FidelityTier::kCalibrated, FidelityTier::kIdeal})
+    if (name == tier_name(t)) return t;
+  return std::nullopt;
 }
 
 }  // namespace cim::crossbar

@@ -2,14 +2,18 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "obs/record.hpp"
 
 namespace cim::eda::verify {
 namespace {
 
+using obs::record::Reader;
+
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::string_view kMagic = "cim-prog-v1";
 
 void dump_node(std::ostream& os, std::size_t node) {
   if (node == kNone)
@@ -30,87 +34,139 @@ void dump_operand(std::ostream& os, const RevampOperand& op) {
   }
 }
 
-/// Tokenizer state over one parsed line.
-struct Line {
-  std::vector<std::string> tokens;
-  bool empty() const { return tokens.empty(); }
-  const std::string& head() const { return tokens.front(); }
-};
-
-Line split(const std::string& raw) {
-  Line line;
-  std::istringstream is(raw);
-  std::string tok;
-  while (is >> tok) {
-    if (tok.front() == '#') break;  // comment to end of line
-    line.tokens.push_back(tok);
-  }
-  return line;
+/// A decimal size inside a token: a cell, operand index or node id.
+std::size_t size_in(const Reader& r, std::string_view digits,
+                    const char* what) {
+  const auto v = obs::record::u64(digits);
+  if (!v) r.fail(std::string("bad ") + what + " '" + std::string(digits) + "'");
+  return *v;
 }
 
-bool parse_size(const std::string& tok, std::size_t& out) {
-  if (tok.empty()) return false;
-  std::size_t v = 0;
-  for (const char ch : tok) {
-    if (ch < '0' || ch > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(ch - '0');
-  }
-  out = v;
-  return true;
+/// A node annotation token: `@N`, or `@-` for "no node".
+std::size_t node_in(const Reader& r, std::string_view tok) {
+  if (tok.size() < 2 || tok[0] != '@')
+    r.fail("bad node annotation '" + std::string(tok) + "'");
+  return tok == "@-" ? kNone : size_in(r, tok.substr(1), "node annotation");
 }
 
-bool parse_node(const std::string& tok, std::size_t& out) {
-  if (tok.size() < 2 || tok[0] != '@') return false;
-  if (tok == "@-") {
-    out = kNone;
-    return true;
-  }
-  return parse_size(tok.substr(1), out);
-}
-
-bool parse_operand(const std::string& tok, RevampOperand& op) {
-  std::string body = tok;
-  op = RevampOperand{};
+RevampOperand operand_in(const Reader& r, std::string_view tok) {
+  RevampOperand op;
+  std::string_view body = tok;
   if (!body.empty() && body[0] == '!') {
     op.complemented = true;
-    body.erase(0, 1);
+    body.remove_prefix(1);
   }
   if (body == "c0") {
     op.src = RevampOperand::Src::kConst0;
-    return true;
-  }
-  if (body == "c1") {
+  } else if (body == "c1") {
     op.src = RevampOperand::Src::kConst1;
-    return true;
-  }
-  if (body.size() >= 2 && body[0] == 'i') {
+  } else if (body.size() >= 2 && body[0] == 'i') {
     op.src = RevampOperand::Src::kInput;
-    return parse_size(body.substr(1), op.input_index);
-  }
-  if (body.size() >= 4 && body[0] == 'd') {
-    const auto dot = body.find('.');
-    if (dot == std::string::npos) return false;
+    op.input_index = size_in(r, body.substr(1), "operand input");
+  } else if (const auto dot = body.find('.');
+             body.size() >= 4 && body[0] == 'd' && dot != body.npos) {
     op.src = RevampOperand::Src::kDmr;
-    return parse_size(body.substr(1, dot - 1), op.dmr_row) &&
-           parse_size(body.substr(dot + 1), op.dmr_col);
+    op.dmr_row = size_in(r, body.substr(1, dot - 1), "operand row");
+    op.dmr_col = size_in(r, body.substr(dot + 1), "operand column");
+  } else {
+    r.fail("bad operand '" + std::string(tok) + "'");
   }
-  return false;
+  return op;
 }
 
-std::optional<ParsedProgram> fail(std::string* error, std::size_t line_no,
-                                  const std::string& what) {
-  if (error != nullptr) {
-    std::ostringstream os;
-    os << "cim-prog-v1 parse error at line " << line_no << ": " << what;
-    *error = os.str();
+void read_imply(Reader& r, std::string_view kw, ImplyProgram& p) {
+  if (kw == "cells") {
+    p.num_cells = r.u64("cells");
+  } else if (kw == "zero") {
+    p.zero_cell = r.u64("zero");
+  } else if (kw == "false" || kw == "imply") {
+    ImplyInstr ins;
+    ins.kind = kw == "false" ? ImplyInstr::Kind::kFalse
+                             : ImplyInstr::Kind::kImply;
+    const std::size_t operands = kw == "false" ? 1 : 2;
+    if (r.tokens_left() < operands) r.fail("missing operands");
+    ins.dest = r.u64("dest cell");
+    if (operands == 2) ins.src = r.u64("src cell");
+    if (!r.at_end()) ins.def_node = node_in(r, r.token("node annotation"));
+    p.instrs.push_back(ins);
+  } else if (kw == "output") {
+    p.output_cells.push_back(r.u64("output cell"));
+  } else {
+    r.fail("unknown directive '" + std::string(kw) + "'");
   }
-  return std::nullopt;
+}
+
+void read_magic(Reader& r, std::string_view kw, MagicProgram& p) {
+  if (kw == "cells") {
+    p.num_cells = r.u64("cells");
+  } else if (kw == "set" || kw == "nor") {
+    MagicInstr ins;
+    ins.kind = kw == "set" ? MagicInstr::Kind::kSet : MagicInstr::Kind::kNor;
+    ins.out_cell = r.u64("out cell");
+    while (!r.at_end()) {
+      const std::string_view tok = r.token("input cell");
+      if (tok[0] == '@') {
+        ins.node = node_in(r, tok);
+        break;
+      }
+      ins.in_cells.push_back(size_in(r, tok, "input cell"));
+    }
+    if (ins.kind == MagicInstr::Kind::kNor && ins.in_cells.empty())
+      r.fail("nor without inputs");
+    p.instrs.push_back(std::move(ins));
+  } else if (kw == "output") {
+    const std::string_view tok = r.token("output cell");
+    const bool is_const = tok == "const";
+    p.output_cells.push_back(is_const ? 0 : size_in(r, tok, "output cell"));
+    p.output_is_const.push_back(is_const);
+    p.const_values.push_back(is_const && r.u64("const value", 1) == 1);
+  } else {
+    r.fail("unknown directive '" + std::string(kw) + "'");
+  }
+}
+
+void read_revamp(Reader& r, std::string_view kw, RevampProgram& p) {
+  if (kw == "wordlines") {
+    p.wordlines = r.u64("wordlines", kMaxArrayLines);
+  } else if (kw == "bitlines") {
+    // Every apply sizes its columns by the bitlines in force, so a later
+    // change would leave columns the dump could not re-parse.
+    if (!p.instrs.empty()) r.fail("'bitlines' after the first instruction");
+    p.bitlines = r.u64("bitlines", kMaxArrayLines);
+  } else if (kw == "read") {
+    RevampInstruction ins;
+    ins.kind = RevampInstruction::Kind::kRead;
+    ins.wordline = r.u64("wordline");
+    p.instrs.push_back(std::move(ins));
+  } else if (kw == "apply") {
+    RevampInstruction ins;
+    ins.kind = RevampInstruction::Kind::kApply;
+    ins.wordline = r.u64("wordline");
+    ins.wl = operand_in(r, r.token("wordline operand"));
+    ins.columns.assign(p.bitlines, std::nullopt);
+    while (!r.at_end()) {
+      const std::string_view tok = r.token("column operand");
+      const auto eq = tok.find('=');
+      if (eq == tok.npos)
+        r.fail("expected <col>=<operand>, got '" + std::string(tok) + "'");
+      const std::size_t col = size_in(r, tok.substr(0, eq), "column");
+      if (col >= p.bitlines)
+        r.fail("column " + std::to_string(col) + " is not below bitlines " +
+               std::to_string(p.bitlines));
+      ins.columns[col] = operand_in(r, tok.substr(eq + 1));
+    }
+    p.instrs.push_back(std::move(ins));
+  } else if (kw == "output") {
+    p.outputs.push_back(operand_in(r, r.token("output operand")));
+  } else {
+    r.fail("unknown directive '" + std::string(kw) + "'");
+  }
 }
 
 }  // namespace
 
 void dump_program(std::ostream& os, const ImplyProgram& prog) {
-  os << "cim-prog-v1 imply\n";
+  os << kMagic << " imply\n";
   os << "inputs " << prog.num_inputs << "\n";
   os << "cells " << prog.num_cells << "\n";
   os << "zero " << prog.zero_cell << "\n";
@@ -126,7 +182,7 @@ void dump_program(std::ostream& os, const ImplyProgram& prog) {
 }
 
 void dump_program(std::ostream& os, const MagicProgram& prog) {
-  os << "cim-prog-v1 magic\n";
+  os << kMagic << " magic\n";
   os << "inputs " << prog.num_inputs << "\n";
   os << "cells " << prog.num_cells << "\n";
   for (const auto& ins : prog.instrs) {
@@ -150,7 +206,7 @@ void dump_program(std::ostream& os, const MagicProgram& prog) {
 }
 
 void dump_program(std::ostream& os, const RevampProgram& prog) {
-  os << "cim-prog-v1 revamp\n";
+  os << kMagic << " revamp\n";
   os << "inputs " << prog.num_inputs << "\n";
   os << "wordlines " << prog.wordlines << "\n";
   os << "bitlines " << prog.bitlines << "\n";
@@ -178,163 +234,37 @@ void dump_program(std::ostream& os, const RevampProgram& prog) {
 std::optional<ParsedProgram> parse_program(std::istream& is,
                                            std::string* error) {
   ParsedProgram out;
-  bool have_header = false;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(is, raw)) {
-    ++line_no;
-    const Line line = split(raw);
-    if (line.empty()) continue;
-    const auto& t = line.tokens;
-
-    if (!have_header) {
-      if (t.size() != 2 || t[0] != "cim-prog-v1")
-        return fail(error, line_no, "expected 'cim-prog-v1 <family>' header");
-      if (t[1] == "imply")
-        out.family = ProgramFamily::kImply;
-      else if (t[1] == "magic")
-        out.family = ProgramFamily::kMagic;
-      else if (t[1] == "revamp")
-        out.family = ProgramFamily::kRevamp;
-      else
-        return fail(error, line_no, "unknown family '" + t[1] + "'");
-      have_header = true;
-      continue;
-    }
-
-    const std::string& kw = line.head();
-    auto size_field = [&](std::size_t& field) {
-      return t.size() == 2 && parse_size(t[1], field);
-    };
-
-    if (kw == "inputs") {
-      std::size_t v = 0;
-      if (!size_field(v)) return fail(error, line_no, "bad 'inputs'");
-      out.imply.num_inputs = out.magic.num_inputs = out.revamp.num_inputs = v;
-      continue;
-    }
-
-    switch (out.family) {
-      case ProgramFamily::kImply: {
-        auto& p = out.imply;
-        if (kw == "cells") {
-          if (!size_field(p.num_cells))
-            return fail(error, line_no, "bad 'cells'");
-        } else if (kw == "zero") {
-          if (!size_field(p.zero_cell))
-            return fail(error, line_no, "bad 'zero'");
-        } else if (kw == "false" || kw == "imply") {
-          ImplyInstr ins;
-          ins.kind = kw == "false" ? ImplyInstr::Kind::kFalse
-                                   : ImplyInstr::Kind::kImply;
-          const std::size_t operands = kw == "false" ? 1 : 2;
-          if (t.size() < 1 + operands)
-            return fail(error, line_no, "missing operands");
-          if (!parse_size(t[1], ins.dest))
-            return fail(error, line_no, "bad dest cell");
-          if (operands == 2 && !parse_size(t[2], ins.src))
-            return fail(error, line_no, "bad src cell");
-          if (t.size() > 1 + operands &&
-              !parse_node(t[1 + operands], ins.def_node))
-            return fail(error, line_no, "bad node annotation");
-          p.instrs.push_back(ins);
-        } else if (kw == "output") {
-          std::size_t c = 0;
-          if (!size_field(c)) return fail(error, line_no, "bad 'output'");
-          p.output_cells.push_back(c);
-        } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
-        }
-        break;
+  Reader r(is, kMagic);
+  try {
+    r.header(kMagic);
+    const std::string_view family = r.token("family");
+    if (family == "imply")
+      out.family = ProgramFamily::kImply;
+    else if (family == "magic")
+      out.family = ProgramFamily::kMagic;
+    else if (family == "revamp")
+      out.family = ProgramFamily::kRevamp;
+    else
+      r.fail("unknown family '" + std::string(family) + "'");
+    r.end();
+    while (r.next()) {
+      const std::string_view kw = r.token("directive");
+      if (kw == "inputs") {
+        out.imply.num_inputs = out.magic.num_inputs = out.revamp.num_inputs =
+            r.u64("inputs");
+      } else if (out.family == ProgramFamily::kImply) {
+        read_imply(r, kw, out.imply);
+      } else if (out.family == ProgramFamily::kMagic) {
+        read_magic(r, kw, out.magic);
+      } else {
+        read_revamp(r, kw, out.revamp);
       }
-      case ProgramFamily::kMagic: {
-        auto& p = out.magic;
-        if (kw == "cells") {
-          if (!size_field(p.num_cells))
-            return fail(error, line_no, "bad 'cells'");
-        } else if (kw == "set" || kw == "nor") {
-          MagicInstr ins;
-          ins.kind =
-              kw == "set" ? MagicInstr::Kind::kSet : MagicInstr::Kind::kNor;
-          if (t.size() < 2 || !parse_size(t[1], ins.out_cell))
-            return fail(error, line_no, "bad out cell");
-          std::size_t k = 2;
-          for (; k < t.size() && t[k][0] != '@'; ++k) {
-            std::size_t c = 0;
-            if (!parse_size(t[k], c))
-              return fail(error, line_no, "bad input cell");
-            ins.in_cells.push_back(c);
-          }
-          if (k < t.size() && !parse_node(t[k], ins.node))
-            return fail(error, line_no, "bad node annotation");
-          if (ins.kind == MagicInstr::Kind::kNor && ins.in_cells.empty())
-            return fail(error, line_no, "nor without inputs");
-          p.instrs.push_back(std::move(ins));
-        } else if (kw == "output") {
-          if (t.size() == 3 && t[1] == "const") {
-            p.output_cells.push_back(0);
-            p.output_is_const.push_back(true);
-            p.const_values.push_back(t[2] == "1");
-          } else {
-            std::size_t c = 0;
-            if (!size_field(c)) return fail(error, line_no, "bad 'output'");
-            p.output_cells.push_back(c);
-            p.output_is_const.push_back(false);
-            p.const_values.push_back(false);
-          }
-        } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
-        }
-        break;
-      }
-      case ProgramFamily::kRevamp: {
-        auto& p = out.revamp;
-        if (kw == "wordlines") {
-          if (!size_field(p.wordlines))
-            return fail(error, line_no, "bad 'wordlines'");
-        } else if (kw == "bitlines") {
-          if (!size_field(p.bitlines))
-            return fail(error, line_no, "bad 'bitlines'");
-        } else if (kw == "read") {
-          RevampInstruction ins;
-          ins.kind = RevampInstruction::Kind::kRead;
-          if (t.size() != 2 || !parse_size(t[1], ins.wordline))
-            return fail(error, line_no, "bad 'read'");
-          p.instrs.push_back(std::move(ins));
-        } else if (kw == "apply") {
-          RevampInstruction ins;
-          ins.kind = RevampInstruction::Kind::kApply;
-          if (t.size() < 3 || !parse_size(t[1], ins.wordline))
-            return fail(error, line_no, "bad 'apply' wordline");
-          if (!parse_operand(t[2], ins.wl))
-            return fail(error, line_no, "bad wordline operand");
-          ins.columns.assign(p.bitlines, std::nullopt);
-          for (std::size_t k = 3; k < t.size(); ++k) {
-            const auto eq = t[k].find('=');
-            if (eq == std::string::npos)
-              return fail(error, line_no, "expected <col>=<operand>");
-            std::size_t col = 0;
-            RevampOperand op;
-            if (!parse_size(t[k].substr(0, eq), col) ||
-                !parse_operand(t[k].substr(eq + 1), op))
-              return fail(error, line_no, "bad column operand");
-            if (col >= ins.columns.size()) ins.columns.resize(col + 1);
-            ins.columns[col] = op;
-          }
-          p.instrs.push_back(std::move(ins));
-        } else if (kw == "output") {
-          RevampOperand op;
-          if (t.size() != 2 || !parse_operand(t[1], op))
-            return fail(error, line_no, "bad 'output'");
-          p.outputs.push_back(op);
-        } else {
-          return fail(error, line_no, "unknown directive '" + kw + "'");
-        }
-        break;
-      }
+      r.end();
     }
+  } catch (const obs::record::ParseError& e) {
+    if (error != nullptr) *error = e.what();
+    return std::nullopt;
   }
-  if (!have_header) return fail(error, line_no, "empty stream");
   return out;
 }
 

@@ -14,10 +14,10 @@
 /// uninterrupted run (tests/exp/test_crash_resume.cpp SIGKILLs campaigns
 /// mid-flight to prove it).
 ///
-/// The format follows the repo's text-manifest conventions (serve/trace_io):
-/// a magic first line, one record per line, doubles at %.17g so
-/// dump -> parse -> dump is a fixpoint, atomic writes via
-/// obs::write_file_atomic so readers only ever see a complete file.
+/// Lines, numbers and errors follow the record codec (obs/record.hpp):
+/// doubles at %.17g so dump -> parse -> dump is a fixpoint, flags are 0 or
+/// 1, and atomic writes via obs::write_file_atomic so readers only ever
+/// see a complete file.
 ///
 ///   cim-campaign-v1
 ///   campaign <name> seed <u64> cells <n> block <u64> fingerprint <hex16>
@@ -69,8 +69,8 @@ std::uint64_t campaign_fingerprint(std::string_view name, std::uint64_t seed,
 void dump_manifest(std::ostream& os, const CampaignManifest& m);
 std::string manifest_to_string(const CampaignManifest& m);
 
-/// Parses a manifest; throws std::runtime_error with a line-numbered
-/// message on malformed input (bad magic, missing sections, cell-count
+/// Parses a manifest; throws obs::record::ParseError (a std::runtime_error)
+/// naming the line on malformed input (bad magic, missing sections, cell-count
 /// mismatch, out-of-order cell indices, fingerprint/identity mismatch).
 CampaignManifest parse_manifest(std::string_view text);
 

@@ -12,60 +12,30 @@
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
 #include "obs/prom.hpp"
+#include "obs/record.hpp"
 #include "obs/trace_events.hpp"
 
 namespace cim::obs {
 
 namespace {
 
-/// JSON string escaping for the few metadata strings we emit.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using record::json_string;
 
-/// Formats a double as JSON (no inf/nan — clamp to 0 to stay valid).
-std::string json_num(double v) {
+/// Six significant digits for the Chrome trace and BENCH_JSON extras (no
+/// inf/nan — clamp to 0 to stay valid).
+std::string json_num6(double v) {
   if (!(v > -1e308 && v < 1e308)) return "0";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
 }
 
-/// Full-precision variant for the snapshot exporter: 17 significant digits
-/// round-trip an IEEE double exactly, which the snapshot parser / merge
-/// path (worker-process telemetry aggregation) relies on.
-std::string json_num17(double v) {
-  if (!(v > -1e308 && v < 1e308)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 void write_meta_fields(std::ostream& os, const Snapshot::Meta& meta) {
-  os << "\"git_sha\":\"" << json_escape(meta.git_sha) << "\","
-     << "\"build_type\":\"" << json_escape(meta.build_type) << "\","
+  os << "\"git_sha\":" << json_string(meta.git_sha) << ","
+     << "\"build_type\":" << json_string(meta.build_type) << ","
      << "\"threads\":" << meta.threads << ","
-     << "\"simd_isa\":\"" << json_escape(meta.simd_isa) << "\","
-     << "\"cim_obs\":\"" << json_escape(meta.mode) << "\","
+     << "\"simd_isa\":" << json_string(meta.simd_isa) << ","
+     << "\"cim_obs\":" << json_string(meta.mode) << ","
      << "\"unix_us\":" << meta.unix_us;
 }
 
@@ -106,39 +76,39 @@ void write_snapshot_json(std::ostream& os, const Snapshot& s) {
   os << "},\"counters\":{";
   bool first = true;
   for (const auto& [name, v] : s.counters) {
-    os << (first ? "" : ",") << "\"" << json_escape(name) << "\":" << v;
+    os << (first ? "" : ",") << json_string(name) << ":" << v;
     first = false;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, v] : s.gauges) {
-    os << (first ? "" : ",") << "\"" << json_escape(name)
-       << "\":" << json_num17(v);
+    os << (first ? "" : ",") << json_string(name) << ":"
+       << record::json_num(v);
     first = false;
   }
   os << "},\"histograms\":{";
   first = true;
   for (const auto& h : s.histograms) {
-    os << (first ? "" : ",") << "\"" << json_escape(h.name) << "\":{";
+    os << (first ? "" : ",") << json_string(h.name) << ":{";
     os << "\"bounds\":[";
     for (std::size_t i = 0; i < h.data.bounds.size(); ++i)
-      os << (i != 0 ? "," : "") << json_num17(h.data.bounds[i]);
+      os << (i != 0 ? "," : "") << record::json_num(h.data.bounds[i]);
     os << "],\"counts\":[";
     for (std::size_t i = 0; i < h.data.counts.size(); ++i)
       os << (i != 0 ? "," : "") << h.data.counts[i];
     os << "],\"count\":" << h.data.count
-       << ",\"sum\":" << json_num17(h.data.sum) << "}";
+       << ",\"sum\":" << record::json_num(h.data.sum) << "}";
     first = false;
   }
   os << "},\"spans\":{";
   first = true;
   for (const auto& row : s.spans) {
-    os << (first ? "" : ",") << "\"" << json_escape(row.name) << "\":{"
+    os << (first ? "" : ",") << json_string(row.name) << ":{"
        << "\"component\":\"" << component_name(row.comp) << "\","
        << "\"count\":" << row.count << ","
-       << "\"wall_ns\":" << json_num17(row.wall_ns) << ","
-       << "\"sim_time_ns\":" << json_num17(row.sim_time_ns) << ","
-       << "\"energy_pj\":" << json_num17(row.energy_pj) << "}";
+       << "\"wall_ns\":" << record::json_num(row.wall_ns) << ","
+       << "\"sim_time_ns\":" << record::json_num(row.sim_time_ns) << ","
+       << "\"energy_pj\":" << record::json_num(row.energy_pj) << "}";
     first = false;
   }
   os << "},\"components\":{";
@@ -146,9 +116,9 @@ void write_snapshot_json(std::ostream& os, const Snapshot& s) {
   for (const auto& row : s.components) {
     os << (first ? "" : ",") << "\"" << component_name(row.comp) << "\":{"
        << "\"events\":" << row.events << ","
-       << "\"wall_ns\":" << json_num17(row.wall_ns) << ","
-       << "\"sim_time_ns\":" << json_num17(row.sim_time_ns) << ","
-       << "\"energy_pj\":" << json_num17(row.energy_pj) << "}";
+       << "\"wall_ns\":" << record::json_num(row.wall_ns) << ","
+       << "\"sim_time_ns\":" << record::json_num(row.sim_time_ns) << ","
+       << "\"energy_pj\":" << record::json_num(row.energy_pj) << "}";
     first = false;
   }
   os << "}}\n";
@@ -169,8 +139,8 @@ void write_chrome_trace(std::ostream& os) {
   for (const auto& e : events) {
     // ts/dur are microseconds in the trace_event format; fractional values
     // carry the ns resolution.
-    os << (first ? "" : ",") << "\n{\"name\":\""
-       << json_escape(e.name != nullptr ? e.name : "span") << "\","
+    os << (first ? "" : ",") << "\n{\"name\":"
+       << json_string(e.name != nullptr ? e.name : "span") << ","
        << "\"cat\":\"" << component_name(e.comp) << "\",";
     if (e.ph == 's' || e.ph == 'f') {
       // Flow arrow: a start/finish pair sharing an id binds the slices
@@ -178,13 +148,13 @@ void write_chrome_trace(std::ostream& os) {
       os << "\"ph\":\"" << e.ph << "\",\"id\":" << e.flow_id
          << (e.ph == 'f' ? ",\"bp\":\"e\"" : "") << ",\"pid\":" << e.pid
          << ",\"tid\":" << e.tid << ","
-         << "\"ts\":" << json_num(static_cast<double>(e.ts_ns) / 1e3) << "}";
+         << "\"ts\":" << json_num6(static_cast<double>(e.ts_ns) / 1e3) << "}";
     } else {
       // Complete ("X") span.
       os << "\"ph\":\"X\",\"pid\":" << e.pid << ",\"tid\":" << e.tid << ","
-         << "\"ts\":" << json_num(static_cast<double>(e.ts_ns) / 1e3) << ","
-         << "\"dur\":" << json_num(static_cast<double>(e.dur_ns) / 1e3) << ","
-         << "\"args\":{\"energy_pj\":" << json_num(e.energy_pj) << "}}";
+         << "\"ts\":" << json_num6(static_cast<double>(e.ts_ns) / 1e3) << ","
+         << "\"dur\":" << json_num6(static_cast<double>(e.dur_ns) / 1e3) << ","
+         << "\"args\":{\"energy_pj\":" << json_num6(e.energy_pj) << "}}";
     }
     first = false;
   }
@@ -199,7 +169,7 @@ std::string bench_json_line(
   Registry& reg = Registry::global();
   std::ostringstream os;
   char buf[64];
-  os << "BENCH_JSON {\"bench\":\"" << json_escape(bench) << "\",";
+  os << "BENCH_JSON {\"bench\":" << json_string(bench) << ",";
   std::snprintf(buf, sizeof buf, "%.3f", wall_ms);
   os << "\"wall_ms\":" << buf << ",";
   std::snprintf(buf, sizeof buf, "%.0f", ops);
@@ -213,11 +183,11 @@ std::string bench_json_line(
      << ",";
   os << "\"cache_delta_updates\":" << reg.counter("cache.delta_updates").value()
      << ",";
-  os << "\"git_sha\":\"" << json_escape(info.git_sha) << "\",";
-  os << "\"build_type\":\"" << json_escape(info.build_type) << "\",";
-  os << "\"simd_isa\":\"" << json_escape(info.simd_isa) << "\"";
+  os << "\"git_sha\":" << json_string(info.git_sha) << ",";
+  os << "\"build_type\":" << json_string(info.build_type) << ",";
+  os << "\"simd_isa\":" << json_string(info.simd_isa);
   for (const auto& [key, value] : extras)
-    os << ",\"" << json_escape(key) << "\":" << json_num(value);
+    os << "," << json_string(key) << ":" << json_num6(value);
   os << "}";
   return os.str();
 }

@@ -1,35 +1,11 @@
 #include "obs/flight.hpp"
 
-#include <cstdio>
 #include <ostream>
 
 #include "obs/obs.hpp"
+#include "obs/record.hpp"
 
 namespace cim::obs {
-
-namespace {
-
-void escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -56,16 +32,11 @@ bool FlightRecorder::dump(
     const std::string& path, const std::string& reason,
     const std::vector<std::pair<std::string, std::string>>& meta) {
   const bool ok = write_file_atomic(path, [&](std::ostream& os) {
-    os << "{\"format\":\"cim-flight-v1\",\"reason\":\"";
-    escape_into(os, reason);
-    os << "\",\"records\":" << size_ << ",\"dropped\":" << dropped_;
-    for (const auto& [k, v] : meta) {
-      os << ",\"";
-      escape_into(os, k);
-      os << "\":\"";
-      escape_into(os, v);
-      os << "\"";
-    }
+    os << "{\"format\":\"cim-flight-v1\",\"reason\":"
+       << record::json_string(reason) << ",\"records\":" << size_
+       << ",\"dropped\":" << dropped_;
+    for (const auto& [k, v] : meta)
+      os << "," << record::json_string(k) << ":" << record::json_string(v);
     os << "}\n";
     const std::size_t start = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i)

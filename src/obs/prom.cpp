@@ -7,7 +7,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -17,6 +16,7 @@
 
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
+#include "obs/record.hpp"
 
 namespace cim::obs {
 
@@ -55,9 +55,7 @@ void prom_value(std::ostream& os, double v) {
   } else if (std::isinf(v)) {
     os << (v > 0 ? "+Inf" : "-Inf");
   } else {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    os << record::g17(v);
   }
 }
 

@@ -5,16 +5,13 @@
 /// The reqlog is the serving layer's post-hoc analysis substrate: one JSON
 /// object per line — a versioned header, then every completion (timing
 /// triple + exact latency decomposition, no result payloads) and every
-/// rejection, both sorted by request id. Doubles are printed with %.17g so
-/// a parse -> dump round trip is byte-identical (the fixpoint the format
-/// tests gate); the file itself is written via `obs::write_file_atomic`,
-/// so an interrupted run never leaves a truncated log. `tools/cim_reqlog`
-/// turns a reqlog into decomposition tables and top-k slow-request
-/// attribution.
-///
-/// Caveat: request ids round-trip through the JSON number domain and are
-/// therefore exact only below 2^53 — far beyond any simulated stream, but
-/// a contract worth stating.
+/// rejection, both sorted by request id. Lines, numbers and errors follow
+/// the record codec (obs/record.hpp): doubles are printed with %.17g so a
+/// parse -> dump round trip is byte-identical (the fixpoint the format
+/// tests gate), and ids and counts are read exactly from their digits. The
+/// file itself is written via `obs::write_file_atomic`, so an interrupted
+/// run never leaves a truncated log. `tools/cim_reqlog` turns a reqlog
+/// into decomposition tables and top-k slow-request attribution.
 #pragma once
 
 #include <iosfwd>
@@ -40,9 +37,9 @@ void write_reqlog(std::ostream& os, const ServeReport& report);
 /// Crash-safe file export (temp + rename). Returns false on I/O failure.
 bool write_reqlog_file(const std::string& path, const ServeReport& report);
 
-/// Parses a cim-reqlog-v1 stream. Tolerates CRLF line endings, trailing
-/// whitespace and blank lines; throws std::runtime_error with a 1-based
-/// line number on malformed input.
+/// Parses a cim-reqlog-v1 stream, line by line without reading it whole;
+/// throws obs::record::ParseError (a std::runtime_error) naming the line
+/// on malformed input.
 ReqLog read_reqlog(std::istream& is);
 ReqLog read_reqlog_file(const std::string& path);
 

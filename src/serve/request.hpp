@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "crossbar/fidelity.hpp"
@@ -34,6 +36,13 @@ constexpr const char* kind_name(RequestKind k) {
     case RequestKind::kInference: return "infer";
   }
   return "unknown";
+}
+
+/// Inverse of kind_name; nullopt for a name no kind has.
+constexpr std::optional<RequestKind> kind_from_name(std::string_view name) {
+  for (const RequestKind k : {RequestKind::kVmm, RequestKind::kInference})
+    if (name == kind_name(k)) return k;
+  return std::nullopt;
 }
 
 /// One open-loop request, timestamped in simulated ns.
