@@ -130,6 +130,18 @@ TEST(ProgramIo, MalformedInputFailsWithLineNumberedErrors) {
   expect_parse_error("cim-prog-v1 revamp\nbitlines 2\napply 0 c1 0:c0\n",
                      "<col>=<operand>");
   expect_parse_error("", "empty stream");
+  // Column and size fields that overflow, exceed the declared bitlines or
+  // exceed the format limit are rejected before they size anything.
+  expect_parse_error(
+      "cim-prog-v1 revamp\nbitlines 2\napply 0 c0 18446744073709551615=c0\n",
+      "line 3: column 18446744073709551615 is not below bitlines 2");
+  expect_parse_error("cim-prog-v1 revamp\nbitlines 2\napply 0 c0 2=c1\n",
+                     "line 3: column 2 is not below bitlines 2");
+  expect_parse_error("cim-prog-v1 imply\ncells 18446744073709551616\n",
+                     "line 2: cells '18446744073709551616'");
+  expect_parse_error("cim-prog-v1 revamp\nbitlines 4097\n",
+                     "line 2: bitlines '4097' is not an unsigned integer <= "
+                     "4096");
 }
 
 TEST(ProgramIo, RevampOperandGrammarCoversAllSources) {

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/checkpoint.hpp"
 
@@ -134,6 +136,25 @@ TEST(Checkpoint, ParseRejectsMalformedInput) {
     const auto p = s.find("cursor 48");
     s.replace(p, 9, "cursor 7");
     EXPECT_THROW(parse_manifest(s), std::runtime_error);
+  }
+  // Negative, out-of-range flag and overflowing fields: strtoull used to
+  // wrap "-1" to 2^64 - 1, and a flag of 7 re-dumped as 1.
+  const std::vector<std::vector<std::pair<std::string, std::string>>> edits = {
+      {{"rounds 5", "rounds -1"}},
+      {{"trials 96", "trials -1"}},
+      {{"count 32", "count -1"}, {"cursor 32", "cursor -1"}},
+      {{"cursor 48", "cursor -1"}},
+      {{"capped 1", "capped 7"}},
+      {{"seed 42", "seed 18446744073709551616"}},
+  };
+  for (const auto& row : edits) {
+    std::string s = good;
+    for (const auto& [from, to] : row) {
+      const auto p = s.find(from);
+      ASSERT_NE(p, std::string::npos) << from;
+      s.replace(p, from.size(), to);
+    }
+    EXPECT_THROW(parse_manifest(s), std::runtime_error) << row[0].second;
   }
 }
 

@@ -130,6 +130,17 @@ TEST(SnapshotMerge, JsonRoundTripsThenMergesIdentically) {
   ASSERT_EQ(a.counters.size(), b.counters.size());
   for (std::size_t i = 0; i < a.counters.size(); ++i)
     EXPECT_EQ(a.counters[i], b.counters[i]);
+
+  // Counters above 2^53 and gauges past 1e308 round-trip exactly.
+  Snapshot big = make_snapshot(1);
+  big.counters = {{"big", (std::uint64_t{1} << 53) + 1}};
+  big.gauges = {{"huge", 1.5e308}};
+  std::ostringstream big_os;
+  cim::obs::write_snapshot_json(big_os, big);
+  Snapshot big_back;
+  ASSERT_TRUE(parse_snapshot_json(big_os.str(), big_back, &err)) << err;
+  EXPECT_EQ(big_back.counters, big.counters);
+  EXPECT_EQ(big_back.gauges, big.gauges);
 }
 
 TEST(SnapshotMerge, ParseRejectsGarbage) {
@@ -138,6 +149,19 @@ TEST(SnapshotMerge, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_snapshot_json("not json", out, &err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(parse_snapshot_json("{\"counters\": [", out, nullptr));
+
+  // A negative counter is rejected instead of cast from a double.
+  std::ostringstream os;
+  cim::obs::write_snapshot_json(os, make_snapshot(1));
+  std::string text = os.str();
+  const auto p = text.find("\"worker.only\":7");
+  ASSERT_NE(p, std::string::npos) << text;
+  text.replace(p, 15, "\"worker.only\":-1");
+  err.clear();
+  EXPECT_FALSE(parse_snapshot_json(text, out, &err));
+  EXPECT_NE(err.find("line 1: json: number -1 is not an unsigned integer"),
+            std::string::npos)
+      << err;
 }
 
 TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {

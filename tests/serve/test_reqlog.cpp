@@ -155,6 +155,28 @@ TEST(ReqLog, MalformedLogsFailWithLineNumbers) {
       {std::string(kHeader) +
            "{\"event\":\"rejected\",\"id\":0,\"kind\":\"vmm\"}\n",
        "line 2"},
+      {std::string(kHeader) +
+           "{\"event\":\"rejected\",\"id\":-1,\"kind\":\"vmm\","
+           "\"arrival_ns\":0}\n",
+       "line 2: json: number -1 is not an unsigned integer"},
+      {std::string(kHeader) +
+           "{\"event\":\"rejected\",\"id\":1e300,\"kind\":\"vmm\","
+           "\"arrival_ns\":0}\n",
+       "line 2: json: number 1e300 is not an unsigned integer"},
+      {std::string(kHeader) +
+           "{\"event\":\"done\",\"id\":0,\"kind\":\"vmm\",\"tier\":"
+           "\"full\",\"escalated\":false,\"replica\":0,\"batch\":1,"
+           "\"label\":1e10,\"arrival_ns\":0,\"dispatch_ns\":0,\"done_ns\":0,"
+           "\"batch_wait_ns\":0,\"queue_wait_ns\":0,\"issue_wait_ns\":0,"
+           "\"bitserial_ns\":0,\"reduce_ns\":0}\n",
+       "line 2: json: number 1e10 is not an integer"},
+      {std::string(kHeader) +
+           "{\"event\":\"rejected\",\"id\":0,\"arrival_ns\":0}\n",
+       "line 2: json: missing 'kind'"},
+      {std::string(kHeader) +
+           "{\"event\":\"rejected\",\"id\":0,\"id\":1,\"kind\":\"vmm\","
+           "\"arrival_ns\":0}\n",
+       "line 2: duplicate key 'id'"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.text);

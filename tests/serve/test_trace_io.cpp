@@ -141,6 +141,12 @@ TEST(TraceIo, ErrorsCarryLineNumbers) {
       {"cim-trace-v1\nreq 0 0 vmm 4 full 2 15 16\n",
        "line 2: input 1 = 16 does not fit in input_bits = 4"},
       {"", "missing"},
+      {"cim-trace-v1\nreq -1 0 vmm 4 full 1 1\n",
+       "line 2: id '-1' is not an unsigned integer"},
+      {"cim-trace-v1\nreq 0 0 vmm 4 full 4000000000 1\n",
+       "line 2: req declares 4000000000 inputs but has 1"},
+      {"cim-trace-v1\nreq 0 nan vmm 4 full 1 1\n", "line 2"},
+      {"cim-trace-v1\nreq 0 inf vmm 4 full 1 1\n", "line 2"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.text);
