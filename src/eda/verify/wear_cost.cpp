@@ -1,14 +1,13 @@
 #include "eda/verify/wear_cost.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "eda/truth_table.hpp"
-#include "obs/obs.hpp"
+#include "obs/health.hpp"
 
 namespace cim::eda::verify {
 namespace {
@@ -317,96 +316,31 @@ WearCertificate certify_wear(const ProgramAccess& access,
 
 // --- cim-health-heatmap-v1 export --------------------------------------------
 
-namespace {
-
-void json_escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_zeros(std::ostream& os, std::size_t n) {
-  os << "[";
-  for (std::size_t i = 0; i < n; ++i) os << (i == 0 ? "0" : ",0");
-  os << "]";
-}
-
-template <typename T>
-void json_counts(std::ostream& os, const std::vector<T>& v) {
-  os << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) os << ",";
-    os << static_cast<std::uint64_t>(v[i]);
-  }
-  os << "]";
-}
-
-}  // namespace
-
 void write_static_wear_json(std::ostream& os,
                             const std::vector<StaticWearEntry>& entries) {
-  const obs::BuildInfo info = obs::build_info();
-  os << "{\"meta\":{\"git_sha\":";
-  json_escape(os, info.git_sha);
-  os << ",\"build_type\":";
-  json_escape(os, info.build_type);
-  os << ",\"schema\":\"cim-health-heatmap-v1\"},\"arrays\":[";
-  bool first = true;
+  // Disturbs, drift, wear-out and sneak currents are runtime phenomena —
+  // the static certificate has no statement about them, so they stay 0.
+  std::vector<obs::HealthMonitor::Snapshot> arrays;
   for (const auto& e : entries) {
     if (e.access == nullptr) continue;
     const auto& a = *e.access;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":";
-    json_escape(os, e.name);
-    os << ",\"rows\":" << a.rows << ",\"cols\":" << a.cols;
-    os << ",\"wear\":";
-    json_counts(os, a.write_bound);
-    // Disturbs, drift, wear-out and sneak currents are runtime phenomena —
-    // the static certificate has no statement about them.
-    os << ",\"disturbs\":";
-    json_zeros(os, a.write_bound.size());
-    os << ",\"drift_us\":";
-    json_zeros(os, a.write_bound.size());
-    os << ",\"worn\":";
-    json_zeros(os, a.write_bound.size());
-    os << ",\"adc_samples\":";
-    json_counts(os, a.sensed_cols);
-    os << ",\"adc_clips\":";
-    json_zeros(os, a.cols);
-    os << ",\"sneak_ua\":";
-    json_zeros(os, a.cols);
-    std::size_t adc_total = 0;
-    for (const auto s : a.sensed_cols) adc_total += s;
-    os << ",\"summary\":{";
-    os << "\"total_writes\":" << a.total_writes;
-    os << ",\"total_disturbs\":0";
-    os << ",\"max_wear\":" << a.max_write_bound();
-    os << ",\"worn_cells\":0";
-    os << ",\"total_adc_samples\":" << adc_total;
-    os << ",\"total_adc_clips\":0";
-    os << ",\"mean_abs_drift_us\":0";
-    os << ",\"max_abs_drift_us\":0";
-    os << ",\"total_sneak_ua\":0";
-    os << "}}";
+    obs::HealthMonitor::Snapshot s;
+    s.name = e.name;
+    s.rows = a.rows;
+    s.cols = a.cols;
+    s.wear.assign(a.write_bound.begin(), a.write_bound.end());
+    s.disturbs.assign(a.write_bound.size(), 0);
+    s.drift_us.assign(a.write_bound.size(), 0.0);
+    s.worn.assign(a.write_bound.size(), 0);
+    s.adc_samples.assign(a.sensed_cols.begin(), a.sensed_cols.end());
+    s.adc_clips.assign(a.cols, 0);
+    s.sneak_ua.assign(a.cols, 0.0);
+    s.total_writes = a.total_writes;
+    s.max_wear = a.max_write_bound();
+    for (const auto n : a.sensed_cols) s.total_adc_samples += n;
+    arrays.push_back(std::move(s));
   }
-  os << "]}\n";
+  obs::write_health_json(os, arrays);
 }
 
 }  // namespace cim::eda::verify

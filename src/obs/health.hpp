@@ -175,6 +175,10 @@ void write_health_heatmap_csv(std::ostream& os);
 /// Flat-JSON heatmap dump: build meta plus, per array, the shape, the flat
 /// row-major per-cell vectors and the per-column vectors, and the summary.
 void write_health_json(std::ostream& os);
+/// The same dump of the given arrays (the static wear certificate exports
+/// its predicted bounds through it).
+void write_health_json(std::ostream& os,
+                       const std::vector<HealthMonitor::Snapshot>& arrays);
 
 /// Honours the CIM_OBS_HEATMAP_FILE env hook: when set, health telemetry
 /// is enabled and at least one monitor exists, writes the heatmap dump
