@@ -1,31 +1,18 @@
 /// \file bench_micro_kernels.cpp
-/// \brief Micro-kernel throughput bench. Default mode sweeps every
-///        runtime-dispatched ISA variant (scalar / avx2 / avx512) of the
-///        util::kernels hot loops — dot, axpy, gemm_accumulate,
-///        vmm_row_accumulate, bitplane_accumulate — across sizes,
-///        reporting GB/s and speedup vs
+/// \brief Micro-kernel throughput bench. Sweeps every runtime-dispatched
+///        ISA variant (scalar / avx2 / avx512) of the util::kernels hot
+///        loops — dot, axpy, gemm_accumulate, vmm_row_accumulate,
+///        bitplane_accumulate — across sizes, reporting GB/s and speedup vs
 ///        the portable scalar table, and ends with the standard BENCH_JSON
 ///        line (per-variant extras) scraped into BENCH_PR<N>.json by
 ///        scripts/collect_bench.sh.
-///
-///        `--gbench` (or any --benchmark_* flag) instead runs the legacy
-///        google-benchmark suite over the composite hot paths (crossbar
-///        VMM, MAGIC NOR, march test, XNOR-popcount, synthesis flow).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "crossbar/crossbar.hpp"
-#include "eda/flow.hpp"
-#include "ferfet/bnn_engine.hpp"
-#include "memtest/march.hpp"
-#include "nn/bnn.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
 #include "util/table.hpp"
@@ -33,98 +20,6 @@
 using namespace cim;
 
 namespace {
-
-// --- legacy google-benchmark suite (--gbench) -------------------------------
-
-crossbar::Crossbar make_array(std::size_t n) {
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = cfg.cols = n;
-  cfg.levels = 16;
-  cfg.seed = 3;
-  crossbar::Crossbar xbar(cfg);
-  util::Rng rng(5);
-  util::Matrix lv(n, n);
-  for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(16));
-  xbar.program_levels(lv);
-  return xbar;
-}
-
-void BM_CrossbarVmm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto xbar = make_array(n);
-  std::vector<double> v(n, 0.2);
-  for (auto _ : state) benchmark::DoNotOptimize(xbar.vmm(v));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_CrossbarVmm)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_MagicNor(benchmark::State& state) {
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = 1;
-  cfg.cols = 16;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  crossbar::Crossbar xbar(cfg);
-  xbar.write_bit(0, 0, true);
-  xbar.write_bit(0, 1, false);
-  const std::size_t ins[] = {0, 1};
-  for (auto _ : state) {
-    xbar.write_bit(0, 2, true);
-    xbar.magic_nor(0, ins, 2);
-    benchmark::DoNotOptimize(xbar.stats().logic_ops);
-  }
-}
-BENCHMARK(BM_MagicNor);
-
-void BM_MarchCstar(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = cfg.cols = n;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.seed = 7;
-  for (auto _ : state) {
-    crossbar::Crossbar xbar(cfg);
-    benchmark::DoNotOptimize(memtest::run_march(xbar, memtest::march_cstar()));
-  }
-}
-BENCHMARK(BM_MarchCstar)->Arg(16)->Arg(32);
-
-void BM_XnorPopcount(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(9);
-  nn::BitVector a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(nn::xnor_popcount(a, b));
-}
-BENCHMARK(BM_XnorPopcount)->Arg(64)->Arg(1024);
-
-void BM_FerfetBnnLayer(benchmark::State& state) {
-  util::Rng rng(11);
-  util::Matrix w(32, 64);
-  for (auto& v : w.flat()) v = rng.normal(0.0, 1.0);
-  ferfet::FerfetBnnEngine engine(w);
-  std::vector<bool> x(64);
-  for (std::size_t i = 0; i < 64; ++i) x[i] = rng.bernoulli(0.5);
-  for (auto _ : state) benchmark::DoNotOptimize(engine.forward(x));
-}
-BENCHMARK(BM_FerfetBnnLayer);
-
-void BM_SynthesisAndMagicMapping(benchmark::State& state) {
-  const auto nl = eda::ripple_carry_adder(4);
-  for (auto _ : state) {
-    const auto rep = eda::run_flow("rca4", nl, eda::LogicFamily::kMagic,
-                                   {.reuse_cells = true, .verify = false});
-    benchmark::DoNotOptimize(rep.devices);
-  }
-}
-BENCHMARK(BM_SynthesisAndMagicMapping);
-
-// --- dispatched-ISA sweep (default mode) ------------------------------------
 
 std::vector<double> bench_vec(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -305,17 +200,4 @@ int run_isa_sweep() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool gbench = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--gbench" || arg.rfind("--benchmark", 0) == 0) gbench = true;
-  }
-  if (gbench) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  return run_isa_sweep();
-}
+int main() { return run_isa_sweep(); }

@@ -6,7 +6,7 @@
 /// Four parts, all in simulated time (bit-identical across hosts/threads):
 ///
 ///  1. **Decomposed sweep** — offered load at 20/50/80/120% of the pool's
-///     analytic capacity with windowed aggregation and the SloTracker on.
+///     analytic capacity with windowed aggregation and the SLO on.
 ///     Per point: the five-way mean latency decomposition (batch wait /
 ///     queue wait / amortized issue / bit-serial / reduce), per-window
 ///     p99, burn-rate alerts and the error budget.
@@ -32,6 +32,7 @@
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
+#include "obs/record.hpp"
 #include "serve/controller.hpp"
 #include "serve/tile_pool.hpp"
 #include "serve/traffic.hpp"
@@ -64,11 +65,9 @@ serve::TilePool make_pool(std::size_t replicas, std::size_t dim) {
 }
 
 std::size_t env_tiles() {
-  if (const char* v = std::getenv("CIM_SERVE_TILES"); v != nullptr) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 4;
+  const auto n = obs::record::env_u64("CIM_SERVE_TILES",
+                                      std::getenv("CIM_SERVE_TILES"), 1024);
+  return n.value_or(0) > 0 ? static_cast<std::size_t>(*n) : 4;
 }
 
 /// Extra disabled telemetry sites per request in the amplified run.

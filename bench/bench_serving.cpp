@@ -28,6 +28,7 @@
 #include "bench_common.hpp"
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
+#include "obs/record.hpp"
 #include "serve/controller.hpp"
 #include "serve/tile_pool.hpp"
 #include "serve/traffic.hpp"
@@ -60,11 +61,9 @@ serve::TilePool make_pool(std::size_t replicas, std::size_t dim) {
 }
 
 std::size_t env_tiles() {
-  if (const char* v = std::getenv("CIM_SERVE_TILES"); v != nullptr) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 4;
+  const auto n = obs::record::env_u64("CIM_SERVE_TILES",
+                                      std::getenv("CIM_SERVE_TILES"), 1024);
+  return n.value_or(0) > 0 ? static_cast<std::size_t>(*n) : 4;
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 /// \brief The `core` public API end to end: quantize a trained network,
 ///        partition it across CIM tiles, run digital-in/digital-out
 ///        inference through the full DAC -> crossbar -> ADC -> shift-add
-///        path, and inspect the controller's instruction trace.
+///        path, and inspect one tile's cycle and energy counters.
 #include <iostream>
 
 #include "core/quantized_mlp.hpp"
@@ -48,7 +48,7 @@ int main() {
   t.add_row({"total area (um^2)", util::Table::num(totals.area_um2, 0)});
   t.print(std::cout);
 
-  // 4. Peek at a single tile's controller trace.
+  // 4. Peek at a single tile's bit-serial cycle and energy counters.
   core::CimTileConfig tcfg;
   tcfg.tile.rows = 16;
   tcfg.tile.cols = 8;
@@ -59,7 +59,11 @@ int main() {
   tile.program_weights(w);
   std::vector<std::uint32_t> x(16, 5);
   (void)tile.vmm_int(x, 4);
-  std::cout << "\n";
-  tile.trace().print(std::cout, 8);
+  const core::CimTileStats& s = tile.stats();
+  std::cout << "\none 4-bit VMM on a 16x8 tile: " << s.cycles << " cycles, "
+            << s.time_ns << " ns, " << s.energy_pj << " pJ (array "
+            << s.array_energy_pj << ", ADC " << s.adc_energy_pj << ", DAC "
+            << s.dac_energy_pj << ", shift-add " << s.digital_energy_pj
+            << ")\n";
   return 0;
 }

@@ -6,9 +6,8 @@
 # Usage: scripts/collect_bench.sh <build-dir> <pr-number>
 #   e.g. scripts/collect_bench.sh build 3   ->  BENCH_PR3.json
 #
-# bench_micro_kernels runs its dispatched-ISA sweep by default and emits a
-# BENCH_JSON line like every other bench (its legacy google-benchmark
-# composite suite sits behind --gbench and is not part of collection).
+# bench_micro_kernels runs its dispatched-ISA sweep and emits a BENCH_JSON
+# line like every other bench.
 #
 # Every scraped line is validated against the BENCH_JSON schema before it
 # is admitted: the required keys must all be present and any other key must

@@ -98,7 +98,6 @@ void CimTile::program_weights(const util::Matrix& w_int) {
   }
   plus_->program_conductances(g_plus);
   minus_->program_conductances(g_minus);
-  trace_.record({OpKind::kProgramCell, 0, cycle_, 0.0, 0.0});
 }
 
 std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
@@ -173,7 +172,6 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
     stats_.dac_energy_pj += e_dac_pj_;
     stats_.digital_energy_pj += e_dig_pj_;
     ++stats_.cycles;
-    ++cycle_;
     if (obs::enabled()) {
       // Periphery attribution per bit-serial cycle; the crossbars already
       // attributed e_array to kArray inside charge().
@@ -183,10 +181,6 @@ std::vector<long> CimTile::vmm_int(std::span<const std::uint32_t> inputs,
       span.add_sim_time_ns(t_cycle_ns_);
       span.add_energy_pj(e_array + e_adc_pj_ + e_dac_pj_ + e_dig_pj_);
     }
-    trace_.record({OpKind::kRowActivate, 0, cycle_, t_read_ns_, e_dac_pj_});
-    trace_.record({OpKind::kSenseColumns, 0, cycle_, t_cycle_ns_ - t_read_ns_,
-                   e_adc_pj_});
-    trace_.record({OpKind::kShiftAdd, 0, cycle_, 0.0, e_dig_pj_});
   }
 
   ++stats_.vmm_ops;

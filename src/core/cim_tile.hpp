@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "core/trace.hpp"
 #include "crossbar/crossbar.hpp"
 #include "fault/fault_map.hpp"
 #include "periphery/adc.hpp"
@@ -78,7 +77,6 @@ class CimTile {
   void apply_faults(const fault::FaultMap& plus, const fault::FaultMap& minus);
 
   const CimTileStats& stats() const { return stats_; }
-  Trace& trace() { return trace_; }
 
   /// Static area of the tile (um^2), from the periphery cost model
   /// (doubled array for the differential pair).
@@ -105,8 +103,6 @@ class CimTile {
   periphery::Adc adc_;
   util::Matrix weights_;  ///< programmed integer weights (oracle copy)
   CimTileStats stats_;
-  Trace trace_;
-  std::uint64_t cycle_ = 0;
   std::shared_ptr<obs::HealthMonitor> health_;
 
   // Constants of one bit-serial cycle, fixed at construction: the cycle's

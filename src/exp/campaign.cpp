@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "exp/worker.hpp"
+#include "obs/record.hpp"
 
 namespace cim::exp {
 
@@ -213,15 +214,6 @@ CampaignManifest make_manifest(const CampaignConfig& cfg, std::uint64_t fp,
   return m;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  if (const char* e = std::getenv(name); e != nullptr && *e != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    if (end != e && *end == '\0' && v > 0) return v;
-  }
-  return fallback;
-}
-
 }  // namespace
 
 std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
@@ -230,17 +222,20 @@ std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
 }
 
 CampaignConfig apply_env(CampaignConfig cfg) {
-  cfg.workers = static_cast<std::size_t>(
-      env_u64("CIM_EXP_WORKERS", cfg.workers));
-  cfg.max_trials = env_u64("CIM_EXP_MAX_TRIALS", cfg.max_trials);
-  cfg.checkpoint_every_rounds =
-      env_u64("CIM_EXP_CHECKPOINT_EVERY", cfg.checkpoint_every_rounds);
-  if (const char* e = std::getenv("CIM_EXP_CI_TARGET");
-      e != nullptr && *e != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(e, &end);
-    if (end != e && *end == '\0' && v > 0.0) cfg.ci_target = v;
-  }
+  // A zero count or target keeps the default too. Workers are forked
+  // processes, so their count is capped like CIM_THREADS.
+  const auto u64 = [](const char* name,
+                      std::uint64_t max = obs::record::kU64Max) {
+    return obs::record::env_u64(name, std::getenv(name), max).value_or(0);
+  };
+  if (const auto v = u64("CIM_EXP_WORKERS", 1024)) cfg.workers = v;
+  if (const auto v = u64("CIM_EXP_MAX_TRIALS")) cfg.max_trials = v;
+  if (const auto v = u64("CIM_EXP_CHECKPOINT_EVERY"))
+    cfg.checkpoint_every_rounds = v;
+  if (const auto v = obs::record::env_f64("CIM_EXP_CI_TARGET",
+                                          std::getenv("CIM_EXP_CI_TARGET"));
+      v && *v > 0.0)
+    cfg.ci_target = *v;
   if (const char* e = std::getenv("CIM_EXP_CHECKPOINT");
       e != nullptr && *e != '\0')
     cfg.checkpoint_path = e;

@@ -344,12 +344,9 @@ std::uint16_t maybe_start_prometheus_from_env() {
   PromServer& server = global_prom_server();
   if (server.running()) return server.port();
   if (mode() == Mode::kOff) return 0;
-  const char* env = std::getenv("CIM_OBS_PROM_PORT");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long p = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || p > 65535) return 0;
-  if (!server.start(static_cast<std::uint16_t>(p))) return 0;
+  const auto p = record::env_u64("CIM_OBS_PROM_PORT",
+                                 std::getenv("CIM_OBS_PROM_PORT"), 65535);
+  if (!p || !server.start(static_cast<std::uint16_t>(*p))) return 0;
   return server.port();
 }
 

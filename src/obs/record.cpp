@@ -231,6 +231,30 @@ std::optional<std::uint64_t> hex64(std::string_view tok) {
   return parse_all<std::uint64_t>(tok, 16);
 }
 
+namespace {
+
+void warn_malformed(const char* name, const char* value) {
+  std::fprintf(stderr, "%s: ignoring malformed value '%s'\n", name, value);
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> env_u64(const char* name, const char* value,
+                                     std::uint64_t max) {
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  const auto v = u64(value, max);
+  if (!v) warn_malformed(name, value);
+  return v;
+}
+
+std::optional<double> env_f64(const char* name, const char* value) {
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  const auto v = f64(value);
+  if (v && std::isfinite(*v)) return v;
+  warn_malformed(name, value);
+  return std::nullopt;
+}
+
 std::string g17(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);

@@ -56,6 +56,14 @@ std::optional<double> f64(std::string_view tok);
 /// Hex digits (either case) of a value below 2^64; no `0x`, no sign.
 std::optional<std::uint64_t> hex64(std::string_view tok);
 
+/// The value of the numeric environment variable `name` (callers pass
+/// std::getenv(name)) read with u64, at most `max`. Null or empty gives
+/// nullopt; so does a malformed value, after one stderr line naming `name`.
+std::optional<std::uint64_t> env_u64(const char* name, const char* value,
+                                     std::uint64_t max = kU64Max);
+/// The same with f64, finite values only.
+std::optional<double> env_f64(const char* name, const char* value);
+
 /// `%.17g`: 17 significant digits, which round-trip every double bitwise.
 std::string g17(double v);
 /// Sixteen lowercase hex digits (`%016x`).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/record.hpp"
 #include "obs/trace_events.hpp"
 #include "util/simd_dispatch.hpp"
 #include <chrono>
@@ -307,12 +308,9 @@ BuildInfo build_info() {
   info.git_sha = CIM_GIT_SHA;
   info.build_type = CIM_BUILD_TYPE;
   info.threads = 0;
-  if (const char* env = std::getenv("CIM_THREADS"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0)
-      info.threads = static_cast<std::size_t>(std::min(n, 1024ul));
-  }
+  if (const auto n =
+          record::env_u64("CIM_THREADS", std::getenv("CIM_THREADS")))
+    info.threads = static_cast<std::size_t>(std::min<std::uint64_t>(*n, 1024));
   if (info.threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     info.threads = hw > 0 ? hw : 1;

@@ -47,10 +47,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/window.hpp"
 #include "serve/request.hpp"
 #include "serve/tile_pool.hpp"
 #include "serve/traffic.hpp"
+#include "serve/window.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cim::serve {
@@ -94,42 +94,24 @@ struct ControllerConfig {
 
   // --- Request-lifecycle observability (all off by default) -----------------
   /// Simulated-time window width for the live per-window latency/rate
-  /// series (ServeStats::windows). 0 disables windowed aggregation.
+  /// series (ServeStats::windows): 0 (off) or at least 1 ns.
   double window_ns = 0.0;
-  /// SLO latency target; > 0 (with window_ns > 0) enables the SloTracker
-  /// (error budget + fast/slow burn-rate alerts over `window_ns` windows).
+  /// SLO latency target; > 0 (with window_ns > 0) turns on error-budget
+  /// accounting and the fast/slow burn-rate alerts of serve/window.hpp
+  /// over `window_ns` windows.
   double slo_target_ns = 0.0;
   /// Required good fraction of the SLO, in (0, 1).
   double slo_objective = 0.999;
-  std::size_t slo_fast_windows = 1;   ///< fast burn-alert trailing span
-  std::size_t slo_slow_windows = 12;  ///< slow burn-alert trailing span
-  double slo_fast_burn = 14.4;        ///< fast alert threshold (x budget rate)
-  double slo_slow_burn = 6.0;         ///< slow alert threshold
-  /// Flight-recorder ring capacity (most recent request records and
-  /// controller decisions retained for post-mortems).
+  /// Lifecycle events a flight dump holds: the most recent request
+  /// records and controller decisions up to its trigger.
   std::size_t flight_capacity = 256;
   /// Rejections within one window that count as a shed spike (the second
   /// flight-dump trigger besides a fast-burn SLO alert).
   std::size_t flight_shed_spike = 16;
-  /// When non-empty, the flight recorder auto-dumps here (crash-safe
-  /// atomic write) on the first SLO fast-burn alert or shed spike.
+  /// When non-empty (and window_ns > 0), the controller writes one flight
+  /// dump here (crash-safe atomic write) on the first SLO fast-burn alert,
+  /// shed spike, or end-of-run SLO breach.
   std::string flight_dump_path;
-};
-
-/// One closed simulated-time window of a run (ControllerConfig::window_ns):
-/// the live view end-of-run aggregates cannot give — *when* the tail blew
-/// up, not just that it did.
-struct WindowStat {
-  std::uint64_t index = 0;   ///< window number (floor(t / window_ns))
-  double start_ns = 0.0;     ///< index * window_ns
-  std::uint64_t completed = 0;  ///< completions whose done time fell here
-  std::uint64_t rejected = 0;   ///< admissions shed in this window
-  double rate_rps = 0.0;     ///< completed / window (simulated)
-  double p50_ns = 0.0;       ///< within-window latency quantiles
-  double p99_ns = 0.0;
-  double p999_ns = 0.0;
-  std::uint64_t slo_violations = 0;  ///< latency > target + rejections
-  double burn_rate = 0.0;    ///< this window's budget burn multiple
 };
 
 /// Aggregate SLO metrics of one controller run (all times simulated ns).
@@ -175,7 +157,7 @@ struct ServeStats {
   // Windowed series + SLO accounting (empty / disabled unless
   // ControllerConfig::window_ns and slo_target_ns enable them).
   std::vector<WindowStat> windows;
-  obs::SloSummary slo;
+  SloSummary slo;
   std::size_t flight_dumps = 0;  ///< auto-dumps triggered this run
 };
 
@@ -189,6 +171,8 @@ class Controller {
  public:
   /// The pool must outlive the controller. Starts the process-wide
   /// Prometheus endpoint when CIM_OBS_PROM_PORT asks for it (idempotent).
+  /// Throws std::invalid_argument on a zero max_batch or queue_capacity,
+  /// or a window_ns that is neither 0 nor a finite >= 1 ns.
   Controller(TilePool& pool, ControllerConfig cfg);
 
   const ControllerConfig& config() const { return cfg_; }
@@ -214,7 +198,9 @@ class Controller {
 /// CIM_SERVE_DEADLINE_NS, CIM_SERVE_POLICY, CIM_SERVE_ESCALATE, plus the
 /// observability knobs CIM_SERVE_WINDOW_NS, CIM_SERVE_SLO_TARGET_NS,
 /// CIM_SERVE_SLO_OBJECTIVE, CIM_SERVE_FLIGHT_FILE. Unset or malformed
-/// variables leave the fields untouched.
+/// variables leave the fields untouched; a malformed number (counts are
+/// decimal digits, other values finite doubles, the objective in (0, 1))
+/// also prints one stderr line naming the variable.
 void apply_env_overrides(TrafficConfig& traffic, ControllerConfig& ctl);
 
 }  // namespace cim::serve

@@ -37,6 +37,10 @@ std::optional<std::vector<Request>> parse_trace(std::istream& is,
       req.id = r.u64("id");
       req.arrival_ns = r.f64("arrival_ns");
       if (!std::isfinite(req.arrival_ns)) r.fail("arrival_ns is not finite");
+      // Beyond 2^53 ns (about 104 simulated days) a time is no longer exact
+      // to the nanosecond, and the window indices and Chrome-trace
+      // timestamps cast from it could overflow uint64_t.
+      if (req.arrival_ns > 0x1p53) r.fail("arrival_ns exceeds 2^53 ns");
       if (req.arrival_ns < prev_arrival)
         r.fail("arrival_ns decreased (trace must be sorted)");
       prev_arrival = req.arrival_ns;

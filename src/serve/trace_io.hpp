@@ -16,8 +16,8 @@
 ///   req <id> <arrival_ns> <vmm|infer> <input_bits> <full|calibrated|ideal>
 ///       <n> <v_0> ... <v_{n-1}>
 ///
-/// `arrival_ns` is finite and non-decreasing in file order, and `n` equals
-/// the number of inputs on the line.
+/// `arrival_ns` is finite, non-decreasing in file order and at most 2^53
+/// ns, and `n` equals the number of inputs on the line.
 /// Each input `v_i` is an unsigned decimal below 2^input_bits: the tile
 /// reads only the low input_bits bits, so a wider (or negative) value
 /// would run on other inputs than the file states, and is rejected.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
+#include "obs/record.hpp"
 
 namespace cim::util {
 
@@ -42,11 +43,9 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::parse_threads(const char* value) {
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(value, &end, 10);
-  if (end == value || *end != '\0') return 0;
-  return static_cast<std::size_t>(std::min(n, 1024ul));
+  const std::uint64_t n =
+      obs::record::env_u64("CIM_THREADS", value).value_or(0);
+  return static_cast<std::size_t>(std::min<std::uint64_t>(n, 1024));
 }
 
 std::size_t ThreadPool::default_threads() {

@@ -64,8 +64,10 @@ class ThreadPool {
   /// (at least 1).
   static std::size_t default_threads();
 
-  /// Parses a CIM_THREADS-style value; returns 0 when unset/invalid so the
-  /// caller can fall back (separated out for testability).
+  /// Parses a CIM_THREADS value (obs::record::env_u64: decimal digits,
+  /// clamped to 1024); returns 0 when unset or malformed so the caller can
+  /// fall back, after one stderr line when malformed (separated out for
+  /// testability).
   static std::size_t parse_threads(const char* value);
 
  private:

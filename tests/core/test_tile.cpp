@@ -187,12 +187,18 @@ TEST(CimTile, VmmLatencyMatchesChargedTime) {
   }
 }
 
-TEST(CimTile, TraceRecordsOps) {
+TEST(CimTile, StatsCountEveryBitCycle) {
   CimTile tile(small_tile());
   tile.program_weights(random_weights(8, 16, 4, 25));
   std::vector<std::uint32_t> x(16, 1);
   (void)tile.vmm_int(x, 4);
-  EXPECT_GT(tile.trace().total_recorded(), 4u);
+  (void)tile.vmm_int(x, 3);
+  const CimTileStats& s = tile.stats();
+  EXPECT_EQ(s.vmm_ops, 2u);
+  EXPECT_EQ(s.cycles, 7u);  // one per input bit
+  EXPECT_DOUBLE_EQ(s.time_ns, tile.vmm_latency_ns(4) + tile.vmm_latency_ns(3));
+  EXPECT_DOUBLE_EQ(s.energy_pj, s.array_energy_pj + s.adc_energy_pj +
+                                    s.dac_energy_pj + s.digital_energy_pj);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 /// Span + attribution tests: RAII recording, mode gating, component
 /// aggregates, trace-event capture, and instrumented-subsystem smoke
-/// checks (crossbar spans, trace span sink, thread-pool lanes).
+/// checks (crossbar spans, thread-pool lanes).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <sstream>
 #include <vector>
 
-#include "core/trace.hpp"
 #include "crossbar/crossbar.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_events.hpp"
@@ -165,23 +164,6 @@ TEST_F(SpanTest, CrossbarVmmRecordsSpanAndArrayAttribution) {
   // charge() attributed the read to the array component.
   for (const auto& row : s.components)
     if (row.comp == Component::kArray) EXPECT_GT(row.events, 0u);
-}
-
-TEST_F(SpanTest, CoreTraceForwardsAsSpanSink) {
-  core::Trace trace(16);
-  trace.record({core::OpKind::kSenseColumns, 0, 1, 3.0, 9.0});
-  trace.record({core::OpKind::kSenseColumns, 0, 2, 3.0, 9.0});
-  const Snapshot s = snapshot();
-  bool found = false;
-  for (const auto& row : s.spans) {
-    if (row.name != "trace.sense") continue;
-    found = true;
-    EXPECT_EQ(row.comp, Component::kAdc);
-    EXPECT_EQ(row.count, 2u);
-    EXPECT_DOUBLE_EQ(row.sim_time_ns, 6.0);
-    EXPECT_DOUBLE_EQ(row.energy_pj, 18.0);
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST_F(SpanTest, ThreadPoolReportsUtilization) {

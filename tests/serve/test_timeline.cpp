@@ -1,10 +1,12 @@
 /// Request-lifecycle observability (`ctest -L timeline`): the bitwise
 /// latency-decomposition identity on every completion, the windowed
-/// SLO series and its thread-count determinism contract, flight-recorder
-/// auto-dumps on forced SLO breaches and shed spikes, Chrome-trace flow
-/// events, and the occupancy/throughput edge-case guards.
+/// SLO series and its thread-count determinism contract, flight dumps on
+/// forced SLO breaches and shed spikes (and their slice, header and
+/// failure paths), Chrome-trace flow events, and the occupancy/throughput
+/// edge-case guards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -272,6 +274,124 @@ TEST(Timeline, FlightRecorderDumpsOnShedSpike) {
   std::remove(path.c_str());
 }
 
+// The flight dump through the controller. With objective 0.5 and an
+// impossible target a window burns at most 2x, so no fast alert fires and
+// the breach is found at the end of the run: the dump holds the run's last
+// `flight_capacity` lifecycle events.
+ControllerConfig end_breach_cfg(const std::string& path,
+                                std::size_t capacity) {
+  ControllerConfig ccfg;
+  ccfg.window_ns = 20000.0;
+  ccfg.slo_target_ns = 1.0;
+  ccfg.slo_objective = 0.5;
+  ccfg.flight_dump_path = path;
+  ccfg.flight_capacity = capacity;
+  return ccfg;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// The ids of the `k` latest completions, oldest first.
+std::vector<std::uint64_t> last_done_ids(const ServeReport& r, std::size_t k) {
+  std::vector<Completion> done = r.completions;
+  std::sort(done.begin(), done.end(), [](const auto& a, const auto& b) {
+    return a.done_ns < b.done_ns;
+  });
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = done.size() - k; i < done.size(); ++i)
+    ids.push_back(done[i].id);
+  return ids;
+}
+
+TEST(FlightRecorder, DumpKeepsLastNOldestFirst) {
+  const auto dump_lines = [](std::size_t capacity) {
+    const std::string path =
+        std::string(::testing::TempDir()) + "flight_last_n.json";
+    std::remove(path.c_str());
+    TilePool pool(test_weights(8, 8), pool_cfg());
+    Controller ctl(pool, end_breach_cfg(path, capacity));
+    const auto r = ctl.run(generate(traffic_cfg(50, 1.0e7)));
+    EXPECT_EQ(r.stats.flight_dumps, 1u);
+    auto lines = lines_of(slurp(path));
+    std::remove(path.c_str());
+    return std::make_pair(r, lines);
+  };
+  // Room for every batch and completion: nothing dropped, and the run
+  // ends on its latest completion.
+  const auto [r, all] = dump_lines(1000);
+  const std::size_t events = r.stats.dispatches + r.stats.completed;
+  ASSERT_EQ(all.size(), events + 1);
+  EXPECT_NE(all[0].find("\"dropped\":0,"), std::string::npos) << all[0];
+  EXPECT_EQ(all.back().find("{\"event\":\"done\",\"id\":" +
+                            std::to_string(last_done_ids(r, 1)[0]) + ","),
+            0u);
+
+  // A capacity of 3 keeps exactly the last three of those, oldest first.
+  const auto [r3, last3] = dump_lines(3);
+  ASSERT_EQ(last3.size(), 4u);
+  EXPECT_NE(last3[0].find("\"records\":3,\"dropped\":" +
+                          std::to_string(events - 3) + ","),
+            std::string::npos)
+      << last3[0];
+  for (std::size_t i = 1; i <= 3; ++i)
+    EXPECT_EQ(last3[i], all[events - 3 + i]);
+}
+
+TEST(FlightRecorder, ZeroCapacityClampsToOne) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "flight_zero.json";
+  std::remove(path.c_str());
+  TilePool pool(test_weights(8, 8), pool_cfg());
+  Controller ctl(pool, end_breach_cfg(path, 0));
+  const auto r = ctl.run(generate(traffic_cfg(50, 1.0e7)));
+
+  const auto lines = lines_of(slurp(path));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"records\":1,"), std::string::npos);
+  EXPECT_EQ(lines[1].find("{\"event\":\"done\",\"id\":" +
+                          std::to_string(last_done_ids(r, 1)[0]) + ","),
+            0u);
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, DumpWritesHeaderThenRecords) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "flight_dump.json";
+  std::remove(path.c_str());
+  TilePool pool(test_weights(8, 8), pool_cfg());
+  Controller ctl(pool, end_breach_cfg(path, 8));
+  const auto r = ctl.run(generate(traffic_cfg(50, 1.0e7)));
+  ASSERT_TRUE(r.stats.slo.breached);
+  ASSERT_EQ(r.stats.slo.fast_alerts, 0u);
+
+  const auto lines = lines_of(slurp(path));
+  ASSERT_EQ(lines.size(), 9u);
+  const std::size_t dropped = r.stats.dispatches + r.stats.completed - 8;
+  // The breach is dated to the first window's start.
+  EXPECT_EQ(lines[0], "{\"format\":\"cim-flight-v1\",\"reason\":"
+                      "\"slo-breach\",\"records\":8,\"dropped\":" +
+                          std::to_string(dropped) + ",\"t_ns\":\"0\"}");
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].find("{\"event\":\""), 0u) << lines[i];
+    EXPECT_EQ(lines[i].back(), '}') << lines[i];
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, DumpToUnwritablePathFailsWithoutCrashing) {
+  TilePool pool(test_weights(8, 8), pool_cfg());
+  Controller ctl(pool, end_breach_cfg("/nonexistent-dir/f.json", 8));
+  const auto r = ctl.run(generate(traffic_cfg(50, 1.0e7)));
+  EXPECT_TRUE(r.stats.slo.breached);
+  EXPECT_EQ(r.stats.flight_dumps, 0u);
+  EXPECT_EQ(r.stats.completed, 50u);
+}
+
 // Tracing: each completion gets simulated-time wait/exec spans on pid 2
 // joined by a flow arrow keyed on the request id (the trace id).
 TEST(Timeline, ChromeTraceCarriesFlowEvents) {
@@ -310,10 +430,17 @@ TEST(Timeline, EnvOverridesParseObservabilityKnobs) {
   EXPECT_DOUBLE_EQ(c.slo_objective, 0.95);
   EXPECT_EQ(c.flight_dump_path, "/tmp/flight.json");
 
-  // An out-of-range objective is ignored, not applied.
+  // An out-of-range objective is ignored, not applied, and so is a
+  // non-finite window; each prints one stderr line naming its variable.
   ::setenv("CIM_SERVE_SLO_OBJECTIVE", "1.5", 1);
+  ::setenv("CIM_SERVE_WINDOW_NS", "inf", 1);
+  ::testing::internal::CaptureStderr();
   apply_env_overrides(t, c);
+  const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_DOUBLE_EQ(c.slo_objective, 0.95);
+  EXPECT_DOUBLE_EQ(c.window_ns, 50000.0);
+  EXPECT_NE(err.find("CIM_SERVE_SLO_OBJECTIVE"), std::string::npos) << err;
+  EXPECT_NE(err.find("CIM_SERVE_WINDOW_NS"), std::string::npos) << err;
 
   for (const char* k : {"CIM_SERVE_WINDOW_NS", "CIM_SERVE_SLO_TARGET_NS",
                         "CIM_SERVE_SLO_OBJECTIVE", "CIM_SERVE_FLIGHT_FILE"})

@@ -147,6 +147,8 @@ TEST(TraceIo, ErrorsCarryLineNumbers) {
        "line 2: req declares 4000000000 inputs but has 1"},
       {"cim-trace-v1\nreq 0 nan vmm 4 full 1 1\n", "line 2"},
       {"cim-trace-v1\nreq 0 inf vmm 4 full 1 1\n", "line 2"},
+      {"cim-trace-v1\nreq 0 1 vmm 4 full 1 1\nreq 1 1e16 vmm 4 full 1 1\n",
+       "line 3: arrival_ns exceeds 2^53 ns"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.text);
