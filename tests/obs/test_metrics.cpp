@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +146,19 @@ TEST_F(MetricsTest, BuildInfoIsPopulated) {
   EXPECT_FALSE(info.git_sha.empty());
   EXPECT_FALSE(info.build_type.empty());
   EXPECT_GE(info.threads, 1u);
+
+  // CIM_THREADS is decimal digits clamped to 1024; a malformed value falls
+  // back to the hardware count like an unset one, it is not wrapped.
+  ::unsetenv("CIM_THREADS");
+  const std::size_t hw = build_info().threads;
+  ::setenv("CIM_THREADS", "5000", 1);
+  EXPECT_EQ(build_info().threads, 1024u);
+  ::setenv("CIM_THREADS", "-1", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(build_info().threads, hw);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("CIM_THREADS"),
+            std::string::npos);
+  ::unsetenv("CIM_THREADS");
 }
 
 }  // namespace

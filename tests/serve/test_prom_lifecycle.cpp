@@ -18,6 +18,18 @@ TEST(PromLifecycle, EnvHookDeclinesWhenUnsetOrDisabled) {
   set_mode(Mode::kMetrics);
   EXPECT_EQ(maybe_start_prometheus_from_env(), 0);
   EXPECT_FALSE(global_prom_server().running());
+  // A port is decimal digits up to 65535: anything else is malformed.
+  for (const char* bad : {"-1", "65536", "9464x", "18446744073709551617"}) {
+    ::setenv("CIM_OBS_PROM_PORT", bad, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(maybe_start_prometheus_from_env(), 0) << bad;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "CIM_OBS_PROM_PORT"),
+              std::string::npos)
+        << bad;
+    EXPECT_FALSE(global_prom_server().running());
+  }
+  ::unsetenv("CIM_OBS_PROM_PORT");
   set_mode(Mode::kOff);
 }
 
