@@ -9,6 +9,7 @@
 #include "eda/imply_mapper.hpp"
 #include "eda/magic_mapper.hpp"
 #include "eda/majority_mapper.hpp"
+#include "eda/revamp_isa.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -45,7 +46,9 @@ int main() {
                std::to_string(sched.delay()) + " (lb " +
                    std::to_string(sched.delay_lower_bound()) + ")",
                std::to_string(sched.device_count * sched.delay()),
-               eda::verify_revamp(mig, sched) ? "yes" : "NO"});
+               eda::verify_revamp(eda::assemble_revamp(mig, sched), mig)
+                   ? "yes"
+                   : "NO"});
   }
   {
     const auto nor = aig.to_netlist().to_nor_only();

@@ -163,9 +163,10 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
       const auto sched = schedule_revamp(mig);
       rep.devices = sched.device_count;
       rep.delay = sched.delay();
-      if (opts.verify) rep.verified = verify_revamp(mig, sched);
+      // Verify and lint the one program the hardware runs.
+      const auto prog = assemble_revamp(mig, sched);
+      if (opts.verify) rep.verified = verify_revamp(prog, mig);
       if (opts.lint) {
-        const auto prog = assemble_revamp(mig, sched);
         unit.revamp = &prog;
         run_passes(rep, unit, keep_access);
       }

@@ -1,8 +1,9 @@
 #include "eda/imply_mapper.hpp"
 
-#include <functional>
+#include <algorithm>
 #include <stdexcept>
 
+#include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -73,8 +74,6 @@ ImplyProgram compile_imply(const Aig& aig, bool reuse_cells) {
   // cells[lit] = cell currently holding that literal's value (SIZE_MAX: none).
   std::vector<std::size_t> cells(aig.num_nodes() * 2, SIZE_MAX);
   cells[0] = prog.zero_cell;                      // const-0 literal
-  for (const auto in : aig.input_nodes())
-    cells[Aig::make_lit(in, false)] = 0;  // placeholder, fixed below
   {
     std::size_t k = 0;
     for (const auto in : aig.input_nodes())
@@ -97,7 +96,7 @@ ImplyProgram compile_imply(const Aig& aig, bool reuse_cells) {
 
   // Materializes literal l into a cell (creating the complement if needed).
   // The returned cell must not be written by the caller.
-  std::function<std::size_t(Aig::Lit)> cell_of = [&](Aig::Lit l) -> std::size_t {
+  auto cell_of = [&](Aig::Lit l) -> std::size_t {
     if (cells[l] != SIZE_MAX) return cells[l];
     // Only complements should be missing: build !x from x.
     const Aig::Lit pos = Aig::lnot(l);
@@ -191,23 +190,33 @@ std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
 }
 
 bool verify_imply(const ImplyProgram& prog, const Aig& aig) {
-  const auto tts = aig.truth_tables();
-  const std::uint64_t n = 1ULL << aig.num_inputs();
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = aig.truth_tables();
+  // A program the executor could not run is wrong, never undefined.
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  if (prog.num_inputs != aig.num_inputs() || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != spec.size())
+    return false;
+  for (const auto& ins : prog.instrs)
+    if (!in_row(ins.dest) ||
+        (ins.kind == ImplyInstr::Kind::kImply && !in_row(ins.src)))
+      return false;
+  for (const auto c : prog.output_cells)
+    if (!in_row(c)) return false;
 
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = 1;
-  cfg.cols = prog.num_cells;
-  cfg.tech = device::Technology::kSttMram;  // tight, binary, low-noise
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_imply(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
+  std::vector<std::uint64_t> cell(prog.num_cells);
+  return detail::every_block_matches(
+      spec, prog.num_inputs, [&](const auto& in, auto& out) {
+        // A fresh row: every cell RESET, then the inputs launched.
+        std::fill(cell.begin(), cell.end(), 0);
+        std::copy(in.begin(), in.end(), cell.begin());
+        for (const auto& ins : prog.instrs)
+          cell[ins.dest] = ins.kind == ImplyInstr::Kind::kFalse
+                               ? 0
+                               : ~cell[ins.dest] | cell[ins.src];
+        for (std::size_t o = 0; o < out.size(); ++o)
+          out[o] = cell[prog.output_cells[o]];
+      });
 }
 
 }  // namespace cim::eda

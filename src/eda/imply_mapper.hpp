@@ -58,8 +58,10 @@ std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
                                 const ImplyProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
 
-/// Exhaustively executes the program on a fresh ideal crossbar and compares
-/// with the AIG's truth tables.
+/// Exhaustive check against the AIG's truth tables: a word-level IMPLY/FALSE
+/// interpreter runs 64 assignments per pass, each cell one uint64_t. False
+/// for a malformed program (counts that differ from the AIG, or a cell past
+/// num_cells).
 bool verify_imply(const ImplyProgram& prog, const Aig& aig);
 
 }  // namespace cim::eda

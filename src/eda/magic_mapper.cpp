@@ -1,7 +1,9 @@
 #include "eda/magic_mapper.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -148,23 +150,46 @@ std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
 }
 
 bool verify_magic(const MagicProgram& prog, const Netlist& nl) {
-  const auto tts = nl.truth_tables();
-  const std::uint64_t n = 1ULL << nl.num_inputs();
-
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = 1;
-  cfg.cols = prog.num_cells;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_magic(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = nl.truth_tables();
+  // A program the executor could not run is wrong, never undefined.
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  const std::size_t outs = spec.size();
+  if (prog.num_inputs != nl.num_inputs() || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != outs || prog.output_is_const.size() != outs ||
+      prog.const_values.size() != outs)
+    return false;
+  for (const auto& ins : prog.instrs) {
+    if (!in_row(ins.out_cell)) return false;
+    if (ins.kind != MagicInstr::Kind::kNor) continue;
+    if (ins.in_cells.empty()) return false;
+    for (const auto c : ins.in_cells)
+      if (!in_row(c)) return false;
   }
-  return true;
+  for (std::size_t k = 0; k < outs; ++k)
+    if (!prog.output_is_const[k] && !in_row(prog.output_cells[k])) return false;
+
+  std::vector<std::uint64_t> cell(prog.num_cells);
+  return detail::every_block_matches(
+      spec, prog.num_inputs, [&](const auto& in, auto& out) {
+        // A fresh row: every cell RESET, then the inputs launched.
+        std::fill(cell.begin(), cell.end(), 0);
+        std::copy(in.begin(), in.end(), cell.begin());
+        for (const auto& ins : prog.instrs) {
+          if (ins.kind == MagicInstr::Kind::kSet) {
+            cell[ins.out_cell] = ~0ULL;
+            continue;
+          }
+          // The output is conditionally RESET where any input is 1.
+          std::uint64_t any = 0;
+          for (const auto c : ins.in_cells) any |= cell[c];
+          cell[ins.out_cell] &= ~any;
+        }
+        for (std::size_t k = 0; k < out.size(); ++k)
+          out[k] = prog.output_is_const[k]
+                       ? (prog.const_values[k] ? ~0ULL : 0)
+                       : cell[prog.output_cells[k]];
+      });
 }
 
 }  // namespace cim::eda

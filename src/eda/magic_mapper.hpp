@@ -54,7 +54,10 @@ std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
                                 const MagicProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
 
-/// Exhaustive verification against the netlist's truth tables.
+/// Exhaustive check against the netlist's truth tables: a word-level
+/// SET/NOR interpreter runs 64 assignments per pass, each cell one
+/// uint64_t. False for a malformed program (counts that differ from the
+/// netlist, a cell past num_cells, or a NOR with no inputs).
 bool verify_magic(const MagicProgram& prog, const Netlist& nor_netlist);
 
 }  // namespace cim::eda

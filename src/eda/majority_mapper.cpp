@@ -1,9 +1,7 @@
 #include "eda/majority_mapper.hpp"
 
 #include <algorithm>
-#include <array>
 #include <map>
-#include <stdexcept>
 
 namespace cim::eda {
 
@@ -50,12 +48,8 @@ MajSchedule schedule_revamp(const Mig& mig) {
     std::vector<Pending> pending;
     std::size_t col = 0;
     for (const auto n : nodes) {
-      const auto& nd = mig.node(n);
-      // Preload the fanin least shareable: heuristic — preload the fanin
-      // that is a constant or complemented (drivers complement for free),
-      // keeping plain literals available for grouping.
-      std::array<Mig::Lit, 3> f = {nd.fanin[0], nd.fanin[1], nd.fanin[2]};
-      // Count how often each literal occurs across this level (shareability).
+      // fanin[0] is preloaded; the other two are left for the grouping.
+      const auto& f = mig.node(n).fanin;
       placement[n] = {row_index, col};
       pending.push_back({n, f[1], f[2], f[0]});
       ++col;
@@ -109,150 +103,7 @@ MajSchedule schedule_revamp(const Mig& mig) {
     sched.maj_steps += group_pass();
     ++row_index;
   }
-
-  for (const auto o : mig.outputs()) {
-    const auto n = Mig::node_of(o);
-    if (mig.is_maj(n)) {
-      sched.output_cells.push_back(placement.at(n));
-      sched.output_complemented.push_back(Mig::is_complemented(o));
-    } else {
-      // Constant or input output: encode as row SIZE_MAX with col = literal.
-      sched.output_cells.push_back({SIZE_MAX, o});
-      sched.output_complemented.push_back(false);
-    }
-  }
   return sched;
-}
-
-std::vector<bool> execute_revamp(const Mig& mig, const MajSchedule& sched,
-                                 std::uint64_t assignment) {
-  // Literal evaluation environment built up level by level, following the
-  // hardware order: a node's value becomes readable only after its level's
-  // apply step.
-  std::map<std::uint32_t, bool> node_value;
-  std::map<std::uint32_t, int> input_index;
-  {
-    int k = 0;
-    for (const auto in : mig.input_nodes()) input_index[in] = k++;
-  }
-
-  auto lit_value = [&](Mig::Lit l) -> bool {
-    const auto n = Mig::node_of(l);
-    bool v;
-    if (n == 0) {
-      v = false;
-    } else if (auto it = input_index.find(n); it != input_index.end()) {
-      v = (assignment >> it->second) & 1ULL;
-    } else {
-      auto it2 = node_value.find(n);
-      if (it2 == node_value.end())
-        throw std::logic_error("execute_revamp: value used before computed");
-      v = it2->second;
-    }
-    return Mig::is_complemented(l) ? !v : v;
-  };
-
-  // Plan entries are emitted level by level in schedule order.
-  for (const auto& p : sched.plan) {
-    // INIT: cell = preload value (row zeroed, V_wl=1, bl = !preload).
-    bool s = lit_value(p.preload);
-    // APPLY: S <- MAJ(S, shared, per_column).
-    const bool a = lit_value(p.shared);
-    const bool b = lit_value(p.per_column);
-    const int votes =
-        static_cast<int>(s) + static_cast<int>(a) + static_cast<int>(b);
-    node_value[p.node] = votes >= 2;
-  }
-
-  // Outputs: every MIG output literal is now resolvable — majority nodes
-  // from node_value (their cells), inputs/constants from the register file.
-  std::vector<bool> out;
-  out.reserve(mig.outputs().size());
-  for (const auto o : mig.outputs()) out.push_back(lit_value(o));
-  return out;
-}
-
-bool verify_revamp(const Mig& mig, const MajSchedule& sched) {
-  const auto tts = mig.truth_tables();
-  const std::uint64_t n = 1ULL << mig.num_inputs();
-  for (std::uint64_t a = 0; a < n; ++a) {
-    const auto out = execute_revamp(mig, sched, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
-}
-
-std::vector<bool> execute_revamp_on_crossbar(crossbar::Crossbar& xbar,
-                                             const Mig& mig,
-                                             const MajSchedule& sched,
-                                             std::uint64_t assignment) {
-  if (xbar.rows() < std::max<std::size_t>(1, sched.rows) ||
-      xbar.cols() < std::max<std::size_t>(1, sched.max_row_width))
-    throw std::invalid_argument("execute_revamp_on_crossbar: array too small");
-
-  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> placed;
-  std::map<std::uint32_t, int> input_index;
-  {
-    int k = 0;
-    for (const auto in : mig.input_nodes()) input_index[in] = k++;
-  }
-
-  // Resolves a literal to a logic value: constants and primary inputs from
-  // the instruction register, computed nodes by reading their cells.
-  auto lit_value = [&](Mig::Lit l) -> bool {
-    const auto n = Mig::node_of(l);
-    bool v;
-    if (n == 0) {
-      v = false;
-    } else if (auto it = input_index.find(n); it != input_index.end()) {
-      v = (assignment >> it->second) & 1ULL;
-    } else {
-      const auto [r, c] = placed.at(n);
-      v = xbar.read_bit(r, c);
-    }
-    return Mig::is_complemented(l) ? !v : v;
-  };
-
-  // Plan entries are emitted level by level: every operand of a node lives
-  // strictly below its level, so reads always hit settled cells.
-  for (const auto& p : sched.plan) {
-    // RESET the cell: MAJ(S, 0, !1) = 0.
-    xbar.majority_write(p.row, p.col, false, true);
-    // INIT with the preload value v: MAJ(0, v, v) = v.
-    const bool v = lit_value(p.preload);
-    xbar.majority_write(p.row, p.col, v, !v);
-    // APPLY the remaining operands: S <- MAJ(v, a, b).
-    const bool a = lit_value(p.shared);
-    const bool b = lit_value(p.per_column);
-    xbar.majority_write(p.row, p.col, a, !b);
-    placed[p.node] = {p.row, p.col};
-  }
-
-  std::vector<bool> out;
-  out.reserve(mig.outputs().size());
-  for (const auto o : mig.outputs()) out.push_back(lit_value(o));
-  return out;
-}
-
-bool verify_revamp_on_crossbar(const Mig& mig, const MajSchedule& sched) {
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = std::max<std::size_t>(1, sched.rows);
-  cfg.cols = std::max<std::size_t>(1, sched.max_row_width);
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-  cfg.seed = 13;
-
-  const auto tts = mig.truth_tables();
-  const std::uint64_t n = 1ULL << mig.num_inputs();
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_revamp_on_crossbar(xbar, mig, sched, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
-  }
-  return true;
 }
 
 }  // namespace cim::eda

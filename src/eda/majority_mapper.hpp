@@ -19,13 +19,14 @@
 ///     per-node literal rides the bitlines).
 /// With unconstrained devices and single-group levels this approaches the
 /// delay-optimal "MIG levels + 1" result of [67], which is also reported.
+/// assemble_revamp (revamp_isa.hpp) lowers a schedule into the instruction
+/// stream that verify_revamp checks and execute_revamp_program runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "crossbar/crossbar.hpp"
 #include "eda/mig.hpp"
 
 namespace cim::eda {
@@ -51,8 +52,6 @@ struct MajSchedule {
   std::size_t init_steps = 0;
   std::size_t maj_steps = 0;        ///< apply groups across all levels
   std::vector<MajNodePlan> plan;
-  std::vector<std::pair<std::size_t, std::size_t>> output_cells;  ///< (row,col)
-  std::vector<bool> output_complemented;
 
   std::size_t delay() const { return read_steps + init_steps + maj_steps; }
   /// The unconstrained-device lower bound of [67].
@@ -61,27 +60,5 @@ struct MajSchedule {
 
 /// Schedules an MIG (greedy shared-fanin grouping per level).
 MajSchedule schedule_revamp(const Mig& mig);
-
-/// Functionally executes the schedule for one input assignment following
-/// the hardware semantics (preload write, then grouped majority applies);
-/// returns the output values.
-std::vector<bool> execute_revamp(const Mig& mig, const MajSchedule& sched,
-                                 std::uint64_t assignment);
-
-/// Exhaustive equivalence check of the schedule against the MIG.
-bool verify_revamp(const Mig& mig, const MajSchedule& sched);
-
-/// Executes the schedule on a physical crossbar: every node is realized as
-/// a cell in its (row, col) placement, computed with the device's native
-/// RESET / preload / MAJ3 write operations (Section IV.A); node operands
-/// are latched by reading the producing cells. Returns the output values.
-std::vector<bool> execute_revamp_on_crossbar(crossbar::Crossbar& xbar,
-                                             const Mig& mig,
-                                             const MajSchedule& sched,
-                                             std::uint64_t assignment);
-
-/// Exhaustive crossbar-level verification (builds a low-noise binary array
-/// sized to the schedule).
-bool verify_revamp_on_crossbar(const Mig& mig, const MajSchedule& sched);
 
 }  // namespace cim::eda

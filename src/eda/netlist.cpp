@@ -1,6 +1,7 @@
 #include "eda/netlist.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace cim::eda {
@@ -171,14 +172,38 @@ std::vector<bool> Netlist::simulate(std::uint64_t assignment) const {
 std::vector<TruthTable> Netlist::truth_tables() const {
   if (num_inputs() > 16)
     throw std::invalid_argument("truth_tables: > 16 inputs");
+  // Gate by gate over whole tables, in the order simulate walks them.
   const int vars = static_cast<int>(num_inputs());
-  std::vector<TruthTable> tts(outputs_.size(), TruthTable(vars));
-  const std::uint64_t n = 1ULL << vars;
-  for (std::uint64_t a = 0; a < n; ++a) {
-    const auto vals = simulate(a);
-    for (std::size_t o = 0; o < vals.size(); ++o)
-      if (vals[o]) tts[o].set(a, true);
+  std::vector<TruthTable> value;
+  value.reserve(gates_.size());
+  int input_idx = 0;
+  for (const auto& g : gates_) {
+    TruthTable v(vars);
+    const auto fold = [&](auto op) {
+      v = value[g.fanins[0]];
+      for (std::size_t k = 1; k < g.fanins.size(); ++k)
+        v = op(v, value[g.fanins[k]]);
+    };
+    switch (g.type) {
+      case GateType::kInput: v = TruthTable::var(input_idx++, vars); break;
+      case GateType::kConst0: break;
+      case GateType::kConst1: v = ~v; break;
+      case GateType::kNot: v = ~value[g.fanins[0]]; break;
+      case GateType::kAnd: case GateType::kNand: fold(std::bit_and<>{}); break;
+      case GateType::kOr: case GateType::kNor: fold(std::bit_or<>{}); break;
+      case GateType::kXor: case GateType::kXnor: fold(std::bit_xor<>{}); break;
+      case GateType::kMaj:
+        v = TruthTable::maj(value[g.fanins[0]], value[g.fanins[1]],
+                            value[g.fanins[2]]);
+        break;
+    }
+    const bool inverted = g.type == GateType::kNand ||
+                          g.type == GateType::kNor || g.type == GateType::kXnor;
+    value.push_back(inverted ? ~v : std::move(v));
   }
+  std::vector<TruthTable> tts;
+  tts.reserve(outputs_.size());
+  for (const auto o : outputs_) tts.push_back(value[o]);
   return tts;
 }
 

@@ -1,9 +1,11 @@
 #include "eda/revamp_isa.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -59,7 +61,7 @@ namespace {
 
 /// Maps an MIG literal to a ReVAMP operand, given the node placements.
 RevampOperand operand_of(
-    const Mig& /*mig*/, Mig::Lit lit,
+    Mig::Lit lit,
     const std::map<std::uint32_t, std::pair<std::size_t, std::size_t>>& placed,
     const std::map<std::uint32_t, std::size_t>& input_index) {
   RevampOperand op;
@@ -104,7 +106,6 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
   std::map<std::size_t, std::vector<const MajNodePlan*>> by_row;
   for (const auto& p : sched.plan) by_row[p.row].push_back(&p);
 
-
   for (const auto& [row, nodes] : by_row) {
     // READ every producer row this level consumes.
     std::vector<bool> needs_read(prog.wordlines, false);
@@ -144,16 +145,8 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
     preload.wl = {RevampOperand::Src::kConst1, 0, 0, 0, false};
     preload.columns.assign(prog.bitlines, std::nullopt);
     for (const auto* p : nodes) {
-      auto op = operand_of(mig, p->preload, placed, input_index);
-      op.complemented = !op.complemented;  // drive V_bl = !preload
-      if (op.src == RevampOperand::Src::kConst0 && op.complemented) {
-        op.src = RevampOperand::Src::kConst1;
-        op.complemented = false;
-      } else if (op.src == RevampOperand::Src::kConst1 && op.complemented) {
-        op.src = RevampOperand::Src::kConst0;
-        op.complemented = false;
-      }
-      preload.columns[p->col] = op;
+      preload.columns[p->col] =
+          operand_of(Mig::lnot(p->preload), placed, input_index);
       preload.def_nodes.push_back(p->node);
     }
     prog.instrs.push_back(preload);
@@ -165,19 +158,12 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
       RevampInstruction apply;
       apply.kind = RevampInstruction::Kind::kApply;
       apply.wordline = row;
-      apply.wl = operand_of(mig, shared, placed, input_index);
+      apply.wl = operand_of(shared, placed, input_index);
       apply.columns.assign(prog.bitlines, std::nullopt);
       for (const auto* p : members) {
-        auto op = operand_of(mig, p->per_column, placed, input_index);
-        op.complemented = !op.complemented;  // V_bl carries the complement
-        if (op.src == RevampOperand::Src::kConst0 && op.complemented) {
-          op.src = RevampOperand::Src::kConst1;
-          op.complemented = false;
-        } else if (op.src == RevampOperand::Src::kConst1 && op.complemented) {
-          op.src = RevampOperand::Src::kConst0;
-          op.complemented = false;
-        }
-        apply.columns[p->col] = op;
+        // V_bl carries the complement.
+        apply.columns[p->col] =
+            operand_of(Mig::lnot(p->per_column), placed, input_index);
         apply.def_nodes.push_back(p->node);
       }
       prog.instrs.push_back(apply);
@@ -188,7 +174,7 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
 
   // Output taps.
   for (const auto o : mig.outputs())
-    prog.outputs.push_back(operand_of(mig, o, placed, input_index));
+    prog.outputs.push_back(operand_of(o, placed, input_index));
 
   // Final READs so every DMR-sourced output is latched.
   std::vector<bool> need(prog.wordlines, false);
@@ -262,25 +248,75 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
   return out;
 }
 
-bool verify_revamp_program(const Mig& mig, const MajSchedule& sched) {
-  const auto prog = assemble_revamp(mig, sched);
-  crossbar::CrossbarConfig cfg;
-  cfg.rows = prog.wordlines;
-  cfg.cols = prog.bitlines;
-  cfg.tech = device::Technology::kSttMram;
-  cfg.levels = 2;
-  cfg.model_ir_drop = false;
-  cfg.seed = 17;
-
-  const auto tts = mig.truth_tables();
-  const std::uint64_t n = 1ULL << mig.num_inputs();
-  for (std::uint64_t a = 0; a < n; ++a) {
-    crossbar::Crossbar xbar(cfg);
-    const auto out = execute_revamp_program(xbar, prog, a);
-    for (std::size_t o = 0; o < tts.size(); ++o)
-      if (out[o] != tts[o].get(a)) return false;
+bool verify_revamp(const RevampProgram& prog, const Mig& mig) {
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = mig.truth_tables();
+  if (prog.num_inputs != mig.num_inputs() || prog.outputs.size() != spec.size())
+    return false;
+  // A program the executor could not run is wrong, never undefined: check
+  // every index, and that each DMR operand's row was latched by an earlier
+  // READ (in program order, so it holds for every assignment).
+  std::vector<bool> latched(prog.wordlines, false);
+  const auto valid = [&](const RevampOperand& op) {
+    if (op.src == RevampOperand::Src::kInput)
+      return op.input_index < prog.num_inputs;
+    if (op.src == RevampOperand::Src::kDmr)
+      return op.dmr_row < prog.wordlines && op.dmr_col < prog.bitlines &&
+             latched[op.dmr_row];
+    return true;
+  };
+  for (const auto& ins : prog.instrs) {
+    if (ins.wordline >= prog.wordlines) return false;
+    if (ins.kind == RevampInstruction::Kind::kRead) {
+      latched[ins.wordline] = true;
+      continue;
+    }
+    if (!valid(ins.wl) || ins.columns.size() > prog.bitlines) return false;
+    for (const auto& col : ins.columns)
+      if (col && !valid(*col)) return false;
   }
-  return true;
+  for (const auto& o : prog.outputs)
+    if (!valid(o)) return false;
+
+  const std::size_t width = prog.bitlines;
+  std::vector<std::uint64_t> cell(prog.wordlines * width);
+  std::vector<std::uint64_t> dmr(cell.size());
+  return detail::every_block_matches(
+      spec, prog.num_inputs, [&](const auto& in, auto& out) {
+        const auto word = [&](const RevampOperand& op) {
+          std::uint64_t v = 0;
+          switch (op.src) {
+            case RevampOperand::Src::kConst0: v = 0; break;
+            case RevampOperand::Src::kConst1: v = ~0ULL; break;
+            case RevampOperand::Src::kInput: v = in[op.input_index]; break;
+            case RevampOperand::Src::kDmr:
+              v = dmr[op.dmr_row * width + op.dmr_col];
+              break;
+          }
+          return op.complemented ? ~v : v;
+        };
+        // A fresh array: every cell RESET. The DMR needs no reset, since
+        // each operand's row is re-latched before it is read.
+        std::fill(cell.begin(), cell.end(), 0);
+        for (const auto& ins : prog.instrs) {
+          const std::size_t row = ins.wordline * width;
+          if (ins.kind == RevampInstruction::Kind::kRead) {
+            std::copy_n(cell.begin() + static_cast<std::ptrdiff_t>(row), width,
+                        dmr.begin() + static_cast<std::ptrdiff_t>(row));
+            continue;
+          }
+          const std::uint64_t wl = word(ins.wl);
+          for (std::size_t c = 0; c < ins.columns.size(); ++c) {
+            if (!ins.columns[c]) continue;
+            // NS = MAJ3(S, V_wl, !V_bl).
+            const std::uint64_t s = cell[row + c];
+            const std::uint64_t b = ~word(*ins.columns[c]);
+            cell[row + c] = (s & wl) | (s & b) | (wl & b);
+          }
+        }
+        for (std::size_t o = 0; o < out.size(); ++o)
+          out[o] = word(prog.outputs[o]);
+      });
 }
 
 }  // namespace cim::eda

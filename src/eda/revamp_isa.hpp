@@ -76,7 +76,11 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
                                          const RevampProgram& prog,
                                          std::uint64_t assignment);
 
-/// Exhaustive check of assemble+execute against the MIG.
-bool verify_revamp_program(const Mig& mig, const MajSchedule& sched);
+/// Exhaustive check against the MIG's truth tables: a word-level Apply/Read
+/// interpreter with the DMR runs 64 assignments per pass, each cell one
+/// uint64_t. False for a malformed program (counts that differ from the
+/// MIG, a wordline, bitline or input index past the program's size, or a
+/// DMR operand whose row no earlier READ latched).
+bool verify_revamp(const RevampProgram& prog, const Mig& mig);
 
 }  // namespace cim::eda

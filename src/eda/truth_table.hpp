@@ -30,6 +30,10 @@ class TruthTable {
   bool get(std::uint64_t minterm) const;
   void set(std::uint64_t minterm, bool value);
 
+  /// Packed word k: bit j is minterm 64k + j. Below 6 variables the one
+  /// word holds the 2^vars minterms in its low bits and zeros above.
+  std::uint64_t word(std::size_t k) const { return words_.at(k); }
+
   /// Evaluates under an input assignment packed as bits of `assignment`.
   bool eval(std::uint64_t assignment) const { return get(assignment); }
 

@@ -36,13 +36,14 @@ TEST(Flow, MultiOutputSkipsSingleOutputStats) {
 }
 
 TEST(Flow, SuiteRunsAllCombinations) {
-  // A reduced suite keeps the exhaustive verification quick.
-  std::vector<BenchmarkCircuit> suite;
-  suite.push_back({"xor2", parity(2)});
-  suite.push_back({"rca2", ripple_carry_adder(2)});
+  // Word-level verification makes the exhaustive check of the whole suite
+  // cheap, mux8's 11 inputs included.
+  const auto suite = standard_suite();
   const auto reports = run_suite(suite);
-  EXPECT_EQ(reports.size(), 6u);  // 2 circuits x 3 families
-  for (const auto& rep : reports) EXPECT_TRUE(rep.verified) << rep.circuit;
+  EXPECT_EQ(reports.size(), 3 * suite.size());
+  for (const auto& rep : reports)
+    EXPECT_TRUE(rep.verified)
+        << rep.circuit << " / " << logic_family_name(rep.family);
 }
 
 TEST(Flow, MigDepthNeverExceedsAigDepthByMuch) {

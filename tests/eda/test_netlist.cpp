@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "eda/bench_circuits.hpp"
+
 namespace cim::eda {
 namespace {
 
@@ -46,6 +48,46 @@ TEST(Netlist, TruthTablesMatchSimulation) {
   const auto tts = nl.truth_tables();
   ASSERT_EQ(tts.size(), 1u);
   EXPECT_EQ(tts[0].to_binary_string(), "0110");
+}
+
+/// Every GateType, multi-fanin AND/OR/NAND/NOR and a single-fanin NOR,
+/// over 7 inputs so the tables span two words.
+Netlist every_gate_type() {
+  Netlist nl;
+  std::vector<std::size_t> x;
+  for (int i = 0; i < 7; ++i) x.push_back(nl.add_input());
+  const auto zero = nl.add_const(false);
+  const auto one = nl.add_const(true);
+  const auto n = nl.add_gate(GateType::kNot, {x[6]});
+  const auto a = nl.add_gate(GateType::kAnd, {x[0], x[1], n});
+  const auto o = nl.add_gate(GateType::kOr, {x[2], zero, x[6]});
+  const auto d = nl.add_gate(GateType::kNand, {a, o, x[3]});
+  const auto r = nl.add_gate(GateType::kNor, {x[4], d});
+  const auto r1 = nl.add_gate(GateType::kNor, {x[5]});
+  const auto e = nl.add_gate(GateType::kXor, {r, x[6]});
+  const auto q = nl.add_gate(GateType::kXnor, {e, one});
+  for (const auto out : {nl.add_gate(GateType::kMaj, {q, r1, x[0]}), a, o, d,
+                         r, e, q, zero, one, x[6]})
+    nl.mark_output(out);
+  return nl;
+}
+
+// truth_tables is computed gate by gate; simulate stays the scalar
+// reference it must equal at every assignment.
+TEST(Netlist, GateWiseTruthTablesMatchSimulate) {
+  auto circuits = standard_suite();
+  circuits.push_back({"every_gate_type", every_gate_type()});
+  for (const auto& bc : circuits) {
+    const auto& nl = bc.netlist;
+    const auto tts = nl.truth_tables();
+    ASSERT_EQ(tts.size(), nl.num_outputs()) << bc.name;
+    for (std::uint64_t a = 0; a < (1ULL << nl.num_inputs()); ++a) {
+      const auto out = nl.simulate(a);
+      for (std::size_t o = 0; o < out.size(); ++o)
+        ASSERT_EQ(tts[o].get(a), out[o])
+            << bc.name << " output " << o << " assignment " << a;
+    }
+  }
 }
 
 TEST(Netlist, DepthAndCounts) {

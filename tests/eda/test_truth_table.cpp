@@ -113,5 +113,16 @@ TEST(TruthTable, BoundsChecked) {
   EXPECT_THROW(TruthTable(17), std::invalid_argument);
 }
 
+TEST(TruthTable, WordPacksSixtyFourMinterms) {
+  const auto x6 = TruthTable::var(6, 7);  // 2 words: x6 = 0, then 1
+  EXPECT_EQ(x6.word(0), 0u);
+  EXPECT_EQ(x6.word(1), ~0ULL);
+  EXPECT_EQ(TruthTable::var(0, 7).word(1), 0xAAAAAAAAAAAAAAAAULL);
+  // Below 6 variables the one word holds 2^vars minterms, zeros above.
+  EXPECT_EQ(TruthTable::constant(true, 3).word(0), 0xFFULL);
+  EXPECT_EQ(TruthTable::from_binary_string("0110").word(0), 0x6ULL);
+  EXPECT_THROW((void)x6.word(2), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace cim::eda
