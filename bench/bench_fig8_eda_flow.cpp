@@ -124,7 +124,7 @@ int main() {
   // and brackets energy; its probabilistic expectation must land within 15%
   // of the mean charge measured by executing every input assignment on a
   // real crossbar at the same technology point (STT-MRAM, binary, no IR
-  // drop — the verify_* configuration).
+  // drop — the configuration of the device-execution test).
   double max_energy_err_pct = 0.0;
   double max_time_err_pct = 0.0;
   {
