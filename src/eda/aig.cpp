@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <stdexcept>
 #include <string>
+
+#include "eda/bit_slice.hpp"
 
 namespace cim::eda {
 
@@ -74,35 +75,22 @@ std::size_t Aig::depth() const {
 }
 
 std::vector<TruthTable> Aig::truth_tables() const {
-  if (num_inputs() > 16) throw std::invalid_argument("Aig: > 16 inputs");
-  const int vars = static_cast<int>(num_inputs());
-  std::vector<TruthTable> node_tt;
-  node_tt.reserve(nodes_.size());
-  node_tt.push_back(TruthTable::constant(false, vars));
-
-  std::map<std::uint32_t, int> input_index;
-  for (std::size_t k = 0; k < inputs_.size(); ++k)
-    input_index[inputs_[k]] = static_cast<int>(k);
-
+  detail::TableArena arena(nodes_.size(), inputs_);
+  const std::size_t width = arena.width();
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_input) {
-      node_tt.push_back(
-          TruthTable::var(input_index.at(static_cast<std::uint32_t>(i)), vars));
-      continue;
-    }
-    auto value_of = [&](Lit l) {
-      const auto& t = node_tt[node_of(l)];
-      return is_complemented(l) ? ~t : t;
-    };
-    node_tt.push_back(value_of(nodes_[i].fanin0) & value_of(nodes_[i].fanin1));
+    if (nodes_[i].is_input) continue;
+    const Lit f0 = nodes_[i].fanin0, f1 = nodes_[i].fanin1;
+    const std::uint64_t* a = arena.row(node_of(f0));
+    const std::uint64_t* b = arena.row(node_of(f1));
+    const std::uint64_t na = is_complemented(f0) ? ~0ULL : 0;
+    const std::uint64_t nb = is_complemented(f1) ? ~0ULL : 0;
+    std::uint64_t* v = arena.row(i);
+    for (std::size_t k = 0; k < width; ++k) v[k] = (a[k] ^ na) & (b[k] ^ nb);
   }
-
   std::vector<TruthTable> out;
   out.reserve(outputs_.size());
-  for (const auto o : outputs_) {
-    const auto& t = node_tt[node_of(o)];
-    out.push_back(is_complemented(o) ? ~t : t);
-  }
+  for (const auto o : outputs_)
+    out.push_back(arena.table(node_of(o), is_complemented(o)));
   return out;
 }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <stdexcept>
+
+#include "eda/bit_slice.hpp"
 
 namespace cim::eda {
 
@@ -93,35 +93,27 @@ std::size_t Mig::depth() const {
 }
 
 std::vector<TruthTable> Mig::truth_tables() const {
-  if (num_inputs() > 16) throw std::invalid_argument("Mig: > 16 inputs");
-  const int vars = static_cast<int>(num_inputs());
-  std::vector<TruthTable> node_tt;
-  node_tt.reserve(nodes_.size());
-  node_tt.push_back(TruthTable::constant(false, vars));
-
-  std::map<std::uint32_t, int> input_index;
-  for (std::size_t k = 0; k < inputs_.size(); ++k)
-    input_index[inputs_[k]] = static_cast<int>(k);
-
-  auto value_of = [&](Lit l) {
-    const auto& t = node_tt[node_of(l)];
-    return is_complemented(l) ? ~t : t;
-  };
-
+  detail::TableArena arena(nodes_.size(), inputs_);
+  const std::size_t width = arena.width();
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_input) {
-      node_tt.push_back(
-          TruthTable::var(input_index.at(static_cast<std::uint32_t>(i)), vars));
-      continue;
+    if (nodes_[i].is_input) continue;
+    const std::uint64_t* f[3];
+    std::uint64_t flip[3];
+    for (int j = 0; j < 3; ++j) {
+      f[j] = arena.row(node_of(nodes_[i].fanin[j]));
+      flip[j] = is_complemented(nodes_[i].fanin[j]) ? ~0ULL : 0;
     }
-    node_tt.push_back(TruthTable::maj(value_of(nodes_[i].fanin[0]),
-                                      value_of(nodes_[i].fanin[1]),
-                                      value_of(nodes_[i].fanin[2])));
+    std::uint64_t* v = arena.row(i);
+    for (std::size_t k = 0; k < width; ++k) {
+      const std::uint64_t a = f[0][k] ^ flip[0], b = f[1][k] ^ flip[1],
+                          c = f[2][k] ^ flip[2];
+      v[k] = (a & b) | (a & c) | (b & c);
+    }
   }
-
   std::vector<TruthTable> out;
   out.reserve(outputs_.size());
-  for (const auto o : outputs_) out.push_back(value_of(o));
+  for (const auto o : outputs_)
+    out.push_back(arena.table(node_of(o), is_complemented(o)));
   return out;
 }
 

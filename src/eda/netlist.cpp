@@ -4,6 +4,8 @@
 #include <functional>
 #include <stdexcept>
 
+#include "eda/bit_slice.hpp"
+
 namespace cim::eda {
 
 std::string_view gate_type_name(GateType type) {
@@ -170,40 +172,41 @@ std::vector<bool> Netlist::simulate(std::uint64_t assignment) const {
 }
 
 std::vector<TruthTable> Netlist::truth_tables() const {
-  if (num_inputs() > 16)
-    throw std::invalid_argument("truth_tables: > 16 inputs");
-  // Gate by gate over whole tables, in the order simulate walks them.
-  const int vars = static_cast<int>(num_inputs());
-  std::vector<TruthTable> value;
-  value.reserve(gates_.size());
-  int input_idx = 0;
-  for (const auto& g : gates_) {
-    TruthTable v(vars);
+  // Gate by gate over whole rows of the arena, in the order simulate walks.
+  detail::TableArena arena(gates_.size(), inputs_);
+  const std::size_t width = arena.width();
+  for (std::size_t i = 0; i < gates_.size(); ++i) {
+    const auto& g = gates_[i];
+    std::uint64_t* v = arena.row(i);
+    const auto in = [&](std::size_t j) { return arena.row(g.fanins[j]); };
     const auto fold = [&](auto op) {
-      v = value[g.fanins[0]];
-      for (std::size_t k = 1; k < g.fanins.size(); ++k)
-        v = op(v, value[g.fanins[k]]);
+      std::copy_n(in(0), width, v);
+      for (std::size_t j = 1; j < g.fanins.size(); ++j) {
+        const std::uint64_t* f = in(j);
+        for (std::size_t k = 0; k < width; ++k) v[k] = op(v[k], f[k]);
+      }
     };
     switch (g.type) {
-      case GateType::kInput: v = TruthTable::var(input_idx++, vars); break;
-      case GateType::kConst0: break;
-      case GateType::kConst1: v = ~v; break;
-      case GateType::kNot: v = ~value[g.fanins[0]]; break;
+      case GateType::kInput: case GateType::kConst0: break;
+      case GateType::kConst1: std::fill_n(v, width, ~0ULL); break;
+      case GateType::kNot:  // a one-fanin NAND
       case GateType::kAnd: case GateType::kNand: fold(std::bit_and<>{}); break;
       case GateType::kOr: case GateType::kNor: fold(std::bit_or<>{}); break;
       case GateType::kXor: case GateType::kXnor: fold(std::bit_xor<>{}); break;
-      case GateType::kMaj:
-        v = TruthTable::maj(value[g.fanins[0]], value[g.fanins[1]],
-                            value[g.fanins[2]]);
+      case GateType::kMaj: {
+        const std::uint64_t *a = in(0), *b = in(1), *c = in(2);
+        for (std::size_t k = 0; k < width; ++k)
+          v[k] = (a[k] & b[k]) | (a[k] & c[k]) | (b[k] & c[k]);
         break;
+      }
     }
-    const bool inverted = g.type == GateType::kNand ||
-                          g.type == GateType::kNor || g.type == GateType::kXnor;
-    value.push_back(inverted ? ~v : std::move(v));
+    if (g.type == GateType::kNot || g.type == GateType::kNand ||
+        g.type == GateType::kNor || g.type == GateType::kXnor)
+      for (std::size_t k = 0; k < width; ++k) v[k] = ~v[k];
   }
   std::vector<TruthTable> tts;
   tts.reserve(outputs_.size());
-  for (const auto o : outputs_) tts.push_back(value[o]);
+  for (const auto o : outputs_) tts.push_back(arena.table(o));
   return tts;
 }
 

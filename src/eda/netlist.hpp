@@ -69,7 +69,7 @@ class Netlist {
   std::vector<bool> simulate(std::uint64_t assignment) const;
 
   /// Truth table of each output (requires num_inputs <= 16), computed gate
-  /// by gate over whole tables; `simulate` is the per-assignment reference.
+  /// by gate over one word arena; `simulate` is the per-assignment reference.
   std::vector<TruthTable> truth_tables() const;
 
   /// Structurally rewrites into the {NOR, NOT-as-NOR1} basis. Inputs and

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
@@ -59,11 +60,15 @@ std::string RevampProgram::disassemble() const {
 
 namespace {
 
-/// Maps an MIG literal to a ReVAMP operand, given the node placements.
-RevampOperand operand_of(
-    Mig::Lit lit,
-    const std::map<std::uint32_t, std::pair<std::size_t, std::size_t>>& placed,
-    const std::map<std::uint32_t, std::size_t>& input_index) {
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// A node's cell: (row, col), row kNone until the node is placed.
+using Placement = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Maps an MIG literal to a ReVAMP operand, given the node placements and
+/// each node's primary-input index (kNone for a non-input), both by node.
+RevampOperand operand_of(Mig::Lit lit, const Placement& placed,
+                         const std::vector<std::size_t>& input_index) {
   RevampOperand op;
   op.complemented = Mig::is_complemented(lit);
   const auto node = Mig::node_of(lit);
@@ -73,64 +78,70 @@ RevampOperand operand_of(
     op.complemented = false;
     return op;
   }
-  if (auto it = input_index.find(node); it != input_index.end()) {
+  if (node < input_index.size() && input_index[node] != kNone) {
     op.src = RevampOperand::Src::kInput;
-    op.input_index = it->second;
+    op.input_index = input_index[node];
     return op;
   }
-  const auto it = placed.find(node);
-  if (it == placed.end())
+  if (node >= placed.size() || placed[node].first == kNone)
     throw std::logic_error("assemble_revamp: operand not yet computed");
   op.src = RevampOperand::Src::kDmr;
-  op.dmr_row = it->second.first;
-  op.dmr_col = it->second.second;
+  op.dmr_row = placed[node].first;
+  op.dmr_col = placed[node].second;
   return op;
 }
 
 }  // namespace
 
 RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
+  for (const auto& p : sched.plan)
+    if (p.node >= mig.num_nodes() || p.row >= sched.rows ||
+        p.col >= sched.max_row_width)
+      throw std::invalid_argument(
+          "assemble_revamp: plan entry past the MIG's nodes or the "
+          "schedule's rows or row width");
   RevampProgram prog;
   prog.wordlines = std::max<std::size_t>(1, sched.rows);
   prog.bitlines = std::max<std::size_t>(1, sched.max_row_width);
   prog.num_inputs = mig.num_inputs();
 
-  std::map<std::uint32_t, std::size_t> input_index;
-  {
-    std::size_t k = 0;
-    for (const auto in : mig.input_nodes()) input_index[in] = k++;
-  }
-  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> placed;
+  std::vector<std::size_t> input_index(mig.num_nodes(), kNone);
+  for (std::size_t k = 0; k < mig.input_nodes().size(); ++k)
+    input_index[mig.input_nodes()[k]] = k;
+  Placement placed(mig.num_nodes(), {kNone, 0});
+
+  const auto read_rows = [&](const std::vector<bool>& rows) {
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      if (rows[r])
+        prog.instrs.push_back({RevampInstruction::Kind::kRead, r, {}, {}, {}});
+  };
+  const auto apply_on = [&](std::size_t row, const RevampOperand& wl) {
+    RevampInstruction ins{RevampInstruction::Kind::kApply, row, wl, {}, {}};
+    ins.columns.assign(prog.bitlines, std::nullopt);
+    return ins;
+  };
 
   // Group plan entries by row (the schedule emits them level by level).
-  std::map<std::size_t, std::vector<const MajNodePlan*>> by_row;
+  std::vector<std::vector<const MajNodePlan*>> by_row(sched.rows);
   for (const auto& p : sched.plan) by_row[p.row].push_back(&p);
 
-  for (const auto& [row, nodes] : by_row) {
+  for (std::size_t row = 0; row < by_row.size(); ++row) {
+    const auto& nodes = by_row[row];
+    if (nodes.empty()) continue;
     // READ every producer row this level consumes.
     std::vector<bool> needs_read(prog.wordlines, false);
     for (const auto* p : nodes) {
       for (const Mig::Lit lit : {p->preload, p->shared, p->per_column}) {
         const auto node = Mig::node_of(lit);
-        if (auto it = placed.find(node); it != placed.end())
-          needs_read[it->second.first] = true;
+        if (node < placed.size() && placed[node].first != kNone)
+          needs_read[placed[node].first] = true;
       }
     }
-    for (std::size_t r = 0; r < prog.wordlines; ++r) {
-      if (!needs_read[r]) continue;
-      RevampInstruction read;
-      read.kind = RevampInstruction::Kind::kRead;
-      read.wordline = r;
-      prog.instrs.push_back(read);
-    }
+    read_rows(needs_read);
 
     // APPLY #1: RESET the level's row (wl = 0, bl = 1 on active columns:
     // MAJ(S, 0, !1) = 0).
-    RevampInstruction reset;
-    reset.kind = RevampInstruction::Kind::kApply;
-    reset.wordline = row;
-    reset.wl = {RevampOperand::Src::kConst0, 0, 0, 0, false};
-    reset.columns.assign(prog.bitlines, std::nullopt);
+    auto reset = apply_on(row, {RevampOperand::Src::kConst0, 0, 0, 0, false});
     for (const auto* p : nodes) {
       reset.columns[p->col] = RevampOperand{RevampOperand::Src::kConst1,
                                             0, 0, 0, false};
@@ -139,11 +150,8 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
     prog.instrs.push_back(reset);
 
     // APPLY #2: PRELOAD (wl = 1, bl = !preload: MAJ(0, 1, preload)).
-    RevampInstruction preload;
-    preload.kind = RevampInstruction::Kind::kApply;
-    preload.wordline = row;
-    preload.wl = {RevampOperand::Src::kConst1, 0, 0, 0, false};
-    preload.columns.assign(prog.bitlines, std::nullopt);
+    auto preload =
+        apply_on(row, {RevampOperand::Src::kConst1, 0, 0, 0, false});
     for (const auto* p : nodes) {
       preload.columns[p->col] =
           operand_of(Mig::lnot(p->preload), placed, input_index);
@@ -151,20 +159,21 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
     }
     prog.instrs.push_back(preload);
 
-    // APPLY #3..: one instruction per shared-literal group.
-    std::map<Mig::Lit, std::vector<const MajNodePlan*>> groups;
-    for (const auto* p : nodes) groups[p->shared].push_back(p);
-    for (const auto& [shared, members] : groups) {
-      RevampInstruction apply;
-      apply.kind = RevampInstruction::Kind::kApply;
-      apply.wordline = row;
-      apply.wl = operand_of(shared, placed, input_index);
-      apply.columns.assign(prog.bitlines, std::nullopt);
-      for (const auto* p : members) {
+    // APPLY #3..: one instruction per shared-literal group, in ascending
+    // literal order; members keep their plan order.
+    auto groups = nodes;
+    std::stable_sort(groups.begin(), groups.end(), [](auto* a, auto* b) {
+      return a->shared < b->shared;
+    });
+    for (std::size_t g = 0; g < groups.size();) {
+      const Mig::Lit shared = groups[g]->shared;
+      auto apply = apply_on(row, operand_of(shared, placed, input_index));
+      for (; g < groups.size() && groups[g]->shared == shared; ++g) {
+        const MajNodePlan& p = *groups[g];
         // V_bl carries the complement.
-        apply.columns[p->col] =
-            operand_of(Mig::lnot(p->per_column), placed, input_index);
-        apply.def_nodes.push_back(p->node);
+        apply.columns[p.col] =
+            operand_of(Mig::lnot(p.per_column), placed, input_index);
+        apply.def_nodes.push_back(p.node);
       }
       prog.instrs.push_back(apply);
     }
@@ -180,13 +189,7 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
   std::vector<bool> need(prog.wordlines, false);
   for (const auto& o : prog.outputs)
     if (o.src == RevampOperand::Src::kDmr) need[o.dmr_row] = true;
-  for (std::size_t r = 0; r < prog.wordlines; ++r) {
-    if (!need[r]) continue;
-    RevampInstruction read;
-    read.kind = RevampInstruction::Kind::kRead;
-    read.wordline = r;
-    prog.instrs.push_back(read);
-  }
+  read_rows(need);
   return prog;
 }
 
@@ -209,6 +212,9 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
       case RevampOperand::Src::kConst0: v = false; break;
       case RevampOperand::Src::kConst1: v = true; break;
       case RevampOperand::Src::kInput:
+        if (op.input_index >= std::min<std::size_t>(prog.num_inputs, 64))
+          throw std::invalid_argument(
+              "execute_revamp_program: input index past num_inputs or 64");
         v = (assignment >> op.input_index) & 1ULL;
         break;
       case RevampOperand::Src::kDmr: {

@@ -68,10 +68,14 @@ struct RevampProgram {
   std::string disassemble() const;
 };
 
-/// Lowers a scheduled MIG into a ReVAMP instruction stream.
+/// Lowers a scheduled MIG into a ReVAMP instruction stream. Throws
+/// std::invalid_argument for a plan entry past the MIG's nodes or the
+/// schedule's rows or row width.
 RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched);
 
 /// Executes the program on a crossbar (sized >= wordlines x bitlines).
+/// Throws std::invalid_argument for a smaller array, or for an input
+/// operand past num_inputs or past bit 63 of `assignment`.
 std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
                                          const RevampProgram& prog,
                                          std::uint64_t assignment);

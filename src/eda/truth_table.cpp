@@ -3,13 +3,9 @@
 #include <bit>
 #include <stdexcept>
 
+#include "eda/bit_slice.hpp"
+
 namespace cim::eda {
-namespace {
-// Precomputed single-word projection patterns for variables 0..5.
-constexpr std::uint64_t kVarPattern[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
-}  // namespace
 
 TruthTable::TruthTable(int vars) : vars_(vars) {
   if (vars < 0 || vars > 16)
@@ -21,14 +17,8 @@ TruthTable::TruthTable(int vars) : vars_(vars) {
 TruthTable TruthTable::var(int i, int vars) {
   if (i < 0 || i >= vars) throw std::invalid_argument("TruthTable::var: bad index");
   TruthTable t(vars);
-  if (i < 6) {
-    for (auto& w : t.words_) w = kVarPattern[i];
-  } else {
-    // Variable i >= 6 selects whole words periodically.
-    const std::uint64_t period = 1ULL << (i - 6);
-    for (std::uint64_t w = 0; w < t.words_.size(); ++w)
-      if ((w / period) & 1ULL) t.words_[w] = ~0ULL;
-  }
+  for (std::size_t k = 0; k < t.words_.size(); ++k)
+    t.words_[k] = detail::var_word(static_cast<std::size_t>(i), k);
   t.mask_tail();
   return t;
 }

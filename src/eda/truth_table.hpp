@@ -33,6 +33,11 @@ class TruthTable {
   /// Packed word k: bit j is minterm 64k + j. Below 6 variables the one
   /// word holds the 2^vars minterms in its low bits and zeros above.
   std::uint64_t word(std::size_t k) const { return words_.at(k); }
+  /// Sets packed word k; below 6 variables the bits past 2^vars are masked.
+  void set_word(std::size_t k, std::uint64_t w) {
+    words_.at(k) = w;
+    mask_tail();
+  }
 
   /// Evaluates under an input assignment packed as bits of `assignment`.
   bool eval(std::uint64_t assignment) const { return get(assignment); }

@@ -1,12 +1,12 @@
 #include "eda/verify/wear_cost.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
-#include "eda/truth_table.hpp"
+#include "eda/bit_slice.hpp"
 #include "obs/health.hpp"
 
 namespace cim::eda::verify {
@@ -57,45 +57,54 @@ struct CostAcc {
 };
 
 // --- value domains -----------------------------------------------------------
+//
+// A cell's value is words() lanes of type V. A walker charges each micro-op
+// once, in program order, with p(lane) = P(value = 1); p calls lane(k) once
+// per lane, in order, so the callback also steps the cell lane by lane.
 
-/// Exact domain: each cell's resident value as a truth table over the
-/// program inputs; probabilities are minterm counts.
-class TtDomain {
+/// Exact domain: one uint64_t per cell per block of 64 assignments; a
+/// probability is the popcount over every block, divided by 2^vars.
+class WordDomain {
  public:
-  using V = TruthTable;
-  explicit TtDomain(std::size_t vars) : vars_(static_cast<int>(vars)) {}
-  V constant(bool b) const { return TruthTable::constant(b, vars_); }
-  V input(std::size_t i) const {
-    return TruthTable::var(static_cast<int>(i), vars_);
-  }
-  static V not_(const V& a) { return ~a; }
-  static V or_(const V& a, const V& b) { return a | b; }
-  static V and_(const V& a, const V& b) { return a & b; }
-  static V maj(const V& a, const V& b, const V& c) {
-    return TruthTable::maj(a, b, c);
-  }
-  double p(const V& a) const {
-    return static_cast<double>(a.count_ones()) /
+  using V = std::uint64_t;
+  explicit WordDomain(std::size_t vars) : vars_(vars) {}
+  std::size_t words() const { return detail::table_words(vars_); }
+  V constant(bool b) const { return b ? ~0ULL : 0; }
+  V input(std::size_t i, std::size_t k) const { return detail::var_word(i, k); }
+  static V not_(V a) { return ~a; }
+  static V or_(V a, V b) { return a | b; }
+  static V and_(V a, V b) { return a & b; }
+  static V maj(V a, V b, V c) { return (a & b) | (a & c) | (b & c); }
+  template <typename Lane>
+  double p(Lane&& lane) const {
+    // Below 6 variables only the low 2^vars lanes are assignments.
+    const V valid = vars_ < 6 ? (1ULL << (1ULL << vars_)) - 1 : ~0ULL;
+    std::uint64_t ones = 0;
+    for (std::size_t k = 0; k < words(); ++k)
+      ones += static_cast<std::uint64_t>(std::popcount(lane(k) & valid));
+    return static_cast<double>(ones) /
            static_cast<double>(std::uint64_t{1} << vars_);
   }
 
  private:
-  int vars_;
+  std::size_t vars_;
 };
 
 /// Approximate domain for wide programs: per-cell P(cell = 1) under an
-/// independence assumption.
+/// independence assumption, in one lane.
 class ProbDomain {
  public:
   using V = double;
   explicit ProbDomain(std::size_t) {}
+  std::size_t words() const { return 1; }
   V constant(bool b) const { return b ? 1.0 : 0.0; }
-  V input(std::size_t) const { return 0.5; }
+  V input(std::size_t, std::size_t) const { return 0.5; }
   static V not_(V a) { return 1.0 - a; }
   static V or_(V a, V b) { return 1.0 - (1.0 - a) * (1.0 - b); }
   static V and_(V a, V b) { return a * b; }
   static V maj(V a, V b, V c) { return a * b + a * c + b * c - 2 * a * b * c; }
-  double p(V a) const { return a; }
+  template <typename Lane>
+  double p(Lane&& lane) const { return lane(0); }
 };
 
 // --- per-family walkers ------------------------------------------------------
@@ -103,18 +112,21 @@ class ProbDomain {
 template <typename D>
 CostEstimate cost_imply(const ImplyProgram& prog,
                         const device::TechnologyParams& tech) {
+  using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
-  std::vector<typename D::V> val(n, dom.constant(false));
+  const std::size_t L = dom.words();
+  std::vector<V> val(n * L, dom.constant(false));
   CostAcc acc(tech);
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
-    val[i] = dom.input(i);
+    for (std::size_t k = 0; k < L; ++k) val[i * L + k] = dom.input(i, k);
     acc.write();  // executor launch: write_bit per input
   }
   for (const auto& ins : prog.instrs) {
     if (ins.kind == ImplyInstr::Kind::kFalse) {
       acc.write();
-      if (ins.dest < n) val[ins.dest] = dom.constant(false);
+      if (ins.dest < n)
+        std::fill_n(&val[ins.dest * L], L, dom.constant(false));
       continue;
     }
     if (ins.dest >= n || ins.src >= n) {  // oob: the linters report it;
@@ -122,43 +134,55 @@ CostEstimate cost_imply(const ImplyProgram& prog,
       continue;
     }
     // dest' = dest -> src; switches unless dest = src = 1.
-    const auto fire = D::not_(D::and_(val[ins.dest], val[ins.src]));
-    acc.conditional(dom.p(fire));
-    val[ins.dest] = D::or_(D::not_(val[ins.dest]), val[ins.src]);
+    V* dest = &val[ins.dest * L];
+    const V* src = &val[ins.src * L];
+    acc.conditional(dom.p([&](std::size_t k) {
+      const V d = dest[k];
+      const V s = src[k];
+      dest[k] = D::or_(D::not_(d), s);
+      return D::not_(D::and_(d, s));
+    }));
   }
   for (const auto c : prog.output_cells)
-    acc.sensed_read(c < n ? dom.p(val[c]) : 0.0);
+    acc.sensed_read(
+        c < n ? dom.p([&](std::size_t k) { return val[c * L + k]; }) : 0.0);
   return acc.est;
 }
 
 template <typename D>
 CostEstimate cost_magic(const MagicProgram& prog,
                         const device::TechnologyParams& tech) {
+  using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
-  std::vector<typename D::V> val(n, dom.constant(false));
+  const std::size_t L = dom.words();
+  std::vector<V> val(n * L, dom.constant(false));
   CostAcc acc(tech);
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
-    val[i] = dom.input(i);
+    for (std::size_t k = 0; k < L; ++k) val[i * L + k] = dom.input(i, k);
     acc.write();
   }
   for (const auto& ins : prog.instrs) {
     if (ins.kind == MagicInstr::Kind::kSet) {
       acc.write();
-      if (ins.out_cell < n) val[ins.out_cell] = dom.constant(true);
+      if (ins.out_cell < n)
+        std::fill_n(&val[ins.out_cell * L], L, dom.constant(true));
       continue;
     }
     // NOR conditionally RESETs: fires iff any input holds 1.
-    auto any = dom.constant(false);
-    for (const auto c : ins.in_cells)
-      if (c < n) any = D::or_(any, val[c]);
-    acc.conditional(dom.p(any));
-    if (ins.out_cell < n) val[ins.out_cell] = D::not_(any);
+    acc.conditional(dom.p([&](std::size_t k) {
+      auto any = dom.constant(false);
+      for (const auto c : ins.in_cells)
+        if (c < n) any = D::or_(any, val[c * L + k]);
+      if (ins.out_cell < n) val[ins.out_cell * L + k] = D::not_(any);
+      return any;
+    }));
   }
   for (std::size_t k = 0; k < prog.output_cells.size(); ++k) {
     if (k < prog.output_is_const.size() && prog.output_is_const[k]) continue;
     const std::size_t c = prog.output_cells[k];
-    acc.sensed_read(c < n ? dom.p(val[c]) : 0.0);
+    acc.sensed_read(
+        c < n ? dom.p([&](std::size_t j) { return val[c * L + j]; }) : 0.0);
   }
   return acc.est;
 }
@@ -166,25 +190,29 @@ CostEstimate cost_magic(const MagicProgram& prog,
 template <typename D>
 CostEstimate cost_revamp(const RevampProgram& prog,
                          const device::TechnologyParams& tech) {
+  using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t W = prog.wordlines;
   const std::size_t B = prog.bitlines;
-  std::vector<typename D::V> val(W * B, dom.constant(false));
-  std::vector<std::optional<std::vector<typename D::V>>> dmr(W);
+  const std::size_t L = dom.words();
+  std::vector<V> val(W * B * L, dom.constant(false));
+  std::vector<V> dmr(val.size());
+  std::vector<bool> latched(W, false);
+  std::vector<V> wl(L);
   CostAcc acc(tech);
 
-  auto resolve = [&](const RevampOperand& op) -> typename D::V {
-    typename D::V v = dom.constant(false);
+  auto resolve = [&](const RevampOperand& op, std::size_t k) -> V {
+    V v = dom.constant(false);
     switch (op.src) {
       case RevampOperand::Src::kConst0: v = dom.constant(false); break;
       case RevampOperand::Src::kConst1: v = dom.constant(true); break;
       case RevampOperand::Src::kInput:
-        v = op.input_index < prog.num_inputs ? dom.input(op.input_index)
+        v = op.input_index < prog.num_inputs ? dom.input(op.input_index, k)
                                              : dom.constant(false);
         break;
       case RevampOperand::Src::kDmr:
-        if (op.dmr_row < W && dmr[op.dmr_row] && op.dmr_col < B)
-          v = (*dmr[op.dmr_row])[op.dmr_col];
+        if (op.dmr_row < W && latched[op.dmr_row] && op.dmr_col < B)
+          v = dmr[(op.dmr_row * B + op.dmr_col) * L + k];
         break;
     }
     return op.complemented ? D::not_(v) : v;
@@ -192,28 +220,29 @@ CostEstimate cost_revamp(const RevampProgram& prog,
 
   for (const auto& ins : prog.instrs) {
     if (ins.wordline >= W) continue;  // oob: the linter reports it
+    V* row = val.data() + ins.wordline * B * L;
     if (ins.kind == RevampInstruction::Kind::kRead) {
-      std::vector<typename D::V> word;
-      word.reserve(B);
-      for (std::size_t c = 0; c < B; ++c) {
-        acc.sensed_read(dom.p(val[ins.wordline * B + c]));
-        word.push_back(val[ins.wordline * B + c]);
-      }
-      dmr[ins.wordline] = std::move(word);
+      for (std::size_t c = 0; c < B; ++c)
+        acc.sensed_read(dom.p([&](std::size_t k) { return row[c * L + k]; }));
+      std::copy_n(row, B * L, dmr.data() + ins.wordline * B * L);
+      latched[ins.wordline] = true;
       continue;
     }
-    const auto w = resolve(ins.wl);
+    for (std::size_t k = 0; k < L; ++k) wl[k] = resolve(ins.wl, k);
     for (std::size_t c = 0; c < std::min(ins.columns.size(), B); ++c) {
       if (!ins.columns[c]) continue;
-      const auto b = resolve(*ins.columns[c]);  // v_bl; the cell sees !v_bl
-      auto& s = val[ins.wordline * B + c];
-      const auto nb = D::not_(b);
-      // NS = MAJ3(S, w, !b) switches iff w == !b and w != S: disjoint cases
-      // (w=1, b=0, S=0) and (w=0, b=1, S=1).
-      const auto fire = D::or_(D::and_(D::and_(w, nb), D::not_(s)),
-                               D::and_(D::and_(D::not_(w), b), s));
-      acc.conditional(dom.p(fire));
-      s = D::maj(s, w, nb);
+      V* cell = &row[c * L];
+      acc.conditional(dom.p([&](std::size_t k) {
+        const V w = wl[k];
+        const V b = resolve(*ins.columns[c], k);  // v_bl; the cell sees !v_bl
+        const V s = cell[k];
+        const V nb = D::not_(b);
+        cell[k] = D::maj(s, w, nb);
+        // NS = MAJ3(S, w, !b) switches iff w == !b and w != S: disjoint
+        // cases (w=1, b=0, S=0) and (w=0, b=1, S=1).
+        return D::or_(D::and_(D::and_(w, nb), D::not_(s)),
+                      D::and_(D::and_(D::not_(w), b), s));
+      }));
     }
   }
   // Output taps resolve from DMR/PIR/constants — nothing charged.
@@ -236,21 +265,21 @@ CostEstimate dispatch(std::size_t num_inputs, WalkFn&& exact,
 CostEstimate estimate_cost(const ImplyProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_imply<TtDomain>(prog, tech); },
+      prog.num_inputs, [&] { return cost_imply<WordDomain>(prog, tech); },
       [&] { return cost_imply<ProbDomain>(prog, tech); });
 }
 
 CostEstimate estimate_cost(const MagicProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_magic<TtDomain>(prog, tech); },
+      prog.num_inputs, [&] { return cost_magic<WordDomain>(prog, tech); },
       [&] { return cost_magic<ProbDomain>(prog, tech); });
 }
 
 CostEstimate estimate_cost(const RevampProgram& prog,
                            const device::TechnologyParams& tech) {
   return dispatch(
-      prog.num_inputs, [&] { return cost_revamp<TtDomain>(prog, tech); },
+      prog.num_inputs, [&] { return cost_revamp<WordDomain>(prog, tech); },
       [&] { return cost_revamp<ProbDomain>(prog, tech); });
 }
 

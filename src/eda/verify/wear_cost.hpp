@@ -33,10 +33,12 @@
 /// conditional ops fire, so the estimate carries a hard [min, max] bracket
 /// (no-fire/g_off vs. all-fire/g_on) plus an expectation over uniformly
 /// distributed inputs. Up to `kExactCostInputCap` inputs the expectation is
-/// computed *exactly* by symbolic evaluation — each cell's resident value
-/// is tracked as a `TruthTable` over the program inputs, and fire
-/// probabilities are minterm counts, not independence approximations; past
-/// the cap a per-cell probability propagation takes over. Stochastic write
+/// computed *exactly* over a word-sliced domain — each cell's resident
+/// value is one uint64_t per block of 64 input assignments, and each
+/// conditional op or sensed read sums its popcount over every block before
+/// it is charged, once and in program order, so fire probabilities are
+/// minterm counts, not independence approximations; past the cap a
+/// per-cell probability propagation takes over. Stochastic write
 /// variation and read noise are zero-mean, so measured energy converges to
 /// the expectation (the `bench_fig8_eda_flow` gate checks 15%).
 #pragma once
@@ -53,7 +55,7 @@
 
 namespace cim::eda::verify {
 
-/// Inputs at or below this count use exact symbolic (truth-table) cost
+/// Inputs at or below this count use the exact (word-sliced) cost
 /// expectation; above it, independence-based probability propagation.
 inline constexpr std::size_t kExactCostInputCap = 12;
 

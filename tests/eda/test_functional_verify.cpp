@@ -2,12 +2,16 @@
 /// \brief The word-level functional verifiers (verify_imply, verify_magic,
 ///        verify_revamp) against wrong programs: a malformed program must
 ///        be rejected, never run out of bounds, and a planted mapper bug
-///        must fail on every suite circuit. Registered under the `lint`
-///        label, so the sanitizer slice covers the interpreters.
+///        must fail on every suite circuit. The ReVAMP assembler and device
+///        executor must throw on a hand-built schedule or program they
+///        cannot run. Registered under the `lint` label, so the sanitizer
+///        slice covers the interpreters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 #include "eda/aig.hpp"
 #include "eda/bench_circuits.hpp"
@@ -257,6 +261,67 @@ TEST(FunctionalVerifyMalformed, DmrRowNeverLatched) {
     p.instrs.push_back({RevampInstruction::Kind::kRead, 0, {}, {}, {}});
     EXPECT_TRUE(verify_revamp(p, mig));
   }
+}
+
+// --- the ReVAMP assembler and executor reject what they cannot run ----------
+
+TEST(RevampAssembleMalformed, PlanColumnPastRowWidth) {
+  const auto& m = rca2();
+  auto sched = schedule_revamp(m.mig);
+  sched.plan.back().col = sched.max_row_width;
+  EXPECT_THROW((void)assemble_revamp(m.mig, sched), std::invalid_argument);
+}
+
+TEST(RevampAssembleMalformed, PlanRowPastRows) {
+  const auto& m = rca2();
+  auto sched = schedule_revamp(m.mig);
+  sched.plan.back().row = sched.rows;
+  EXPECT_THROW((void)assemble_revamp(m.mig, sched), std::invalid_argument);
+}
+
+TEST(RevampAssembleMalformed, PlanNodePastMig) {
+  const auto& m = rca2();
+  auto sched = schedule_revamp(m.mig);
+  sched.plan.back().node = static_cast<std::uint32_t>(m.mig.num_nodes());
+  EXPECT_THROW((void)assemble_revamp(m.mig, sched), std::invalid_argument);
+}
+
+crossbar::Crossbar revamp_array(const RevampProgram& p) {
+  crossbar::CrossbarConfig cfg;
+  cfg.rows = p.wordlines;
+  cfg.cols = p.bitlines;
+  return crossbar::Crossbar(cfg);
+}
+
+TEST(RevampExecuteMalformed, InputIndexPastNumInputs) {
+  const auto& m = rca2();
+  const RevampOperand past{RevampOperand::Src::kInput, m.revamp.num_inputs, 0,
+                           0, false};
+  {
+    auto p = m.revamp;
+    p.instrs[first_apply(p)].wl = past;
+    auto xbar = revamp_array(p);
+    EXPECT_THROW((void)execute_revamp_program(xbar, p, 0),
+                 std::invalid_argument);
+  }
+  {
+    auto p = m.revamp;
+    p.outputs.back() = past;
+    auto xbar = revamp_array(p);
+    EXPECT_THROW((void)execute_revamp_program(xbar, p, 0),
+                 std::invalid_argument);
+  }
+}
+
+TEST(RevampExecuteMalformed, InputIndexPast64) {
+  // Within num_inputs, but past the 64 bits of the packed assignment.
+  auto p = rca2().revamp;
+  p.num_inputs = 100;
+  p.instrs[first_apply(p)].wl =
+      RevampOperand{RevampOperand::Src::kInput, 64, 0, 0, false};
+  auto xbar = revamp_array(p);
+  EXPECT_THROW((void)execute_revamp_program(xbar, p, ~0ULL),
+               std::invalid_argument);
 }
 
 // --- planted mapper bugs ------------------------------------------------------
