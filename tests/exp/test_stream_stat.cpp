@@ -35,6 +35,7 @@ TEST(StreamStat, MatchesClosedFormMoments) {
 TEST(StreamStat, EmptyAndSingleton) {
   StreamStat s;
   EXPECT_EQ(s.n, 0u);
+  EXPECT_EQ(s.mean, 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   // An unestimable CI must never satisfy a convergence target.
   EXPECT_TRUE(std::isinf(s.ci_half_width(1.96)));

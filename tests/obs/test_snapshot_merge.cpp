@@ -123,13 +123,25 @@ TEST(SnapshotMerge, JsonRoundTripsThenMergesIdentically) {
   EXPECT_EQ(parsed.histograms[0].data.counts, s.histograms[0].data.counts);
   EXPECT_DOUBLE_EQ(parsed.histograms[0].data.sum, s.histograms[0].data.sum);
 
-  // Merging the parsed copy behaves exactly like merging the original.
-  Snapshot a = make_snapshot(1000), b = make_snapshot(1000);
-  merge_snapshot(a, s);
-  merge_snapshot(b, parsed);
-  ASSERT_EQ(a.counters.size(), b.counters.size());
-  for (std::size_t i = 0; i < a.counters.size(); ++i)
-    EXPECT_EQ(a.counters[i], b.counters[i]);
+  // Absorbing the parsed copy behaves exactly like absorbing the original.
+  Registry& reg = Registry::global();
+  const auto absorbed = [&reg](const Snapshot& from) {
+    reg.reset();
+    absorb_snapshot(from, 0);
+    return reg.snapshot();
+  };
+  const Snapshot a = absorbed(s);
+  const Snapshot b = absorbed(parsed);
+  reg.reset();
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.gauges, b.gauges);
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
+    EXPECT_EQ(a.histograms[i].name, b.histograms[i].name);
+    EXPECT_EQ(a.histograms[i].data.counts, b.histograms[i].data.counts);
+    EXPECT_EQ(a.histograms[i].data.count, b.histograms[i].data.count);
+    EXPECT_EQ(a.histograms[i].data.sum, b.histograms[i].data.sum);
+  }
 
   // Counters above 2^53 and gauges past 1e308 round-trip exactly.
   Snapshot big = make_snapshot(1);
@@ -175,7 +187,9 @@ TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {
   const Snapshot from = make_snapshot(5000);
   const MergeStats ms = absorb_snapshot(from, 0);
   EXPECT_GE(ms.counters_added, 2u);
+  EXPECT_EQ(ms.gauges_taken, 1u);
   EXPECT_EQ(ms.histograms_merged, 1u);
+  EXPECT_EQ(ms.bound_conflicts, 0u);
 
   const Snapshot now = reg.snapshot();
   std::uint64_t trials = 0, adopted = 0;
@@ -185,19 +199,59 @@ TEST(SnapshotMerge, AbsorbIntoLiveRegistry) {
   }
   EXPECT_EQ(trials, 110u);
   EXPECT_EQ(adopted, 7u);
+  for (const auto& [name, v] : now.gauges)
+    if (name == "exp.eta_s") {
+      EXPECT_DOUBLE_EQ(v, 12.5);
+    }
+  bool found = false;
   for (const auto& h : now.histograms)
     if (h.name == "trial.latency") {
+      found = true;
+      // Bucket-wise add: the live {0, 1, 0, 0} plus the shipped {5, 3, 1, 0}.
+      EXPECT_EQ(h.data.counts, (std::vector<std::uint64_t>{5, 4, 1, 0}));
       EXPECT_EQ(h.data.count, 10u);
       EXPECT_DOUBLE_EQ(h.data.sum, 47.0);
     }
+  EXPECT_TRUE(found);
 
-  // A stale snapshot cannot overwrite gauges past the cutoff.
+  // A stale snapshot cannot overwrite gauges past the cutoff, and one
+  // captured exactly at the cutoff takes none either.
   reg.gauge("exp.eta_s").set(77.0);
   const MergeStats stale = absorb_snapshot(from, /*newer_than_unix_us=*/9000);
   EXPECT_EQ(stale.gauges_taken, 0u);
+  const MergeStats tie = absorb_snapshot(from, from.meta.unix_us);
+  EXPECT_EQ(tie.gauges_taken, 0u);
   const Snapshot after = reg.snapshot();
   for (const auto& [name, v] : after.gauges)
-    if (name == "exp.eta_s") EXPECT_DOUBLE_EQ(v, 77.0);
+    if (name == "exp.eta_s") {
+      EXPECT_DOUBLE_EQ(v, 77.0);
+    }
+  reg.reset();
+}
+
+TEST(SnapshotMerge, AbsorbSkipsConflictingBounds) {
+  Registry& reg = Registry::global();
+  reg.reset();
+  const std::array<double, 3> bounds{2.0, 20.0, 200.0};
+  auto& hist = reg.histogram("conflict.latency", bounds);
+  hist.observe(5.0);
+
+  Snapshot from = make_snapshot(5000);
+  from.histograms[0].name = "conflict.latency";  // shipped as {1, 10, 100}
+  const MergeStats ms = absorb_snapshot(from, 0);
+  EXPECT_EQ(ms.bound_conflicts, 1u);
+  EXPECT_EQ(ms.histograms_merged, 0u);
+
+  bool found = false;
+  for (const auto& h : reg.snapshot().histograms)
+    if (h.name == "conflict.latency") {
+      found = true;
+      EXPECT_EQ(h.data.bounds, (std::vector<double>{2.0, 20.0, 200.0}));
+      EXPECT_EQ(h.data.counts, (std::vector<std::uint64_t>{0, 1, 0, 0}));
+      EXPECT_EQ(h.data.count, 1u);
+      EXPECT_DOUBLE_EQ(h.data.sum, 5.0);
+    }
+  EXPECT_TRUE(found);
   reg.reset();
 }
 
