@@ -9,8 +9,8 @@
 #include "bench_common.hpp"
 #include "device/memristor.hpp"
 #include "device/reram_cell.hpp"
+#include "obs/dataset.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -63,7 +63,7 @@ int main() {
                    "programmed sd (uS)", "within guard band"});
     t.set_title("Fig. 3 — 16-level quantization (program-and-verify, 200 writes/level)");
     for (int lvl = 0; lvl < 16; lvl += 3) {
-      util::RunningStats stats;
+      obs::StreamStat stats;
       int in_band = 0;
       const int trials = 200;
       for (int k = 0; k < trials; ++k) {
@@ -75,7 +75,7 @@ int main() {
       device::LevelScheme sch(16, tech.g_off_us(), tech.g_on_us());
       t.add_row({std::to_string(lvl),
                  util::Table::num(sch.level_conductance_us(lvl), 2),
-                 util::Table::num(stats.mean(), 2),
+                 util::Table::num(stats.mean, 2),
                  util::Table::num(stats.stddev(), 2),
                  util::Table::num(100.0 * in_band / trials, 1) + "%"});
     }

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "crossbar/crossbar.hpp"
 #include "fault/defects.hpp"
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -47,7 +47,7 @@ int main() {
         map.add({kind, 0, c, 0, 0, 4.0});
       xbar.apply_faults(map);
 
-      util::RunningStats levels;
+      obs::StreamStat levels;
       std::size_t moved = 0;
       for (std::size_t c = 0; c < 300; ++c) {
         const double g0 = xbar.true_conductance(0, c);
@@ -57,7 +57,7 @@ int main() {
         if (g1 != g0) ++moved;
       }
       t.add_row({std::string(fault::fault_name(kind)),
-                 util::Table::num(levels.mean(), 2),
+                 util::Table::num(levels.mean, 2),
                  util::Table::num(levels.stddev(), 2),
                  util::Table::num(100.0 * moved / 300.0, 0) + "%"});
     }
@@ -71,7 +71,7 @@ int main() {
                    "dominant fault"});
     t.set_title("Fig. 6 — defect-to-fault mapping census (64 x 64 array)");
     for (const auto dk : fault::all_defect_kinds()) {
-      util::RunningStats n_faults;
+      obs::StreamStat n_faults;
       std::map<std::string, int> kinds;
       for (int k = 0; k < 200; ++k) {
         fault::Defect d{dk, rng.uniform_int(64), rng.uniform_int(64)};
@@ -88,7 +88,7 @@ int main() {
           dominant = name;
         }
       t.add_row({std::string(fault::defect_name(dk)),
-                 util::Table::num(n_faults.mean(), 1), dominant});
+                 util::Table::num(n_faults.mean, 1), dominant});
     }
     t.print(std::cout);
   }

@@ -13,7 +13,7 @@
 #include "memtest/march.hpp"
 #include "memtest/repair.hpp"
 #include "memtest/sneak_path_test.hpp"
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -79,7 +79,7 @@ int main() {
 
   for (std::size_t si = 0; si < kSizes.size(); ++si) {
     const std::size_t n = kSizes[si];
-    util::RunningStats march_cov, sneak_cov_s;
+    obs::StreamStat march_cov, sneak_cov_s;
     std::size_t march_ops = 0, sneak_probes = 0;
     double march_time = 0.0, sneak_time = 0.0;
     for (std::size_t sd = 0; sd < kSeeds.size(); ++sd) {
@@ -94,10 +94,10 @@ int main() {
 
     t.add_row({std::to_string(n) + "x" + std::to_string(n),
                std::to_string(std::max<std::size_t>(4, n * n / 64)),
-               util::Table::num(march_cov.mean(), 3),
+               util::Table::num(march_cov.mean, 3),
                std::to_string(march_ops),
                util::Table::num(march_time / 1e3, 1),
-               util::Table::num(sneak_cov_s.mean(), 3),
+               util::Table::num(sneak_cov_s.mean, 3),
                std::to_string(sneak_probes),
                util::Table::num(sneak_time / 1e3, 1),
                util::Table::num(double(sneak_probes) / double(march_ops), 3)});
@@ -109,7 +109,7 @@ int main() {
   t2.set_title("March algorithm comparison (32x32, mixed stuck-at/transition)");
   for (const auto& algo : {memtest::march_cstar(), memtest::march_cminus(),
                            memtest::mats_plus()}) {
-    util::RunningStats cov;
+    obs::StreamStat cov;
     for (std::uint64_t seed : {3ull, 7ull, 11ull}) {
       util::Rng rng(seed);
       fault::FaultMix mix = fault::FaultMix::stuck_at_only();
@@ -121,7 +121,7 @@ int main() {
     }
     t2.add_row({algo.name, std::to_string(algo.ops_per_cell()),
                 std::to_string(algo.reads_per_cell()),
-                util::Table::num(cov.mean(), 3)});
+                util::Table::num(cov.mean, 3)});
   }
   t2.print(std::cout);
 

@@ -145,19 +145,4 @@ std::vector<long> CimSystem::ideal_vmm_int(
 
 const CimSystemStats& CimSystem::stats() const { return stats_; }
 
-eda::verify::TilePool CimSystem::hazard_tile_pool() const {
-  eda::verify::TilePool pool;
-  pool.tiles.reserve(tiles_.size());
-  for (const auto& blk : tiles_) {
-    eda::verify::TileInfo info;
-    info.rows = blk.rows;
-    info.cols = blk.cols;
-    // The ADC count is a per-tile periphery resource; blocks inherit the
-    // template's channel count even when their array is edge-clipped.
-    info.adc_channels = std::max<std::size_t>(1, cfg_.tile.tile.adcs);
-    pool.tiles.push_back(info);
-  }
-  return pool;
-}
-
 }  // namespace cim::core

@@ -12,7 +12,6 @@
 
 #include "arch/arch_class.hpp"
 #include "core/cim_tile.hpp"
-#include "eda/verify/hazard.hpp"
 #include "util/matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -85,12 +84,6 @@ class CimSystem {
   std::vector<long> ideal_vmm_int(std::span<const std::uint32_t> inputs) const;
 
   const CimSystemStats& stats() const;
-
-  /// The system's tile resources as a static-analysis pool: one entry per
-  /// block (its array geometry and physical ADC channel count), in block
-  /// order. Micro-op schedules dispatched across the system are checked
-  /// against this pool with `eda::verify::analyze_hazards`.
-  eda::verify::TilePool hazard_tile_pool() const;
 
   /// The Fig. 2 class this system realizes (analog compute in the array,
   /// result produced at the periphery ADCs -> CIM-P).

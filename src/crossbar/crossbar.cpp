@@ -897,25 +897,6 @@ void Crossbar::vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
   }
 }
 
-std::vector<std::vector<double>> Crossbar::vmm_batch(
-    std::span<const std::vector<double>> inputs, util::ThreadPool* pool,
-    FidelityTier tier) {
-  util::Matrix v_batch(inputs.size(), cfg_.rows);
-  for (std::size_t s = 0; s < inputs.size(); ++s) {
-    if (inputs[s].size() != cfg_.rows)
-      throw std::invalid_argument("vmm_batch: input size != rows");
-    std::copy(inputs[s].begin(), inputs[s].end(), v_batch.row(s).begin());
-  }
-  util::Matrix out;
-  vmm_batch(v_batch, out, pool, tier);
-  std::vector<std::vector<double>> results(inputs.size());
-  for (std::size_t s = 0; s < inputs.size(); ++s) {
-    const auto row = out.row(s);
-    results[s].assign(row.begin(), row.end());
-  }
-  return results;
-}
-
 std::vector<double> Crossbar::ideal_vmm(std::span<const double> v_rows) const {
   if (v_rows.size() != cfg_.rows)
     throw std::invalid_argument("ideal_vmm: input size != rows");

@@ -196,12 +196,6 @@ class Crossbar {
                  util::ThreadPool* pool = nullptr,
                  FidelityTier tier = FidelityTier::kFull);
 
-  /// Convenience overload over a span of input vectors.
-  std::vector<std::vector<double>> vmm_batch(
-      std::span<const std::vector<double>> inputs,
-      util::ThreadPool* pool = nullptr,
-      FidelityTier tier = FidelityTier::kFull);
-
   /// Ideal VMM on the *target* conductances — the mathematical oracle.
   std::vector<double> ideal_vmm(std::span<const double> v_rows) const;
 

@@ -131,10 +131,6 @@ double ReRamCell::read_conductance_us(util::Rng& rng) {
   return std::clamp(g_ + noise, 0.0, tech_->g_on_us() * 1.2);
 }
 
-int ReRamCell::read_level(util::Rng& rng) {
-  return scheme_.nearest_level(read_conductance_us(rng));
-}
-
 bool ReRamCell::disturb_from_neighbour_write(util::Rng& rng) {
   if (stuck_ != StuckMode::kNone) return false;
   const double p_write_disturb =

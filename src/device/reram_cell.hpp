@@ -91,9 +91,6 @@ class ReRamCell {
   /// read-disturb drift (towards LRS) with the technology's probability.
   double read_conductance_us(util::Rng& rng);
 
-  /// Measured level: read + nearest-level quantization.
-  int read_level(util::Rng& rng);
-
   /// Noiseless stored conductance (test oracle; not available to circuits).
   double true_conductance_us() const { return g_; }
   /// Level the last write targeted.

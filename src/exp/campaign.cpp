@@ -426,7 +426,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
     r.stat = st[c].stat;
     r.frozen = st[c].frozen;
     r.capped = st[c].capped;
-    res.summary.absorb(r.name, r.stat);
     res.cells.push_back(std::move(r));
   }
   return res;

@@ -119,7 +119,6 @@ struct CampaignResult {
   std::uint64_t rounds = 0;
   bool resumed = false;            ///< state was restored from a checkpoint
   std::size_t worker_shards = 1;   ///< shards actually used (1 on fallback)
-  obs::DataSet summary;            ///< per-cell stats keyed by cell name
   std::vector<Decision> decisions;  ///< this run's allocations (post-resume)
   obs::MergeStats worker_telemetry;  ///< from absorbing worker snapshots
 };

@@ -66,6 +66,9 @@ std::vector<FaultDescriptor> map_defect_to_faults(const Defect& defect,
         cell(FaultKind::kStuckAtZero, r, defect.col);
       break;
     case DefectKind::kDecoderDefect: {
+      if (rows < 2)
+        throw std::invalid_argument(
+            "map_defect_to_faults: a decoder defect needs a second row");
       FaultDescriptor fd;
       fd.kind = FaultKind::kAddressDecoder;
       fd.row = defect.row;
@@ -76,6 +79,9 @@ std::vector<FaultDescriptor> map_defect_to_faults(const Defect& defect,
       break;
     }
     case DefectKind::kCellBridge: {
+      if (cols < 2)
+        throw std::invalid_argument(
+            "map_defect_to_faults: a cell bridge needs a second column");
       FaultDescriptor fd;
       fd.kind = FaultKind::kCoupling;
       fd.row = defect.row;

@@ -52,6 +52,9 @@ struct Defect {
 
 /// Expands a defect into the cell/array faults it causes on a rows x cols
 /// array. `rng` supplies the victim choice for bridges and decoder aliases.
+/// Throws std::out_of_range for a defect outside the array, and
+/// std::invalid_argument for a decoder defect on a one-row array or a cell
+/// bridge on a one-column array (no other line to alias or bridge to).
 std::vector<FaultDescriptor> map_defect_to_faults(const Defect& defect,
                                                   std::size_t rows,
                                                   std::size_t cols,

@@ -124,60 +124,6 @@ std::vector<double> CrossbarLinear::forward(std::span<const double> x,
   return y;
 }
 
-util::Matrix CrossbarLinear::forward_batch(const util::Matrix& x,
-                                           util::ThreadPool* pool,
-                                           crossbar::FidelityTier tier) {
-  if (x.cols() != in_)
-    throw std::invalid_argument("CrossbarLinear: dim mismatch");
-  CIM_OBS_SPAN("nn.linear.forward_batch", obs::Component::kArray);
-  const std::size_t batch = x.rows();
-  const auto& tech = plus_->tech();
-  const double v_read = tech.v_read;
-
-  if (batch_volts_.rows() != batch || batch_volts_.cols() != in_)
-    batch_volts_ = util::Matrix(batch, in_);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto xi = x.row(b);
-    auto vi = batch_volts_.row(b);
-    for (std::size_t i = 0; i < in_; ++i)
-      vi[i] = std::clamp(xi[i] / x_max_, 0.0, 1.0) * v_read;
-  }
-
-  plus_->vmm_batch(batch_volts_, batch_plus_, pool, tier);
-  minus_->vmm_batch(batch_volts_, batch_minus_, pool, tier);
-
-  const double g_range = tech.g_on_us() - tech.g_off_us();
-  const double scale = w_max_ * x_max_ / (v_read * g_range);
-
-  util::Matrix y(batch, out_);
-  if (tier != crossbar::FidelityTier::kFull && adc_) {
-    // Fused ADC round-trip (see forward()): one pass per sample.
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto ip = batch_plus_.row(b);
-      const auto im = batch_minus_.row(b);
-      auto yb = y.row(b);
-      for (std::size_t o = 0; o < out_; ++o) {
-        const double p = adc_->dequantize(adc_->quantize(ip[o]));
-        const double m = adc_->dequantize(adc_->quantize(im[o]));
-        yb[o] = (p - m) * scale + bias_[o];
-      }
-    }
-    return y;
-  }
-  if (adc_) {
-    for (auto* m : {&batch_plus_, &batch_minus_})
-      for (double& i : m->flat()) i = adc_->dequantize(adc_->quantize(i));
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto ip = batch_plus_.row(b);
-    const auto im = batch_minus_.row(b);
-    auto yb = y.row(b);
-    for (std::size_t o = 0; o < out_; ++o)
-      yb[o] = (ip[o] - im[o]) * scale + bias_[o];
-  }
-  return y;
-}
-
 void CrossbarLinear::apply_faults(const fault::FaultMap& plus,
                                   const fault::FaultMap& minus) {
   plus_->apply_faults(plus);

@@ -19,7 +19,6 @@
 #include "fault/fault_map.hpp"
 #include "periphery/adc.hpp"
 #include "util/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cim::nn {
 
@@ -46,15 +45,6 @@ class CrossbarLinear {
   /// cheaper tiers also fuse the ADC round-trip into the readout loop.
   std::vector<double> forward(
       std::span<const double> x,
-      crossbar::FidelityTier tier = crossbar::FidelityTier::kFull);
-
-  /// Batched forward pass: row b of `x` is one sample; returns (batch x
-  /// out). Rides the crossbars' `vmm_batch`, so samples fan out across
-  /// `pool` (global pool when null) with bit-identical results for any
-  /// thread count. Internal voltage/current buffers are reused across
-  /// calls.
-  util::Matrix forward_batch(
-      const util::Matrix& x, util::ThreadPool* pool = nullptr,
       crossbar::FidelityTier tier = crossbar::FidelityTier::kFull);
 
   /// Re-programs the arrays with updated weights/bias (same shape). Stuck
@@ -88,11 +78,6 @@ class CrossbarLinear {
   double w_max_ = 1.0;   ///< |W| value mapped to full conductance swing
   double x_max_ = 1.0;
   std::optional<periphery::Adc> adc_;
-
-  // Reused batch buffers (forward_batch).
-  util::Matrix batch_volts_;
-  util::Matrix batch_plus_;
-  util::Matrix batch_minus_;
 
   // Reused single-sample buffers (forward): steady-state inference does not
   // touch the allocator between the input copy and the returned logits.

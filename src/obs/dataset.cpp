@@ -1,7 +1,6 @@
 #include "obs/dataset.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 namespace cim::obs {
@@ -56,56 +55,6 @@ double normal_quantile(double p) {
 
 double z_for_confidence(double confidence) {
   return normal_quantile(0.5 + 0.5 * confidence);
-}
-
-void DataSet::observe(std::string_view key, double x) {
-  auto it = stats_.find(key);
-  if (it == stats_.end()) it = stats_.emplace(std::string(key), StreamStat{}).first;
-  it->second.add(x);
-}
-
-void DataSet::absorb(std::string_view key, const StreamStat& stat) {
-  auto it = stats_.find(key);
-  if (it == stats_.end()) it = stats_.emplace(std::string(key), StreamStat{}).first;
-  it->second.merge(stat);
-}
-
-void DataSet::merge(const DataSet& other) {
-  for (const auto& [key, stat] : other.stats_) absorb(key, stat);
-}
-
-const StreamStat& DataSet::stat(std::string_view key) const {
-  static const StreamStat kEmpty{};
-  const auto it = stats_.find(key);
-  return it == stats_.end() ? kEmpty : it->second;
-}
-
-bool DataSet::contains(std::string_view key) const {
-  return stats_.find(key) != stats_.end();
-}
-
-std::vector<DataSet::Row> DataSet::rows() const {
-  std::vector<Row> out;
-  out.reserve(stats_.size());
-  for (const auto& [key, stat] : stats_) out.push_back({key, stat});
-  return out;
-}
-
-std::string DataSet::summary_table(double confidence) const {
-  const double z = z_for_confidence(confidence);
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof line, "%-28s %8s %12s %12s %12s %12s %12s\n",
-                "key", "n", "mean", "stddev", "min", "max", "ci_half");
-  out += line;
-  for (const auto& [key, s] : stats_) {
-    std::snprintf(line, sizeof line,
-                  "%-28s %8llu %12.6g %12.6g %12.6g %12.6g %12.6g\n",
-                  key.c_str(), static_cast<unsigned long long>(s.n), s.mean,
-                  s.stddev(), s.min, s.max, s.ci_half_width(z));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace cim::obs

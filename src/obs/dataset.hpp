@@ -1,12 +1,12 @@
 /// \file dataset.hpp
-/// \brief Streaming statistical summaries: mergeable Welford accumulators,
-///        keyed data sets, and confidence-interval arithmetic.
+/// \brief The repo's one streaming accumulator, `StreamStat`, and the
+///        confidence-interval arithmetic the campaign engine stops on.
 ///
 /// The Monte-Carlo campaign engine (src/exp/) is an observability problem
 /// at heart: its adaptive-stopping control loop reads *streaming summaries*
 /// of trial outcomes — the same shape as the windowed SLO engine reading
 /// latency telemetry. This header is that summary layer, in the
-/// `cmb_dataset`/`cmb_datasummary` mold of Cimba's data collection:
+/// `cmb_datasummary` mold of Cimba's data collection:
 ///
 ///  - `StreamStat`: a Welford accumulator (count/mean/M2/min/max) that is
 ///    *mergeable*, so per-block partial summaries computed on different
@@ -15,9 +15,8 @@
 ///    arithmetic, and in floating point it is deterministic as long as the
 ///    merge order is fixed — the campaign engine always folds block
 ///    summaries in block-index order, which is what makes sharded campaigns
-///    bit-identical to a serial run.
-///  - `DataSet`: named `StreamStat`s with deterministic (sorted) iteration,
-///    for keyed summaries ("cell=ReRAM-HfOx/levels=16" -> accuracy stats).
+///    bit-identical to a serial run. The benches, the power monitor and
+///    util::summarize / util::pearson accumulate with it too.
 ///  - CI helpers: `normal_quantile` / `z_for_confidence` and
 ///    `StreamStat::ci_half_width`, the numbers the campaign scheduler
 ///    compares against its convergence target.
@@ -28,12 +27,7 @@
 /// primitives in obs.hpp.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace cim::obs {
 
@@ -111,44 +105,5 @@ double normal_quantile(double p);
 /// Two-sided z multiplier for a confidence level in (0, 1):
 /// z_for_confidence(0.95) == Phi^-1(0.975) ~= 1.95996.
 double z_for_confidence(double confidence);
-
-/// Keyed streaming summaries with deterministic iteration order — the
-/// `cmb_dataset` shape: observe(key, x) accumulates into the key's
-/// StreamStat, rows() walks keys sorted so two identically fed DataSets
-/// print and export identically.
-class DataSet {
- public:
-  /// Accumulates one observation under `key` (creates the key on first use).
-  void observe(std::string_view key, double x);
-
-  /// Merges a whole summary under `key` (creates the key on first use).
-  void absorb(std::string_view key, const StreamStat& stat);
-
-  /// Merges every key of `other` into this set (key-wise StreamStat merge).
-  void merge(const DataSet& other);
-
-  /// The summary for `key`; an empty StreamStat when the key is unknown.
-  const StreamStat& stat(std::string_view key) const;
-
-  bool contains(std::string_view key) const;
-  std::size_t size() const { return stats_.size(); }
-  bool empty() const { return stats_.empty(); }
-  void clear() { stats_.clear(); }
-
-  struct Row {
-    std::string key;
-    StreamStat stat;
-  };
-  /// Every (key, summary) pair in sorted key order.
-  std::vector<Row> rows() const;
-
-  /// cmb_datasummary-style fixed-width table of every key, one line per
-  /// key: key, n, mean, stddev, min, max, and the `confidence` CI
-  /// half-width. Returned as a string so callers choose the stream.
-  std::string summary_table(double confidence = 0.95) const;
-
- private:
-  std::map<std::string, StreamStat, std::less<>> stats_;
-};
 
 }  // namespace cim::obs

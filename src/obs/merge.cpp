@@ -1,15 +1,16 @@
 /// \file merge.cpp
-/// \brief Deterministic metric-snapshot merge and the snapshot-JSON parser
-///        (on the record codec, obs/record.hpp).
+/// \brief The snapshot-JSON parser (on the record codec, obs/record.hpp)
+///        and `absorb_snapshot`, which folds a parsed snapshot into the
+///        live registry.
 ///
 /// Worker processes of the campaign engine (src/exp/) ship their registry
 /// snapshot to the parent over the result pipe as flat JSON; the parent
 /// parses it here and folds it into its own telemetry. The merge rules are
 /// type-aware: counters and span/component aggregates are *totals* and add;
 /// histograms add bucket-wise but only over identical bucket layouts;
-/// gauges are instantaneous values, so the snapshot captured later wins.
+/// gauges are instantaneous values, so only a snapshot captured after the
+/// caller's cutoff sets them.
 #include <algorithm>
-#include <map>
 #include <string>
 
 #include "obs/json.hpp"
@@ -20,10 +21,6 @@ namespace cim::obs {
 
 namespace {
 
-bool same_bounds(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
 Component component_from_name(std::string_view name) {
   for (std::size_t i = 0; i < kComponentCount; ++i)
     if (component_name(static_cast<Component>(i)) == name)
@@ -32,94 +29,6 @@ Component component_from_name(std::string_view name) {
 }
 
 }  // namespace
-
-MergeStats merge_snapshot(Snapshot& into, const Snapshot& from) {
-  MergeStats ms;
-  const bool from_newer = from.meta.unix_us > into.meta.unix_us;
-
-  // Counters: totals add. Name lists are sorted (registry snapshot
-  // contract), so a sorted-map fold keeps the output sorted too.
-  std::map<std::string, std::uint64_t> counters(into.counters.begin(),
-                                                into.counters.end());
-  for (const auto& [name, v] : from.counters) {
-    counters[name] += v;
-    ++ms.counters_added;
-  }
-  into.counters.assign(counters.begin(), counters.end());
-
-  // Gauges: last writer (by capture time) wins; ties keep `into`.
-  std::map<std::string, double> gauges(into.gauges.begin(), into.gauges.end());
-  for (const auto& [name, v] : from.gauges) {
-    const auto it = gauges.find(name);
-    if (it == gauges.end() || from_newer) {
-      gauges[name] = v;
-      ++ms.gauges_taken;
-    }
-  }
-  into.gauges.assign(gauges.begin(), gauges.end());
-
-  // Histograms: bucket-wise add over identical bounds only.
-  std::map<std::string, Histogram::Snapshot> hists;
-  for (auto& h : into.histograms) hists.emplace(h.name, std::move(h.data));
-  for (const auto& h : from.histograms) {
-    auto it = hists.find(h.name);
-    if (it == hists.end()) {
-      hists.emplace(h.name, h.data);
-      ++ms.histograms_merged;
-      continue;
-    }
-    if (!same_bounds(it->second.bounds, h.data.bounds) ||
-        it->second.counts.size() != h.data.counts.size()) {
-      ++ms.bound_conflicts;
-      continue;
-    }
-    for (std::size_t i = 0; i < h.data.counts.size(); ++i)
-      it->second.counts[i] += h.data.counts[i];
-    it->second.count += h.data.count;
-    it->second.sum += h.data.sum;
-    ++ms.histograms_merged;
-  }
-  into.histograms.clear();
-  for (auto& [name, data] : hists)
-    into.histograms.push_back({name, std::move(data)});
-
-  // Spans: aggregates add; a span's component tag comes from whichever
-  // side registered it first (they agree in practice — same code).
-  std::map<std::string, Snapshot::SpanRow> spans;
-  for (auto& row : into.spans) spans.emplace(row.name, std::move(row));
-  for (const auto& row : from.spans) {
-    auto it = spans.find(row.name);
-    if (it == spans.end()) {
-      spans.emplace(row.name, row);
-    } else {
-      it->second.count += row.count;
-      it->second.wall_ns += row.wall_ns;
-      it->second.sim_time_ns += row.sim_time_ns;
-      it->second.energy_pj += row.energy_pj;
-    }
-    ++ms.spans_merged;
-  }
-  into.spans.clear();
-  for (auto& [name, row] : spans) into.spans.push_back(std::move(row));
-
-  // Components: fixed six-slot vocabulary, add slot-wise.
-  for (const auto& row : from.components) {
-    bool found = false;
-    for (auto& dst : into.components) {
-      if (dst.comp != row.comp) continue;
-      dst.events += row.events;
-      dst.wall_ns += row.wall_ns;
-      dst.sim_time_ns += row.sim_time_ns;
-      dst.energy_pj += row.energy_pj;
-      found = true;
-      break;
-    }
-    if (!found) into.components.push_back(row);
-  }
-
-  if (from_newer) into.meta.unix_us = from.meta.unix_us;
-  return ms;
-}
 
 bool parse_snapshot_json(std::string_view text, Snapshot& out,
                          std::string* error) {

@@ -409,7 +409,7 @@ void reset();
 
 // --- snapshot merge (merge.cpp) ----------------------------------------------
 
-/// What a merge_snapshot() call did — returned so callers (and tests) can
+/// What an absorb_snapshot() call did — returned so callers (and tests) can
 /// assert the merge semantics instead of trusting them.
 struct MergeStats {
   std::size_t counters_added = 0;     ///< counter names summed or adopted
@@ -418,20 +418,6 @@ struct MergeStats {
   std::size_t bound_conflicts = 0;    ///< histograms skipped: bounds differ
   std::size_t spans_merged = 0;
 };
-
-/// Deterministic merge of `from` into `into`:
-///  - counters: values add (missing names are adopted);
-///  - histograms: bucket-wise count add + sum add, *only* when the bucket
-///    bounds match exactly — mismatched layouts measure different things,
-///    so the `into` histogram is kept untouched and the conflict counted;
-///  - gauges: last writer wins by snapshot capture time (`meta.unix_us`,
-///    ties keep `into` — the deterministic choice), since a gauge is an
-///    instantaneous value that cannot meaningfully add;
-///  - spans/components: counts, wall, simulated time and energy add.
-/// `into.meta` keeps its identity fields but takes the later unix_us, so
-/// folding N worker snapshots into a parent is associative-in-effect and
-/// independent of fold order for everything except gauge ties.
-MergeStats merge_snapshot(Snapshot& into, const Snapshot& from);
 
 /// Parses the flat-JSON snapshot format produced by write_snapshot_json()
 /// back into a Snapshot. Returns false (and fills `error` when non-null)

@@ -70,17 +70,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::normal_approx() {
-  // Irwin-Hall with n = 4: sum of four U(0,1) has mean 2, variance 4/12, so
-  // (sum - 2) * sqrt(3) is moment-matched to N(0, 1).
-  const double sum = uniform() + uniform() + uniform() + uniform();
-  return (sum - 2.0) * 1.7320508075688772;  // sqrt(3)
-}
-
-double Rng::normal_approx(double mean, double stddev) {
-  return mean + stddev * normal_approx();
-}
-
 double Rng::lognormal(double mu_log, double sigma_log) {
   return std::exp(normal(mu_log, sigma_log));
 }
@@ -96,8 +85,6 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   }
   return idx;
 }
-
-Rng Rng::split() { return Rng((*this)()); }
 
 std::uint64_t Rng::stream_seed(std::uint64_t seed, std::uint64_t stream) {
   // Weyl-step the stream index so streams 0,1,2,... land far apart in the
@@ -122,10 +109,6 @@ std::uint64_t Rng::stream_seed2(std::uint64_t seed, std::uint64_t hi,
   x += lo * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL;
   (void)splitmix64(x);
   return splitmix64(x);
-}
-
-Rng Rng::stream2(std::uint64_t seed, std::uint64_t hi, std::uint64_t lo) {
-  return Rng(stream_seed2(seed, hi, lo));
 }
 
 }  // namespace cim::util

@@ -45,26 +45,17 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Cheap moment-matched approximate standard normal: the sum of four
-  /// uniforms, shifted and scaled to mean 0 / variance 1 (Irwin-Hall CLT).
-  /// Exact first and second moments, support limited to ±2*sqrt(3) sigma —
-  /// ~4-6x cheaper than Box-Muller (no log/sqrt/trig). Used by calibrated
-  /// fast paths where the consumer is validated statistically, not
-  /// tail-by-tail (crossbar FidelityTier::kCalibrated).
-  double normal_approx();
-
-  /// Approximate normal with given mean and standard deviation.
-  double normal_approx(double mean, double stddev);
-
   /// Counter-based approximate standard normal: a pure function of
   /// (key, ctr), so N draws need only ONE generator advance for the key —
-  /// the per-draw cost is a single SplitMix64 finalizer instead of four
-  /// xoshiro steps. The mixed 64-bit word is split into four 16-bit lanes
-  /// and summed (Irwin-Hall n = 4, same shape as normal_approx()); the
-  /// result is moment-matched to N(0, 1) up to the 2^-32 lattice-variance
-  /// deficit (std = sqrt(1 - 2^-32)). Support ±2*sqrt(3) sigma. Distinct
-  /// ctr values give independent draws (full-avalanche mix). Inline by
-  /// design: hot tier-1 crossbar paths draw this per column.
+  /// the per-draw cost is a single SplitMix64 finalizer instead of
+  /// Box-Muller's log/sqrt/trig. The mixed 64-bit word is split into four
+  /// 16-bit lanes and summed (Irwin-Hall n = 4); the result is
+  /// moment-matched to N(0, 1) up to the 2^-32 lattice-variance deficit
+  /// (std = sqrt(1 - 2^-32)). Support ±2*sqrt(3) sigma. Distinct ctr values
+  /// give independent draws (full-avalanche mix). Used by calibrated fast
+  /// paths whose consumers are validated statistically, not tail by tail
+  /// (crossbar FidelityTier::kCalibrated). Inline by design: hot tier-1
+  /// crossbar paths draw this per column.
   static double normal_hash(std::uint64_t key, std::uint64_t ctr) {
     std::uint64_t z = key + (ctr + 1) * 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -86,12 +77,6 @@ class Rng {
 
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
-
-  /// Splits off an independently seeded child generator. Useful for giving
-  /// each subsystem its own stream while keeping one experiment seed.
-  /// NOTE: this consumes parent state, so the child depends on *when* the
-  /// split happens. For parallel work use the counter-based `stream()`.
-  Rng split();
 
   /// Counter-based sub-stream seed: mixes (seed, stream) through two
   /// SplitMix64 rounds. Pure function of its arguments — task i of a
@@ -125,9 +110,6 @@ class Rng {
 
   /// Generator over sub-stream `stream` of `seed` (see `stream_seed`).
   static Rng stream(std::uint64_t seed, std::uint64_t stream_index);
-
-  /// Generator over the two-index sub-stream (see `stream_seed2`).
-  static Rng stream2(std::uint64_t seed, std::uint64_t hi, std::uint64_t lo);
 
  private:
   std::uint64_t s_[4];

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/dataset.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace cim::core {
 namespace {
@@ -62,7 +62,7 @@ TEST(CimSystem, PartitionedVmmTracksOracle) {
   const auto w = random_weights(20, 24, 11);
   CimSystem sys(w, sys_cfg(8, 8));
   util::Rng rng(13);
-  util::RunningStats rel_err;
+  obs::StreamStat rel_err;
   for (int t = 0; t < 5; ++t) {
     std::vector<std::uint32_t> x(24);
     for (auto& v : x) v = static_cast<std::uint32_t>(rng.uniform_int(16));
@@ -73,7 +73,7 @@ TEST(CimSystem, PartitionedVmmTracksOracle) {
       rel_err.add(std::abs(double(y[o] - ref[o])) / scale);
     }
   }
-  EXPECT_LT(rel_err.mean(), 0.15);
+  EXPECT_LT(rel_err.mean, 0.15);
 }
 
 TEST(CimSystem, StatsAggregateAcrossTiles) {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/dataset.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace cim::core {
 namespace {
@@ -52,7 +52,7 @@ TEST(CimTile, AnalogVmmTracksOracle) {
   const auto w = random_weights(8, 16, 4, 7);
   tile.program_weights(w);
   util::Rng rng(9);
-  util::RunningStats rel_err;
+  obs::StreamStat rel_err;
   for (int t = 0; t < 10; ++t) {
     std::vector<std::uint32_t> x(16);
     for (auto& v : x) v = static_cast<std::uint32_t>(rng.uniform_int(16));
@@ -63,7 +63,7 @@ TEST(CimTile, AnalogVmmTracksOracle) {
       rel_err.add(std::abs(double(y[o] - ref[o])) / scale);
     }
   }
-  EXPECT_LT(rel_err.mean(), 0.15);
+  EXPECT_LT(rel_err.mean, 0.15);
 }
 
 TEST(CimTile, ZeroInputGivesZeroOutput) {
@@ -85,7 +85,7 @@ TEST(CimTile, LowAdcResolutionDegradesAccuracy) {
   lo.program_weights(w);
 
   util::Rng rng(15);
-  util::RunningStats err_hi, err_lo;
+  obs::StreamStat err_hi, err_lo;
   for (int t = 0; t < 10; ++t) {
     std::vector<std::uint32_t> x(16);
     for (auto& v : x) v = static_cast<std::uint32_t>(rng.uniform_int(16));
@@ -97,7 +97,7 @@ TEST(CimTile, LowAdcResolutionDegradesAccuracy) {
       err_lo.add(std::abs(double(yl[o] - ref[o])));
     }
   }
-  EXPECT_GT(err_lo.mean(), err_hi.mean());
+  EXPECT_GT(err_lo.mean, err_hi.mean);
 }
 
 TEST(CimTile, EnergyDominatedByAdc) {

@@ -1,12 +1,10 @@
 /// \file test_crossbar_batch.cpp
 /// \brief Batched VMM contract tests: shape validation, the bit-identical
 ///        determinism guarantee across pool sizes, agreement with the ideal
-///        VMM, conductance-cache invalidation on array mutation, and the
-///        span-overload equivalence.
+///        VMM, and conductance-cache invalidation on array mutation.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -48,11 +46,6 @@ TEST(CrossbarBatch, RejectsWrongInputWidth) {
   Matrix bad(4, 23);  // array is 24 wide
   Matrix out;
   EXPECT_THROW(xbar.vmm_batch(bad, out, nullptr), std::invalid_argument);
-
-  std::vector<std::vector<double>> rows = {std::vector<double>(23, 0.1)};
-  EXPECT_THROW(
-      xbar.vmm_batch(std::span<const std::vector<double>>(rows), nullptr),
-      std::invalid_argument);
 }
 
 TEST(CrossbarBatch, EmptyBatchProducesEmptyOutput) {
@@ -156,26 +149,6 @@ TEST(CrossbarBatch, CacheInvalidatedByProgramAndFaults) {
   for (std::size_t s = 0; s < 4; ++s)
     fdelta += std::abs(after_fault(s, 1) - after_prog(s, 1));
   EXPECT_GT(fdelta, 1e-9) << "fault injection did not reach the batch path";
-}
-
-TEST(CrossbarBatch, SpanOverloadMatchesMatrixOverload) {
-  const auto v = make_batch(8, 24, 21);
-  auto xm = make_xbar(23);
-  Matrix out;
-  xm.vmm_batch(v, out, nullptr);
-
-  auto xs = make_xbar(23);
-  std::vector<std::vector<double>> rows(8);
-  for (std::size_t s = 0; s < 8; ++s) {
-    const auto r = v.row(s);
-    rows[s].assign(r.begin(), r.end());
-  }
-  const auto res =
-      xs.vmm_batch(std::span<const std::vector<double>>(rows), nullptr);
-  ASSERT_EQ(res.size(), 8u);
-  for (std::size_t s = 0; s < 8; ++s)
-    for (std::size_t c = 0; c < 24; ++c)
-      EXPECT_EQ(res[s][c], out(s, c)) << "sample " << s << " col " << c;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// \file test_stream_stat.cpp
 /// \brief Streaming-statistics layer (obs/dataset.hpp): Welford updates
 ///        against closed-form moments, Chan merge exactness and
-///        order-determinism, CI arithmetic, and DataSet keyed summaries.
+///        order-determinism, and CI arithmetic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 
 namespace {
 
-using cim::obs::DataSet;
 using cim::obs::normal_quantile;
 using cim::obs::StreamStat;
 using cim::obs::z_for_confidence;
@@ -129,50 +128,6 @@ TEST(CiHelpers, CiHalfWidthFormula) {
   for (int x = 1; x <= 5; ++x) s.add(static_cast<double>(x));
   const double z = 1.96;
   EXPECT_NEAR(s.ci_half_width(z), z * std::sqrt(2.5 / 5.0), 1e-12);
-}
-
-TEST(DataSet, ObserveAbsorbAndSortedRows) {
-  DataSet d;
-  d.observe("zeta", 1.0);
-  d.observe("alpha", 2.0);
-  d.observe("alpha", 4.0);
-
-  StreamStat extra;
-  extra.add(10.0);
-  extra.add(20.0);
-  d.absorb("mid", extra);
-
-  ASSERT_EQ(d.size(), 3u);
-  const auto rows = d.rows();
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].key, "alpha");
-  EXPECT_EQ(rows[1].key, "mid");
-  EXPECT_EQ(rows[2].key, "zeta");
-  EXPECT_DOUBLE_EQ(d.stat("alpha").mean, 3.0);
-  EXPECT_EQ(d.stat("mid").n, 2u);
-  EXPECT_FALSE(d.contains("nope"));
-  EXPECT_EQ(d.stat("nope").n, 0u);
-}
-
-TEST(DataSet, MergeIsKeyWise) {
-  DataSet a, b;
-  a.observe("x", 1.0);
-  a.observe("x", 3.0);
-  b.observe("x", 5.0);
-  b.observe("y", 7.0);
-  a.merge(b);
-  EXPECT_EQ(a.stat("x").n, 3u);
-  EXPECT_DOUBLE_EQ(a.stat("x").mean, 3.0);
-  EXPECT_EQ(a.stat("y").n, 1u);
-}
-
-TEST(DataSet, SummaryTableMentionsEveryKey) {
-  DataSet d;
-  d.observe("cellA", 1.0);
-  d.observe("cellB", 2.0);
-  const std::string table = d.summary_table(0.95);
-  EXPECT_NE(table.find("cellA"), std::string::npos);
-  EXPECT_NE(table.find("cellB"), std::string::npos);
 }
 
 }  // namespace

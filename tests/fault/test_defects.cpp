@@ -86,6 +86,20 @@ TEST(Defects, OutOfArrayThrows) {
       std::out_of_range);
 }
 
+TEST(Defects, DecoderDefectOnOneRowThrows) {
+  util::Rng rng(21);
+  EXPECT_THROW(
+      (void)map_defect_to_faults({DefectKind::kDecoderDefect, 0, 3}, 1, 8, rng),
+      std::invalid_argument);
+}
+
+TEST(Defects, BridgeOnOneColumnThrows) {
+  util::Rng rng(23);
+  EXPECT_THROW(
+      (void)map_defect_to_faults({DefectKind::kCellBridge, 3, 0}, 8, 1, rng),
+      std::invalid_argument);
+}
+
 TEST(Defects, InjectDefectsPopulatesMap) {
   util::Rng rng(19);
   const auto map = inject_defects(32, 32, 20, rng);

@@ -9,7 +9,6 @@
 
 #include "core/cim_system.hpp"
 #include "memtest/march.hpp"
-#include "nn/crossbar_linear.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -19,39 +18,6 @@ namespace {
 using cim::util::Matrix;
 using cim::util::Rng;
 using cim::util::ThreadPool;
-
-Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed,
-                     double lo, double hi) {
-  Rng rng(seed);
-  Matrix m(r, c);
-  for (auto& v : m.flat()) v = rng.uniform(lo, hi);
-  return m;
-}
-
-TEST(ParallelDeterminism, CrossbarLinearForwardBatch) {
-  const auto w = random_matrix(12, 16, 3, -0.5, 0.5);
-  const std::vector<double> b(12, 0.05);
-  const auto x = random_matrix(24, 16, 5, 0.0, 1.0);
-
-  const auto run = [&](std::size_t threads) {
-    cim::nn::CrossbarLinearConfig cfg;
-    cfg.array.seed = 7;
-    cfg.program_verify = false;
-    cim::nn::CrossbarLinear layer(w, b, cfg);
-    ThreadPool pool(threads);
-    return layer.forward_batch(x, &pool);
-  };
-
-  const auto ref = run(1);
-  const auto p2 = run(2);
-  const auto p8 = run(8);
-  ASSERT_EQ(ref.rows(), 24u);
-  ASSERT_EQ(ref.cols(), 12u);
-  for (std::size_t i = 0; i < ref.flat().size(); ++i) {
-    EXPECT_EQ(ref.flat()[i], p2.flat()[i]) << "flat index " << i;
-    EXPECT_EQ(ref.flat()[i], p8.flat()[i]) << "flat index " << i;
-  }
-}
 
 TEST(ParallelDeterminism, MlpAccuracyPoolMatchesSerial) {
   Rng rng(11);

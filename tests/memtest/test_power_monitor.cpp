@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "obs/dataset.hpp"
 #include "util/stats.hpp"
 
 namespace cim::memtest {
@@ -67,11 +68,11 @@ TEST(PowerMonitor, PowerShiftsWhenFaultsLand) {
   const auto run = run_monitored_workload(xbar, cfg, rng, &map, 600);
   // On the seasonally adjusted residuals the fault-induced shift stands
   // far above the pre-change noise floor.
-  util::RunningStats pre, post;
+  obs::StreamStat pre, post;
   const std::size_t cp = 600 - run.calibration_cycles;
   for (std::size_t i = 0; i < run.residual_mw.size(); ++i)
     (i < cp ? pre : post).add(run.residual_mw[i]);
-  EXPECT_GT(std::abs(post.mean() - pre.mean()), 3.0 * pre.stddev());
+  EXPECT_GT(std::abs(post.mean - pre.mean), 3.0 * pre.stddev());
 }
 
 TEST(PowerMonitor, FeatureExtractionShapes) {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "util/stats.hpp"
+#include "obs/dataset.hpp"
 
 namespace cim::nn {
 namespace {
@@ -72,7 +72,7 @@ TEST(CrossbarLinear, AdcQuantizationAddsBoundedError) {
   CrossbarLinear ref(w, {}, quiet_cfg());
 
   std::vector<double> x(16, 0.5);
-  util::RunningStats err_hi, err_lo;
+  obs::StreamStat err_hi, err_lo;
   for (int k = 0; k < 32; ++k) {
     const auto yr = ref.forward(x);
     const auto yh = hi.forward(x);
@@ -83,7 +83,7 @@ TEST(CrossbarLinear, AdcQuantizationAddsBoundedError) {
     }
   }
   // Section II.E: quantization error increases as resolution drops.
-  EXPECT_GT(err_lo.mean(), err_hi.mean());
+  EXPECT_GT(err_lo.mean, err_hi.mean);
 }
 
 TEST(CrossbarLinear, YieldFaultsDegradeOutputs) {
@@ -97,7 +97,7 @@ TEST(CrossbarLinear, YieldFaultsDegradeOutputs) {
   faulty.apply_yield(0.7, frng);
 
   std::vector<double> x(32, 0.8);
-  util::RunningStats err_clean, err_faulty;
+  obs::StreamStat err_clean, err_faulty;
   for (int k = 0; k < 16; ++k) {
     const auto oracle = w.matvec(x);
     const auto yc = clean.forward(x);
@@ -107,7 +107,7 @@ TEST(CrossbarLinear, YieldFaultsDegradeOutputs) {
       err_faulty.add(std::abs(yf[i] - oracle[i]));
     }
   }
-  EXPECT_GT(err_faulty.mean(), 2.0 * err_clean.mean());
+  EXPECT_GT(err_faulty.mean, 2.0 * err_clean.mean);
 }
 
 TEST(CrossbarLinear, EnergyAccumulatesAcrossForwards) {

@@ -1,7 +1,7 @@
 /// \file test_fidelity_conformance.cpp
 /// \brief End-to-end fidelity-tier conformance (ISSUE 7): the calibrated
 ///        (tier 1) and ideal (tier 2) VMM paths must preserve inference
-///        quality on the MLP and CNN workloads within the documented
+///        quality on the MLP workload within the documented
 ///        budget: end-to-end accuracy delta vs the full analog model
 ///        (tier 0) within 5 percentage points, and identical results on
 ///        repeated runs (determinism).
@@ -11,9 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/cnn.hpp"
 #include "nn/fault_tolerant_training.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cim::nn {
 namespace {
@@ -85,42 +83,6 @@ TEST(FidelityConformance, IdealTierRepeatsBitwiseOnOneLayer) {
     const auto y1 = layer.forward(data.features.row(s), FidelityTier::kIdeal);
     const auto y2 = layer.forward(data.features.row(s), FidelityTier::kIdeal);
     for (std::size_t i = 0; i < y1.size(); ++i) ASSERT_EQ(y1[i], y2[i]);
-  }
-}
-
-TEST(FidelityConformance, CnnAccuracyAcrossTiers) {
-  util::Rng rng(9);
-  const auto train = generate_digits(600, rng, 0.1);
-  const auto test = generate_digits(150, rng, 0.1);
-  SmallCnn cnn(4, rng);
-  cnn.fit(train, 30, 0.03, rng);
-  ASSERT_GT(cnn.accuracy(test), 0.85);
-
-  CrossbarCnn xcnn(cnn, quiet_cfg(13));
-  const double full = xcnn.accuracy(test, nullptr, FidelityTier::kFull);
-  const double fast =
-      xcnn.accuracy(test, nullptr, FidelityTier::kCalibrated);
-  const double ideal = xcnn.accuracy(test, nullptr, FidelityTier::kIdeal);
-
-  ASSERT_GT(full, 0.7);
-  EXPECT_NEAR(fast, full, kAccuracyBudget);
-  EXPECT_NEAR(ideal, full, kAccuracyBudget);
-}
-
-TEST(FidelityConformance, CnnBatchPoolIndependentPerTier) {
-  util::Rng rng(11);
-  SmallCnn cnn(4, rng);
-  const auto data = generate_digits(3, rng, 0.1);
-
-  for (FidelityTier tier : {FidelityTier::kCalibrated, FidelityTier::kIdeal}) {
-    CrossbarCnn serial(cnn, quiet_cfg(17));
-    CrossbarCnn pooled(cnn, quiet_cfg(17));
-    util::ThreadPool pool(4);
-    for (std::size_t s = 0; s < data.size(); ++s) {
-      const int ps = serial.predict(data.features.row(s), nullptr, tier);
-      const int pp = pooled.predict(data.features.row(s), &pool, tier);
-      ASSERT_EQ(ps, pp) << "tier " << static_cast<int>(tier);
-    }
   }
 }
 

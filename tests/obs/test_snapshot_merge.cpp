@@ -1,9 +1,9 @@
 /// \file test_snapshot_merge.cpp
-/// \brief Snapshot merge semantics (obs/merge.cpp): counters add, gauges
-///        resolve last-writer-wins by capture time, histograms add
-///        bucket-wise only on identical bounds, spans accumulate — plus
-///        the JSON round-trip and live-registry absorption used when a
-///        campaign parent folds in worker-process telemetry.
+/// \brief Snapshot merge semantics of absorb_snapshot (obs/merge.cpp), the
+///        live-registry fold a campaign parent applies to worker-process
+///        telemetry: counters add, gauges are taken only from a snapshot
+///        captured after the cutoff, histograms add bucket-wise only on
+///        identical bounds — plus the snapshot-JSON round-trip.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +15,6 @@
 namespace {
 
 using cim::obs::absorb_snapshot;
-using cim::obs::merge_snapshot;
 using cim::obs::MergeStats;
 using cim::obs::parse_snapshot_json;
 using cim::obs::Registry;
@@ -36,76 +35,6 @@ Snapshot make_snapshot(std::uint64_t unix_us) {
   h.data.sum = 42.0;
   s.histograms.push_back(h);
   return s;
-}
-
-TEST(SnapshotMerge, CountersAddAndNewNamesAreAdopted) {
-  Snapshot into = make_snapshot(1000);
-  into.counters = {{"exp.trials_done", 50}};
-  const Snapshot from = make_snapshot(2000);
-
-  const MergeStats ms = merge_snapshot(into, from);
-  EXPECT_EQ(ms.counters_added, 2u);
-
-  std::uint64_t trials = 0, adopted = 0;
-  for (const auto& [name, v] : into.counters) {
-    if (name == "exp.trials_done") trials = v;
-    if (name == "worker.only") adopted = v;
-  }
-  EXPECT_EQ(trials, 150u);
-  EXPECT_EQ(adopted, 7u);
-}
-
-TEST(SnapshotMerge, GaugesAreLastWriterWinsByCaptureTime) {
-  Snapshot older = make_snapshot(1000);
-  older.gauges = {{"exp.eta_s", 99.0}};
-  Snapshot newer = make_snapshot(2000);
-  newer.gauges = {{"exp.eta_s", 12.5}};
-
-  // Newer `from` wins...
-  Snapshot into = older;
-  merge_snapshot(into, newer);
-  EXPECT_DOUBLE_EQ(into.gauges[0].second, 12.5);
-  EXPECT_EQ(into.meta.unix_us, 2000u);
-
-  // ...older `from` does not (and ties keep `into`).
-  Snapshot into2 = newer;
-  const MergeStats ms = merge_snapshot(into2, older);
-  EXPECT_DOUBLE_EQ(into2.gauges[0].second, 12.5);
-  EXPECT_EQ(ms.gauges_taken, 0u);
-  Snapshot tie = newer;
-  Snapshot tie_from = newer;
-  tie_from.gauges = {{"exp.eta_s", -1.0}};
-  merge_snapshot(tie, tie_from);
-  EXPECT_DOUBLE_EQ(tie.gauges[0].second, 12.5);
-}
-
-TEST(SnapshotMerge, HistogramsMergeBucketWiseOnIdenticalBounds) {
-  Snapshot into = make_snapshot(1000);
-  Snapshot from = make_snapshot(2000);
-  from.histograms[0].data.counts = {1, 1, 1, 2};
-  from.histograms[0].data.count = 5;
-  from.histograms[0].data.sum = 500.0;
-
-  const MergeStats ms = merge_snapshot(into, from);
-  EXPECT_EQ(ms.histograms_merged, 1u);
-  EXPECT_EQ(ms.bound_conflicts, 0u);
-  const auto& h = into.histograms[0].data;
-  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{6, 4, 2, 2}));
-  EXPECT_EQ(h.count, 14u);
-  EXPECT_DOUBLE_EQ(h.sum, 542.0);
-}
-
-TEST(SnapshotMerge, ConflictingBoundsAreSkippedAndCounted) {
-  Snapshot into = make_snapshot(1000);
-  Snapshot from = make_snapshot(2000);
-  from.histograms[0].data.bounds = {2.0, 20.0, 200.0};
-
-  const Snapshot before = into;
-  const MergeStats ms = merge_snapshot(into, from);
-  EXPECT_EQ(ms.bound_conflicts, 1u);
-  EXPECT_EQ(ms.histograms_merged, 0u);
-  EXPECT_EQ(into.histograms[0].data.counts, before.histograms[0].data.counts);
-  EXPECT_EQ(into.histograms[0].data.count, before.histograms[0].data.count);
 }
 
 TEST(SnapshotMerge, JsonRoundTripsThenMergesIdentically) {
