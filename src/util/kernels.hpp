@@ -1,6 +1,6 @@
 /// \file kernels.hpp
 /// \brief Runtime-dispatched numeric micro-kernels for the simulator's
-///        inner loops (crossbar VMM, dense matvec/GEMM, im2col conv).
+///        inner loops (crossbar VMM, dense matvec/GEMM).
 ///
 /// These are the tight loops NeuroSim/MNSIM-class frameworks spend their
 /// time in, plus the tile's per-cycle ADC conversion and decode. Layout
