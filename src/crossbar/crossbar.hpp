@@ -26,9 +26,9 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
 
 #include "crossbar/fidelity.hpp"
 #include "device/reram_cell.hpp"
@@ -145,6 +145,14 @@ class Crossbar {
 
   /// True (noiseless) conductance — test oracle only.
   double true_conductance(std::size_t row, std::size_t col) const;
+
+  /// Read-only view of one cell (stored and target conductance, stuck mode,
+  /// wear) — test oracle only.
+  const device::ReRamCell& cell_state(std::size_t row, std::size_t col) const {
+    if (row >= cfg_.rows || col >= cfg_.cols)
+      throw std::out_of_range("cell_state: out of range");
+    return cell(row, col);
+  }
 
   /// Analog vector-matrix multiply: applies `v_rows` volts on the wordlines
   /// and returns the bitline currents in uA. At the default tier
