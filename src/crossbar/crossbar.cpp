@@ -62,6 +62,9 @@ Crossbar::Crossbar(CrossbarConfig cfg)
     cells_.emplace_back(tech_, cfg_.levels, rng_);
   dirty_words_per_row_ = (cfg_.cols + 63) / 64;
   dirty_bits_.assign(cfg_.rows * dirty_words_per_row_, 0);
+  sweep_walk_row_.assign(cfg_.rows, 0);
+  sweep_walk_col_.assign(cfg_.cols, 0);
+  sweep_hits_.resize(std::max(cfg_.rows, cfg_.cols));
 }
 
 void Crossbar::apply_faults(const fault::FaultMap& map) {
@@ -104,6 +107,23 @@ void Crossbar::apply_faults(const fault::FaultMap& map) {
       }
     }
   }
+  // Recount from the cells, not the map: a cell stuck by an earlier map or
+  // by wear-out stays stuck, and a later map can set a scale back to 1.
+  count_sweep_walkers();
+}
+
+void Crossbar::count_sweep_walkers() {
+  std::fill(sweep_walk_row_.begin(), sweep_walk_row_.end(), 0);
+  std::fill(sweep_walk_col_.begin(), sweep_walk_col_.end(), 0);
+  for (std::size_t r = 0; r < cfg_.rows; ++r)
+    for (std::size_t c = 0; c < cfg_.cols; ++c) {
+      const auto& cl = cell(r, c);
+      if (cl.stuck() != device::StuckMode::kNone ||
+          cl.write_disturb_scale() != 1.0) {
+        ++sweep_walk_row_[r];
+        ++sweep_walk_col_[c];
+      }
+    }
 }
 
 obs::HealthMonitor& Crossbar::health_monitor() {
@@ -115,16 +135,22 @@ obs::HealthMonitor& Crossbar::health_monitor() {
   return *health_;
 }
 
-void Crossbar::record_health_write(std::size_t r, std::size_t c,
-                                   const device::WriteResult& res,
-                                   bool was_stuck) {
-  auto& h = health_monitor();
+void Crossbar::note_write(std::size_t r, std::size_t c,
+                          const device::WriteResult& res, bool was_stuck) {
   const auto& cl = cell(r, c);
+  const bool wore_out = !was_stuck && cl.stuck() != device::StuckMode::kNone;
+  // A stuck cell draws no sweep uniform; one with a write-disturb scale
+  // other than 1 is counted already.
+  if (wore_out && cl.write_disturb_scale() == 1.0) {
+    ++sweep_walk_row_[r];
+    ++sweep_walk_col_[c];
+  }
+  if (!obs::health_enabled()) return;
+  auto& h = health_monitor();
   // One wear unit per programming pulse — matches cell.write_count() exactly.
   h.record_write(r, c, static_cast<std::uint64_t>(res.attempts));
   h.record_program(r, c, cl.target_conductance_us(), cl.true_conductance_us());
-  if (!was_stuck && cl.stuck() != device::StuckMode::kNone)
-    h.record_wearout(r, c);
+  if (wore_out) h.record_wearout(r, c);
 }
 
 std::size_t Crossbar::effective_row(std::size_t r) const {
@@ -165,23 +191,47 @@ void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
       }
     }
   }
-  // Half-select disturb on same-row / same-column neighbours. Only the
-  // cells whose conductance actually moved go on the dirty list.
+  // Half-select disturb on the same-row, then the same-column neighbours.
   if (tech_.write_disturb_prob > 0.0) {
-    for (std::size_t cc = 0; cc < cfg_.cols; ++cc)
-      if (cc != c && cell(r, cc).disturb_from_neighbour_write(rng_)) {
-        mark_cell_dirty(r, cc);
-        if (health)
-          health_monitor().record_disturb(r, cc,
-                                          cell(r, cc).true_conductance_us());
-      }
-    for (std::size_t rr = 0; rr < cfg_.rows; ++rr)
-      if (rr != r && cell(rr, c).disturb_from_neighbour_write(rng_)) {
-        mark_cell_dirty(rr, c);
-        if (health)
-          health_monitor().record_disturb(rr, c,
-                                          cell(rr, c).true_conductance_us());
-      }
+    disturb_line(r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0);
+    disturb_line(c, cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0);
+  }
+}
+
+void Crossbar::disturb_line(std::size_t first, std::size_t stride,
+                            std::size_t n, std::size_t skip, bool walk) {
+  // The draw contract (DESIGN.md §7): in index order, one uniform per
+  // neighbour that is not stuck, a hit when it is below min(1, p * the
+  // cell's write-disturb scale). On a line with no stuck or rescaled cell
+  // that is one uniform per neighbour against min(1, p), so the draw pass
+  // loads a cell only on a walked line. It makes no call, so the local
+  // generator copy stays in registers; the hits are applied after it, in
+  // the same order (a hit changes no later draw).
+  const double p = std::min(1.0, tech_.write_disturb_prob);
+  util::Rng rng = rng_;
+  std::uint32_t* hit = sweep_hits_.data();
+  std::size_t hits = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k == skip) continue;
+    double p_hit = p;
+    if (walk) {
+      const auto& cl = cells_[first + k * stride];
+      if (cl.stuck() != device::StuckMode::kNone) continue;
+      p_hit = std::min(1.0, tech_.write_disturb_prob * cl.write_disturb_scale());
+    }
+    if (rng.bernoulli(p_hit)) hit[hits++] = static_cast<std::uint32_t>(k);
+  }
+  rng_ = rng;
+  // Half a level step per hit; only the cells whose conductance actually
+  // moved go on the dirty list.
+  for (std::size_t h = 0; h < hits; ++h) {
+    const std::size_t idx = first + hit[h] * stride;
+    if (!cells_[idx].disturb_step()) continue;
+    const std::size_t r = idx / cfg_.cols;
+    const std::size_t c = idx % cfg_.cols;
+    mark_cell_dirty(r, c);
+    if (obs::health_enabled())
+      health_monitor().record_disturb(r, c, cells_[idx].true_conductance_us());
   }
 }
 
@@ -196,7 +246,7 @@ void Crossbar::write_bit(std::size_t row, std::size_t col, bool value) {
   const auto res = cl.write_level(level, rng_, cfg_.verified_writes);
   ++stats_.bit_writes;
   if (obs::enabled()) obs_counters().bit_writes.add(1);
-  if (obs::health_enabled()) record_health_write(er, col, res, was_stuck);
+  note_write(er, col, res, was_stuck);
   charge(res.time_ns, res.energy_pj);
   after_write(er, col, value);
 }
@@ -231,7 +281,7 @@ device::WriteResult Crossbar::program_cell_impl(std::size_t row,
   const auto res = cl.write_conductance(g_us, rng_, cfg_.verified_writes);
   ++stats_.analog_writes;
   if (obs::enabled()) obs_counters().analog_writes.add(1);
-  if (obs::health_enabled()) record_health_write(row, col, res, was_stuck);
+  note_write(row, col, res, was_stuck);
   charge(res.time_ns, res.energy_pj);
   const double mid = 0.5 * (tech_.g_on_us() + tech_.g_off_us());
   after_write(row, col, g_us >= mid);
@@ -1007,8 +1057,7 @@ void Crossbar::imply(std::size_t dest_row, std::size_t dest_col,
     const bool was_stuck = dest.stuck() != device::StuckMode::kNone;
     const auto res =
         dest.write_level(next ? dest.scheme().levels() - 1 : 0, rng_, false);
-    if (obs::health_enabled())
-      record_health_write(dest_row, dest_col, res, was_stuck);
+    note_write(dest_row, dest_col, res, was_stuck);
     charge(res.time_ns, res.energy_pj);
   } else {
     // Conditional write that does not fire still costs the pulse window.
@@ -1025,7 +1074,7 @@ void Crossbar::set_false(std::size_t row, std::size_t col) {
   const auto res = cl.write_level(0, rng_, false);
   ++stats_.logic_ops;
   if (obs::enabled()) obs_counters().logic_ops.add(1);
-  if (obs::health_enabled()) record_health_write(row, col, res, was_stuck);
+  note_write(row, col, res, was_stuck);
   charge(res.time_ns, res.energy_pj);
 }
 
@@ -1053,8 +1102,7 @@ void Crossbar::magic_nor(std::size_t row, std::span<const std::size_t> in_cols,
     mark_cell_dirty(row, out_col);
     const bool was_stuck = out.stuck() != device::StuckMode::kNone;
     const auto res = out.write_level(0, rng_, false);
-    if (obs::health_enabled())
-      record_health_write(row, out_col, res, was_stuck);
+    note_write(row, out_col, res, was_stuck);
     charge(res.time_ns, res.energy_pj);
   } else {
     charge(tech_.t_write_ns, 0.1 * tech_.e_write_pj);
@@ -1078,7 +1126,7 @@ void Crossbar::majority_write(std::size_t row, std::size_t col, bool v_wl,
     const bool was_stuck = cl.stuck() != device::StuckMode::kNone;
     const auto res =
         cl.write_level(next ? cl.scheme().levels() - 1 : 0, rng_, false);
-    if (obs::health_enabled()) record_health_write(row, col, res, was_stuck);
+    note_write(row, col, res, was_stuck);
     charge(res.time_ns, res.energy_pj);
   } else {
     charge(tech_.t_write_ns, 0.1 * tech_.e_write_pj);

@@ -296,11 +296,23 @@ class Crossbar {
   /// Post-write side effects: coupling-fault victims and neighbour disturb.
   void after_write(std::size_t r, std::size_t c, bool value_is_one);
 
-  /// Health bookkeeping for one completed write on (r, c): wear (pulses),
-  /// drift baseline reset, and the in-field wear-out transition. Callers
-  /// gate on obs::health_enabled().
-  void record_health_write(std::size_t r, std::size_t c,
-                           const device::WriteResult& res, bool was_stuck);
+  /// Half-select disturb sweep over one line: the `n` cells at
+  /// `first + k * stride`, skipping k == `skip` (the written cell). `walk`
+  /// when the line holds a cell that changes a neighbour's draw (see
+  /// sweep_walk_row_); otherwise every draw is against one probability and
+  /// only the cells hit are loaded. Same draws and hits either way.
+  void disturb_line(std::size_t first, std::size_t stride, std::size_t n,
+                    std::size_t skip, bool walk);
+
+  /// Recounts sweep_walk_row_ / sweep_walk_col_ from every cell.
+  void count_sweep_walkers();
+
+  /// Bookkeeping for one completed write on (r, c), shared by every write
+  /// entry point: a cell that wore out on this write joins its line's sweep
+  /// counts, and with health on the monitor records the wear (pulses), the
+  /// drift baseline and the in-field wear-out.
+  void note_write(std::size_t r, std::size_t c, const device::WriteResult& res,
+                  bool was_stuck);
 
   /// IR-drop-attenuated effective conductance of a cell during VMM.
   double effective_conductance(std::size_t r, std::size_t c, double g_us) const;
@@ -474,6 +486,13 @@ class Crossbar {
   /// vmm_bit_planes: the rows x 3 terms of plane_read_sums, then one
   /// plane's voltages in the disturb fallback.
   std::vector<double> bit_planes_scratch_;
+
+  // Per row / per column: cells that change a neighbour's write-disturb
+  // draw, i.e. stuck (no draw) or with a write-disturb scale other than 1.
+  // Recounted by apply_faults, bumped by note_write at a wear-out.
+  std::vector<std::uint32_t> sweep_walk_row_;
+  std::vector<std::uint32_t> sweep_walk_col_;
+  std::vector<std::uint32_t> sweep_hits_;  ///< one sweep's hit indices
 };
 
 }  // namespace cim::crossbar

@@ -124,23 +124,16 @@ double ReRamCell::read_conductance_us(util::Rng& rng) {
   // Read disturb: a small SET-direction step with low probability.
   const double p_read_disturb =
       std::min(1.0, tech_->read_disturb_prob * read_disturb_scale_);
-  if (stuck_ == StuckMode::kNone && rng.bernoulli(p_read_disturb)) {
-    g_ = std::min(tech_->g_on_us(), g_ + 0.5 * scheme_.step_us());
-  }
+  if (stuck_ == StuckMode::kNone && rng.bernoulli(p_read_disturb))
+    (void)disturb_step();
   const double noise = rng.normal(0.0, tech_->read_noise_frac * g_);
   return std::clamp(g_ + noise, 0.0, tech_->g_on_us() * 1.2);
 }
 
-bool ReRamCell::disturb_from_neighbour_write(util::Rng& rng) {
-  if (stuck_ != StuckMode::kNone) return false;
-  const double p_write_disturb =
-      std::min(1.0, tech_->write_disturb_prob * write_disturb_scale_);
-  if (rng.bernoulli(p_write_disturb)) {
-    const double g_before = g_;
-    g_ = std::min(tech_->g_on_us(), g_ + 0.5 * scheme_.step_us());
-    return g_ != g_before;
-  }
-  return false;
+bool ReRamCell::disturb_step() {
+  const double g_before = g_;
+  g_ = std::min(tech_->g_on_us(), g_ + 0.5 * scheme_.step_us());
+  return g_ != g_before;
 }
 
 void ReRamCell::force_stuck(StuckMode mode) {

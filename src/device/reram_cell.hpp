@@ -100,11 +100,13 @@ class ReRamCell {
   /// disturbed cell shows a large |true - target| long before reads fail.
   double target_conductance_us() const { return target_g_; }
 
-  /// Disturb from a write on a neighbouring cell (half-select stress):
-  /// with the technology's probability the conductance takes a small step
-  /// towards LRS. Returns true when the stored conductance actually moved,
-  /// so callers maintaining conductance caches can dirty-track precisely.
-  bool disturb_from_neighbour_write(util::Rng& rng);
+  /// One disturb event (a read disturb, or a neighbour write's half-select
+  /// stress): the conductance takes half a level step towards LRS, capped
+  /// at g_on. Returns true when the stored conductance actually moved, so
+  /// callers maintaining conductance caches can dirty-track precisely. The
+  /// draw that decides a neighbour-write event is the crossbar's sweep
+  /// (Crossbar::after_write), against the rate times write_disturb_scale().
+  bool disturb_step();
 
   // --- fault-module hooks -------------------------------------------------
   void force_stuck(StuckMode mode);
@@ -122,6 +124,7 @@ class ReRamCell {
     read_disturb_scale_ = read_scale;
     write_disturb_scale_ = write_scale;
   }
+  double write_disturb_scale() const { return write_disturb_scale_; }
 
   std::uint64_t write_count() const { return writes_; }
   /// Sampled wear-out limit for this cell (writes until it goes hard-stuck).

@@ -27,11 +27,23 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next raw 64-bit output.
-  std::uint64_t operator()();
+  /// Next raw 64-bit output. The generator step, uniform() and bernoulli()
+  /// are inline: a hot loop that draws from a local copy keeps the state in
+  /// registers.
+  std::uint64_t operator()() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one step.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -73,7 +85,7 @@ class Rng {
   double lognormal(double mu_log, double sigma_log);
 
   /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
@@ -112,6 +124,10 @@ class Rng {
   static Rng stream(std::uint64_t seed, std::uint64_t stream_index);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
