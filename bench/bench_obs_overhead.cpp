@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -41,24 +42,26 @@ constexpr int kAmplify = 64;
 constexpr double kRealSitesPerIter = 4.0 * (kWritesPerIter + 1);
 constexpr double kGateFraction = 0.02;
 
-crossbar::Crossbar make_xbar() {
+std::unique_ptr<crossbar::Crossbar> make_xbar() {
   crossbar::CrossbarConfig cfg;
   cfg.rows = cfg.cols = kArray;
   cfg.levels = 16;
   cfg.seed = 41;
-  crossbar::Crossbar xbar(cfg);
+  auto owner = std::make_unique<crossbar::Crossbar>(cfg);
+  auto& xbar = *owner;
   util::Rng rng(43);
   util::Matrix lv(kArray, kArray);
   for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(16));
   xbar.program_levels(lv);
   xbar.reset_stats();
-  return xbar;
+  return owner;
 }
 
 /// The interleave workload; `amplify` adds kAmplify disabled telemetry
 /// sites (one span + one gated counter each) per iteration.
 double run_workload(bool amplify) {
-  auto xbar = make_xbar();
+  const auto owner = make_xbar();
+  auto& xbar = *owner;
   util::Rng rng(47);
   std::vector<double> v(kArray, 0.0);
   std::vector<double> currents(kArray, 0.0);

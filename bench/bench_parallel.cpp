@@ -10,6 +10,7 @@
 /// legitimately saturate at ~1x; the determinism gate still applies).
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,19 +29,20 @@ constexpr std::size_t kBatch = 192;     ///< input vectors per batch
 constexpr int kReps = 6;                ///< batches per timing run
 constexpr std::size_t kTrials = 36;     ///< Monte-Carlo march trials
 
-crossbar::Crossbar make_programmed_xbar() {
+std::unique_ptr<crossbar::Crossbar> make_programmed_xbar() {
   crossbar::CrossbarConfig cfg;
   cfg.rows = cfg.cols = kArray;
   cfg.levels = 16;
   cfg.verified_writes = false;
   cfg.seed = 17;
-  crossbar::Crossbar xbar(cfg);
+  auto owner = std::make_unique<crossbar::Crossbar>(cfg);
+  auto& xbar = *owner;
   util::Rng rng(23);
   util::Matrix lv(kArray, kArray);
   for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(16));
   xbar.program_levels(lv);
   xbar.reset_stats();
-  return xbar;
+  return owner;
 }
 
 util::Matrix make_inputs() {
@@ -54,7 +56,8 @@ util::Matrix make_inputs() {
 /// last batch result (for the bitwise determinism gate) and the wall time.
 util::Matrix run_batches(util::ThreadPool& pool, const util::Matrix& inputs,
                          double& wall_ms) {
-  auto xbar = make_programmed_xbar();
+  const auto owner = make_programmed_xbar();
+  auto& xbar = *owner;
   util::Matrix out;
   bench::WallTimer timer;
   for (int r = 0; r < kReps; ++r) xbar.vmm_batch(inputs, out, &pool);

@@ -21,6 +21,7 @@
 /// fails, mirroring bench_parallel's determinism gate.
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -36,19 +37,20 @@ constexpr std::size_t kArray = 256;   ///< array edge (rows == cols)
 constexpr int kIters = 240;           ///< write/verify rounds per run
 constexpr int kWritesPerIter = 4;     ///< cells written per round
 
-crossbar::Crossbar make_xbar(bool incremental) {
+std::unique_ptr<crossbar::Crossbar> make_xbar(bool incremental) {
   crossbar::CrossbarConfig cfg;
   cfg.rows = cfg.cols = kArray;
   cfg.levels = 16;
   cfg.seed = 41;
   cfg.incremental_cache = incremental;
-  crossbar::Crossbar xbar(cfg);
+  auto owner = std::make_unique<crossbar::Crossbar>(cfg);
+  auto& xbar = *owner;
   util::Rng rng(43);
   util::Matrix lv(kArray, kArray);
   for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(16));
   xbar.program_levels(lv);
   xbar.reset_stats();
-  return xbar;
+  return owner;
 }
 
 /// Runs the interleaved write/VMM loop; `dense` selects all-wordline reads
@@ -57,7 +59,8 @@ crossbar::Crossbar make_xbar(bool incremental) {
 std::vector<double> run_workload(bool incremental, bool dense,
                                  double& wall_ms,
                                  crossbar::CrossbarStats& stats_out) {
-  auto xbar = make_xbar(incremental);
+  const auto owner = make_xbar(incremental);
+  auto& xbar = *owner;
   util::Rng rng(47);  // same op sequence for both cache modes
   std::vector<double> v(kArray, 0.0);
   std::vector<double> currents(kArray, 0.0);

@@ -105,6 +105,11 @@ class Crossbar {
  public:
   explicit Crossbar(CrossbarConfig cfg);
 
+  // Every cell points at this array's tech_: a copy or a moved-to array
+  // would read the source's parameters, freed once the source is gone.
+  Crossbar(const Crossbar&) = delete;
+  Crossbar& operator=(const Crossbar&) = delete;
+
   std::size_t rows() const { return cfg_.rows; }
   std::size_t cols() const { return cfg_.cols; }
   Geometry geometry() const { return {cfg_.rows, cfg_.cols}; }

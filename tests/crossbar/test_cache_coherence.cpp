@@ -96,18 +96,17 @@ CrossbarConfig maintenance_config(bool incremental) {
   return cfg;
 }
 
-Crossbar make_programmed_cfg(const CrossbarConfig& cfg) {
-  Crossbar xbar(cfg);
-  Rng rng(91);
-  Matrix lv(kN, kN);
-  for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
-  xbar.program_levels(lv);
-  return xbar;
-}
-
-Crossbar make_programmed(bool incremental, bool passive) {
-  return make_programmed_cfg(base_config(incremental, passive));
-}
+/// An array programmed with one fixed random level pattern, built in place
+/// (a Crossbar can be neither copied nor moved).
+class Programmed : public Crossbar {
+ public:
+  explicit Programmed(const CrossbarConfig& cfg) : Crossbar(cfg) {
+    Rng rng(91);
+    Matrix lv(kN, kN);
+    for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
+    program_levels(lv);
+  }
+};
 
 /// Applies the parametrized mutating op to one crossbar. `rng` drives the
 /// op operands only (never the crossbar's own stream), so both members of
@@ -181,8 +180,8 @@ class CacheCoherence : public testing::TestWithParam<Case> {};
 // step — including repeated delta repairs between rebuilds.
 TEST_P(CacheCoherence, VmmBitIdenticalToFullRebuild) {
   const auto [op, passive] = GetParam();
-  auto incr = make_programmed(/*incremental=*/true, passive);
-  auto full = make_programmed(/*incremental=*/false, passive);
+  Programmed incr(base_config(/*incremental=*/true, passive));
+  Programmed full(base_config(/*incremental=*/false, passive));
   Rng op_rng_a(131), op_rng_b(131);
 
   std::vector<double> v(kN, 0.2);
@@ -206,8 +205,8 @@ TEST_P(CacheCoherence, VmmBitIdenticalToFullRebuild) {
 // Same contract through the batched path (vmm_batch shares the caches).
 TEST_P(CacheCoherence, VmmBatchBitIdenticalToFullRebuild) {
   const auto [op, passive] = GetParam();
-  auto incr = make_programmed(/*incremental=*/true, passive);
-  auto full = make_programmed(/*incremental=*/false, passive);
+  Programmed incr(base_config(/*incremental=*/true, passive));
+  Programmed full(base_config(/*incremental=*/false, passive));
   Rng op_rng_a(151), op_rng_b(151);
   const auto v = dense_input(157);
   cim::util::ThreadPool pool(2);
@@ -229,8 +228,8 @@ TEST_P(CacheCoherence, VmmBatchBitIdenticalToFullRebuild) {
 // The sneak-path read current is the other consumer of g_true_cache_.
 TEST_P(CacheCoherence, SneakReadBitIdenticalToFullRebuild) {
   const auto [op, passive] = GetParam();
-  auto incr = make_programmed(/*incremental=*/true, passive);
-  auto full = make_programmed(/*incremental=*/false, passive);
+  Programmed incr(base_config(/*incremental=*/true, passive));
+  Programmed full(base_config(/*incremental=*/false, passive));
   Rng op_rng_a(173), op_rng_b(173);
 
   apply_op(incr, op, op_rng_a);
@@ -261,7 +260,7 @@ INSTANTIATE_TEST_SUITE_P(
 // delta update, not a second full rebuild. This is the ctest-visible proof
 // that the write/VMM interleave hot path stays O(|dirty|).
 TEST(CacheMaintenance, SingleWriteBetweenVmmsTakesDeltaPath) {
-  auto xbar = make_programmed_cfg(maintenance_config(/*incremental=*/true));
+  Programmed xbar(maintenance_config(/*incremental=*/true));
   xbar.reset_stats();
   std::vector<double> v(kN, 0.2);
 
@@ -280,7 +279,7 @@ TEST(CacheMaintenance, SingleWriteBetweenVmmsTakesDeltaPath) {
 
 // Mutating more cells than the spill threshold falls back to one rebuild.
 TEST(CacheMaintenance, DirtyListSpillsToFullRebuild) {
-  auto xbar = make_programmed_cfg(maintenance_config(/*incremental=*/true));
+  Programmed xbar(maintenance_config(/*incremental=*/true));
   xbar.reset_stats();
   std::vector<double> v(kN, 0.2);
   (void)xbar.vmm(v);
@@ -296,7 +295,7 @@ TEST(CacheMaintenance, DirtyListSpillsToFullRebuild) {
 // Legacy mode: every mutation forces a rebuild (the pre-incremental cost
 // model the bench compares against).
 TEST(CacheMaintenance, LegacyModeRebuildsEveryTime) {
-  auto xbar = make_programmed_cfg(maintenance_config(/*incremental=*/false));
+  Programmed xbar(maintenance_config(/*incremental=*/false));
   xbar.reset_stats();
   std::vector<double> v(kN, 0.2);
   (void)xbar.vmm(v);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "crossbar/crossbar.hpp"
 
 namespace cim::crossbar {
@@ -58,6 +60,15 @@ TEST(CrossbarBasic, ProgramLevelsShapeMismatchThrows) {
   Crossbar xbar(small_cfg());
   util::Matrix wrong(4, 4);
   EXPECT_THROW(xbar.program_levels(wrong), std::invalid_argument);
+}
+
+// Each cell points at its array's technology parameters, so an array can
+// be neither copied nor moved.
+TEST(CrossbarBasic, NeitherCopyNorMoveConstructible) {
+  static_assert(!std::is_copy_constructible_v<Crossbar>);
+  static_assert(!std::is_move_constructible_v<Crossbar>);
+  static_assert(!std::is_copy_assignable_v<Crossbar>);
+  static_assert(!std::is_move_assignable_v<Crossbar>);
 }
 
 TEST(CrossbarBasic, StatsAccumulate) {

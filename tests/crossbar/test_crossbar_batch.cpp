@@ -20,19 +20,27 @@ using cim::util::Matrix;
 using cim::util::Rng;
 using cim::util::ThreadPool;
 
-Crossbar make_xbar(std::uint64_t seed, std::size_t n = 24) {
+CrossbarConfig xbar_cfg(std::uint64_t seed, std::size_t n) {
   CrossbarConfig cfg;
   cfg.rows = cfg.cols = n;
   cfg.levels = 8;
   cfg.verified_writes = false;
   cfg.seed = seed;
-  Crossbar xbar(cfg);
-  Rng rng(seed + 1);
-  Matrix lv(n, n);
-  for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
-  xbar.program_levels(lv);
-  return xbar;
+  return cfg;
 }
+
+/// An n x n array programmed with random levels drawn from `seed`, built
+/// in place (a Crossbar can be neither copied nor moved).
+class Programmed : public Crossbar {
+ public:
+  explicit Programmed(std::uint64_t seed, std::size_t n = 24)
+      : Crossbar(xbar_cfg(seed, n)) {
+    Rng rng(seed + 1);
+    Matrix lv(n, n);
+    for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
+    program_levels(lv);
+  }
+};
 
 Matrix make_batch(std::size_t batch, std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -42,14 +50,14 @@ Matrix make_batch(std::size_t batch, std::size_t n, std::uint64_t seed) {
 }
 
 TEST(CrossbarBatch, RejectsWrongInputWidth) {
-  auto xbar = make_xbar(3);
+  Programmed xbar(3);
   Matrix bad(4, 23);  // array is 24 wide
   Matrix out;
   EXPECT_THROW(xbar.vmm_batch(bad, out, nullptr), std::invalid_argument);
 }
 
 TEST(CrossbarBatch, EmptyBatchProducesEmptyOutput) {
-  auto xbar = make_xbar(3);
+  Programmed xbar(3);
   Matrix v(0, 24);
   Matrix out;
   xbar.vmm_batch(v, out, nullptr);
@@ -62,19 +70,19 @@ TEST(CrossbarBatch, BitIdenticalAcrossPoolSizes) {
   const auto v = make_batch(32, 24, 9);
   ThreadPool pool1(1), pool2(2), pool8(8);
 
-  auto ref_xbar = make_xbar(5);
+  Programmed ref_xbar(5);
   Matrix ref;
   ref_xbar.vmm_batch(v, ref, &pool1);
 
-  auto x2 = make_xbar(5);
+  Programmed x2(5);
   Matrix out2;
   x2.vmm_batch(v, out2, &pool2);
 
-  auto x8 = make_xbar(5);
+  Programmed x8(5);
   Matrix out8;
   x8.vmm_batch(v, out8, &pool8);
 
-  auto xs = make_xbar(5);
+  Programmed xs(5);
   Matrix outs;
   xs.vmm_batch(v, outs, nullptr);  // serial fallback path
 
@@ -88,7 +96,7 @@ TEST(CrossbarBatch, BitIdenticalAcrossPoolSizes) {
 }
 
 TEST(CrossbarBatch, TracksIdealVmm) {
-  auto xbar = make_xbar(7);
+  Programmed xbar(7);
   const auto v = make_batch(16, 24, 11);
   Matrix out;
   ThreadPool pool(2);
@@ -111,7 +119,7 @@ TEST(CrossbarBatch, TracksIdealVmm) {
 }
 
 TEST(CrossbarBatch, StatsMatchSequentialAccounting) {
-  auto xbar = make_xbar(13);
+  Programmed xbar(13);
   xbar.reset_stats();
   const auto v = make_batch(10, 24, 15);
   Matrix out;
@@ -122,7 +130,7 @@ TEST(CrossbarBatch, StatsMatchSequentialAccounting) {
 // Mutating the array between batches must invalidate the cached effective
 // conductances — stale caches would silently return the old matrix.
 TEST(CrossbarBatch, CacheInvalidatedByProgramAndFaults) {
-  auto xbar = make_xbar(17);
+  Programmed xbar(17);
   const auto v = make_batch(4, 24, 19);
   Matrix before;
   xbar.vmm_batch(v, before, nullptr);

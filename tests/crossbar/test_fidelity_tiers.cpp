@@ -58,15 +58,19 @@ void freeze_array(CrossbarConfig& cfg) {
   cfg.tech_override = p;
 }
 
-Crossbar make_programmed(CrossbarConfig cfg) {
-  Crossbar xbar(cfg);
-  Rng rng(cfg.seed + 17);
-  Matrix lv(cfg.rows, cfg.cols);
-  for (auto& v : lv.flat())
-    v = static_cast<double>(rng.uniform_int(static_cast<std::size_t>(cfg.levels)));
-  xbar.program_levels(lv);
-  return xbar;
-}
+/// An array programmed with random levels drawn from its seed, built in
+/// place (a Crossbar can be neither copied nor moved).
+class Programmed : public Crossbar {
+ public:
+  explicit Programmed(const CrossbarConfig& cfg) : Crossbar(cfg) {
+    Rng rng(cfg.seed + 17);
+    Matrix lv(cfg.rows, cfg.cols);
+    for (auto& v : lv.flat())
+      v = static_cast<double>(
+          rng.uniform_int(static_cast<std::size_t>(cfg.levels)));
+    program_levels(lv);
+  }
+};
 
 std::vector<double> uniform_input(std::size_t n, double v) {
   return std::vector<double>(n, v);
@@ -82,7 +86,7 @@ std::vector<double> random_input(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 TEST(FidelityTiers, IdealTierMatchesOracleBitwise) {
-  auto xbar = make_programmed(base_cfg(7, 48, 40));
+  Programmed xbar(base_cfg(7, 48, 40));
   for (std::uint64_t s = 0; s < 4; ++s) {
     const auto v = random_input(48, 100 + s);
     const auto oracle = xbar.ideal_vmm(v);
@@ -97,8 +101,8 @@ TEST(FidelityTiers, IdealTierDoesNotAdvanceRngOrState) {
   // A tier-2 read is side-effect-free on the stochastic state: interleaving
   // it must not change the subsequent tier-0 sequence.
   const auto cfg = base_cfg(11, 32, 32);
-  auto a = make_programmed(cfg);
-  auto b = make_programmed(cfg);
+  Programmed a(cfg);
+  Programmed b(cfg);
   const auto v = random_input(32, 5);
 
   const auto a0 = a.vmm(v, FidelityTier::kFull);
@@ -116,7 +120,7 @@ TEST(FidelityTiers, CalibratedPreNoiseBitIdenticalToFull) {
   // per-row mul-then-add order through the dispatched kernels).
   auto cfg = base_cfg(13, 64, 48);
   zero_read_noise(cfg);
-  auto xbar = make_programmed(cfg);
+  Programmed xbar(cfg);
   for (std::uint64_t s = 0; s < 4; ++s) {
     const auto v = s == 0 ? uniform_input(64, 0.2) : random_input(64, 50 + s);
     const auto full = xbar.vmm(v, FidelityTier::kFull);
@@ -132,8 +136,8 @@ TEST(FidelityTiers, CalibratedTierIsDeterministic) {
     freeze_array(c);
     return c;
   }();
-  auto a = make_programmed(cfg);
-  auto b = make_programmed(cfg);
+  Programmed a(cfg);
+  Programmed b(cfg);
   const auto v = random_input(40, 9);
   for (int rep = 0; rep < 3; ++rep) {
     const auto ya = a.vmm(v, FidelityTier::kCalibrated);
@@ -150,11 +154,11 @@ TEST(FidelityTiers, CalibratedNoiseStdWithinBudget) {
   // (mean-field approximation; sampling error at kReps is ~1.6%).
   auto cfg = base_cfg(23, 64, 24);
   freeze_array(cfg);
-  auto xbar = make_programmed(cfg);
+  Programmed xbar(cfg);
 
   auto noiseless_cfg = cfg;
   zero_read_noise(noiseless_cfg);
-  auto oracle = make_programmed(noiseless_cfg);
+  Programmed oracle(noiseless_cfg);
 
   constexpr int kReps = 2000;
   const struct {
@@ -207,12 +211,12 @@ TEST(FidelityTiers, CalibratedBatchBitIdenticalAcrossPoolSizes) {
     return v;
   }();
 
-  auto serial = make_programmed(cfg);
+  Programmed serial(cfg);
   ThreadPool pool1(1);
   Matrix out1;
   serial.vmm_batch(batch, out1, &pool1, FidelityTier::kCalibrated);
 
-  auto parallel = make_programmed(cfg);
+  Programmed parallel(cfg);
   ThreadPool pool4(4);
   Matrix out4;
   parallel.vmm_batch(batch, out4, &pool4, FidelityTier::kCalibrated);
@@ -225,7 +229,7 @@ TEST(FidelityTiers, CalibratedBatchBitIdenticalAcrossPoolSizes) {
 
 TEST(FidelityTiers, IdealBatchMatchesSerialLoop) {
   const auto cfg = base_cfg(37, 40, 28);
-  auto xbar = make_programmed(cfg);
+  Programmed xbar(cfg);
   const auto batch = [] {
     Rng rng(41);
     Matrix v(5, 40);
@@ -252,9 +256,9 @@ TEST(FidelityTiers, PassiveArrayKeepsSneakBackgroundInCalibratedTier) {
   // active array (noise off isolates the background term).
   auto cfg = base_cfg(43, 32, 32);
   zero_read_noise(cfg);
-  auto active = make_programmed(cfg);
+  Programmed active(cfg);
   cfg.passive_array = true;
-  auto passive = make_programmed(cfg);
+  Programmed passive(cfg);
 
   const auto v = uniform_input(32, 0.2);
   const auto ya = active.vmm(v, FidelityTier::kCalibrated);
@@ -272,7 +276,7 @@ TEST(FidelityTiers, StatsAndEnergyAccounting) {
   // ulps on a noise-free array.
   auto cfg = base_cfg(47, 32, 32);
   zero_read_noise(cfg);
-  auto xbar = make_programmed(cfg);
+  Programmed xbar(cfg);
   const auto v = random_input(32, 3);
 
   const auto& st = xbar.stats();
