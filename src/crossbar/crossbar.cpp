@@ -292,6 +292,8 @@ device::WriteResult Crossbar::program_cell(std::size_t row, std::size_t col,
                                            double g_us) {
   if (row >= cfg_.rows || col >= cfg_.cols)
     throw std::out_of_range("program_cell: out of range");
+  if (!std::isfinite(g_us))
+    throw std::invalid_argument("program_cell: non-finite conductance");
   mark_cell_dirty(row, col);
   return program_cell_impl(row, col, g_us);
 }
@@ -299,6 +301,10 @@ device::WriteResult Crossbar::program_cell(std::size_t row, std::size_t col,
 void Crossbar::program_conductances(const util::Matrix& g_us) {
   if (g_us.rows() != cfg_.rows || g_us.cols() != cfg_.cols)
     throw std::invalid_argument("program_conductances: shape mismatch");
+  for (const double g : g_us.flat())
+    if (!std::isfinite(g))
+      throw std::invalid_argument(
+          "program_conductances: non-finite conductance");
   CIM_OBS_SPAN("crossbar.program", obs::Component::kArray);
   // Bulk write: one whole-array invalidation instead of rows*cols per-cell
   // dirty marks (which would only spill into the same rebuild anyway).
@@ -311,8 +317,13 @@ void Crossbar::program_conductances(const util::Matrix& g_us) {
 void Crossbar::program_levels(const util::Matrix& levels) {
   if (levels.rows() != cfg_.rows || levels.cols() != cfg_.cols)
     throw std::invalid_argument("program_levels: shape mismatch");
-  CIM_OBS_SPAN("crossbar.program", obs::Component::kArray);
   const auto& sch = scheme();
+  // Checked before the cast: a NaN or out-of-int level would be UB there.
+  for (const double lv : levels.flat())
+    if (!(lv >= 0.0 && lv < sch.levels() && lv == std::floor(lv)))
+      throw std::invalid_argument(
+          "program_levels: level not an integer in [0, levels)");
+  CIM_OBS_SPAN("crossbar.program", obs::Component::kArray);
   invalidate_conductance_cache();
   for (std::size_t r = 0; r < cfg_.rows; ++r)
     for (std::size_t c = 0; c < cfg_.cols; ++c) {

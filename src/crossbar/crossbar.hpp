@@ -136,13 +136,17 @@ class Crossbar {
 
   // --- analog interface -----------------------------------------------------
 
-  /// Programs one cell to an analog conductance target (uS).
+  /// Programs one cell to an analog conductance target (uS). Throws
+  /// std::invalid_argument on a non-finite target.
   device::WriteResult program_cell(std::size_t row, std::size_t col, double g_us);
 
-  /// Programs the whole array from a matrix of conductances (uS).
+  /// Programs the whole array from a matrix of conductances (uS). Throws
+  /// std::invalid_argument, before any write, on a non-finite entry.
   void program_conductances(const util::Matrix& g_us);
 
-  /// Programs the whole array from a matrix of integer levels.
+  /// Programs the whole array from a matrix of integer levels. Throws
+  /// std::invalid_argument, before any write, on an entry that is not an
+  /// integer in [0, levels).
   void program_levels(const util::Matrix& levels);
 
   /// Noisy single-cell conductance read (uS).

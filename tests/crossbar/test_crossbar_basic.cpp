@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <type_traits>
 
 #include "crossbar/crossbar.hpp"
@@ -60,6 +62,35 @@ TEST(CrossbarBasic, ProgramLevelsShapeMismatchThrows) {
   Crossbar xbar(small_cfg());
   util::Matrix wrong(4, 4);
   EXPECT_THROW(xbar.program_levels(wrong), std::invalid_argument);
+}
+
+// A level that is not an integer in [0, levels) is rejected before the
+// first write: the array and its stats stay untouched.
+TEST(CrossbarBasic, ProgramLevelsRejectsNonIntegerLevelsBeforeWriting) {
+  Crossbar xbar(small_cfg());
+  for (const double bad : {std::nan(""), 2.7, -1.0, 16.0, 1e300,
+                           std::numeric_limits<double>::infinity()}) {
+    util::Matrix lv(8, 8, 3.0);
+    lv(7, 7) = bad;  // the last entry: every earlier one is valid
+    EXPECT_THROW(xbar.program_levels(lv), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(xbar.stats().analog_writes, 0u);
+  EXPECT_EQ(xbar.true_conductance(0, 0), xbar.scheme().g_min_us());
+}
+
+TEST(CrossbarBasic, ProgramRejectsNonFiniteConductance) {
+  Crossbar xbar(small_cfg());
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)xbar.program_cell(1, 1, nan), std::invalid_argument);
+  EXPECT_THROW((void)xbar.program_cell(1, 1, -inf), std::invalid_argument);
+  util::Matrix g(8, 8, 50.0);
+  g(7, 7) = nan;
+  EXPECT_THROW(xbar.program_conductances(g), std::invalid_argument);
+  g(7, 7) = inf;
+  EXPECT_THROW(xbar.program_conductances(g), std::invalid_argument);
+  EXPECT_EQ(xbar.stats().analog_writes, 0u);
+  EXPECT_EQ(xbar.true_conductance(0, 0), xbar.scheme().g_min_us());
 }
 
 // Each cell points at its array's technology parameters, so an array can
