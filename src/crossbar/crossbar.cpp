@@ -452,11 +452,14 @@ void Crossbar::apply_dirty_cells() {
     dirty_bits_[r * dirty_words_per_row_ + (c >> 6)] &=
         ~(std::uint64_t{1} << (c & 63));
   }
-  // Refresh the cached column stds wholesale: O(cols) sqrts per delta
-  // event is noise next to the per-cell repair above, and the clamp guards
-  // against a colsum drifting epsilon-negative through cancellation.
-  for (std::size_t c = 0; c < cfg_.cols; ++c)
+  // Refresh the std of each dirty cell's column (a column with several
+  // dirty cells gets the same value each time). A clean column's sum has
+  // not moved since its std was last set from it. The clamp guards against
+  // a colsum drifting epsilon-negative through cancellation.
+  for (const std::uint32_t idx : dirty_cells_) {
+    const std::size_t c = idx % cfg_.cols;
     g_eff_col_std_[c] = std::sqrt(std::max(0.0, g_eff_sq_colsum_[c]));
+  }
   stats_.cache_dirty_cells += dirty_cells_.size();
   dirty_cells_.clear();
   if (cfg_.passive_array) {

@@ -13,6 +13,7 @@
 /// spill check, and the bulk-programming endurance accounting assertion.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -290,6 +291,29 @@ TEST(CacheMaintenance, DirtyListSpillsToFullRebuild) {
   (void)xbar.vmm(v);
   EXPECT_EQ(xbar.stats().cache_full_rebuilds, 2u);
   EXPECT_EQ(xbar.stats().cache_delta_updates, 0u);
+}
+
+// Tier 1 scales each column's noise by a cached std, which a delta repair
+// refreshes for the dirty cells' columns only. After writes repaired by a
+// delta, a tier-1 read must match the one a full rebuild gives, up to the
+// ulps by which the two accumulation orders can differ.
+TEST(CacheMaintenance, DeltaRepairRefreshesDirtyColumnStd) {
+  using cim::crossbar::FidelityTier;
+  Programmed delta(maintenance_config(/*incremental=*/true));
+  Programmed rebuilt(maintenance_config(/*incremental=*/true));
+  std::vector<double> v(kN, 0.2);
+  (void)delta.vmm(v, FidelityTier::kIdeal);  // builds the caches, no draw
+  const double g_max = delta.scheme().g_max_us();
+  for (std::size_t k = 0; k < 3; ++k) {
+    (void)delta.program_cell(k, 2 * k, g_max);
+    (void)rebuilt.program_cell(k, 2 * k, g_max);
+  }
+  const auto a = delta.vmm(v, FidelityTier::kCalibrated);
+  const auto b = rebuilt.vmm(v, FidelityTier::kCalibrated);
+  EXPECT_EQ(delta.stats().cache_delta_updates, 1u);
+  EXPECT_EQ(rebuilt.stats().cache_delta_updates, 0u);
+  for (std::size_t c = 0; c < kN; ++c)
+    EXPECT_NEAR(a[c], b[c], 1e-12 * std::abs(b[c])) << "col " << c;
 }
 
 // Legacy mode: every mutation forces a rebuild (the pre-incremental cost
