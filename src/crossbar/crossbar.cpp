@@ -107,12 +107,9 @@ void Crossbar::apply_faults(const fault::FaultMap& map) {
       }
     }
   }
-  // Recount from the cells, not the map: a cell stuck by an earlier map or
-  // by wear-out stays stuck, and a later map can set a scale back to 1.
-  count_sweep_walkers();
-}
-
-void Crossbar::count_sweep_walkers() {
+  // Recount the sweep counts from the cells, not the map: a cell stuck by an
+  // earlier map or by wear-out stays stuck, and a later map can set a scale
+  // back to 1.
   std::fill(sweep_walk_row_.begin(), sweep_walk_row_.end(), 0);
   std::fill(sweep_walk_col_.begin(), sweep_walk_col_.end(), 0);
   for (std::size_t r = 0; r < cfg_.rows; ++r)
@@ -217,7 +214,8 @@ void Crossbar::disturb_line(std::size_t first, std::size_t stride,
     if (walk) {
       const auto& cl = cells_[first + k * stride];
       if (cl.stuck() != device::StuckMode::kNone) continue;
-      p_hit = std::min(1.0, tech_.write_disturb_prob * cl.write_disturb_scale());
+      p_hit =
+          std::min(1.0, tech_.write_disturb_prob * cl.write_disturb_scale());
     }
     if (rng.bernoulli(p_hit)) hit[hits++] = static_cast<std::uint32_t>(k);
   }

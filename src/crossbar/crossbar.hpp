@@ -313,9 +313,6 @@ class Crossbar {
   void disturb_line(std::size_t first, std::size_t stride, std::size_t n,
                     std::size_t skip, bool walk);
 
-  /// Recounts sweep_walk_row_ / sweep_walk_col_ from every cell.
-  void count_sweep_walkers();
-
   /// Bookkeeping for one completed write on (r, c), shared by every write
   /// entry point: a cell that wore out on this write joins its line's sweep
   /// counts, and with health on the monitor records the wear (pulses), the
