@@ -306,10 +306,11 @@ class Crossbar {
   void after_write(std::size_t r, std::size_t c, bool value_is_one);
 
   /// Half-select disturb sweep over one line: the `n` cells at
-  /// `first + k * stride`, skipping k == `skip` (the written cell). `walk`
-  /// when the line holds a cell that changes a neighbour's draw (see
-  /// sweep_walk_row_); otherwise every draw is against one probability and
-  /// only the cells hit are loaded. Same draws and hits either way.
+  /// `first + k * stride`, skipping k == `skip` (the written cell). Set
+  /// `walk` when the line holds a cell that changes a neighbour's draw (see
+  /// sweep_walk_row_): each cell is then loaded for its stuck mode and
+  /// scale. Otherwise every draw is against one probability and only the
+  /// cells hit are loaded. Same draws and hits either way.
   void disturb_line(std::size_t first, std::size_t stride, std::size_t n,
                     std::size_t skip, bool walk);
 
