@@ -501,17 +501,21 @@ bool Crossbar::apply_read_disturb(util::Rng& rng) {
       tech_.read_disturb_prob * static_cast<double>(cells_.size());
   std::size_t hits = static_cast<std::size_t>(expected);
   if (rng.bernoulli(expected - static_cast<double>(hits))) ++hits;
+  // Every hit is drawn; a stuck cell does not move, and the rest take
+  // ReRamCell's disturb step (capped at g_on). Only a cell that moved is
+  // dirty-marked and health-recorded.
+  bool moved = false;
   for (std::size_t k = 0; k < hits; ++k) {
     const std::size_t idx = rng.uniform_int(cells_.size());
     auto& cl = cells_[idx];
-    cl.force_conductance(cl.true_conductance_us() +
-                         0.5 * cl.scheme().step_us());
+    if (cl.stuck() != device::StuckMode::kNone || !cl.disturb_step()) continue;
+    moved = true;
     mark_cell_dirty(idx / cfg_.cols, idx % cfg_.cols);
     if (obs::health_enabled())
       health_monitor().record_disturb(idx / cfg_.cols, idx % cfg_.cols,
                                       cl.true_conductance_us());
   }
-  return hits > 0;
+  return moved;
 }
 
 std::vector<double> Crossbar::vmm(std::span<const double> v_rows,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crossbar/crossbar.hpp"
 #include "fault/fault_map.hpp"
 
@@ -104,6 +106,38 @@ TEST(CrossbarFaults, StuckCellsDistortVmm) {
     sum_f += if_[c];
   }
   EXPECT_GT(sum_f, sum_c * 1.02);  // SA1 row pulls extra current
+}
+
+// A tier-0 read disturb moves neither stuck state, and no disturbed cell
+// passes g_on.
+TEST(CrossbarFaults, ReadDisturbSkipsStuckCellsAndCapsAtGOn) {
+  CrossbarConfig cfg;
+  cfg.rows = cfg.cols = 4;
+  cfg.tech = device::Technology::kReRamHfOx;
+  cfg.seed = 21;
+  auto tech = device::technology_params(cfg.tech);
+  tech.read_disturb_prob = 0.5;
+  cfg.tech_override = tech;
+  Crossbar xbar(cfg);
+  util::Matrix lv(4, 4);
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      lv(r, c) = static_cast<double>(cfg.levels - 4 + (r + c) % 4);
+  xbar.program_levels(lv);
+  fault::FaultMap map(4, 4);
+  map.add({fault::FaultKind::kStuckAtZero, 1, 1, 0, 0, 1.0});
+  map.add({fault::FaultKind::kStuckAtOne, 2, 2, 0, 0, 1.0});
+  xbar.apply_faults(map);
+
+  const std::vector<double> v(4, xbar.tech().v_read);
+  for (int i = 0; i < 20; ++i) (void)xbar.vmm(v);
+
+  const double g_on = xbar.tech().g_on_us();
+  EXPECT_EQ(xbar.true_conductance(1, 1), xbar.tech().g_off_us());
+  EXPECT_EQ(xbar.true_conductance(2, 2), g_on);
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      EXPECT_LE(xbar.true_conductance(r, c), g_on) << r << "," << c;
 }
 
 TEST(CrossbarFaults, FaultMapAccessibleAfterApply) {
