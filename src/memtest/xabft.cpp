@@ -18,12 +18,16 @@ XabftProtected::XabftProtected(const util::Matrix& levels,
       xbar_((cfg.rows = levels.rows(), cfg.cols = levels.cols(),
              cfg.verified_writes = true, cfg)) {
   if (levels.empty()) throw std::invalid_argument("XabftProtected: empty matrix");
-  const int max_level = xbar_.scheme().levels() - 1;
+  // program_levels' rule, checked over the whole matrix before any cast: a
+  // NaN or out-of-int level would be UB there.
+  const int n_levels = xbar_.scheme().levels();
+  for (const double lv : levels.flat())
+    if (!(lv >= 0.0 && lv < n_levels && lv == std::floor(lv)))
+      throw std::invalid_argument(
+          "XabftProtected: level not an integer in [0, levels)");
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t c = 0; c < m_; ++c) {
       const int lvl = static_cast<int>(levels(r, c));
-      if (lvl < 0 || lvl > max_level)
-        throw std::invalid_argument("XabftProtected: level out of range");
       row_sums_[r] += lvl;
       col_sums_[c] += lvl;
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace cim::memtest {
 namespace {
 
@@ -128,6 +131,21 @@ TEST(Xabft, LevelOutOfRangeThrows) {
   util::Matrix lv(4, 4, 99.0);
   EXPECT_THROW(XabftProtected(lv, cfg()), std::invalid_argument);
 }
+
+// A level that is not an integer in [0, levels) throws before the
+// constructor casts it (the last entry, so every earlier one is valid).
+class XabftRejectsLevel : public ::testing::TestWithParam<double> {};
+
+TEST_P(XabftRejectsLevel, BeforeAnyCast) {
+  util::Matrix lv(4, 4, 3.0);
+  lv(3, 3) = GetParam();
+  EXPECT_THROW(XabftProtected(lv, cfg()), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NotAnIntegerLevel, XabftRejectsLevel,
+    ::testing::Values(std::nan(""), 2.7, -1.0, 16.0, 1e300,
+                      std::numeric_limits<double>::infinity()));
 
 TEST(Xabft, SparseInputOnlySumsSelectedRows) {
   const auto lv = random_levels(8, 8, 17);
