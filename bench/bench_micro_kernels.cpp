@@ -2,8 +2,9 @@
 /// \brief Micro-kernel throughput bench. Sweeps every runtime-dispatched
 ///        ISA variant (scalar / avx2 / avx512) of the util::kernels hot
 ///        loops — dot, axpy, gemm_accumulate, vmm_row_accumulate,
-///        bitplane_accumulate — across sizes, reporting GB/s and speedup vs
-///        the portable scalar table, and ends with the standard BENCH_JSON
+///        bitplane_accumulate, normal_fill — across sizes, reporting GB/s
+///        and speedup vs the portable scalar table (normal_fill also in ns
+///        per draw), and ends with the standard BENCH_JSON
 ///        line (per-variant extras) scraped into BENCH_PR<N>.json by
 ///        scripts/collect_bench.sh.
 #include <cstdio>
@@ -143,6 +144,21 @@ int run_isa_sweep() {
                  });
   }
 
+  // Keyed standard normals (tier-0 read noise): one tile column block and
+  // one long run per call. Reported in ns per draw below; bytes are the
+  // outputs written.
+  for (const std::size_t n : {64u, 4096u}) {
+    std::vector<double> z(n);
+    std::uint64_t first = 0;
+    sweep_kernel(results, "normal_fill", n, 8.0 * static_cast<double>(n),
+                 static_cast<int>(1024u * 1024u / n), isas,
+                 [&](const util::simd::KernelTable& t) {
+                   t.normal_fill(0x9e3779b97f4a7c15ULL, first, n, z.data());
+                   first += n;
+                   checksum_sink += z[n / 2];
+                 });
+  }
+
   // Human-readable report.
   {
     std::vector<std::string> headers = {"kernel", "n"};
@@ -159,6 +175,22 @@ int run_isa_sweep() {
         row.push_back(util::Table::num(r.bytes / s / 1e9, 2));
       for (std::size_t i = 1; i < r.sec.size(); ++i)
         row.push_back(util::Table::num(r.sec[0] / r.sec[i], 2));
+      t.add_row(row);
+    }
+    t.print(std::cout);
+  }
+  {
+    std::vector<std::string> headers = {"n"};
+    for (const auto isa : isas)
+      headers.push_back(std::string(util::simd::isa_name(isa)) + " ns/draw");
+    util::Table t(headers);
+    t.set_title("util::kernels::normal_fill, ns per draw");
+    for (const auto& r : results) {
+      if (r.kernel != "normal_fill") continue;
+      std::vector<std::string> row = {std::to_string(r.n)};
+      for (const double s : r.sec)
+        row.push_back(
+            util::Table::num(s / static_cast<double>(r.n) * 1e9, 2));
       t.add_row(row);
     }
     t.print(std::cout);
@@ -192,6 +224,15 @@ int run_isa_sweep() {
         extras.emplace_back(kernel + "_speedup_" + isa,
                             best->sec[0] / best->sec[i]);
     }
+  }
+
+  // normal_fill: ns per draw of each table at the long run.
+  for (const auto& r : results) {
+    if (r.kernel != "normal_fill" || r.n != 4096) continue;
+    for (std::size_t i = 0; i < isas.size(); ++i)
+      extras.emplace_back(
+          std::string("normal_fill_ns_") + util::simd::isa_name(isas[i]),
+          r.sec[i] / static_cast<double>(r.n) * 1e9);
   }
 
   obs::emit_bench_json("bench_micro_kernels", total.elapsed_ms(), ops, extras);

@@ -1,6 +1,6 @@
 /// \file kernels.hpp
 /// \brief Runtime-dispatched numeric micro-kernels for the simulator's
-///        inner loops (crossbar VMM, dense matvec/GEMM).
+///        inner loops (crossbar VMM, dense matvec/GEMM, tier-0 read noise).
 ///
 /// These are the tight loops NeuroSim/MNSIM-class frameworks spend their
 /// time in, plus the tile's per-cycle ADC conversion and decode. Layout
@@ -36,6 +36,15 @@
 ///    table to the scalar chain Adc::quantize -> Adc::dequantize -> level
 ///    decode -> ldexp; the dequantize step is a lookup in a table built
 ///    from Adc::dequantize itself.
+///  - `normal_fill` is element-wise and bit-identical on every table. The
+///    standard normal for counter k of `key` is Box-Muller on pair
+///    p = k / 2: SplitMix64 outputs 2p + 1 and 2p + 2 of the stream seeded
+///    at `key`, as 53-bit uniforms u1 in (0, 1] and u2 in [0, 1), give
+///    sqrt(-2 ln u1) times cos(2 pi u2) for an even k and sin(2 pi u2) for
+///    an odd k. `log`, `sin` and `cos` are fdlibm's polynomials written as
+///    separate multiplies and adds; no libm call is made. A pure function
+///    of (key, counter), so a caller may fill any range in any order or
+///    split it across threads.
 ///  - `dot_serial` is the order-preserving escape hatch: strict
 ///    left-to-right summation, never dispatched, bit-identical everywhere.
 ///    Route callers that require reproducible sums across ISA settings
@@ -144,6 +153,14 @@ inline void adc_decode_accumulate(const double* i_plus, const double* i_minus,
                                   double* acc, std::size_t n,
                                   const simd::AdcDecode& p) {
   simd::active().adc_decode_accumulate(i_plus, i_minus, acc, n, p);
+}
+
+/// out[i] = the standard normal for counter first + i of `key` (see the
+/// file comment), for i in [0, n). Counters wrap modulo 2^64. Bit-identical
+/// across CIM_SIMD settings. Its support reaches sqrt(106 ln 2) = 8.57.
+inline void normal_fill(std::uint64_t key, std::uint64_t first,
+                        std::size_t n, double* out) {
+  simd::active().normal_fill(key, first, n, out);
 }
 
 /// C (m x n) += A (m x k) * B (k x n), all row-major with the given leading

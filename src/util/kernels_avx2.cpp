@@ -253,6 +253,166 @@ void adc_decode_accumulate_avx2(const double* i_plus, const double* i_minus,
 }
 
 namespace {
+/// x * c mod 2^64 per lane from three 32 x 32 -> 64 multiplies (AVX2 has
+/// no 64-bit multiply); c_lo and c_hi hold c's low and high halves.
+inline __m256i mul64_avx2(__m256i x, __m256i c_lo, __m256i c_hi) {
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+                       _mm256_mul_epu32(x, c_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(x, c_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+/// normal::mix on four lanes.
+inline __m256i mix_avx2(__m256i z) {
+  using namespace normal;
+  const __m256i m1_lo = _mm256_set1_epi64x(kMix1 & 0xffffffffULL);
+  const __m256i m1_hi = _mm256_set1_epi64x(kMix1 >> 32);
+  const __m256i m2_lo = _mm256_set1_epi64x(kMix2 & 0xffffffffULL);
+  const __m256i m2_hi = _mm256_set1_epi64x(kMix2 >> 32);
+  z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), m1_lo, m1_hi);
+  z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), m2_lo, m2_hi);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+/// w >> 11 as an exact double (AVX2 has no u64 -> double conversion): the
+/// low 52 bits through the 2^52 bias, plus 2^52 when bit 52 is set.
+inline __m256d top53_avx2(__m256i w) {
+  using namespace normal;
+  const __m256i m = _mm256_srli_epi64(w, 11);
+  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(kExpBias52));
+  const __m256d low = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_and_si256(m, _mm256_set1_epi64x(kMantissa)), bias)),
+      _mm256_set1_pd(0x1.0p52));
+  const __m256i top =
+      _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_srli_epi64(m, 52));
+  return _mm256_add_pd(low, _mm256_castsi256_pd(_mm256_and_si256(top, bias)));
+}
+
+/// normal::horner on four lanes.
+template <std::size_t N>
+inline __m256d horner_avx2(__m256d z, const std::array<double, N>& c) {
+  __m256d acc = _mm256_set1_pd(c[N - 1]);
+#pragma GCC unroll 8
+  for (std::size_t i = N - 1; i-- > 0;)
+    acc = _mm256_add_pd(_mm256_set1_pd(c[i]), _mm256_mul_pd(z, acc));
+  return acc;
+}
+
+/// normal::log_unit on four lanes.
+inline __m256d log_unit_avx2(__m256d u) {
+  using namespace normal;
+  const auto c = [](double x) { return _mm256_set1_pd(x); };
+  const __m256i bits = _mm256_castpd_si256(u);
+  // The biased exponent through the 2^52 bias, less 2^52 + 1023: exact.
+  __m256d k = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(bits, 52),
+          _mm256_set1_epi64x(static_cast<long long>(kExpBias52)))),
+      c(0x1.0p52 + 1023.0));
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(kMantissa)),
+      _mm256_set1_epi64x(static_cast<long long>(kOneBits))));
+  const __m256d big = _mm256_cmp_pd(m, c(kSqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, c(0.5)), big);
+  k = _mm256_add_pd(k, _mm256_and_pd(big, c(1.0)));
+  const __m256d f = _mm256_sub_pd(m, c(1.0));
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(c(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d r = _mm256_add_pd(_mm256_mul_pd(z, horner_avx2(w, kLogOdd)),
+                                  _mm256_mul_pd(w, horner_avx2(w, kLogEven)));
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(c(0.5), f), f);
+  const __m256d tail = _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
+                                     _mm256_mul_pd(k, c(kLn2Lo)));
+  return _mm256_sub_pd(_mm256_mul_pd(k, c(kLn2Hi)),
+                       _mm256_sub_pd(_mm256_sub_pd(hfsq, tail), f));
+}
+
+/// normal::box_muller on four lanes.
+inline void box_muller_avx2(__m256i w1, __m256i w2, __m256d& cos_out,
+                            __m256d& sin_out) {
+  using namespace normal;
+  const auto c = [](double x) { return _mm256_set1_pd(x); };
+  const __m256d u1 =
+      _mm256_mul_pd(_mm256_add_pd(top53_avx2(w1), c(1.0)), c(0x1.0p-53));
+  const __m256d u2 = _mm256_mul_pd(top53_avx2(w2), c(0x1.0p-53));
+  const __m256d mag =
+      _mm256_sqrt_pd(_mm256_mul_pd(c(-2.0), log_unit_avx2(u1)));
+  const __m256d q =
+      _mm256_round_pd(_mm256_add_pd(_mm256_mul_pd(c(4.0), u2), c(0.5)),
+                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d x =
+      _mm256_mul_pd(_mm256_sub_pd(u2, _mm256_mul_pd(c(0.25), q)), c(kTwoPi));
+  const __m256d z = _mm256_mul_pd(x, x);
+  const __m256d sin_x = _mm256_add_pd(
+      x, _mm256_mul_pd(_mm256_mul_pd(z, x),
+                       _mm256_add_pd(c(kSin1),
+                                     _mm256_mul_pd(z, horner_avx2(z, kSin)))));
+  const __m256d hz = _mm256_mul_pd(c(0.5), z);
+  const __m256d w = _mm256_sub_pd(c(1.0), hz);
+  const __m256d cos_x = _mm256_add_pd(
+      w, _mm256_add_pd(
+             _mm256_sub_pd(_mm256_sub_pd(c(1.0), w), hz),
+             _mm256_mul_pd(z, _mm256_mul_pd(z, horner_avx2(z, kCos)))));
+  // q is a small integer: its low bits sit at the bottom of q + 2^52.
+  const __m256i qb = _mm256_castpd_si256(_mm256_add_pd(q, c(0x1.0p52)));
+  const __m256i one = _mm256_set1_epi64x(1), two = _mm256_set1_epi64x(2);
+  const __m256d odd = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(qb, one), one));
+  const __m256d cos_neg = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_add_epi64(qb, one), two), two));
+  const __m256d sin_neg = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(qb, two), two));
+  const __m256d sign = c(-0.0);
+  cos_out = _mm256_mul_pd(
+      mag, _mm256_xor_pd(_mm256_blendv_pd(cos_x, sin_x, odd),
+                         _mm256_and_pd(cos_neg, sign)));
+  sin_out = _mm256_mul_pd(
+      mag, _mm256_xor_pd(_mm256_blendv_pd(sin_x, cos_x, odd),
+                         _mm256_and_pd(sin_neg, sign)));
+}
+
+/// Counters c .. c + 7 of `key` for an even c (pairs c/2 .. c/2 + 3) into
+/// dst, in counter order.
+inline void normal_block_avx2(std::uint64_t key, std::uint64_t c,
+                              double* dst) {
+  using normal::kGamma;
+  const auto ll = [](std::uint64_t v) { return static_cast<long long>(v); };
+  const __m256i x = _mm256_add_epi64(
+      _mm256_set1_epi64x(ll(key + (c + 1) * kGamma)),
+      _mm256_set_epi64x(ll(6 * kGamma), ll(4 * kGamma), ll(2 * kGamma), 0));
+  __m256d cs, sn;
+  box_muller_avx2(mix_avx2(x),
+                  mix_avx2(_mm256_add_epi64(x, _mm256_set1_epi64x(ll(kGamma)))),
+                  cs, sn);
+  const __m256d lo = _mm256_unpacklo_pd(cs, sn);  // pairs 0 and 2
+  const __m256d hi = _mm256_unpackhi_pd(cs, sn);  // pairs 1 and 3
+  _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
+  _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+}
+}  // namespace
+
+void normal_fill_avx2(std::uint64_t key, std::uint64_t first, std::size_t n,
+                      double* out) {
+  // Whole blocks start at an even counter; an odd first counter and a short
+  // end go through a block on the stack.
+  double buf[8];
+  std::size_t i = 0;
+  if ((first & 1) != 0 && n > 0) {
+    normal_block_avx2(key, first - 1, buf);
+    i = std::min<std::size_t>(n, 7);
+    std::copy(buf + 1, buf + 1 + i, out);
+  }
+  for (; i + 8 <= n; i += 8) normal_block_avx2(key, first + i, out + i);
+  if (i < n) {
+    normal_block_avx2(key, first + i, buf);
+    std::copy(buf, buf + (n - i), out + i);
+  }
+}
+
+namespace {
 // Identical blocking to the scalar gemm (kernels_scalar.cpp): only the
 // inner axpy is widened, so C accumulates in the same k-order with the
 // same per-element rounding — bit-identical across tables.

@@ -260,6 +260,139 @@ void bitplane_accumulate_noisy_avx512(double v, const double* g,
 }
 
 namespace {
+/// normal::mix on eight lanes.
+inline __m512i mix_avx512(__m512i z) {
+  using namespace normal;
+  const __m512i m1 = _mm512_set1_epi64(static_cast<long long>(kMix1));
+  const __m512i m2 = _mm512_set1_epi64(static_cast<long long>(kMix2));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), m1);
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), m2);
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+/// normal::horner on eight lanes.
+template <std::size_t N>
+inline __m512d horner_avx512(__m512d z, const std::array<double, N>& c) {
+  __m512d acc = _mm512_set1_pd(c[N - 1]);
+#pragma GCC unroll 8
+  for (std::size_t i = N - 1; i-- > 0;)
+    acc = _mm512_add_pd(_mm512_set1_pd(c[i]), _mm512_mul_pd(z, acc));
+  return acc;
+}
+
+/// normal::log_unit on eight lanes.
+inline __m512d log_unit_avx512(__m512d u) {
+  using namespace normal;
+  const auto c = [](double x) { return _mm512_set1_pd(x); };
+  const __m512i bits = _mm512_castpd_si512(u);
+  __m512d k = _mm512_sub_pd(_mm512_cvtepi64_pd(_mm512_srli_epi64(bits, 52)),
+                            c(1023.0));
+  __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
+      _mm512_and_si512(bits, _mm512_set1_epi64(kMantissa)),
+      _mm512_set1_epi64(static_cast<long long>(kOneBits))));
+  const __mmask8 big = _mm512_cmp_pd_mask(m, c(kSqrt2), _CMP_GT_OQ);
+  m = _mm512_mask_mul_pd(m, big, m, c(0.5));
+  k = _mm512_mask_add_pd(k, big, k, c(1.0));
+  const __m512d f = _mm512_sub_pd(m, c(1.0));
+  const __m512d s = _mm512_div_pd(f, _mm512_add_pd(c(2.0), f));
+  const __m512d z = _mm512_mul_pd(s, s);
+  const __m512d w = _mm512_mul_pd(z, z);
+  const __m512d r =
+      _mm512_add_pd(_mm512_mul_pd(z, horner_avx512(w, kLogOdd)),
+                    _mm512_mul_pd(w, horner_avx512(w, kLogEven)));
+  const __m512d hfsq = _mm512_mul_pd(_mm512_mul_pd(c(0.5), f), f);
+  const __m512d tail = _mm512_add_pd(_mm512_mul_pd(s, _mm512_add_pd(hfsq, r)),
+                                     _mm512_mul_pd(k, c(kLn2Lo)));
+  return _mm512_sub_pd(_mm512_mul_pd(k, c(kLn2Hi)),
+                       _mm512_sub_pd(_mm512_sub_pd(hfsq, tail), f));
+}
+
+/// normal::box_muller on eight lanes. The 53-bit words convert exactly.
+inline void box_muller_avx512(__m512i w1, __m512i w2, __m512d& cos_out,
+                              __m512d& sin_out) {
+  using namespace normal;
+  const auto c = [](double x) { return _mm512_set1_pd(x); };
+  const __m512d u1 = _mm512_mul_pd(
+      _mm512_add_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(w1, 11)), c(1.0)),
+      c(0x1.0p-53));
+  const __m512d u2 =
+      _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(w2, 11)),
+                    c(0x1.0p-53));
+  const __m512d mag =
+      _mm512_sqrt_pd(_mm512_mul_pd(c(-2.0), log_unit_avx512(u1)));
+  const __m512d q = _mm512_roundscale_pd(
+      _mm512_add_pd(_mm512_mul_pd(c(4.0), u2), c(0.5)),
+      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m512d x =
+      _mm512_mul_pd(_mm512_sub_pd(u2, _mm512_mul_pd(c(0.25), q)), c(kTwoPi));
+  const __m512d z = _mm512_mul_pd(x, x);
+  const __m512d sin_x = _mm512_add_pd(
+      x, _mm512_mul_pd(_mm512_mul_pd(z, x),
+                       _mm512_add_pd(c(kSin1), _mm512_mul_pd(
+                                                   z, horner_avx512(z, kSin)))));
+  const __m512d hz = _mm512_mul_pd(c(0.5), z);
+  const __m512d w = _mm512_sub_pd(c(1.0), hz);
+  const __m512d cos_x = _mm512_add_pd(
+      w, _mm512_add_pd(
+             _mm512_sub_pd(_mm512_sub_pd(c(1.0), w), hz),
+             _mm512_mul_pd(z, _mm512_mul_pd(z, horner_avx512(z, kCos)))));
+  const __m512i qi = _mm512_cvttpd_epi64(q);
+  const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
+  const __mmask8 odd = _mm512_test_epi64_mask(qi, one);
+  const __mmask8 cos_neg =
+      _mm512_test_epi64_mask(_mm512_add_epi64(qi, one), two);
+  const __mmask8 sin_neg = _mm512_test_epi64_mask(qi, two);
+  const __m512d cv = _mm512_mask_blend_pd(odd, cos_x, sin_x);
+  const __m512d sv = _mm512_mask_blend_pd(odd, sin_x, cos_x);
+  cos_out = _mm512_mul_pd(mag, _mm512_mask_xor_pd(cv, cos_neg, cv, c(-0.0)));
+  sin_out = _mm512_mul_pd(mag, _mm512_mask_xor_pd(sv, sin_neg, sv, c(-0.0)));
+}
+
+/// Counters c .. c + 15 of `key` for an even c (pairs c/2 .. c/2 + 7) into
+/// dst, in counter order.
+inline void normal_block_avx512(std::uint64_t key, std::uint64_t c,
+                                double* dst) {
+  using normal::kGamma;
+  const auto ll = [](std::uint64_t v) { return static_cast<long long>(v); };
+  const __m512i x = _mm512_add_epi64(
+      _mm512_set1_epi64(ll(key + (c + 1) * kGamma)),
+      _mm512_set_epi64(ll(14 * kGamma), ll(12 * kGamma), ll(10 * kGamma),
+                       ll(8 * kGamma), ll(6 * kGamma), ll(4 * kGamma),
+                       ll(2 * kGamma), 0));
+  __m512d cs, sn;
+  box_muller_avx512(
+      mix_avx512(x),
+      mix_avx512(_mm512_add_epi64(x, _mm512_set1_epi64(ll(kGamma)))), cs, sn);
+  const __m512d lo = _mm512_unpacklo_pd(cs, sn);  // pairs 0, 2, 4, 6
+  const __m512d hi = _mm512_unpackhi_pd(cs, sn);  // pairs 1, 3, 5, 7
+  _mm512_storeu_pd(dst, _mm512_permutex2var_pd(
+                            lo, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
+                            hi));
+  _mm512_storeu_pd(dst + 8, _mm512_permutex2var_pd(
+                                lo, _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4),
+                                hi));
+}
+}  // namespace
+
+void normal_fill_avx512(std::uint64_t key, std::uint64_t first,
+                        std::size_t n, double* out) {
+  // Whole blocks start at an even counter; an odd first counter and a short
+  // end go through a block on the stack.
+  double buf[16];
+  std::size_t i = 0;
+  if ((first & 1) != 0 && n > 0) {
+    normal_block_avx512(key, first - 1, buf);
+    i = std::min<std::size_t>(n, 15);
+    std::copy(buf + 1, buf + 1 + i, out);
+  }
+  for (; i + 16 <= n; i += 16) normal_block_avx512(key, first + i, out + i);
+  if (i < n) {
+    normal_block_avx512(key, first + i, buf);
+    std::copy(buf, buf + (n - i), out + i);
+  }
+}
+
+namespace {
 // Identical blocking to the scalar gemm (kernels_scalar.cpp): only the
 // inner axpy is widened, so C accumulates in the same k-order with the
 // same per-element rounding — bit-identical across tables.

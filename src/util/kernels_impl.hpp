@@ -5,7 +5,9 @@
 ///        simd::table_for() (conformance tests) instead.
 #pragma once
 
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -47,6 +49,121 @@ inline double adc_level(double x, const simd::AdcDecode& p) {
   return (p.dequant[code] - p.offset) / p.step;
 }
 
+// normal_fill (kernels.hpp) per element. The helpers below have internal
+// linkage: each ISA TU keeps its own copy, compiled with its own flags, so
+// the linker can never hand the scalar TU a copy built for AVX-512. The
+// SIMD bodies evaluate the same operations lane-wise, a block of pairs at a
+// time.
+namespace normal {
+
+inline constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;  // SplitMix64
+inline constexpr std::uint64_t kMix1 = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kMix2 = 0x94d049bb133111ebULL;
+inline constexpr std::uint64_t kExpBias52 = 0x4330000000000000ULL;  // 2^52
+inline constexpr std::uint64_t kMantissa = 0x000fffffffffffffULL;
+inline constexpr std::uint64_t kOneBits = 0x3ff0000000000000ULL;  // 1.0
+// fdlibm e_log.c: ln 2 split in two, and log1p's polynomial in s^2 split
+// into its even- and odd-indexed coefficients (Lg2, Lg4, Lg6 and Lg1, Lg3,
+// Lg5, Lg7), each taken in w = s^4.
+inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
+inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
+inline constexpr std::array<double, 3> kLogEven = {
+    3.999999999940941908e-01, 2.222219843214978396e-01,
+    1.531383769920937332e-01};
+inline constexpr std::array<double, 4> kLogOdd = {
+    6.666666666666735130e-01, 2.857142874366239149e-01,
+    1.818357216161805012e-01, 1.479819860511658591e-01};
+inline constexpr double kSqrt2 = 1.41421356237309504880;
+// fdlibm k_sin.c (S1, then S2..S6) and k_cos.c (C1..C6) on [-pi/4, pi/4].
+inline constexpr double kSin1 = -1.66666666666666324348e-01;
+inline constexpr std::array<double, 5> kSin = {
+    8.33333333332248946124e-03, -1.98412698298579493134e-04,
+    2.75573137070700676789e-06, -2.50507602534068634195e-08,
+    1.58969099521155010221e-10};
+inline constexpr std::array<double, 6> kCos = {
+    4.16666666666666019037e-02, -1.38888888888741095749e-03,
+    2.48015872894767294178e-05, -2.75573143513906633035e-07,
+    2.08757232129817482790e-09, -1.13596475577881948265e-11};
+inline constexpr double kTwoPi = 6.28318530717958647692;
+
+/// c[0] + z * (c[1] + z * (... + z * c[N-1])), innermost product first.
+template <std::size_t N>
+static inline double horner(double z, const std::array<double, N>& c) {
+  double acc = c[N - 1];
+#pragma GCC unroll 8
+  for (std::size_t i = N - 1; i-- > 0;) acc = c[i] + z * acc;
+  return acc;
+}
+
+/// SplitMix64's output function.
+static inline std::uint64_t mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * kMix1;
+  z = (z ^ (z >> 27)) * kMix2;
+  return z ^ (z >> 31);
+}
+
+/// ln(u) for u in [2^-53, 1]: u = 2^k * m with m in [sqrt(2)/2, sqrt(2)],
+/// then fdlibm's log1p(m - 1) with s = f / (2 + f).
+static inline double log_unit(double u) {
+  const auto bits = std::bit_cast<std::uint64_t>(u);
+  double k = static_cast<double>(static_cast<std::int64_t>(bits >> 52)) -
+             1023.0;
+  double m = std::bit_cast<double>((bits & kMantissa) | kOneBits);
+  if (m > kSqrt2) {
+    m = m * 0.5;
+    k = k + 1.0;
+  }
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double r = z * horner(w, kLogOdd) + w * horner(w, kLogEven);
+  const double hfsq = 0.5 * f * f;
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
+}
+
+/// Box-Muller on two 64-bit words: u1 = (w1 >> 11) + 1 and u2 = w2 >> 11,
+/// both times 2^-53, so u1 is in (0, 1] and u2 in [0, 1); `cos_out` and
+/// `sin_out` are sqrt(-2 ln u1) times cos and sin of 2 pi u2. The angle
+/// reduces exactly in u2: q = trunc(4 u2 + 1/2) and r = u2 - q/4 in
+/// [-1/8, 1/8], and the quadrant q picks +-cos or +-sin of 2 pi r.
+static inline void box_muller(std::uint64_t w1, std::uint64_t w2,
+                              double& cos_out, double& sin_out) {
+  const double u1 = (static_cast<double>(w1 >> 11) + 1.0) * 0x1.0p-53;
+  const double u2 = static_cast<double>(w2 >> 11) * 0x1.0p-53;
+  const double mag = std::sqrt(-2.0 * log_unit(u1));
+  const auto q = static_cast<std::int64_t>(4.0 * u2 + 0.5);
+  const double x = (u2 - 0.25 * static_cast<double>(q)) * kTwoPi;
+  const double z = x * x;
+  const double sin_x = x + (z * x) * (kSin1 + z * horner(z, kSin));
+  const double hz = 0.5 * z;
+  const double w = 1.0 - hz;
+  const double cos_x = w + (((1.0 - w) - hz) + z * (z * horner(z, kCos)));
+  const bool odd = (q & 1) != 0;
+  const double c = odd ? sin_x : cos_x;
+  const double s = odd ? cos_x : sin_x;
+  cos_out = mag * (((q + 1) & 2) != 0 ? -c : c);
+  sin_out = mag * ((q & 2) != 0 ? -s : s);
+}
+
+/// Box-Muller on pair p of `key`, whose words are SplitMix64 outputs 2p + 1
+/// and 2p + 2 of the stream seeded at `key`; `even_ctr` is 2p.
+static inline void normal_pair(std::uint64_t key, std::uint64_t even_ctr,
+                               double& cos_out, double& sin_out) {
+  const std::uint64_t x = key + (even_ctr + 1) * kGamma;
+  box_muller(mix(x), mix(x + kGamma), cos_out, sin_out);
+}
+
+/// The standard normal for counter `ctr` of `key`: pair ctr / 2's cosine
+/// output for an even ctr, its sine output for an odd one.
+static inline double normal_at(std::uint64_t key, std::uint64_t ctr) {
+  double c = 0.0, s = 0.0;
+  normal_pair(key, ctr & ~std::uint64_t{1}, c, s);
+  return (ctr & 1) != 0 ? s : c;
+}
+
+}  // namespace normal
+
 /// Plane-select mask of a bit_planes kernel: bits [0, planes) set.
 inline std::uint32_t plane_mask(int planes) {
   return (std::uint32_t{1} << planes) - 1u;
@@ -83,6 +200,8 @@ void bitplane_accumulate_noisy_scalar(double v, const double* g,
 void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,
                                   double* acc, std::size_t n,
                                   const simd::AdcDecode& p);
+void normal_fill_scalar(std::uint64_t key, std::uint64_t first, std::size_t n,
+                        double* out);
 
 #if CIM_SIMD_HAVE_AVX2
 double dot_avx2(const double* a, const double* b, std::size_t n);
@@ -105,6 +224,8 @@ void bitplane_accumulate_noisy_avx2(double v, const double* g,
 void adc_decode_accumulate_avx2(const double* i_plus, const double* i_minus,
                                 double* acc, std::size_t n,
                                 const simd::AdcDecode& p);
+void normal_fill_avx2(std::uint64_t key, std::uint64_t first, std::size_t n,
+                      double* out);
 #endif  // CIM_SIMD_HAVE_AVX2
 
 #if CIM_SIMD_HAVE_AVX512
@@ -126,6 +247,8 @@ void bitplane_accumulate_noisy_avx512(double v, const double* g,
                                       double* currents, double* noise_var,
                                       double noise_frac, double t_read_ns,
                                       double* energy);
+void normal_fill_avx512(std::uint64_t key, std::uint64_t first,
+                        std::size_t n, double* out);
 // The AVX-512 table reuses adc_decode_accumulate_avx2: the kernel is bound
 // by its four divisions per column, and 512-bit divides retire no more
 // lanes per cycle than 256-bit ones; a 512-bit variant with a gather from

@@ -5,7 +5,8 @@
 /// (same expression shapes, same accumulation order), so dispatch forced to
 /// `scalar` reproduces the pre-dispatch simulator bit-for-bit. Compiled
 /// without any -m ISA flags: the baseline x86-64 / portable code the repo
-/// always produced.
+/// always produced. -ffp-contract=off, as in the SIMD TUs, keeps
+/// normal_fill's polynomials unfused on targets whose baseline has FMA.
 #include <algorithm>
 #include <cmath>
 
@@ -116,6 +117,15 @@ void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,
                                   const simd::AdcDecode& p) {
   for (std::size_t c = 0; c < n; ++c)
     acc[c] += (adc_level(i_plus[c], p) - adc_level(i_minus[c], p)) * p.weight;
+}
+
+void normal_fill_scalar(std::uint64_t key, std::uint64_t first, std::size_t n,
+                        double* out) {
+  std::size_t i = 0;
+  if ((first & 1) != 0 && n > 0) out[i++] = normal::normal_at(key, first);
+  for (; i + 2 <= n; i += 2)
+    normal::normal_pair(key, first + i, out[i], out[i + 1]);
+  if (i < n) out[i] = normal::normal_at(key, first + i);
 }
 
 namespace {

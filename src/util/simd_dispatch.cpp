@@ -21,7 +21,8 @@ const KernelTable kScalarTable{Isa::kScalar,
                                &vmm_row_accumulate_scalar,
                                &bitplane_accumulate_scalar,
                                &bitplane_accumulate_noisy_scalar,
-                               &adc_decode_accumulate_scalar};
+                               &adc_decode_accumulate_scalar,
+                               &normal_fill_scalar};
 
 #if CIM_SIMD_HAVE_AVX2
 const KernelTable kAvx2Table{Isa::kAvx2,
@@ -31,7 +32,8 @@ const KernelTable kAvx2Table{Isa::kAvx2,
                              &vmm_row_accumulate_avx2,
                              &bitplane_accumulate_avx2,
                              &bitplane_accumulate_noisy_avx2,
-                             &adc_decode_accumulate_avx2};
+                             &adc_decode_accumulate_avx2,
+                             &normal_fill_avx2};
 #endif
 #if CIM_SIMD_HAVE_AVX512
 const KernelTable kAvx512Table{Isa::kAvx512,
@@ -41,7 +43,8 @@ const KernelTable kAvx512Table{Isa::kAvx512,
                                &vmm_row_accumulate_avx512,
                                &bitplane_accumulate_avx512,
                                &bitplane_accumulate_noisy_avx512,
-                               &adc_decode_accumulate_avx2};
+                               &adc_decode_accumulate_avx2,
+                               &normal_fill_avx512};
 #endif
 
 Isa detect_max_isa() {

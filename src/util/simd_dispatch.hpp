@@ -2,8 +2,8 @@
 /// \brief Runtime ISA dispatch for the util::kernels micro-kernels.
 ///
 /// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate,
-/// bitplane_accumulate, bitplane_accumulate_noisy, adc_decode_accumulate)
-/// exist in up to three implementations — portable
+/// bitplane_accumulate, bitplane_accumulate_noisy, adc_decode_accumulate,
+/// normal_fill) exist in up to three implementations — portable
 /// scalar, AVX2+FMA, and AVX-512 — compiled into separate translation units
 /// with per-file ISA flags. At startup the best table supported by both the
 /// build and the CPU (CPUID) is selected, overridable with the `CIM_SIMD`
@@ -35,6 +35,10 @@
 ///    for every `s` in [0, max_code]; the code then indexes the caller's
 ///    dequantize table, whose entries are `Adc::dequantize(k) / v_read`,
 ///    and its `* weight` equals `ldexp`.
+///  - `normal_fill` is **bit-identical** on every table: element-wise,
+///    the same integer hash and the same polynomial `log`, `sin` and `cos`
+///    with separate multiply and add; the SIMD bodies convert the 53-bit
+///    uniforms exactly and take their tails from the scalar form.
 ///  - `dot` and the `energy` reduction of `vmm_row_accumulate` are
 ///    *reductions*: each table reassociates them differently (scalar: the
 ///    historical 4-way / serial chains; SIMD: per-lane partials reduced at
@@ -105,6 +109,8 @@ struct KernelTable {
   void (*adc_decode_accumulate)(const double* i_plus, const double* i_minus,
                                 double* acc, std::size_t n,
                                 const AdcDecode& p) = nullptr;
+  void (*normal_fill)(std::uint64_t key, std::uint64_t first, std::size_t n,
+                      double* out) = nullptr;
 };
 
 /// The active kernel table: one relaxed load; first call resolves CPUID +

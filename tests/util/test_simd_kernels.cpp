@@ -14,6 +14,9 @@
 //   - adc_decode_accumulate, driven by a dequantize table built from
 //     Adc::dequantize, is BIT-IDENTICAL on every table to the
 //     Adc::quantize -> Adc::dequantize -> decode -> ldexp chain,
+//   - normal_fill is BIT-IDENTICAL on every table, element-wise (a pure
+//     function of key and counter), and standard normal over 2^26 draws
+//     with support past 8 sigma,
 //   - dot_serial is the strict left-to-right escape hatch,
 //   - set_isa / table_for clamp unsupported requests downward.
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <limits>
 #include <vector>
 
+#include "normal_checks.hpp"
 #include "periphery/adc.hpp"
 #include "util/kernels.hpp"
 #include "util/simd_dispatch.hpp"
@@ -489,6 +493,128 @@ TEST(SimdKernels, BitplaneAccumulateNoisyMatchesPerPlaneVmmRow) {
     for (int planes = 1; planes <= 16; ++planes)
       check_bitplane_noisy(
           BitPlaneCase(rows, 19, planes, 5000 + rows * 16 + planes));
+}
+
+// Every table against the scalar one for n = 0..67 (every short end of both
+// block widths), odd and even first counters, misaligned outputs, keys 0
+// and ~0 and counters that wrap; and each element equal to a one-element
+// fill at its own counter.
+TEST(SimdKernels, NormalFillBitIdenticalAcrossIsas) {
+  const auto& scalar = simd::table_for(simd::Isa::kScalar);
+  const std::uint64_t keys[] = {0, ~std::uint64_t{0}};
+  const std::uint64_t firsts[] = {0, 1, 7, (std::uint64_t{1} << 32) - 3,
+                                  ~std::uint64_t{0} - 40};
+  for (simd::Isa isa : simd::supported_isas()) {
+    const auto& t = simd::table_for(isa);
+    for (const std::uint64_t key : keys) {
+      for (const std::uint64_t first : firsts) {
+        for (std::size_t n = 0; n <= 67; ++n) {
+          for (std::size_t off : kOffsets) {
+            std::vector<double> ref(n + off, -7.0), got(n + off, -7.0);
+            scalar.normal_fill(key, first, n, ref.data() + off);
+            t.normal_fill(key, first, n, got.data() + off);
+            for (std::size_t i = 0; i < ref.size(); ++i)
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                        std::bit_cast<std::uint64_t>(ref[i]))
+                  << "isa=" << simd::isa_name(isa) << " key=" << key
+                  << " first=" << first << " n=" << n << " off=" << off
+                  << " i=" << i;
+          }
+        }
+        std::vector<double> run(67);
+        t.normal_fill(key, first, run.size(), run.data());
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          double one = 0.0;
+          t.normal_fill(key, first + i, 1, &one);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(one),
+                    std::bit_cast<std::uint64_t>(run[i]))
+              << "isa=" << simd::isa_name(isa) << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// 2^26 draws of the active table (scripts/run_simd_matrix.sh runs this
+// under each CIM_SIMD setting): moments, KS, the |z| > 4 and |z| > 5
+// counts, and no correlation between neighbouring counters.
+TEST(SimdKernels, NormalFillIsStandardNormal) {
+  constexpr std::uint64_t kKey = 0x243f6a8885a308d3ULL;
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kChunks = (std::size_t{1} << 26) / kChunk;
+  cim::test::NormalTally tally;
+  std::vector<double> z(kChunk);
+  double lag1 = 0.0, prev = 0.0;
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    kernels::normal_fill(kKey, k * kChunk, kChunk, z.data());
+    for (const double x : z) {
+      tally.add(x);
+      lag1 += prev * x;
+      prev = x;
+    }
+  }
+  tally.expect_standard_normal(simd::active_isa_name(), {4, 5});
+  const double n = static_cast<double>(tally.n());
+  EXPECT_LT(std::abs(lag1 / n), 5.0 / std::sqrt(n));
+  EXPECT_LT(tally.max_abs(), 8.58);
+}
+
+namespace {
+
+/// Inverse of z ^= z >> s.
+std::uint64_t unshift(std::uint64_t z, int s) {
+  std::uint64_t x = z;
+  for (int i = 0; i * s < 64; ++i) x = z ^ (x >> s);
+  return x;
+}
+
+/// Inverse of an odd multiplier modulo 2^64 (Newton: each step doubles the
+/// correct low bits, three to start).
+std::uint64_t inverse(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// Inverse of SplitMix64's output function.
+std::uint64_t unmix(std::uint64_t w) {
+  w = unshift(w, 31) * inverse(0x94d049bb133111ebULL);
+  w = unshift(w, 27) * inverse(0xbf58476d1ce4e5b9ULL);
+  return unshift(w, 30);
+}
+
+}  // namespace
+
+// Support past 8 sigma: a key whose counter 0 (the cosine output of pair 0)
+// has w1 >> 11 == 0, i.e. the smallest u1 = 2^-53 and |z| =
+// sqrt(106 ln 2) |cos 2 pi u2| <= 8.5722. Of the 2^11 such words, the one
+// whose u2 is nearest a multiple of 1/2 gives |z| > 8 on every table, at
+// the start of a block and in a short end.
+TEST(SimdKernels, NormalFillReachesPast8Sigma) {
+  constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t best_key = 0;
+  double best = 0.0;
+  for (std::uint64_t w1 = 0; w1 < 2048; ++w1) {
+    const std::uint64_t key = unmix(w1) - kGamma;
+    double z = 0.0;
+    kernels::normal_fill(key, 0, 1, &z);
+    if (std::abs(z) > best) {
+      best = std::abs(z);
+      best_key = key;
+    }
+  }
+  EXPECT_GT(best, 8.0);
+  EXPECT_LE(best, 8.5723);
+  for (simd::Isa isa : simd::supported_isas()) {
+    std::vector<double> z(17);
+    simd::table_for(isa).normal_fill(best_key, 0, z.size(), z.data());
+    EXPECT_EQ(std::abs(z[0]), best) << simd::isa_name(isa);
+    // Counter 16 of best_key - 16 gamma is counter 0 of best_key (both
+    // draw on the state key + 17 gamma); a fill of 9 from counter 8 puts it
+    // past every whole block.
+    simd::table_for(isa).normal_fill(best_key - 16 * kGamma, 8, 9, z.data());
+    EXPECT_EQ(std::abs(z[8]), best) << simd::isa_name(isa);
+  }
 }
 
 TEST(SimdKernels, DispatchedWrappersFollowActiveTable) {
