@@ -47,6 +47,17 @@ double abs_sum(std::span<const double> v_rows) {
   return s;
 }
 
+/// Stream of an array's seed that keys its tier-0 read noise.
+constexpr std::uint64_t kReadNoiseStream = 0x7469657230ULL;  // "tier0"
+
+/// Tier-0 read noise of one read: column c gets its std sqrt(noise_var[c])
+/// times the read's keyed standard normal z[c].
+void add_read_noise(std::span<double> currents, const double* noise_var,
+                    const double* z) {
+  for (std::size_t c = 0; c < currents.size(); ++c)
+    currents[c] += std::sqrt(noise_var[c]) * z[c];
+}
+
 }  // namespace
 
 Crossbar::Crossbar(CrossbarConfig cfg)
@@ -54,6 +65,7 @@ Crossbar::Crossbar(CrossbarConfig cfg)
       tech_(cfg.tech_override ? *cfg.tech_override
                               : device::technology_params(cfg.tech)),
       rng_(cfg.seed),
+      noise_key_(util::Rng::stream_seed(cfg.seed, kReadNoiseStream)),
       faults_(std::max<std::size_t>(1, cfg.rows), std::max<std::size_t>(1, cfg.cols)) {
   if (cfg_.rows == 0 || cfg_.cols == 0)
     throw std::invalid_argument("Crossbar: empty array");
@@ -649,9 +661,16 @@ void Crossbar::vmm_ideal(std::span<const double> v_rows,
   }
 }
 
+const double* Crossbar::next_read_normals(std::size_t reads) {
+  noise_z_scratch_.resize(reads * cfg_.cols);
+  util::kernels::normal_fill(noise_key_, tier0_reads_ * cfg_.cols,
+                             noise_z_scratch_.size(), noise_z_scratch_.data());
+  return noise_z_scratch_.data();
+}
+
 bool Crossbar::finish_full_read(double v_abs_sum, std::span<double> currents,
                                 std::span<const double> noise_var,
-                                double energy) {
+                                const double* z, double energy) {
   if (cfg_.passive_array) {
     const double sneak_per_col = sneak_background_per_col(v_abs_sum);
     for (double& i : currents) i += sneak_per_col;
@@ -662,9 +681,12 @@ bool Crossbar::finish_full_read(double v_abs_sum, std::span<double> currents,
     }
   }
 
-  // Aggregate read noise per column.
-  for (std::size_t c = 0; c < cfg_.cols; ++c)
-    currents[c] += rng_.normal(0.0, std::sqrt(noise_var[c]));
+  // Aggregate read noise per column, keyed by (seed, read, column). The
+  // generator then skips the per-column draws this noise once took, so
+  // the read disturb below and every later write draw as they did.
+  add_read_noise(currents, noise_var.data(), z);
+  ++tier0_reads_;
+  rng_.skip_normals(cfg_.cols);
 
   const bool disturbed = apply_read_disturb(rng_);
 
@@ -682,7 +704,7 @@ double Crossbar::vmm_full(std::span<const double> v_rows,
   double energy = 0.0;
   accumulate_currents(v_rows, currents, vmm_noise_scratch_, energy);
   finish_full_read(cfg_.passive_array ? abs_sum(v_rows) : 0.0, currents,
-                   vmm_noise_scratch_, energy);
+                   vmm_noise_scratch_, next_read_normals(1), energy);
   return energy;
 }
 
@@ -738,11 +760,14 @@ void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
     plane_read_sums(inputs, planes, v, g_eff_rowsum_,
                     std::span(sums).first(np));
 
-  // Then each plane's stochastic tail, in plane order. Once a read disturb
-  // has dirtied a cell, the fused currents of the later planes are stale:
-  // those planes are read one at a time, each repairing the caches first,
-  // exactly as a vmm() per plane would (vmm_full reuses the noise scratch,
-  // whose fused values are dead by then).
+  // Then each plane's stochastic tail, in plane order; one kernel call
+  // draws every plane's noise (plane b is read tier0_reads_ + b). Once a
+  // read disturb has dirtied a cell, the fused currents of the later
+  // planes are stale: those planes are read one at a time, each repairing
+  // the caches first, exactly as a vmm() per plane would (vmm_full reuses
+  // the noise scratches, whose fused values are dead by then, and draws
+  // the same normals for the same read).
+  const double* z = next_read_normals(np);
   bool stale = false;
   for (std::size_t b = 0; b < np; ++b) {
     const auto cur = currents.subspan(b * cols, cols);
@@ -750,7 +775,7 @@ void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
       stale = finish_full_read(
           sums[b].v_abs, cur,
           std::span<const double>(vmm_noise_scratch_).subspan(b * cols, cols),
-          energy[b]);
+          z + b * cols, energy[b]);
     } else {
       auto& volts = bit_planes_scratch_;
       volts.resize(cfg_.rows);
@@ -828,10 +853,14 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
   CIM_OBS_SPAN_NAMED(span, "crossbar.vmm_batch", obs::Component::kArray);
   ensure_conductance_cache();
 
-  // One serial draw ties the whole batch into the array's RNG sequence;
-  // every per-sample stream derives from it by counter splitting, so the
-  // fan-out below is bit-identical for any pool size.
+  // Sample s is tier-0 read tier0_reads_ + s: its noise is the keyed
+  // normals a vmm() of that read draws. One serial draw ties the batch
+  // into the array's RNG sequence, and the read-disturb streams derive
+  // from it by counter splitting, so the fan-out below is bit-identical
+  // for any pool size.
   const std::uint64_t master = rng_();
+  const double* z = next_read_normals(batch);
+  tier0_reads_ += batch;
   batch_energy_scratch_.assign(batch, 0.0);
   auto& sample_energy = batch_energy_scratch_;
 
@@ -858,9 +887,7 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
         for (std::size_t c = 0; c < cfg_.cols; ++c)
           hm->record_sneak_current(c, sneak_per_col);
     }
-    util::Rng srng = util::Rng::stream(master, 2 * s);
-    for (std::size_t c = 0; c < cfg_.cols; ++c)
-      currents[c] += srng.normal(0.0, std::sqrt(noise_var[c]));
+    add_read_noise(currents, noise_var.data(), z + s * cfg_.cols);
     sample_energy[s] = energy;
   });
 

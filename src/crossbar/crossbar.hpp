@@ -167,7 +167,12 @@ class Crossbar {
   /// and returns the bitline currents in uA. At the default tier
   /// (FidelityTier::kFull) models IR-drop, read noise, read disturb and
   /// (for passive arrays) sneak-path background current; the cheaper tiers
-  /// trade model fidelity for throughput (see fidelity.hpp).
+  /// trade model fidelity for throughput (see fidelity.hpp). Tier-0 read
+  /// noise is keyed: column c of the array's i-th tier-0 read (counted from
+  /// construction; reset_stats() does not reset it) adds its std times the
+  /// standard normal for counter i * cols + c of a key derived from the
+  /// seed (util::kernels::normal_fill), and the generator then advances as
+  /// `cols` Rng::normal() draws would, so every other draw is unchanged.
   std::vector<double> vmm(std::span<const double> v_rows,
                           FidelityTier tier = FidelityTier::kFull);
 
@@ -197,15 +202,22 @@ class Crossbar {
   /// Batched analog VMM: row b of `v_batch` is one input vector; result b
   /// lands in row b of `out` (resized only on shape change, so the storage
   /// is reused across batches). Samples fan out across `pool` (the global
-  /// pool when null); each sample's noise stream is derived by
-  /// counter-based RNG splitting from one serial draw, so the output is
-  /// bit-identical for any thread count — including 1.
+  /// pool when null); the output is bit-identical for any thread count —
+  /// including 1.
+  ///
+  /// At kFull, sample s is the tier-0 read at index (the array's read index
+  /// at the call) + s, and the call advances that index by the batch size:
+  /// its read noise is the keyed normals a vmm() of that read draws. One
+  /// serial generator draw keys the per-sample read-disturb streams by
+  /// counter-based splitting.
   ///
   /// Semantics vs. calling vmm() in a loop: the effective-conductance
   /// matrix is computed once for the whole batch and read disturb
   /// accumulated by the batch is applied after all samples (pipelined-read
   /// semantics: every sample of a batch sees the same array state). Stats
-  /// accounting matches `batch` sequential vmm() calls.
+  /// accounting matches `batch` sequential vmm() calls. With read disturb
+  /// off, currents and stats equal a vmm() loop's bitwise; the generator
+  /// ends elsewhere (one draw here, the per-column advance there).
   ///
   /// Cheaper tiers skip the per-sample disturb streams (kCalibrated) or the
   /// RNG entirely (kIdeal) — see fidelity.hpp.
@@ -369,13 +381,23 @@ class Crossbar {
   /// then finish_full_read. Returns the energy charged.
   double vmm_full(std::span<const double> v_rows, std::span<double> currents);
 
+  /// Keyed standard normals of the next `reads` tier-0 reads, reads x cols
+  /// in noise_z_scratch_: read tier0_reads_ + i, column c is counter
+  /// (tier0_reads_ + i) * cols + c of noise_key_ (util::kernels::
+  /// normal_fill). Does not count the reads.
+  const double* next_read_normals(std::size_t reads);
+
   /// Tier-0 tail of one read, after its pre-noise accumulation: passive
   /// sneak background (and its health record; `v_abs_sum` is read only
-  /// for passive arrays), per-column Box-Muller noise, read disturb, stats
-  /// and charge. Returns true when the read disturb dirtied a cell, i.e.
-  /// the next read must repair the caches.
+  /// for passive arrays), per-column read noise sqrt(noise_var[c]) * z[c]
+  /// with `z` this read's keyed normals, read disturb, stats and charge.
+  /// Counts the read in tier0_reads_ and advances rng_ as the per-column
+  /// Box-Muller draws it replaced did (Rng::skip_normals). Returns true
+  /// when the read disturb moved a cell, i.e. the next read must repair
+  /// the caches.
   bool finish_full_read(double v_abs_sum, std::span<double> currents,
-                        std::span<const double> noise_var, double energy);
+                        std::span<const double> noise_var, const double* z,
+                        double energy);
 
   /// Serial sums over one read's wordline voltages, in row order: the
   /// sneak background's sum |v_r|, and the closed forms' sum v_r^2 and
@@ -450,12 +472,18 @@ class Crossbar {
   double sneak_background_per_col(double v_abs_sum) const;
 
   /// Expected-count read-disturb events for one VMM cycle, drawn from
-  /// `rng`. Returns true when any cell was disturbed (and marked dirty).
+  /// `rng`. A hit on a stuck cell leaves it as it is; the others take
+  /// ReRamCell::disturb_step. Returns true when any cell moved (and was
+  /// marked dirty).
   bool apply_read_disturb(util::Rng& rng);
 
   CrossbarConfig cfg_;
   device::TechnologyParams tech_;
   util::Rng rng_;
+  /// Tier-0 read noise: the key (a stream of the seed) and the reads made
+  /// so far, which reset_stats() leaves alone.
+  std::uint64_t noise_key_;
+  std::uint64_t tier0_reads_ = 0;
   std::vector<device::ReRamCell> cells_;
   fault::FaultMap faults_;
   CrossbarStats stats_;
@@ -489,6 +517,8 @@ class Crossbar {
   /// Noise variances of one read (cols), or of every plane of a
   /// vmm_bit_planes call (planes x cols).
   std::vector<double> vmm_noise_scratch_;
+  /// Keyed standard normals of one or more tier-0 reads (next_read_normals).
+  std::vector<double> noise_z_scratch_;
   std::vector<double> batch_energy_scratch_;  ///< per-sample energy (vmm_batch)
   /// vmm_bit_planes: the rows x 3 terms of plane_read_sums, then one
   /// plane's voltages in the disturb fallback.

@@ -17,7 +17,9 @@ namespace cim::crossbar {
 /// How much of the analog device model a VMM pays for.
 enum class FidelityTier : int {
   /// Full analog model: per-cell noise-variance accumulation, IR drop,
-  /// sneak background, read disturb, health hooks. The reference tier —
+  /// sneak background, read disturb, health hooks. The reference tier. Its
+  /// read noise is a keyed standard normal per (seed, read index, column)
+  /// times the column's std (see Crossbar::vmm); everything else is
   /// bit-identical to the historical Crossbar::vmm.
   kFull = 0,
   /// Calibrated fast path: same IR-drop-attenuated currents (bit-identical

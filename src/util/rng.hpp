@@ -8,6 +8,7 @@
 /// reproducible from a single seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +57,16 @@ class Rng {
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// Advances the generator exactly as `n` calls of normal() would, without
+  /// computing their values: the same words are consumed and the same
+  /// variate is left cached, so every later draw is unchanged. A cached
+  /// variate is used up first; each further pair of draws costs two
+  /// generator steps, and an odd last draw is made in full to cache its
+  /// partner. Tier-0 crossbar reads, whose noise is keyed (see
+  /// util::kernels::normal_fill), call it to keep write variation and
+  /// disturb drawing where they always did.
+  void skip_normals(std::size_t n);
 
   /// Counter-based approximate standard normal: a pure function of
   /// (key, ctr), so N draws need only ONE generator advance for the key —

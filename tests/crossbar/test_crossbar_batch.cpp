@@ -95,6 +95,54 @@ TEST(CrossbarBatch, BitIdenticalAcrossPoolSizes) {
   }
 }
 
+// Tier 0's batch and vmm() share one draw contract: sample s of a batch is
+// the read a vmm() loop makes at the same read index. Without read disturb
+// a batch on one array equals a vmm() loop on an identically built one,
+// currents and stats bitwise, at any pool size.
+TEST(CrossbarBatch, MatchesVmmLoopWithoutReadDisturb) {
+  for (const std::size_t threads : {1u, 4u}) {
+    auto cfg = xbar_cfg(23, 24);
+    auto tech = cim::device::technology_params(cfg.tech);
+    tech.read_disturb_prob = 0.0;
+    cfg.tech_override = tech;
+    const auto program = [](Crossbar& x) {
+      Rng rng(24);
+      Matrix lv(24, 24);
+      for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
+      x.program_levels(lv);
+    };
+    Crossbar batched(cfg), looped(cfg);
+    program(batched);
+    program(looped);
+    ThreadPool pool(threads);
+    Matrix out;
+    for (int round = 0; round < 3; ++round) {
+      const auto v = make_batch(7 + round, 24, 31 + round);
+      batched.vmm_batch(v, out, &pool);
+      for (std::size_t s = 0; s < v.rows(); ++s) {
+        const auto row = v.row(s);
+        const auto ref = looped.vmm(std::vector<double>(row.begin(), row.end()));
+        for (std::size_t c = 0; c < ref.size(); ++c)
+          ASSERT_EQ(out(s, c), ref[c])
+              << "threads=" << threads << " round=" << round << " s=" << s
+              << " c=" << c;
+      }
+    }
+    const auto& a = batched.stats();
+    const auto& b = looped.stats();
+    EXPECT_EQ(a.vmm_ops, b.vmm_ops);
+    EXPECT_EQ(a.bit_reads, b.bit_reads);
+    EXPECT_EQ(a.bit_writes, b.bit_writes);
+    EXPECT_EQ(a.analog_writes, b.analog_writes);
+    EXPECT_EQ(a.logic_ops, b.logic_ops);
+    EXPECT_EQ(a.time_ns, b.time_ns);
+    EXPECT_EQ(a.energy_pj, b.energy_pj);
+    EXPECT_EQ(a.cache_full_rebuilds, b.cache_full_rebuilds);
+    EXPECT_EQ(a.cache_delta_updates, b.cache_delta_updates);
+    EXPECT_EQ(a.cache_dirty_cells, b.cache_dirty_cells);
+  }
+}
+
 TEST(CrossbarBatch, TracksIdealVmm) {
   Programmed xbar(7);
   const auto v = make_batch(16, 24, 11);
