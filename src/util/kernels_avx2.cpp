@@ -291,13 +291,14 @@ inline __m256d top53_avx2(__m256i w) {
 }
 
 /// normal::horner on four lanes.
-template <std::size_t N>
+template <std::size_t I = 0, std::size_t N>
 inline __m256d horner_avx2(__m256d z, const std::array<double, N>& c) {
-  __m256d acc = _mm256_set1_pd(c[N - 1]);
-#pragma GCC unroll 8
-  for (std::size_t i = N - 1; i-- > 0;)
-    acc = _mm256_add_pd(_mm256_set1_pd(c[i]), _mm256_mul_pd(z, acc));
-  return acc;
+  if constexpr (I + 1 == N) {
+    return _mm256_set1_pd(c[I]);
+  } else {
+    return _mm256_add_pd(_mm256_set1_pd(c[I]),
+                         _mm256_mul_pd(z, horner_avx2<I + 1>(z, c)));
+  }
 }
 
 /// normal::log_unit on four lanes.
@@ -383,7 +384,7 @@ inline void normal_block_avx2(std::uint64_t key, std::uint64_t c,
   const __m256i x = _mm256_add_epi64(
       _mm256_set1_epi64x(ll(key + (c + 1) * kGamma)),
       _mm256_set_epi64x(ll(6 * kGamma), ll(4 * kGamma), ll(2 * kGamma), 0));
-  __m256d cs, sn;
+  __m256d cs = _mm256_setzero_pd(), sn = cs;
   box_muller_avx2(mix_avx2(x),
                   mix_avx2(_mm256_add_epi64(x, _mm256_set1_epi64x(ll(kGamma)))),
                   cs, sn);
@@ -398,7 +399,7 @@ void normal_fill_avx2(std::uint64_t key, std::uint64_t first, std::size_t n,
                       double* out) {
   // Whole blocks start at an even counter; an odd first counter and a short
   // end go through a block on the stack.
-  double buf[8];
+  double buf[8] = {};
   std::size_t i = 0;
   if ((first & 1) != 0 && n > 0) {
     normal_block_avx2(key, first - 1, buf);

@@ -271,13 +271,14 @@ inline __m512i mix_avx512(__m512i z) {
 }
 
 /// normal::horner on eight lanes.
-template <std::size_t N>
+template <std::size_t I = 0, std::size_t N>
 inline __m512d horner_avx512(__m512d z, const std::array<double, N>& c) {
-  __m512d acc = _mm512_set1_pd(c[N - 1]);
-#pragma GCC unroll 8
-  for (std::size_t i = N - 1; i-- > 0;)
-    acc = _mm512_add_pd(_mm512_set1_pd(c[i]), _mm512_mul_pd(z, acc));
-  return acc;
+  if constexpr (I + 1 == N) {
+    return _mm512_set1_pd(c[I]);
+  } else {
+    return _mm512_add_pd(_mm512_set1_pd(c[I]),
+                         _mm512_mul_pd(z, horner_avx512<I + 1>(z, c)));
+  }
 }
 
 /// normal::log_unit on eight lanes.
@@ -359,7 +360,7 @@ inline void normal_block_avx512(std::uint64_t key, std::uint64_t c,
       _mm512_set_epi64(ll(14 * kGamma), ll(12 * kGamma), ll(10 * kGamma),
                        ll(8 * kGamma), ll(6 * kGamma), ll(4 * kGamma),
                        ll(2 * kGamma), 0));
-  __m512d cs, sn;
+  __m512d cs = _mm512_setzero_pd(), sn = cs;
   box_muller_avx512(
       mix_avx512(x),
       mix_avx512(_mm512_add_epi64(x, _mm512_set1_epi64(ll(kGamma)))), cs, sn);
@@ -378,7 +379,7 @@ void normal_fill_avx512(std::uint64_t key, std::uint64_t first,
                         std::size_t n, double* out) {
   // Whole blocks start at an even counter; an odd first counter and a short
   // end go through a block on the stack.
-  double buf[16];
+  double buf[16] = {};
   std::size_t i = 0;
   if ((first & 1) != 0 && n > 0) {
     normal_block_avx512(key, first - 1, buf);

@@ -86,13 +86,14 @@ inline constexpr std::array<double, 6> kCos = {
     2.08757232129817482790e-09, -1.13596475577881948265e-11};
 inline constexpr double kTwoPi = 6.28318530717958647692;
 
-/// c[0] + z * (c[1] + z * (... + z * c[N-1])), innermost product first.
-template <std::size_t N>
+/// c[I] + z * (c[I+1] + z * (... + z * c[N-1])), innermost product first.
+template <std::size_t I = 0, std::size_t N>
 static inline double horner(double z, const std::array<double, N>& c) {
-  double acc = c[N - 1];
-#pragma GCC unroll 8
-  for (std::size_t i = N - 1; i-- > 0;) acc = c[i] + z * acc;
-  return acc;
+  if constexpr (I + 1 == N) {
+    return c[I];
+  } else {
+    return c[I] + z * horner<I + 1>(z, c);
+  }
 }
 
 /// SplitMix64's output function.
