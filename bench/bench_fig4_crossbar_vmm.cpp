@@ -120,11 +120,13 @@ int main() {
   }
   // --- fidelity-dial throughput: tier 1/2 vs the full analog model ----------
   // The raw-speed tiers trade modelled physics for wall-clock: tier 1
-  // (calibrated noise, closed-form energy) must clear 3x over tier 0 on
-  // this workload; tier 2 (pure ideal) lands in the same band — both are
-  // bound by streaming the conductance matrix, and tier 1's hash noise
-  // is nearly free. Accuracy deltas are reported alongside so the
-  // speedup is never read in isolation.
+  // (calibrated noise, closed-form energy) measured about 2.3x over tier 0
+  // on this workload (1.9-2.7x over five RelWithDebInfo runs on a 4-vCPU
+  // Xeon with AVX-512; about 2.75x while tier 0 drew its noise through
+  // libm); tier 2 (pure ideal) lands in the same band — both are bound by
+  // streaming the conductance matrix, and tier 1's hash noise is nearly
+  // free. Accuracy deltas are reported alongside so the speedup is never
+  // read in isolation.
   double tier1_speedup = 0.0, tier2_speedup = 0.0;
   double tier1_rel_dev = 0.0, tier2_rel_dev = 0.0;
   {

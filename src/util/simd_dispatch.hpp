@@ -38,7 +38,8 @@
 ///  - `normal_fill` is **bit-identical** on every table: element-wise,
 ///    the same integer hash and the same polynomial `log`, `sin` and `cos`
 ///    with separate multiply and add; the SIMD bodies convert the 53-bit
-///    uniforms exactly and take their tails from the scalar form.
+///    uniforms exactly, and fill an odd start or a short end from a whole
+///    block of pairs computed on the stack.
 ///  - `dot` and the `energy` reduction of `vmm_row_accumulate` are
 ///    *reductions*: each table reassociates them differently (scalar: the
 ///    historical 4-way / serial chains; SIMD: per-lane partials reduced at
