@@ -53,8 +53,11 @@ TEST_F(SpanTest, DisabledModeRecordsNothing) {
     CIM_OBS_SPAN("test.span.disabled", Component::kDac);
   }
   set_mode(Mode::kMetrics);
-  for (const auto& row : snapshot().spans)
-    if (row.name == "test.span.disabled") EXPECT_EQ(row.count, 0u);
+  for (const auto& row : snapshot().spans) {
+    if (row.name == "test.span.disabled") {
+      EXPECT_EQ(row.count, 0u);
+    }
+  }
 }
 
 TEST_F(SpanTest, AttributeFeedsBreakdown) {
@@ -162,8 +165,11 @@ TEST_F(SpanTest, CrossbarVmmRecordsSpanAndArrayAttribution) {
     if (name == "crossbar.vmm_ops" && v2 == 1) counter_found = true;
   EXPECT_TRUE(counter_found);
   // charge() attributed the read to the array component.
-  for (const auto& row : s.components)
-    if (row.comp == Component::kArray) EXPECT_GT(row.events, 0u);
+  for (const auto& row : s.components) {
+    if (row.comp == Component::kArray) {
+      EXPECT_GT(row.events, 0u);
+    }
+  }
 }
 
 TEST_F(SpanTest, ThreadPoolReportsUtilization) {
