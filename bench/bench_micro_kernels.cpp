@@ -2,11 +2,14 @@
 /// \brief Micro-kernel throughput bench. Sweeps every runtime-dispatched
 ///        ISA variant (scalar / avx2 / avx512) of the util::kernels hot
 ///        loops — dot, axpy, gemm_accumulate, vmm_row_accumulate,
-///        bitplane_accumulate, normal_fill — across sizes, reporting GB/s
-///        and speedup vs the portable scalar table (normal_fill also in ns
-///        per draw), and ends with the standard BENCH_JSON
+///        bitplane_accumulate, bitplane_accumulate_full, normal_fill —
+///        across sizes, reporting GB/s and speedup vs the portable scalar
+///        table (bitplane_accumulate_full also in ns per call, normal_fill
+///        in ns per draw), and ends with the standard BENCH_JSON
 ///        line (per-variant extras) scraped into BENCH_PR<N>.json by
 ///        scripts/collect_bench.sh.
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <iostream>
@@ -40,7 +43,7 @@ double time_reps(int reps, F&& body) {
 }
 
 struct KernelResult {
-  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm_row" / "bitplane"
+  std::string kernel;  // "dot" / "axpy" / "gemm" / "vmm_row" / "bitplane" ...
   std::size_t n;       // problem size (elements or MACs)
   double bytes;        // bytes touched per invocation
   // seconds/rep, indexed like supported_isas()
@@ -144,6 +147,44 @@ int run_isa_sweep() {
                  });
   }
 
+  // Tier-0 fused bit-plane read at infer_full's shapes: a 4-bit request on
+  // a 64x32 array (layer 1) and on a 64x10 one (layer 2), every bit set
+  // with probability 1/2. Each table reads with its own row-energy table,
+  // built once beforehand as the crossbar builds it once per conductance
+  // state. Reported in ns per call below; bytes as for "bitplane", plus
+  // the noise variances.
+  for (const std::size_t cols : {32u, 10u}) {
+    constexpr std::size_t kRows = 64;
+    constexpr int kPlanes = 4;
+    constexpr double kV = 0.2, kNoiseFrac = 0.05, kReadNs = 10.0;
+    auto g = bench_vec(kRows * cols, 31 + cols);
+    for (auto& x : g) x = x < 0 ? -x : x;
+    util::Rng rng(37 + cols);
+    std::vector<std::uint32_t> bits(kRows);
+    for (auto& b : bits) b = static_cast<std::uint32_t>(rng.uniform_int(16));
+    std::vector<std::vector<double>> row_e(isas.size());
+    for (std::size_t i = 0; i < isas.size(); ++i) {
+      const auto& t = util::simd::table_for(isas[i]);
+      row_e[i].resize(kRows * t.row_energy_width(cols));
+      t.row_energy(kV, g.data(), kRows, cols, kReadNs, row_e[i].data());
+    }
+    auto currents = std::vector<double>(kPlanes * cols);
+    auto noise = std::vector<double>(kPlanes * cols);
+    std::array<double, kPlanes> energy{};
+    sweep_kernel(
+        results, "bitplane_noisy", kRows * cols * kPlanes,
+        8.0 * static_cast<double>(kRows * cols + 4 * kPlanes * cols), 20000,
+        isas, [&](const util::simd::KernelTable& t) {
+          const auto i = static_cast<std::size_t>(
+              std::find(isas.begin(), isas.end(), t.isa) - isas.begin());
+          t.bitplane_accumulate_full(kV, g.data(), kRows, cols, bits.data(),
+                                     kPlanes, kNoiseFrac, row_e[i].data(),
+                                     t.row_energy_width(cols), currents.data(),
+                                     noise.data(), energy.data());
+          checksum_sink += currents[cols / 2] + energy[0];
+        });
+  }
+
   // Keyed standard normals (tier-0 read noise): one tile column block and
   // one long run per call. Reported in ns per draw below; bytes are the
   // outputs written.
@@ -175,6 +216,21 @@ int run_isa_sweep() {
         row.push_back(util::Table::num(r.bytes / s / 1e9, 2));
       for (std::size_t i = 1; i < r.sec.size(); ++i)
         row.push_back(util::Table::num(r.sec[0] / r.sec[i], 2));
+      t.add_row(row);
+    }
+    t.print(std::cout);
+  }
+  {
+    std::vector<std::string> headers = {"rows x cols x planes"};
+    for (const auto isa : isas)
+      headers.push_back(std::string(util::simd::isa_name(isa)) + " ns/call");
+    util::Table t(headers);
+    t.set_title("bitplane_accumulate_full (tier 0), ns per call");
+    for (const auto& r : results) {
+      if (r.kernel != "bitplane_noisy") continue;
+      std::vector<std::string> row = {"64 x " + std::to_string(r.n / 256) +
+                                      " x 4"};
+      for (const double s : r.sec) row.push_back(util::Table::num(s * 1e9, 1));
       t.add_row(row);
     }
     t.print(std::cout);
@@ -224,6 +280,16 @@ int run_isa_sweep() {
         extras.emplace_back(kernel + "_speedup_" + isa,
                             best->sec[0] / best->sec[i]);
     }
+  }
+
+  // bitplane_accumulate_full: ns of each table for one call at each of
+  // infer_full's two shapes, summed.
+  for (std::size_t i = 0; i < isas.size(); ++i) {
+    double ns = 0.0;
+    for (const auto& r : results)
+      if (r.kernel == "bitplane_noisy") ns += r.sec[i] * 1e9;
+    extras.emplace_back(
+        std::string("bitplane_noisy_ns_") + util::simd::isa_name(isas[i]), ns);
   }
 
   // normal_fill: ns per draw of each table at the long run.

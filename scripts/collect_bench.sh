@@ -88,7 +88,8 @@ OPTIONAL = {
     "adaptive_trials", "fixed_trials", "saved_frac",
     "adaptive_wall_ms", "fixed_wall_ms",
     # dispatched-ISA kernel sweep (bench_micro_kernels): GB/s per variant
-    # and speedup vs the scalar table, and normal_fill's ns per draw; avx*
+    # and speedup vs the scalar table, bitplane_accumulate_full's ns per
+    # call pair at infer_full's shapes and normal_fill's ns per draw; avx*
     # keys are absent on hosts whose build or CPU cannot execute that
     # table.
     *(f"{k}_gbs_{isa}"
@@ -97,6 +98,7 @@ OPTIONAL = {
     *(f"{k}_speedup_{isa}"
       for k in ("dot", "axpy", "vmm_row", "gemm", "bitplane")
       for isa in ("avx2", "avx512")),
+    *(f"bitplane_noisy_ns_{isa}" for isa in ("scalar", "avx2", "avx512")),
     *(f"normal_fill_ns_{isa}" for isa in ("scalar", "avx2", "avx512")),
 }
 

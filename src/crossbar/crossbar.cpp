@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -49,14 +50,6 @@ double abs_sum(std::span<const double> v_rows) {
 
 /// Stream of an array's seed that keys its tier-0 read noise.
 constexpr std::uint64_t kReadNoiseStream = 0x7469657230ULL;  // "tier0"
-
-/// Tier-0 read noise of one read: column c gets its std sqrt(noise_var[c])
-/// times the read's keyed standard normal z[c].
-void add_read_noise(std::span<double> currents, const double* noise_var,
-                    const double* z) {
-  for (std::size_t c = 0; c < currents.size(); ++c)
-    currents[c] += std::sqrt(noise_var[c]) * z[c];
-}
 
 }  // namespace
 
@@ -434,6 +427,7 @@ void Crossbar::rebuild_conductance_cache() {
   g_all_dirty_ = false;
   dirty_cells_.clear();
   std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
+  ++g_cache_gen_;
   ++stats_.cache_full_rebuilds;
   util::perf::cache_full_rebuilds.fetch_add(1, std::memory_order_relaxed);
 }
@@ -479,6 +473,7 @@ void Crossbar::apply_dirty_cells() {
     g_true_sum_ = 0.0;
     for (const double g : g_true_cache_) g_true_sum_ += g;
   }
+  ++g_cache_gen_;
   ++stats_.cache_delta_updates;
   util::perf::cache_delta_updates.fetch_add(1, std::memory_order_relaxed);
 }
@@ -661,6 +656,21 @@ void Crossbar::vmm_ideal(std::span<const double> v_rows,
   }
 }
 
+const double* Crossbar::tier0_row_energy(const util::simd::KernelTable& t,
+                                         double v) {
+  if (row_energy_table_ != &t || row_energy_gen_ != g_cache_gen_ ||
+      std::bit_cast<std::uint64_t>(row_energy_v_) !=
+          std::bit_cast<std::uint64_t>(v)) {
+    row_energy_.resize(cfg_.rows * t.row_energy_width(cfg_.cols));
+    t.row_energy(v, g_eff_cache_.data(), cfg_.rows, cfg_.cols,
+                 tech_.t_read_ns, row_energy_.data());
+    row_energy_table_ = &t;
+    row_energy_gen_ = g_cache_gen_;
+    row_energy_v_ = v;
+  }
+  return row_energy_.data();
+}
+
 const double* Crossbar::next_read_normals(std::size_t reads) {
   noise_z_scratch_.resize(reads * cfg_.cols);
   util::kernels::normal_fill(noise_key_, tier0_reads_ * cfg_.cols,
@@ -684,7 +694,7 @@ bool Crossbar::finish_full_read(double v_abs_sum, std::span<double> currents,
   // Aggregate read noise per column, keyed by (seed, read, column). The
   // generator then skips the per-column draws this noise once took, so
   // the read disturb below and every later write draw as they did.
-  add_read_noise(currents, noise_var.data(), z);
+  util::kernels::noise_add(noise_var.data(), z, currents.data(), cfg_.cols);
   ++tier0_reads_;
   rng_.skip_normals(cfg_.cols);
 
@@ -746,15 +756,19 @@ void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
   ensure_conductance_cache();
 
   // One pass forms every plane's pre-noise currents, noise variance and
-  // energy. vmm() skips every 0 V row, so a 0 V request drives none.
+  // energy. vmm() skips every 0 V row, so a 0 V request drives none. The
+  // row-energy table, the width and the kernel come from one table.
   std::fill(currents.begin(), currents.end(), 0.0);
   std::fill(energy.begin(), energy.end(), 0.0);
   vmm_noise_scratch_.assign(np * cols, 0.0);
-  if (v != 0.0)
-    util::kernels::bitplane_accumulate_noisy(
+  if (v != 0.0) {
+    const auto& t = util::simd::active();
+    t.bitplane_accumulate_full(
         v, g_eff_cache_.data(), cfg_.rows, cols, inputs.data(), planes,
-        currents.data(), vmm_noise_scratch_.data(), tech_.read_noise_frac,
-        tech_.t_read_ns, energy.data());
+        tech_.read_noise_frac, tier0_row_energy(t, v),
+        t.row_energy_width(cols), currents.data(), vmm_noise_scratch_.data(),
+        energy.data());
+  }
   std::array<ReadSums, 16> sums{};  // tier 0 needs only the sneak input
   if (cfg_.passive_array)
     plane_read_sums(inputs, planes, v, g_eff_rowsum_,
@@ -887,7 +901,8 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
         for (std::size_t c = 0; c < cfg_.cols; ++c)
           hm->record_sneak_current(c, sneak_per_col);
     }
-    add_read_noise(currents, noise_var.data(), z + s * cfg_.cols);
+    util::kernels::noise_add(noise_var.data(), z + s * cfg_.cols,
+                             currents.data(), cfg_.cols);
     sample_energy[s] = energy;
   });
 

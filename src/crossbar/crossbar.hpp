@@ -40,6 +40,9 @@
 namespace cim::util {
 class ThreadPool;
 }
+namespace cim::util::simd {
+struct KernelTable;
+}
 namespace cim::obs {
 class HealthMonitor;
 }
@@ -188,8 +191,12 @@ class Crossbar {
   /// land in currents[b*cols, (b+1)*cols) and the energy charged for it in
   /// energy[b]. Currents, energies, stats, RNG draws and cache repairs are
   /// bit-identical to `planes` calls of vmm() on those voltages in plane
-  /// order, at every tier: each row's products are formed once and shared
-  /// by every plane whose bit is set (util::kernels::bitplane_accumulate*).
+  /// order, at every tier. At kCalibrated and kIdeal each row's products
+  /// are formed once and shared by every plane whose bit is set
+  /// (util::kernels::bitplane_accumulate). At kFull each plane walks its
+  /// driven rows (KernelTable::bitplane_accumulate_full), and each row's
+  /// energy comes from a table built on the first such read after the
+  /// conductances, `v` or the kernel table change.
   /// At kFull, once a plane's read disturb dirties a cell, the remaining
   /// planes are read one at a time from the repaired array. Counts one
   /// `vmm_ops` per plane. Throws std::invalid_argument on a bad plane
@@ -381,6 +388,12 @@ class Crossbar {
   /// then finish_full_read. Returns the energy charged.
   double vmm_full(std::span<const double> v_rows, std::span<double> currents);
 
+  /// Tier-0 bit-plane reads' row-energy table for kernel table `t` at `v`
+  /// (KernelTable::row_energy over g_eff_cache_). Rebuilt when the
+  /// conductance-cache generation, `v` or `t` differ from the ones it was
+  /// built for. Requires a valid cache.
+  const double* tier0_row_energy(const util::simd::KernelTable& t, double v);
+
   /// Keyed standard normals of the next `reads` tier-0 reads, reads x cols
   /// in noise_z_scratch_: read tier0_reads_ + i, column c is counter
   /// (tier0_reads_ + i) * cols + c of noise_key_ (util::kernels::
@@ -507,6 +520,17 @@ class Crossbar {
   std::vector<double> g_ideal_rowsum_;   ///< per-row sum of g_ideal
   bool g_cache_built_ = false;         ///< caches populated at least once
   bool g_all_dirty_ = true;            ///< full rebuild pending
+  /// Bumped by every rebuild and delta repair (unlike the CrossbarStats
+  /// counters, reset_stats() leaves it alone): what a table derived from
+  /// the caches is keyed on.
+  std::uint64_t g_cache_gen_ = 0;
+
+  // tier0_row_energy's table and its key: the cache generation, the
+  // voltage and the kernel table it was built with (none yet when null).
+  std::vector<double> row_energy_;
+  std::uint64_t row_energy_gen_ = 0;
+  double row_energy_v_ = 0.0;
+  const util::simd::KernelTable* row_energy_table_ = nullptr;
 
   // Dirty tracking (incremental_cache): flat cell indices pending repair,
   // deduplicated by a per-row bitset (dirty_words_per_row_ words per row).

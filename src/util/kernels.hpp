@@ -26,12 +26,20 @@
 ///    VMM loop on every table — the crossbar's bit-identical output
 ///    contract (serial vmm == batched vmm == any CIM_SIMD setting) depends
 ///    on it. Only its `energy` reduction reassociates across tables.
-///  - `bitplane_accumulate` / `bitplane_accumulate_noisy` fuse the
+///  - `bitplane_accumulate` / `bitplane_accumulate_full` fuse the
 ///    per-plane reads of one bit-serial request: per plane they make the
 ///    exact updates of per-plane `axpy` / `vmm_row_accumulate` calls, so
-///    their currents and noise variances are bit-identical on every table,
-///    and the noisy energy is bit-identical to that table's
-///    `vmm_row_accumulate`.
+///    their currents and noise variances are bit-identical on every table.
+///    The tier-0 kernel walks a list of each plane's driven rows and takes
+///    each row's energy from a `row_energy` table: the terms that table's
+///    `vmm_row_accumulate` adds for the row, so the energy is bit-identical
+///    to that table's `vmm_row_accumulate` calls. These two have no
+///    wrapper here: a caller takes one table (simd::active()) and calls
+///    both through it, so the row energies it keeps are keyed on the table
+///    that built them (simd::KernelTable documents both).
+///  - `noise_add` is element-wise and bit-identical on every table: IEEE
+///    `sqrt` is correctly rounded, and the multiply and the add are kept
+///    apart.
 ///  - `adc_decode_accumulate` is element-wise and bit-identical on every
 ///    table to the scalar chain Adc::quantize -> Adc::dequantize -> level
 ///    decode -> ldexp; the dequantize step is a lookup in a table built
@@ -119,23 +127,11 @@ inline void bitplane_accumulate(double v, const double* g, std::size_t rows,
                                      currents);
 }
 
-/// Tier-0 counterpart of bitplane_accumulate: per plane b, the updates of
-/// `vmm_row_accumulate(v, g_r, currents_b, noise_var_b, noise_frac,
-/// t_read_ns, cols, energy[b])` over the rows whose bit b is set, in
-/// increasing row order. Currents and noise variances are bit-identical on
-/// every table; energy[b] is bit-identical to the same table's
-/// vmm_row_accumulate calls (each row's lane partials are reduced as that
-/// kernel reduces them, added to every active plane, then the tail columns
-/// one at a time).
-inline void bitplane_accumulate_noisy(double v, const double* g,
-                                      std::size_t rows, std::size_t cols,
-                                      const std::uint32_t* bits, int planes,
-                                      double* currents, double* noise_var,
-                                      double noise_frac, double t_read_ns,
-                                      double* energy) {
-  simd::active().bitplane_accumulate_noisy(v, g, rows, cols, bits, planes,
-                                           currents, noise_var, noise_frac,
-                                           t_read_ns, energy);
+/// y[i] += sqrt(var[i]) * z[i]: tier-0 read noise, a column's std times
+/// its standard normal. Bit-identical across CIM_SIMD settings.
+inline void noise_add(const double* var, const double* z, double* y,
+                      std::size_t n) {
+  simd::active().noise_add(var, z, y, n);
 }
 
 /// One bit-serial cycle of a differential CIM tile's periphery, per column:

@@ -10,7 +10,7 @@
 /// reduction. The energy reduction of vmm_row_accumulate runs in four
 /// per-lane partial sums (columns c, c+4, ... per lane) reduced once at the
 /// end — deterministic, but reassociated relative to the scalar serial
-/// chain; bitplane_accumulate_noisy reduces each row the same way.
+/// chain; row_energy reduces each row the same way.
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
@@ -18,7 +18,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace cim::util::kernels::detail {
 
@@ -70,6 +73,27 @@ void axpy_avx2(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+namespace {
+
+/// vmm_row_accumulate's energy term of four columns, |v * i| * t * 1e-3,
+/// from their currents i = v * g.
+inline __m256d energy_term_avx2(__m256d vv, __m256d icur, __m256d vt,
+                                __m256d vmilli) {
+  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
+      static_cast<long long>(0x7fffffffffffffffULL)));
+  const __m256d vi = _mm256_and_pd(_mm256_mul_pd(vv, icur), abs_mask);
+  return _mm256_mul_pd(_mm256_mul_pd(vi, vt), vmilli);
+}
+
+/// The four energy partials reduced as (l0 + l1) + (l2 + l3).
+inline double reduce_add_avx2(__m256d x) {
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, x);
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+}  // namespace
+
 void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
                              double* noise_var, double noise_frac,
                              double t_read_ns, std::size_t n, double& energy) {
@@ -77,8 +101,6 @@ void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
   const __m256d vnf = _mm256_set1_pd(noise_frac);
   const __m256d vt = _mm256_set1_pd(t_read_ns);
   const __m256d vmilli = _mm256_set1_pd(1e-3);
-  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
-      static_cast<long long>(0x7fffffffffffffffULL)));
   __m256d e_acc = _mm256_setzero_pd();
   std::size_t c = 0;
   for (; c + 4 <= n; c += 4) {
@@ -91,13 +113,9 @@ void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
                      _mm256_add_pd(_mm256_loadu_pd(noise_var + c),
                                    _mm256_mul_pd(cell_noise, cell_noise)));
     // Same per-element term shape as the scalar chain: |v*i| * t * 1e-3.
-    const __m256d vi = _mm256_and_pd(_mm256_mul_pd(vv, icur), abs_mask);
-    e_acc = _mm256_add_pd(e_acc,
-                          _mm256_mul_pd(_mm256_mul_pd(vi, vt), vmilli));
+    e_acc = _mm256_add_pd(e_acc, energy_term_avx2(vv, icur, vt, vmilli));
   }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, e_acc);
-  double e = energy + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
+  double e = energy + reduce_add_avx2(e_acc);
   for (; c < n; ++c) {
     const double i = v * g[c];
     currents[c] += i;
@@ -140,70 +158,181 @@ void bitplane_accumulate_avx2(double v, const double* g, std::size_t rows,
   }
 }
 
-void bitplane_accumulate_noisy_avx2(double v, const double* g,
-                                    std::size_t rows, std::size_t cols,
-                                    const std::uint32_t* bits, int planes,
-                                    double* currents, double* noise_var,
-                                    double noise_frac, double t_read_ns,
-                                    double* energy) {
+void row_energy_avx2(double v, const double* g, std::size_t rows,
+                     std::size_t cols, double t_read_ns, double* out) {
   const __m256d vv = _mm256_set1_pd(v);
-  const __m256d vnf = _mm256_set1_pd(noise_frac);
   const __m256d vt = _mm256_set1_pd(t_read_ns);
   const __m256d vmilli = _mm256_set1_pd(1e-3);
-  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
-      static_cast<long long>(0x7fffffffffffffffULL)));
-  const std::uint32_t all = plane_mask(planes);
-  int act[16];
-  double* cur[16];
-  double* var[16];
-  // Row-outer, accumulators in memory: each row's products are formed
-  // once and added into every active plane's accumulators. Sparse inputs
-  // (post-ReLU activations) skip most rows outright, and each row's energy
-  // lanes reduce as soon as its columns are done — register blocking would
-  // walk every row once per column block and carry those lanes across
-  // blocks.
+  const std::size_t lanes_end = cols - cols % 4;
   for (std::size_t r = 0; r < rows; ++r) {
-    const int na = active_planes(bits[r] & all, act);
-    if (na == 0) continue;
-    for (int k = 0; k < na; ++k) {
-      cur[k] = currents + static_cast<std::size_t>(act[k]) * cols;
-      var[k] = noise_var + static_cast<std::size_t>(act[k]) * cols;
-    }
     const double* gr = g + r * cols;
     __m256d e_acc = _mm256_setzero_pd();
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const __m256d icur = _mm256_mul_pd(vv, _mm256_loadu_pd(gr + c));
-      const __m256d cell_noise = _mm256_mul_pd(vnf, icur);
-      const __m256d sq = _mm256_mul_pd(cell_noise, cell_noise);
-      const __m256d vi = _mm256_and_pd(_mm256_mul_pd(vv, icur), abs_mask);
-      e_acc = _mm256_add_pd(e_acc,
-                            _mm256_mul_pd(_mm256_mul_pd(vi, vt), vmilli));
-      for (int k = 0; k < na; ++k) {
-        _mm256_storeu_pd(cur[k] + c,
-                         _mm256_add_pd(_mm256_loadu_pd(cur[k] + c), icur));
-        _mm256_storeu_pd(var[k] + c,
-                         _mm256_add_pd(_mm256_loadu_pd(var[k] + c), sq));
-      }
-    }
-    // The row's lane partials reduce exactly as vmm_row_accumulate_avx2
-    // reduces them, then join each active plane's running energy.
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, e_acc);
-    const double row_e = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for (int k = 0; k < na; ++k) energy[act[k]] = energy[act[k]] + row_e;
-    for (; c < cols; ++c) {
-      const double i = v * gr[c];
-      const double cell_noise = noise_frac * i;
-      const double sq = cell_noise * cell_noise;
-      const double e = std::abs(v * i) * t_read_ns * 1e-3;
-      for (int k = 0; k < na; ++k) {
-        cur[k][c] += i;
-        var[k][c] += sq;
-        energy[act[k]] += e;
-      }
+    for (std::size_t c = 0; c < lanes_end; c += 4)
+      e_acc = _mm256_add_pd(
+          e_acc,
+          energy_term_avx2(vv, _mm256_mul_pd(vv, _mm256_loadu_pd(gr + c)), vt,
+                           vmilli));
+    *out++ = reduce_add_avx2(e_acc);
+    for (std::size_t c = lanes_end; c < cols; ++c)
+      *out++ = std::abs(v * (v * gr[c])) * t_read_ns * 1e-3;
+  }
+}
+
+namespace {
+
+/// kCompact[m]: the indices of the set bits of the 8-bit m, ascending, one
+/// per byte from the low byte up.
+constexpr std::array<std::uint64_t, 256> kCompact = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned m = 0; m < 256; ++m)
+    for (unsigned i = 0, k = 0; i < 8; ++i)
+      if ((m >> i) & 1u) t[m] |= std::uint64_t{i} << (8 * k++);
+  return t;
+}();
+
+/// full::driven_rows on eight rows at a time: bit b of each row's bits goes
+/// to the sign bit, the sign mask picks the eight rows' entry of kCompact,
+/// and its indices are widened, offset and stored whole.
+std::size_t driven_rows_avx2(const std::uint32_t* bits, std::size_t first,
+                             std::size_t last, int b, std::uint32_t* list) {
+  const __m128i to_sign = _mm_cvtsi32_si128(31 - b);
+  std::size_t k = 0;
+  std::size_t r = first;
+  for (; r + 8 <= last; r += 8) {
+    const __m256i x = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(bits + r));
+    const auto on = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_sll_epi32(x, to_sign))));
+    const __m256i idx = _mm256_add_epi32(
+        _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+            static_cast<long long>(kCompact[on]))),
+        _mm256_set1_epi32(static_cast<int>(r)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(list + k), idx);
+    k += static_cast<std::size_t>(std::popcount(on));
+  }
+  return full::driven_rows(bits, r, last, b, list, k);
+}
+
+/// One plane's currents and noise variances over the K = sizeof...(k)
+/// 4-column chunks at `cur`, `var` and `g` (row stride `cols`), the last
+/// chunk masked to the lanes of `last` when Masked: the accumulators stay
+/// in registers while the plane's driven rows go by in list order. With
+/// Energy, each row's `width` (>= 1) energy terms join `e` as the row goes
+/// by. Returns `e`.
+template <bool Masked, bool Energy, std::size_t... k>
+double plane_block_avx2(std::index_sequence<k...>, __m256d vv, __m256d vnf,
+                        const double* g, std::size_t cols,
+                        const std::uint32_t* list, std::size_t n, double* cur,
+                        double* var, __m256i last, const double* row_energy,
+                        std::size_t width, double e) {
+  constexpr std::size_t K = sizeof...(k);
+  const auto load = [last](std::size_t j, const double* p) {
+    return Masked && j + 1 == K ? _mm256_maskload_pd(p, last)
+                                : _mm256_loadu_pd(p);
+  };
+  const auto store = [last](std::size_t j, double* p, __m256d x) {
+    if (Masked && j + 1 == K)
+      _mm256_maskstore_pd(p, last, x);
+    else
+      _mm256_storeu_pd(p, x);
+  };
+  __m256d a[K] = {load(k, cur + 4 * k)...};
+  __m256d q[K] = {load(k, var + 4 * k)...};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = list[i];
+    const double* gr = g + r * cols;
+    const __m256d x[K] = {_mm256_mul_pd(vv, load(k, gr + 4 * k))...};
+    ((a[k] = _mm256_add_pd(a[k], x[k])), ...);
+    const __m256d cell_noise[K] = {_mm256_mul_pd(vnf, x[k])...};
+    ((q[k] = _mm256_add_pd(
+          q[k], _mm256_mul_pd(cell_noise[k], cell_noise[k]))),
+     ...);
+    if constexpr (Energy) {
+      const double* er = row_energy + r * width;
+      e += er[0];
+      for (std::size_t j = 1; j < width; ++j) e += er[j];
     }
   }
+  (store(k, cur + 4 * k, a[k]), ...);
+  (store(k, var + 4 * k, q[k]), ...);
+  return e;
+}
+
+}  // namespace
+
+void bitplane_accumulate_full_avx2(double v, const double* g,
+                                   std::size_t rows, std::size_t cols,
+                                   const std::uint32_t* bits, int planes,
+                                   double noise_frac, const double* row_energy,
+                                   std::size_t energy_width, double* currents,
+                                   double* noise_var, double* energy) {
+  const __m256d vv = _mm256_set1_pd(v);
+  const __m256d vnf = _mm256_set1_pd(noise_frac);
+  full::for_each_plane(
+      rows, planes,
+      [&](std::size_t r0, std::size_t r1, int b, std::uint32_t* list) {
+        return driven_rows_avx2(bits, r0, r1, b, list);
+      },
+      [&](int b, const std::uint32_t* list, std::size_t n) {
+        double* cur = currents + static_cast<std::size_t>(b) * cols;
+        double* var = noise_var + static_cast<std::size_t>(b) * cols;
+        // 16-column blocks, then the rest in up to four chunks whose last
+        // is masked to the columns left; the first block carries the
+        // rows' energy terms.
+        const auto block = [&]<std::size_t K, bool Masked>(std::size_t c,
+                                                           __m256i last) {
+          const auto chunks = std::make_index_sequence<K>{};
+          if (c == 0)
+            energy[b] = plane_block_avx2<Masked, true>(
+                chunks, vv, vnf, g, cols, list, n, cur, var, last, row_energy,
+                energy_width, energy[b]);
+          else
+            plane_block_avx2<Masked, false>(chunks, vv, vnf, g + c, cols, list,
+                                            n, cur + c, var + c, last, nullptr,
+                                            0, 0.0);
+        };
+        std::size_t c = 0;
+        for (; c + 16 <= cols; c += 16)
+          block.template operator()<4, false>(c, __m256i{});
+        if (c == cols) {
+          // cols == 0 leaves no block to carry the energy terms.
+          if (cols == 0)
+            for (std::size_t i = 0; i < n; ++i)
+              energy[b] = full::add_row_energy(energy[b], row_energy,
+                                               energy_width, list[i]);
+          return;
+        }
+        const std::size_t rest = cols - c;
+        const auto w = static_cast<long long>((rest - 1) % 4 + 1);
+        const __m256i last = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w),
+                                                _mm256_set_epi64x(3, 2, 1, 0));
+        switch ((rest + 3) / 4) {
+          case 1:
+            block.template operator()<1, true>(c, last);
+            break;
+          case 2:
+            block.template operator()<2, true>(c, last);
+            break;
+          case 3:
+            block.template operator()<3, true>(c, last);
+            break;
+          default:
+            block.template operator()<4, true>(c, last);
+            break;
+        }
+      });
+}
+
+void noise_add_avx2(const double* var, const double* z, double* y,
+                    std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d sd = _mm256_sqrt_pd(_mm256_loadu_pd(var + i));
+    _mm256_storeu_pd(
+        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
+                             _mm256_mul_pd(sd, _mm256_loadu_pd(z + i))));
+  }
+  for (; i < n; ++i) y[i] += std::sqrt(var[i]) * z[i];
 }
 
 namespace {

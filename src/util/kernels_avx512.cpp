@@ -6,8 +6,13 @@
 /// element-wise kernels use separate multiply and add so they stay
 /// bit-identical to the scalar baseline; only the dot reduction uses FMA,
 /// and the vmm_row energy reduction runs in eight per-lane partials
-/// reduced once at the end (bitplane_accumulate_noisy reduces each row the
-/// same way).
+/// reduced once at the end (row_energy reduces each row the same way).
+///
+/// GCC 12's headers expand several unmasked intrinsics (the 512-bit
+/// reduction and extract, srli, unpack, sqrt, roundscale) as the masked
+/// builtin fed an `_mm512_undefined_*` value, which -Wall reports as
+/// uninitialized. This TU uses the `_mm512_maskz_*` form with every lane
+/// set instead: the same instruction and the same bits.
 #include "util/kernels_impl.hpp"
 
 #if CIM_SIMD_X86 && defined(__AVX512F__) && defined(__AVX512DQ__) && \
@@ -16,9 +21,37 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace cim::util::kernels::detail {
+
+namespace {
+
+constexpr __mmask8 kAllLanes = 0xff;
+
+/// _mm512_reduce_add_pd in the header's order and operand order: the high
+/// 256-bit half plus the low one, then the high 128-bit half plus the low
+/// one, then lane 0 plus lane 1.
+inline double reduce_add_avx512(__m512d x) {
+  const __m256d h =
+      _mm256_add_pd(_mm512_maskz_extractf64x4_pd(kAllLanes, x, 1),
+                    _mm512_maskz_extractf64x4_pd(kAllLanes, x, 0));
+  const __m128d q =
+      _mm_add_pd(_mm256_extractf128_pd(h, 1), _mm256_castpd256_pd128(h));
+  return _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+}
+
+/// vmm_row_accumulate's energy term of eight columns, |v * i| * t * 1e-3,
+/// from their currents i = v * g.
+inline __m512d energy_term_avx512(__m512d vv, __m512d icur, __m512d vt,
+                                  __m512d vmilli) {
+  const __m512d vi = _mm512_abs_pd(_mm512_mul_pd(vv, icur));
+  return _mm512_mul_pd(_mm512_mul_pd(vi, vt), vmilli);
+}
+
+}  // namespace
 
 double dot_avx512(const double* a, const double* b, std::size_t n) {
   __m512d acc0 = _mm512_setzero_pd();
@@ -41,7 +74,7 @@ double dot_avx512(const double* a, const double* b, std::size_t n) {
                            acc0);
   const __m512d sum =
       _mm512_add_pd(_mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3));
-  double r = _mm512_reduce_add_pd(sum);
+  double r = reduce_add_avx512(sum);
   for (; i < n; ++i) r += a[i] * b[i];
   return r;
 }
@@ -86,11 +119,9 @@ void vmm_row_accumulate_avx512(double v, const double* g, double* currents,
                      _mm512_add_pd(_mm512_loadu_pd(noise_var + c),
                                    _mm512_mul_pd(cell_noise, cell_noise)));
     // Same per-element term shape as the scalar chain: |v*i| * t * 1e-3.
-    const __m512d vi = _mm512_abs_pd(_mm512_mul_pd(vv, icur));
-    e_acc = _mm512_add_pd(e_acc,
-                          _mm512_mul_pd(_mm512_mul_pd(vi, vt), vmilli));
+    e_acc = _mm512_add_pd(e_acc, energy_term_avx512(vv, icur, vt, vmilli));
   }
-  double e = energy + _mm512_reduce_add_pd(e_acc);
+  double e = energy + reduce_add_avx512(e_acc);
   for (; c < n; ++c) {
     const double i = v * g[c];
     currents[c] += i;
@@ -197,77 +228,186 @@ void bitplane_accumulate_avx512(double v, const double* g, std::size_t rows,
   }
 }
 
-void bitplane_accumulate_noisy_avx512(double v, const double* g,
-                                      std::size_t rows, std::size_t cols,
-                                      const std::uint32_t* bits, int planes,
-                                      double* currents, double* noise_var,
-                                      double noise_frac, double t_read_ns,
-                                      double* energy) {
+void row_energy_avx512(double v, const double* g, std::size_t rows,
+                       std::size_t cols, double t_read_ns, double* out) {
   const __m512d vv = _mm512_set1_pd(v);
-  const __m512d vnf = _mm512_set1_pd(noise_frac);
   const __m512d vt = _mm512_set1_pd(t_read_ns);
   const __m512d vmilli = _mm512_set1_pd(1e-3);
-  const std::uint32_t all = plane_mask(planes);
-  int act[16];
-  double* cur[16];
-  double* var[16];
-  // Row-outer, accumulators in memory: each row's products are formed
-  // once and added into every active plane's accumulators. Sparse inputs
-  // (post-ReLU activations) skip most rows outright, and each row's energy
-  // lanes reduce as soon as its columns are done — register blocking would
-  // walk every row once per column block and carry those lanes across
-  // blocks.
+  const std::size_t lanes_end = cols - cols % 8;
   for (std::size_t r = 0; r < rows; ++r) {
-    const int na = active_planes(bits[r] & all, act);
-    if (na == 0) continue;
-    for (int k = 0; k < na; ++k) {
-      cur[k] = currents + static_cast<std::size_t>(act[k]) * cols;
-      var[k] = noise_var + static_cast<std::size_t>(act[k]) * cols;
-    }
     const double* gr = g + r * cols;
     __m512d e_acc = _mm512_setzero_pd();
-    std::size_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m512d icur = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + c));
-      const __m512d cell_noise = _mm512_mul_pd(vnf, icur);
-      const __m512d sq = _mm512_mul_pd(cell_noise, cell_noise);
-      const __m512d vi = _mm512_abs_pd(_mm512_mul_pd(vv, icur));
-      e_acc = _mm512_add_pd(e_acc,
-                            _mm512_mul_pd(_mm512_mul_pd(vi, vt), vmilli));
-      for (int k = 0; k < na; ++k) {
-        _mm512_storeu_pd(cur[k] + c,
-                         _mm512_add_pd(_mm512_loadu_pd(cur[k] + c), icur));
-        _mm512_storeu_pd(var[k] + c,
-                         _mm512_add_pd(_mm512_loadu_pd(var[k] + c), sq));
-      }
-    }
-    // The row's lane partials reduce exactly as vmm_row_accumulate_avx512
-    // reduces them, then join each active plane's running energy.
-    const double row_e = _mm512_reduce_add_pd(e_acc);
-    for (int k = 0; k < na; ++k) energy[act[k]] = energy[act[k]] + row_e;
-    for (; c < cols; ++c) {
-      const double i = v * gr[c];
-      const double cell_noise = noise_frac * i;
-      const double sq = cell_noise * cell_noise;
-      const double e = std::abs(v * i) * t_read_ns * 1e-3;
-      for (int k = 0; k < na; ++k) {
-        cur[k][c] += i;
-        var[k][c] += sq;
-        energy[act[k]] += e;
-      }
-    }
+    for (std::size_t c = 0; c < lanes_end; c += 8)
+      e_acc = _mm512_add_pd(
+          e_acc, energy_term_avx512(
+                     vv, _mm512_mul_pd(vv, _mm512_loadu_pd(gr + c)), vt,
+                     vmilli));
+    *out++ = reduce_add_avx512(e_acc);
+    for (std::size_t c = lanes_end; c < cols; ++c)
+      *out++ = std::abs(v * (v * gr[c])) * t_read_ns * 1e-3;
   }
 }
 
 namespace {
+
+/// full::driven_rows on sixteen rows at a time: the rows whose bit b is set
+/// are compressed out of a vector of row indices and stored whole.
+std::size_t driven_rows_avx512(const std::uint32_t* bits, std::size_t first,
+                               std::size_t last, int b, std::uint32_t* list) {
+  const __m512i bit = _mm512_set1_epi32(1 << b);
+  __m512i rows = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<int>(first)),
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+  std::size_t k = 0;
+  std::size_t r = first;
+  for (; r + 16 <= last; r += 16) {
+    const __mmask16 on =
+        _mm512_test_epi32_mask(_mm512_loadu_si512(bits + r), bit);
+    _mm512_storeu_si512(list + k, _mm512_maskz_compress_epi32(on, rows));
+    k += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(on)));
+    rows = _mm512_add_epi32(rows, _mm512_set1_epi32(16));
+  }
+  return full::driven_rows(bits, r, last, b, list, k);
+}
+
+/// One plane's currents and noise variances over the K = sizeof...(k)
+/// 8-column chunks at `cur`, `var` and `g` (row stride `cols`), the last
+/// chunk masked to `last`: the accumulators stay in registers while the
+/// plane's driven rows go by in list order. With Energy, each row's `width`
+/// (>= 1) energy terms join `e` as the row goes by. Returns `e`.
+template <bool Energy, std::size_t... k>
+double plane_block_avx512(std::index_sequence<k...>, __m512d vv, __m512d vnf,
+                          const double* g, std::size_t cols,
+                          const std::uint32_t* list, std::size_t n,
+                          double* cur, double* var, __mmask8 last,
+                          const double* row_energy, std::size_t width,
+                          double e) {
+  constexpr std::size_t K = sizeof...(k);
+  constexpr auto mask = [](std::size_t j, __mmask8 m) {
+    return j + 1 < K ? kAllLanes : m;
+  };
+  __m512d a[K] = {_mm512_maskz_loadu_pd(mask(k, last), cur + 8 * k)...};
+  __m512d q[K] = {_mm512_maskz_loadu_pd(mask(k, last), var + 8 * k)...};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = list[i];
+    const double* gr = g + r * cols;
+    const __m512d x[K] = {_mm512_mul_pd(
+        vv, _mm512_maskz_loadu_pd(mask(k, last), gr + 8 * k))...};
+    ((a[k] = _mm512_add_pd(a[k], x[k])), ...);
+    const __m512d cell_noise[K] = {_mm512_mul_pd(vnf, x[k])...};
+    ((q[k] = _mm512_add_pd(
+          q[k], _mm512_mul_pd(cell_noise[k], cell_noise[k]))),
+     ...);
+    if constexpr (Energy) {
+      const double* er = row_energy + r * width;
+      e += er[0];
+      for (std::size_t j = 1; j < width; ++j) e += er[j];
+    }
+  }
+  (_mm512_mask_storeu_pd(cur + 8 * k, mask(k, last), a[k]), ...);
+  (_mm512_mask_storeu_pd(var + 8 * k, mask(k, last), q[k]), ...);
+  return e;
+}
+
+}  // namespace
+
+void bitplane_accumulate_full_avx512(double v, const double* g,
+                                     std::size_t rows, std::size_t cols,
+                                     const std::uint32_t* bits, int planes,
+                                     double noise_frac,
+                                     const double* row_energy,
+                                     std::size_t energy_width, double* currents,
+                                     double* noise_var, double* energy) {
+  const __m512d vv = _mm512_set1_pd(v);
+  const __m512d vnf = _mm512_set1_pd(noise_frac);
+  full::for_each_plane(
+      rows, planes,
+      [&](std::size_t r0, std::size_t r1, int b, std::uint32_t* list) {
+        return driven_rows_avx512(bits, r0, r1, b, list);
+      },
+      [&](int b, const std::uint32_t* list, std::size_t n) {
+        double* cur = currents + static_cast<std::size_t>(b) * cols;
+        double* var = noise_var + static_cast<std::size_t>(b) * cols;
+        // 32-column blocks, then the rest in up to four chunks whose last
+        // is masked to the columns left; the first block carries the
+        // rows' energy terms.
+        const auto block = [&]<std::size_t K>(std::size_t c, __mmask8 last) {
+          const auto chunks = std::make_index_sequence<K>{};
+          if (c == 0)
+            energy[b] = plane_block_avx512<true>(
+                chunks, vv, vnf, g, cols, list, n, cur, var, last, row_energy,
+                energy_width, energy[b]);
+          else
+            plane_block_avx512<false>(chunks, vv, vnf, g + c, cols, list, n,
+                                      cur + c, var + c, last, nullptr, 0,
+                                      0.0);
+        };
+        std::size_t c = 0;
+        for (; c + 32 <= cols; c += 32)
+          block.template operator()<4>(c, kAllLanes);
+        if (c == cols) {
+          // cols == 0 leaves no block to carry the energy terms.
+          if (cols == 0)
+            for (std::size_t i = 0; i < n; ++i)
+              energy[b] = full::add_row_energy(energy[b], row_energy,
+                                               energy_width, list[i]);
+          return;
+        }
+        const std::size_t rest = cols - c;
+        const auto last = static_cast<__mmask8>(0xffu >> (7 - (rest - 1) % 8));
+        switch ((rest + 7) / 8) {
+          case 1:
+            block.template operator()<1>(c, last);
+            break;
+          case 2:
+            block.template operator()<2>(c, last);
+            break;
+          case 3:
+            block.template operator()<3>(c, last);
+            break;
+          default:
+            block.template operator()<4>(c, last);
+            break;
+        }
+      });
+}
+
+void noise_add_avx512(const double* var, const double* z, double* y,
+                      std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d sd =
+        _mm512_maskz_sqrt_pd(kAllLanes, _mm512_loadu_pd(var + i));
+    _mm512_storeu_pd(
+        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i),
+                             _mm512_mul_pd(sd, _mm512_loadu_pd(z + i))));
+  }
+  if (i < n) {
+    const auto m = static_cast<__mmask8>(0xffu >> (8 - (n - i)));
+    const __m512d sd =
+        _mm512_maskz_sqrt_pd(m, _mm512_maskz_loadu_pd(m, var + i));
+    _mm512_mask_storeu_pd(
+        y + i, m,
+        _mm512_add_pd(_mm512_maskz_loadu_pd(m, y + i),
+                      _mm512_mul_pd(sd, _mm512_maskz_loadu_pd(m, z + i))));
+  }
+}
+
+namespace {
+/// Each 64-bit lane shifted right by N.
+template <unsigned N>
+inline __m512i srli_avx512(__m512i x) {
+  return _mm512_maskz_srli_epi64(kAllLanes, x, N);
+}
+
 /// normal::mix on eight lanes.
 inline __m512i mix_avx512(__m512i z) {
   using namespace normal;
   const __m512i m1 = _mm512_set1_epi64(static_cast<long long>(kMix1));
   const __m512i m2 = _mm512_set1_epi64(static_cast<long long>(kMix2));
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), m1);
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), m2);
-  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli_avx512<30>(z)), m1);
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli_avx512<27>(z)), m2);
+  return _mm512_xor_si512(z, srli_avx512<31>(z));
 }
 
 /// normal::horner on eight lanes.
@@ -286,8 +426,8 @@ inline __m512d log_unit_avx512(__m512d u) {
   using namespace normal;
   const auto c = [](double x) { return _mm512_set1_pd(x); };
   const __m512i bits = _mm512_castpd_si512(u);
-  __m512d k = _mm512_sub_pd(_mm512_cvtepi64_pd(_mm512_srli_epi64(bits, 52)),
-                            c(1023.0));
+  __m512d k =
+      _mm512_sub_pd(_mm512_cvtepi64_pd(srli_avx512<52>(bits)), c(1023.0));
   __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
       _mm512_and_si512(bits, _mm512_set1_epi64(kMantissa)),
       _mm512_set1_epi64(static_cast<long long>(kOneBits))));
@@ -314,15 +454,14 @@ inline void box_muller_avx512(__m512i w1, __m512i w2, __m512d& cos_out,
   using namespace normal;
   const auto c = [](double x) { return _mm512_set1_pd(x); };
   const __m512d u1 = _mm512_mul_pd(
-      _mm512_add_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(w1, 11)), c(1.0)),
+      _mm512_add_pd(_mm512_cvtepu64_pd(srli_avx512<11>(w1)), c(1.0)),
       c(0x1.0p-53));
   const __m512d u2 =
-      _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(w2, 11)),
-                    c(0x1.0p-53));
-  const __m512d mag =
-      _mm512_sqrt_pd(_mm512_mul_pd(c(-2.0), log_unit_avx512(u1)));
-  const __m512d q = _mm512_roundscale_pd(
-      _mm512_add_pd(_mm512_mul_pd(c(4.0), u2), c(0.5)),
+      _mm512_mul_pd(_mm512_cvtepu64_pd(srli_avx512<11>(w2)), c(0x1.0p-53));
+  const __m512d mag = _mm512_maskz_sqrt_pd(
+      kAllLanes, _mm512_mul_pd(c(-2.0), log_unit_avx512(u1)));
+  const __m512d q = _mm512_maskz_roundscale_pd(
+      kAllLanes, _mm512_add_pd(_mm512_mul_pd(c(4.0), u2), c(0.5)),
       _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
   const __m512d x =
       _mm512_mul_pd(_mm512_sub_pd(u2, _mm512_mul_pd(c(0.25), q)), c(kTwoPi));
@@ -364,8 +503,9 @@ inline void normal_block_avx512(std::uint64_t key, std::uint64_t c,
   box_muller_avx512(
       mix_avx512(x),
       mix_avx512(_mm512_add_epi64(x, _mm512_set1_epi64(ll(kGamma)))), cs, sn);
-  const __m512d lo = _mm512_unpacklo_pd(cs, sn);  // pairs 0, 2, 4, 6
-  const __m512d hi = _mm512_unpackhi_pd(cs, sn);  // pairs 1, 3, 5, 7
+  // Pairs 0, 2, 4, 6 in lo and 1, 3, 5, 7 in hi.
+  const __m512d lo = _mm512_maskz_unpacklo_pd(kAllLanes, cs, sn);
+  const __m512d hi = _mm512_maskz_unpackhi_pd(kAllLanes, cs, sn);
   _mm512_storeu_pd(dst, _mm512_permutex2var_pd(
                             lo, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
                             hi));

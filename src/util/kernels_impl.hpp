@@ -178,6 +178,58 @@ inline int active_planes(std::uint32_t m, int* out) {
   return n;
 }
 
+// bitplane_accumulate_full (kernels.hpp): the row and plane order every ISA
+// TU shares. Internal linkage, as in `normal`.
+namespace full {
+
+/// Rows per driven-row list: a call takes its rows this many at a time, so
+/// a list fits on the stack.
+inline constexpr std::size_t kRowChunk = 256;
+
+/// Entries of a list: a chunk's rows, and room past them for a SIMD
+/// builder's whole-vector stores.
+inline constexpr std::size_t kListSize = kRowChunk + 16;
+
+/// Appends to list[k, ...) the rows r in [first, last) whose bits[r] has
+/// bit b set, in increasing order, and returns the new count. Every row is
+/// written; the count moves past it only when the bit is set, so no branch
+/// depends on the bits. The SIMD builders leave it the rows past their
+/// last whole vector.
+static inline std::size_t driven_rows(const std::uint32_t* bits,
+                                      std::size_t first, std::size_t last,
+                                      int b, std::uint32_t* list,
+                                      std::size_t k) {
+  for (std::size_t r = first; r < last; ++r) {
+    list[k] = static_cast<std::uint32_t>(r);
+    k += (bits[r] >> b) & 1u;
+  }
+  return k;
+}
+
+/// Adds row r's `width` terms of `row_energy` to e one at a time, as
+/// vmm_row_accumulate adds them.
+static inline double add_row_energy(double e, const double* row_energy,
+                                    std::size_t width, std::size_t r) {
+  const double* er = row_energy + r * width;
+  for (std::size_t j = 0; j < width; ++j) e += er[j];
+  return e;
+}
+
+/// Per chunk of rows [r0, r1), per plane b in order: n = build(r0, r1, b,
+/// list) lists the plane's driven rows, then walk(b, list, n) adds their
+/// currents, noise variances and energy terms in list order.
+template <typename Build, typename Walk>
+static inline void for_each_plane(std::size_t rows, int planes, Build&& build,
+                                  Walk&& walk) {
+  std::uint32_t list[kListSize];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kRowChunk) {
+    const std::size_t r1 = rows - r0 < kRowChunk ? rows : r0 + kRowChunk;
+    for (int b = 0; b < planes; ++b) walk(b, list, build(r0, r1, b, list));
+  }
+}
+
+}  // namespace full
+
 // Portable scalar variants: bit-identical to the historical inline kernels
 // (same expression shapes, same accumulation order).
 double dot_scalar(const double* a, const double* b, std::size_t n);
@@ -192,12 +244,17 @@ void vmm_row_accumulate_scalar(double v, const double* g, double* currents,
 void bitplane_accumulate_scalar(double v, const double* g, std::size_t rows,
                                 std::size_t cols, const std::uint32_t* bits,
                                 int planes, double* currents);
-void bitplane_accumulate_noisy_scalar(double v, const double* g,
-                                      std::size_t rows, std::size_t cols,
-                                      const std::uint32_t* bits, int planes,
-                                      double* currents, double* noise_var,
-                                      double noise_frac, double t_read_ns,
-                                      double* energy);
+void row_energy_scalar(double v, const double* g, std::size_t rows,
+                       std::size_t cols, double t_read_ns, double* out);
+void bitplane_accumulate_full_scalar(double v, const double* g,
+                                     std::size_t rows, std::size_t cols,
+                                     const std::uint32_t* bits, int planes,
+                                     double noise_frac,
+                                     const double* row_energy,
+                                     std::size_t energy_width, double* currents,
+                                     double* noise_var, double* energy);
+void noise_add_scalar(const double* var, const double* z, double* y,
+                      std::size_t n);
 void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,
                                   double* acc, std::size_t n,
                                   const simd::AdcDecode& p);
@@ -216,12 +273,16 @@ void vmm_row_accumulate_avx2(double v, const double* g, double* currents,
 void bitplane_accumulate_avx2(double v, const double* g, std::size_t rows,
                               std::size_t cols, const std::uint32_t* bits,
                               int planes, double* currents);
-void bitplane_accumulate_noisy_avx2(double v, const double* g,
-                                    std::size_t rows, std::size_t cols,
-                                    const std::uint32_t* bits, int planes,
-                                    double* currents, double* noise_var,
-                                    double noise_frac, double t_read_ns,
-                                    double* energy);
+void row_energy_avx2(double v, const double* g, std::size_t rows,
+                     std::size_t cols, double t_read_ns, double* out);
+void bitplane_accumulate_full_avx2(double v, const double* g, std::size_t rows,
+                                   std::size_t cols, const std::uint32_t* bits,
+                                   int planes, double noise_frac,
+                                   const double* row_energy,
+                                   std::size_t energy_width, double* currents,
+                                   double* noise_var, double* energy);
+void noise_add_avx2(const double* var, const double* z, double* y,
+                    std::size_t n);
 void adc_decode_accumulate_avx2(const double* i_plus, const double* i_minus,
                                 double* acc, std::size_t n,
                                 const simd::AdcDecode& p);
@@ -242,12 +303,17 @@ void vmm_row_accumulate_avx512(double v, const double* g, double* currents,
 void bitplane_accumulate_avx512(double v, const double* g, std::size_t rows,
                                 std::size_t cols, const std::uint32_t* bits,
                                 int planes, double* currents);
-void bitplane_accumulate_noisy_avx512(double v, const double* g,
-                                      std::size_t rows, std::size_t cols,
-                                      const std::uint32_t* bits, int planes,
-                                      double* currents, double* noise_var,
-                                      double noise_frac, double t_read_ns,
-                                      double* energy);
+void row_energy_avx512(double v, const double* g, std::size_t rows,
+                       std::size_t cols, double t_read_ns, double* out);
+void bitplane_accumulate_full_avx512(double v, const double* g,
+                                     std::size_t rows, std::size_t cols,
+                                     const std::uint32_t* bits, int planes,
+                                     double noise_frac,
+                                     const double* row_energy,
+                                     std::size_t energy_width, double* currents,
+                                     double* noise_var, double* energy);
+void noise_add_avx512(const double* var, const double* z, double* y,
+                      std::size_t n);
 void normal_fill_avx512(std::uint64_t key, std::uint64_t first,
                         std::size_t n, double* out);
 // The AVX-512 table reuses adc_decode_accumulate_avx2: the kernel is bound

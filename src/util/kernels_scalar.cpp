@@ -72,44 +72,47 @@ void bitplane_accumulate_scalar(double v, const double* g, std::size_t rows,
   }
 }
 
-void bitplane_accumulate_noisy_scalar(double v, const double* g,
-                                      std::size_t rows, std::size_t cols,
-                                      const std::uint32_t* bits, int planes,
-                                      double* currents, double* noise_var,
-                                      double noise_frac, double t_read_ns,
-                                      double* energy) {
-  const std::uint32_t all = plane_mask(planes);
-  int act[16];
-  for (std::size_t r = 0; r < rows; ++r) {
-    const int na = active_planes(bits[r] & all, act);
-    if (na == 0) continue;
-    const double* gr = g + r * cols;
-    for (std::size_t c0 = 0; c0 < cols; c0 += kPlaneBlock) {
-      const std::size_t n = std::min(kPlaneBlock, cols - c0);
-      double x[kPlaneBlock], sq[kPlaneBlock], e[kPlaneBlock];
-      for (std::size_t j = 0; j < n; ++j) {
-        const double i = v * gr[c0 + j];
-        const double cell_noise = noise_frac * i;
-        x[j] = i;
-        sq[j] = cell_noise * cell_noise;
-        e[j] = std::abs(v * i) * t_read_ns * 1e-3;
-      }
-      for (int k = 0; k < na; ++k) {
-        const std::size_t off = static_cast<std::size_t>(act[k]) * cols + c0;
-        double* cur = currents + off;
-        double* var = noise_var + off;
-        for (std::size_t j = 0; j < n; ++j) {
-          cur[j] += x[j];
-          var[j] += sq[j];
+void row_energy_scalar(double v, const double* g, std::size_t rows,
+                       std::size_t cols, double t_read_ns, double* out) {
+  // vmm_row_accumulate_scalar's energy is one serial chain over the
+  // columns, so every column's term is a term of the row.
+  for (std::size_t k = 0; k < rows * cols; ++k)
+    out[k] = std::abs(v * (v * g[k])) * t_read_ns * 1e-3;
+}
+
+void bitplane_accumulate_full_scalar(double v, const double* g,
+                                     std::size_t rows, std::size_t cols,
+                                     const std::uint32_t* bits, int planes,
+                                     double noise_frac,
+                                     const double* row_energy,
+                                     std::size_t energy_width, double* currents,
+                                     double* noise_var, double* energy) {
+  full::for_each_plane(
+      rows, planes,
+      [&](std::size_t r0, std::size_t r1, int b, std::uint32_t* list) {
+        return full::driven_rows(bits, r0, r1, b, list, 0);
+      },
+      [&](int b, const std::uint32_t* list, std::size_t n) {
+        double* cur = currents + static_cast<std::size_t>(b) * cols;
+        double* var = noise_var + static_cast<std::size_t>(b) * cols;
+        double e = energy[b];
+        for (std::size_t i = 0; i < n; ++i) {
+          const double* gr = g + list[i] * cols;
+          for (std::size_t c = 0; c < cols; ++c) {
+            const double x = v * gr[c];
+            cur[c] += x;
+            const double cell_noise = noise_frac * x;
+            var[c] += cell_noise * cell_noise;
+          }
+          e = full::add_row_energy(e, row_energy, energy_width, list[i]);
         }
-        // vmm_row_accumulate_scalar's energy is one serial chain over the
-        // columns, so every column's term goes straight to the plane's sum.
-        double acc = energy[act[k]];
-        for (std::size_t j = 0; j < n; ++j) acc += e[j];
-        energy[act[k]] = acc;
-      }
-    }
-  }
+        energy[b] = e;
+      });
+}
+
+void noise_add_scalar(const double* var, const double* z, double* y,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += std::sqrt(var[i]) * z[i];
 }
 
 void adc_decode_accumulate_scalar(const double* i_plus, const double* i_minus,

@@ -15,34 +15,43 @@ namespace {
 using namespace cim::util::kernels::detail;
 
 const KernelTable kScalarTable{Isa::kScalar,
+                               0,
                                &dot_scalar,
                                &axpy_scalar,
                                &gemm_accumulate_scalar,
                                &vmm_row_accumulate_scalar,
                                &bitplane_accumulate_scalar,
-                               &bitplane_accumulate_noisy_scalar,
+                               &row_energy_scalar,
+                               &bitplane_accumulate_full_scalar,
+                               &noise_add_scalar,
                                &adc_decode_accumulate_scalar,
                                &normal_fill_scalar};
 
 #if CIM_SIMD_HAVE_AVX2
 const KernelTable kAvx2Table{Isa::kAvx2,
+                             4,
                              &dot_avx2,
                              &axpy_avx2,
                              &gemm_accumulate_avx2,
                              &vmm_row_accumulate_avx2,
                              &bitplane_accumulate_avx2,
-                             &bitplane_accumulate_noisy_avx2,
+                             &row_energy_avx2,
+                             &bitplane_accumulate_full_avx2,
+                             &noise_add_avx2,
                              &adc_decode_accumulate_avx2,
                              &normal_fill_avx2};
 #endif
 #if CIM_SIMD_HAVE_AVX512
 const KernelTable kAvx512Table{Isa::kAvx512,
+                               8,
                                &dot_avx512,
                                &axpy_avx512,
                                &gemm_accumulate_avx512,
                                &vmm_row_accumulate_avx512,
                                &bitplane_accumulate_avx512,
-                               &bitplane_accumulate_noisy_avx512,
+                               &row_energy_avx512,
+                               &bitplane_accumulate_full_avx512,
+                               &noise_add_avx512,
                                &adc_decode_accumulate_avx2,
                                &normal_fill_avx512};
 #endif

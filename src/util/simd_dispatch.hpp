@@ -2,14 +2,15 @@
 /// \brief Runtime ISA dispatch for the util::kernels micro-kernels.
 ///
 /// The numeric kernels (dot, axpy, gemm_accumulate, vmm_row_accumulate,
-/// bitplane_accumulate, bitplane_accumulate_noisy, adc_decode_accumulate,
-/// normal_fill) exist in up to three implementations — portable
-/// scalar, AVX2+FMA, and AVX-512 — compiled into separate translation units
-/// with per-file ISA flags. At startup the best table supported by both the
-/// build and the CPU (CPUID) is selected, overridable with the `CIM_SIMD`
-/// environment variable (`scalar`, `avx2`, `avx512`, `auto`); requests the
-/// host cannot honour are clamped down with a one-time stderr notice. The
-/// hot path is one relaxed atomic load of the active table pointer.
+/// bitplane_accumulate, row_energy, bitplane_accumulate_full, noise_add,
+/// adc_decode_accumulate, normal_fill) exist in up to three
+/// implementations — portable scalar, AVX2+FMA, and AVX-512 — compiled
+/// into separate translation units with per-file ISA flags. At startup the
+/// best table supported by both the build and the CPU (CPUID) is selected,
+/// overridable with the `CIM_SIMD` environment variable (`scalar`, `avx2`,
+/// `avx512`, `auto`); requests the host cannot honour are clamped down with
+/// a one-time stderr notice. The hot path is one relaxed atomic load of the
+/// active table pointer.
 ///
 /// Bit-exactness contract across tables (tested by tests/util
 /// /test_simd_kernels.cpp, enforced by compiling the SIMD TUs with
@@ -19,15 +20,21 @@
 ///    element-wise mul-then-add updates in the same element order, and the
 ///    SIMD variants use separate multiply and add (no FMA) for them.
 ///  - `bitplane_accumulate` and the `currents` / `noise_var` outputs of
-///    `bitplane_accumulate_noisy` are **bit-identical** on every table:
+///    `bitplane_accumulate_full` are **bit-identical** on every table:
 ///    per plane they make exactly the updates of per-plane `axpy` /
 ///    `vmm_row_accumulate` calls (one separate multiply and add per active
-///    row, rows in increasing order). A plane whose bit is clear leaves
-///    its lane unchanged (masked add / blend), which equals skipping the
-///    row. The `energy` of `bitplane_accumulate_noisy` is bit-identical to
-///    per-plane `vmm_row_accumulate` calls *of the same table*: it reduces
-///    each row's lane partials the way that table's `vmm_row_accumulate`
-///    does, so it shares that kernel's per-table reduction shape.
+///    row, rows in increasing order). The tier-1/2 kernel leaves a plane's
+///    lane unchanged when its bit is clear (masked add / blend), which
+///    equals skipping the row; the tier-0 kernel walks a list of each
+///    plane's driven rows. The `energy` of `bitplane_accumulate_full` is
+///    bit-identical to per-plane `vmm_row_accumulate` calls *of the same
+///    table* when it is fed that table's `row_energy`: per row, the terms
+///    that table's `vmm_row_accumulate` adds (the lane partials reduced
+///    its way, then the tail columns; every column's term on scalar),
+///    added one at a time.
+///  - `noise_add` is **bit-identical** on every table: element-wise, IEEE
+///    `sqrt` is correctly rounded, and the multiply and the add are kept
+///    apart.
 ///  - `adc_decode_accumulate` is **bit-identical** on every table: it is
 ///    element-wise, and every variant evaluates the same expressions in the
 ///    same order with separate multiply and add. Its rounding step uses
@@ -88,6 +95,9 @@ struct AdcDecode {
 /// contracts with util::kernels (see kernels.hpp for the semantics).
 struct KernelTable {
   Isa isa = Isa::kScalar;
+  /// Lanes of vmm_row_accumulate's energy partials; 0 where the energy is
+  /// one serial chain over the columns (scalar).
+  std::size_t energy_lanes = 0;
   double (*dot)(const double* a, const double* b, std::size_t n) = nullptr;
   void (*axpy)(double a, const double* x, double* y, std::size_t n) = nullptr;
   void (*gemm_accumulate)(const double* a, std::size_t lda, const double* b,
@@ -101,17 +111,44 @@ struct KernelTable {
   void (*bitplane_accumulate)(double v, const double* g, std::size_t rows,
                               std::size_t cols, const std::uint32_t* bits,
                               int planes, double* currents) = nullptr;
-  void (*bitplane_accumulate_noisy)(double v, const double* g,
-                                    std::size_t rows, std::size_t cols,
-                                    const std::uint32_t* bits, int planes,
-                                    double* currents, double* noise_var,
-                                    double noise_frac, double t_read_ns,
-                                    double* energy) = nullptr;
+  /// The energy terms vmm_row_accumulate(v, g_r, ..., t_read_ns, cols,
+  /// energy) of this table adds for each row r of `g` (rows x cols,
+  /// row-major), in the order it adds them, row_energy_width(cols) per row
+  /// into `out`: every column's |v * (v * g)| * t_read_ns * 1e-3 on the
+  /// scalar table; on a SIMD table the row's lane partials reduced as that
+  /// kernel reduces them, then its tail columns' terms. A function of (v,
+  /// g, t_read_ns) only, so a caller may keep it while those hold.
+  void (*row_energy)(double v, const double* g, std::size_t rows,
+                     std::size_t cols, double t_read_ns,
+                     double* out) = nullptr;
+  /// Tier-0 counterpart of bitplane_accumulate: per plane b, the updates
+  /// of vmm_row_accumulate(v, g_r, currents_b, noise_var_b, noise_frac,
+  /// t_read_ns, cols, energy[b]) over the rows whose bit b is set, in
+  /// increasing row order. Each plane walks a list of its driven rows
+  /// (built without a branch on the bits) with its currents and noise
+  /// variances in registers; a row's energy is its `energy_width` terms of
+  /// `row_energy`, built by this table's row_energy for the same v and g,
+  /// added to energy[b] one at a time.
+  void (*bitplane_accumulate_full)(double v, const double* g,
+                                   std::size_t rows, std::size_t cols,
+                                   const std::uint32_t* bits, int planes,
+                                   double noise_frac, const double* row_energy,
+                                   std::size_t energy_width, double* currents,
+                                   double* noise_var, double* energy) = nullptr;
+  void (*noise_add)(const double* var, const double* z, double* y,
+                    std::size_t n) = nullptr;
   void (*adc_decode_accumulate)(const double* i_plus, const double* i_minus,
                                 double* acc, std::size_t n,
                                 const AdcDecode& p) = nullptr;
   void (*normal_fill)(std::uint64_t key, std::uint64_t first, std::size_t n,
                       double* out) = nullptr;
+
+  /// Terms per row of this table's row_energy over `cols` columns: every
+  /// column's term on a serial chain, else the lane-reduced partial and
+  /// the cols % energy_lanes tail columns.
+  std::size_t row_energy_width(std::size_t cols) const {
+    return energy_lanes == 0 ? cols : 1 + cols % energy_lanes;
+  }
 };
 
 /// The active kernel table: one relaxed load; first call resolves CPUID +

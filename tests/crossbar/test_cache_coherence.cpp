@@ -10,9 +10,11 @@
 ///
 /// Also hosts the perf smoke gate (a single write_bit between two VMMs must
 /// take the O(|dirty|) delta path, not a full rebuild), the dirty-list
-/// spill check, and the bulk-programming endurance accounting assertion.
+/// spill check, the bulk-programming endurance accounting assertion, and
+/// the coherence of the tier-0 bit-plane read's row-energy table.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -22,6 +24,7 @@
 #include "fault/fault_map.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/simd_dispatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -363,6 +366,160 @@ TEST(CacheMaintenance, BulkProgrammingCountsEachCellWriteOnce) {
   EXPECT_EQ(xbar.stats().cache_full_rebuilds, 1u)
       << "bulk programming must collapse to a single cache update";
   EXPECT_EQ(xbar.stats().cache_delta_updates, 0u);
+}
+
+/// Restores the kernel table that was active when it was made.
+class IsaRestore {
+ public:
+  IsaRestore() : saved_(cim::util::simd::active_isa()) {}
+  ~IsaRestore() { cim::util::simd::set_isa(saved_); }
+  IsaRestore(const IsaRestore&) = delete;
+  IsaRestore& operator=(const IsaRestore&) = delete;
+
+ private:
+  cim::util::simd::Isa saved_;
+};
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A tier-0 vmm_bit_planes on `fused` against one vmm() per plane on
+/// `split`: every current and plane energy, then every CrossbarStats field,
+/// bitwise.
+void expect_fused_equals_split(Crossbar& fused, Crossbar& split,
+                               const std::vector<std::uint32_t>& inputs,
+                               double v) {
+  using cim::crossbar::FidelityTier;
+  constexpr int kPlanes = 4;
+  const std::size_t cols = fused.cols();
+  std::vector<double> currents(kPlanes * cols);
+  std::vector<double> energy(kPlanes);
+  fused.vmm_bit_planes(inputs, kPlanes, v, currents, energy,
+                       FidelityTier::kFull);
+  std::vector<double> volts(fused.rows());
+  std::vector<double> expected(cols);
+  for (std::size_t b = 0; b < kPlanes; ++b) {
+    for (std::size_t r = 0; r < volts.size(); ++r)
+      volts[r] = ((inputs[r] >> b) & 1u) != 0 ? v : 0.0;
+    split.vmm(volts, expected, FidelityTier::kFull);
+    ASSERT_EQ(bits_of(energy[b]), bits_of(split.last_op_energy_pj()))
+        << "plane " << b;
+    for (std::size_t c = 0; c < cols; ++c)
+      ASSERT_EQ(bits_of(currents[b * cols + c]), bits_of(expected[c]))
+          << "plane " << b << " column " << c;
+  }
+  const auto& a = fused.stats();
+  const auto& e = split.stats();
+  EXPECT_EQ(a.bit_reads, e.bit_reads);
+  EXPECT_EQ(a.bit_writes, e.bit_writes);
+  EXPECT_EQ(a.analog_writes, e.analog_writes);
+  EXPECT_EQ(a.vmm_ops, e.vmm_ops);
+  EXPECT_EQ(a.logic_ops, e.logic_ops);
+  EXPECT_EQ(bits_of(a.time_ns), bits_of(e.time_ns));
+  EXPECT_EQ(bits_of(a.energy_pj), bits_of(e.energy_pj));
+  EXPECT_EQ(a.cache_full_rebuilds, e.cache_full_rebuilds);
+  EXPECT_EQ(a.cache_delta_updates, e.cache_delta_updates);
+  EXPECT_EQ(a.cache_dirty_cells, e.cache_dirty_cells);
+}
+
+// A tier-0 vmm_bit_planes reuses a per-array table of row energies, keyed
+// on the conductance-cache generation, the read voltage and the kernel
+// table. Each way the key can change is interleaved with fused reads of
+// one 64x32 array, and an identically built twin reads every plane
+// through vmm(); the two must agree bitwise at every step. The read
+// disturb rate also lets some tier-0 reads move a cell on their own; a
+// change of the voltage or of the kernel table follows a read that moved
+// none, so the generation alone cannot make the table stale.
+TEST(CacheMaintenance, BitPlaneRowEnergyFollowsEveryChange) {
+  namespace simd = cim::util::simd;
+  IsaRestore restore;
+  CrossbarConfig cfg;
+  cfg.rows = 64;
+  cfg.cols = 32;
+  cfg.seed = 211;
+  cim::device::TechnologyParams tech =
+      cim::device::technology_params(cfg.tech);
+  tech.read_disturb_prob = 1e-4;
+  cfg.tech_override = tech;
+  Crossbar fused(cfg);
+  Crossbar split(cfg);
+  Rng rng(223);
+  const auto both = [&](const auto& op) {
+    op(fused);
+    op(split);
+  };
+  Matrix lv(cfg.rows, cfg.cols);
+  for (auto& x : lv.flat()) x = static_cast<double>(rng.uniform_int(16));
+  both([&](Crossbar& x) { x.program_levels(lv); });
+
+  std::vector<std::uint32_t> inputs(cfg.rows);
+  double v = fused.tech().v_read;
+  const auto read = [&](const char* step) {
+    SCOPED_TRACE(step);
+    for (auto& x : inputs) x = static_cast<std::uint32_t>(rng.uniform_int(16));
+    expect_fused_equals_split(fused, split, inputs, v);
+  };
+  // Reads until one leaves every cell as it was.
+  const auto settle = [&](const char* step) {
+    std::vector<double> before(cfg.rows * cfg.cols);
+    const auto changed = [&] {
+      bool any = false;
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        const double g = fused.true_conductance(i / cfg.cols, i % cfg.cols);
+        any = any || g != before[i];
+        before[i] = g;
+      }
+      return any;
+    };
+    (void)changed();
+    for (int tries = 0; tries < 64; ++tries) {
+      read(step);
+      if (::testing::Test::HasFatalFailure() || !changed()) return;
+    }
+    FAIL() << "every read moved a cell";
+  };
+  read("first read");
+  read("second read, same conductances");
+
+  const double g_off = fused.scheme().g_min_us();
+  both([&](Crossbar& x) { (void)x.program_cell(3, 4, 2.5 * g_off); });
+  read("after program_cell");
+
+  for (auto& x : lv.flat()) x = static_cast<double>(rng.uniform_int(16));
+  both([&](Crossbar& x) { x.program_levels(lv); });
+  read("after program_levels");
+
+  both([&](Crossbar& x) { x.write_bit(9, 30, true); });
+  read("after write_bit");
+
+  cim::fault::FaultMap map(cfg.rows, cfg.cols);
+  map.add({cim::fault::FaultKind::kStuckAtOne, 12, 5, 0, 0, 1.0});
+  map.add({cim::fault::FaultKind::kStuckAtZero, 40, 31, 0, 0, 1.0});
+  map.add({cim::fault::FaultKind::kReadDisturb, 5, 7, 0, 0, 1.0});
+  both([&](Crossbar& x) { x.apply_faults(map); });
+  read("after apply_faults");
+
+  // The faulty cell's read-disturb probability is 1e-4 * 1e4 = 1: a read
+  // of it moves it, from g_off up.
+  both([&](Crossbar& x) { (void)x.program_cell(5, 7, g_off); });
+  read("after programming the disturb-prone cell");
+  const double g_before = fused.true_conductance(5, 7);
+  both([&](Crossbar& x) { (void)x.read_conductance(5, 7); });
+  ASSERT_NE(fused.true_conductance(5, 7), g_before) << "no read-disturb hit";
+  read("after a read-disturb hit");
+
+  settle("before halving the read voltage");
+  v = 0.5 * fused.tech().v_read;
+  read("at half the read voltage");
+  settle("again at half the read voltage");
+  v = fused.tech().v_read;
+  read("back at the read voltage");
+
+  for (const simd::Isa isa : simd::supported_isas()) {
+    settle("before switching the kernel table");
+    simd::set_isa(isa);
+    SCOPED_TRACE(simd::isa_name(isa));
+    read("first read on this kernel table");
+  }
 }
 
 }  // namespace

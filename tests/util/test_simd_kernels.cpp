@@ -8,9 +8,12 @@
 //     BIT-IDENTICAL to the portable scalar table,
 //   - dot / vmm_row energy are reductions: deterministic per table, only
 //     tolerance-equal across tables,
-//   - bitplane_accumulate / bitplane_accumulate_noisy are BIT-IDENTICAL to
-//     per-plane axpy / vmm_row_accumulate calls of the same table
-//     (currents and noise_var also across tables, energy per table),
+//   - bitplane_accumulate / bitplane_accumulate_full (fed the same table's
+//     row_energy) are BIT-IDENTICAL to per-plane axpy / vmm_row_accumulate
+//     calls of the same table (currents and noise_var also across tables,
+//     energy per table),
+//   - noise_add is BIT-IDENTICAL on every table to the scalar
+//     `y += sqrt(var) * z` loop,
 //   - adc_decode_accumulate, driven by a dequantize table built from
 //     Adc::dequantize, is BIT-IDENTICAL on every table to the
 //     Adc::quantize -> Adc::dequantize -> decode -> ldexp chain,
@@ -94,11 +97,14 @@ TEST(SimdDispatch, TableForClampsToSupported) {
     ASSERT_NE(t.gemm_accumulate, nullptr);
     ASSERT_NE(t.vmm_row_accumulate, nullptr);
     ASSERT_NE(t.bitplane_accumulate, nullptr);
-    ASSERT_NE(t.bitplane_accumulate_noisy, nullptr);
+    ASSERT_NE(t.row_energy, nullptr);
+    ASSERT_NE(t.bitplane_accumulate_full, nullptr);
+    ASSERT_NE(t.noise_add, nullptr);
     ASSERT_NE(t.adc_decode_accumulate, nullptr);
     EXPECT_LE(static_cast<int>(t.isa), static_cast<int>(max));
-    if (static_cast<int>(req) <= static_cast<int>(max))
+    if (static_cast<int>(req) <= static_cast<int>(max)) {
       EXPECT_EQ(t.isa, req);  // supported requests are honoured exactly
+    }
   }
 }
 
@@ -351,11 +357,18 @@ TEST(SimdKernels, AdcDecodeAccumulateMatchesAdcChainOnEveryTable) {
 
 namespace {
 
+/// Row bit patterns of a BitPlaneCase.
+enum class Bits {
+  kMixed,   ///< hashed bits, every fifth row all-zero, every seventh all-one
+  kZero,    ///< no row drives any plane
+  kOnes,    ///< every row drives every plane
+  kSparse,  ///< each bit set with probability 1/8
+};
+
 /// Inputs of one bit-plane kernel call: `rows` x `n` conductances at a
 /// misaligned offset (non-negative, with planted 0.0 and subnormals), one
-/// bit pattern per row (with all-zero and all-ones rows), and starting
-/// accumulators that include -0.0, so a plane that skips a row must leave
-/// it bitwise untouched.
+/// bit pattern per row, and starting accumulators that include -0.0, so a
+/// plane that skips a row must leave it bitwise untouched.
 struct BitPlaneCase {
   std::size_t rows, n, off;
   int planes;
@@ -365,7 +378,7 @@ struct BitPlaneCase {
   std::vector<double> cur0, var0, energy0;
 
   BitPlaneCase(std::size_t rows_, std::size_t n_, int planes_,
-               std::uint64_t salt)
+               std::uint64_t salt, Bits kind = Bits::kMixed)
       : rows(rows_), n(n_), off(salt % 4), planes(planes_),
         v(pattern(salt, 7)), g(make_vec(rows_ * n_, salt, off)),
         bits(rows_) {
@@ -377,10 +390,26 @@ struct BitPlaneCase {
       if (i % 17 == 9) g[i] = 3e-310;
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      bits[r] = static_cast<std::uint32_t>((r + 1) * 0x9e3779b97f4a7c15ULL *
-                                           (salt | 1) >> 29);
-      if (r % 5 == 1) bits[r] = 0;
-      if (r % 7 == 2) bits[r] = 0xffffffffu;
+      const auto hash = [&](std::uint64_t k) {
+        return static_cast<std::uint32_t>(
+            (r + 1 + k * rows) * 0x9e3779b97f4a7c15ULL * (salt | 1) >> 29);
+      };
+      switch (kind) {
+        case Bits::kMixed:
+          bits[r] = hash(0);
+          if (r % 5 == 1) bits[r] = 0;
+          if (r % 7 == 2) bits[r] = 0xffffffffu;
+          break;
+        case Bits::kZero:
+          bits[r] = 0;
+          break;
+        case Bits::kOnes:
+          bits[r] = 0xffffffffu;
+          break;
+        case Bits::kSparse:
+          bits[r] = hash(0) & hash(1) & hash(2);
+          break;
+      }
     }
     cur0 = make_vec(np * n, salt + 1, off);
     var0 = make_vec(np * n, salt + 2, off);
@@ -428,21 +457,27 @@ void check_bitplane(const BitPlaneCase& k) {
   }
 }
 
-/// bitplane_accumulate_noisy vs per-plane vmm_row_accumulate of the same
-/// table (currents, noise_var and energy), and vs the scalar table's
-/// currents and noise_var.
-void check_bitplane_noisy(const BitPlaneCase& k) {
+/// bitplane_accumulate_full fed the same table's row_energy vs per-plane
+/// vmm_row_accumulate of that table (currents, noise_var and energy), and
+/// vs the scalar table's currents and noise_var.
+void check_bitplane_full(const BitPlaneCase& k) {
   const std::size_t off = k.off;
   const double nf = 0.013;
   const double t_read = 1.7;
   const auto np = static_cast<std::size_t>(k.planes);
-  const auto& scalar = simd::table_for(simd::Isa::kScalar);
+  const auto run = [&](const simd::KernelTable& t, std::vector<double>& cur,
+                       std::vector<double>& var, std::vector<double>& e) {
+    const std::size_t width = t.row_energy_width(k.n);
+    std::vector<double> row_e(k.rows * width);
+    t.row_energy(k.v, k.g_row(0), k.rows, k.n, t_read, row_e.data());
+    t.bitplane_accumulate_full(k.v, k.g_row(0), k.rows, k.n, k.bits.data(),
+                               k.planes, nf, row_e.data(), width,
+                               cur.data() + off, var.data() + off, e.data());
+  };
   auto s_cur = k.cur0;
   auto s_var = k.var0;
   auto s_e = k.energy0;
-  scalar.bitplane_accumulate_noisy(k.v, k.g_row(0), k.rows, k.n,
-                                   k.bits.data(), k.planes, s_cur.data() + off,
-                                   s_var.data() + off, nf, t_read, s_e.data());
+  run(simd::table_for(simd::Isa::kScalar), s_cur, s_var, s_e);
   for (simd::Isa isa : simd::supported_isas()) {
     const auto& t = simd::table_for(isa);
     auto ref_cur = k.cur0;
@@ -457,9 +492,7 @@ void check_bitplane_noisy(const BitPlaneCase& k) {
     auto cur = k.cur0;
     auto var = k.var0;
     auto e = k.energy0;
-    t.bitplane_accumulate_noisy(k.v, k.g_row(0), k.rows, k.n, k.bits.data(),
-                                k.planes, cur.data() + off, var.data() + off,
-                                nf, t_read, e.data());
+    run(t, cur, var, e);
     expect_bitwise(cur, ref_cur, "currents", isa, k);
     expect_bitwise(var, ref_var, "noise_var", isa, k);
     expect_bitwise(e, ref_e, "energy", isa, k);
@@ -483,16 +516,66 @@ TEST(SimdKernels, BitplaneAccumulateMatchesPerPlaneAxpy) {
       check_bitplane(BitPlaneCase(rows, 19, planes, 5000 + rows * 16 + planes));
 }
 
-TEST(SimdKernels, BitplaneAccumulateNoisyMatchesPerPlaneVmmRow) {
+// The crossbar's shapes and every block edge of the SIMD walks (cols 1, 7,
+// 8, 9, 10, 31, 32, 33, 130), every plane count and each bit pattern; rows
+// past one driven-row list (256); then every width n = 0..67 and every
+// row count 0..70 on mixed bits.
+TEST(SimdKernels, BitplaneAccumulateFullMatchesPerPlaneVmmRow) {
+  const Bits kinds[] = {Bits::kMixed, Bits::kZero, Bits::kOnes,
+                        Bits::kSparse};
+  std::uint64_t salt = 0;
+  for (const std::size_t rows : {1, 16, 64, 70})
+    for (const std::size_t n : {1, 7, 8, 9, 10, 31, 32, 33, 130})
+      for (int planes = 1; planes <= 16; ++planes)
+        for (const Bits kind : kinds)
+          check_bitplane_full(BitPlaneCase(rows, n, planes, ++salt, kind));
+  for (const std::size_t rows : {256, 257, 600})
+    for (const std::size_t n : {1, 9, 33})
+      for (const int planes : {1, 4, 16})
+        for (const Bits kind : kinds)
+          check_bitplane_full(BitPlaneCase(rows, n, planes, ++salt, kind));
   for (std::size_t n = 0; n <= 67; ++n)
     for (int planes = 1; planes <= 16; ++planes)
-      check_bitplane_noisy(BitPlaneCase(
+      check_bitplane_full(BitPlaneCase(
           (n * 7 + static_cast<std::size_t>(planes)) % 71, n, planes,
           n * 16 + planes));
   for (std::size_t rows = 0; rows <= 70; ++rows)
     for (int planes = 1; planes <= 16; ++planes)
-      check_bitplane_noisy(
+      check_bitplane_full(
           BitPlaneCase(rows, 19, planes, 5000 + rows * 16 + planes));
+}
+
+// Every table against the scalar `y += sqrt(var) * z` loop for n = 0..67
+// at misaligned offsets, with var 0, subnormal variances and -0.0 outputs
+// among the inputs.
+TEST(SimdKernels, NoiseAddBitIdenticalAcrossIsas) {
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (std::size_t off : kOffsets) {
+      auto var = make_vec(n, 41 + n, off);
+      for (std::size_t i = 0; i < var.size(); ++i) {
+        var[i] = std::abs(var[i]) * 1e-6;
+        if (i % 5 == 1) var[i] = 0.0;
+        if (i % 7 == 3) var[i] = std::numeric_limits<double>::denorm_min();
+        if (i % 11 == 4) var[i] = 3e-310;
+      }
+      const auto z = make_vec(n, 43 + n, off);
+      auto y0 = make_vec(n, 47 + n, off);
+      for (std::size_t i = off; i < y0.size(); i += 6) y0[i] = -0.0;
+      auto ref = y0;
+      for (std::size_t i = off; i < ref.size(); ++i)
+        ref[i] += std::sqrt(var[i]) * z[i];
+      for (simd::Isa isa : simd::supported_isas()) {
+        auto got = y0;
+        simd::table_for(isa).noise_add(var.data() + off, z.data() + off,
+                                       got.data() + off, n);
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(ref[i]))
+              << "isa=" << simd::isa_name(isa) << " n=" << n
+              << " off=" << off << " i=" << i;
+      }
+    }
+  }
 }
 
 // Every table against the scalar one for n = 0..67 (every short end of both
