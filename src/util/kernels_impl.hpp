@@ -178,23 +178,21 @@ inline int active_planes(std::uint32_t m, int* out) {
   return n;
 }
 
-// bitplane_accumulate_full (kernels.hpp): the row and plane order every ISA
-// TU shares. Internal linkage, as in `normal`.
+// bitplane_accumulate_full (simd::KernelTable): the row and plane order
+// every ISA TU shares. Internal linkage, as in `normal`.
 namespace full {
 
 /// Rows per driven-row list: a call takes its rows this many at a time, so
 /// a list fits on the stack.
 inline constexpr std::size_t kRowChunk = 256;
 
-/// Entries of a list: a chunk's rows, and room past them for a SIMD
-/// builder's whole-vector stores.
-inline constexpr std::size_t kListSize = kRowChunk + 16;
-
 /// Appends to list[k, ...) the rows r in [first, last) whose bits[r] has
 /// bit b set, in increasing order, and returns the new count. Every row is
 /// written; the count moves past it only when the bit is set, so no branch
-/// depends on the bits. The SIMD builders leave it the rows past their
-/// last whole vector.
+/// depends on the bits. A SIMD builder stores the indices of rows
+/// [r, r + lanes) of a chunk as one whole vector at entry k <= r - first,
+/// which ends inside the chunk's list, and leaves this loop the rows past
+/// its last whole vector.
 static inline std::size_t driven_rows(const std::uint32_t* bits,
                                       std::size_t first, std::size_t last,
                                       int b, std::uint32_t* list,
@@ -221,7 +219,7 @@ static inline double add_row_energy(double e, const double* row_energy,
 template <typename Build, typename Walk>
 static inline void for_each_plane(std::size_t rows, int planes, Build&& build,
                                   Walk&& walk) {
-  std::uint32_t list[kListSize];
+  std::uint32_t list[kRowChunk];
   for (std::size_t r0 = 0; r0 < rows; r0 += kRowChunk) {
     const std::size_t r1 = rows - r0 < kRowChunk ? rows : r0 + kRowChunk;
     for (int b = 0; b < planes; ++b) walk(b, list, build(r0, r1, b, list));

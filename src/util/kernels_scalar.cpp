@@ -47,7 +47,7 @@ void vmm_row_accumulate_scalar(double v, const double* g, double* currents,
 }
 
 namespace {
-// Column block of the bit-plane kernels' per-row product buffers.
+// Column block of bitplane_accumulate_scalar's per-row product buffer.
 constexpr std::size_t kPlaneBlock = 64;
 }  // namespace
 
