@@ -8,7 +8,6 @@
 ///        in ns per draw), and ends with the standard BENCH_JSON
 ///        line (per-variant extras) scraped into BENCH_PR<N>.json by
 ///        scripts/collect_bench.sh.
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <functional>
@@ -162,11 +161,13 @@ int run_isa_sweep() {
     util::Rng rng(37 + cols);
     std::vector<std::uint32_t> bits(kRows);
     for (auto& b : bits) b = static_cast<std::uint32_t>(rng.uniform_int(16));
-    std::vector<std::vector<double>> row_e(isas.size());
-    for (std::size_t i = 0; i < isas.size(); ++i) {
-      const auto& t = util::simd::table_for(isas[i]);
-      row_e[i].resize(kRows * t.row_energy_width(cols));
-      t.row_energy(kV, g.data(), kRows, cols, kReadNs, row_e[i].data());
+    // Indexed by Isa.
+    std::array<std::vector<double>, 3> row_e;
+    for (const auto isa : isas) {
+      const auto& t = util::simd::table_for(isa);
+      auto& re = row_e[static_cast<std::size_t>(isa)];
+      re.resize(kRows * t.row_energy_width(cols));
+      t.row_energy(kV, g.data(), kRows, cols, kReadNs, re.data());
     }
     auto currents = std::vector<double>(kPlanes * cols);
     auto noise = std::vector<double>(kPlanes * cols);
@@ -175,10 +176,9 @@ int run_isa_sweep() {
         results, "bitplane_noisy", kRows * cols * kPlanes,
         8.0 * static_cast<double>(kRows * cols + 4 * kPlanes * cols), 20000,
         isas, [&](const util::simd::KernelTable& t) {
-          const auto i = static_cast<std::size_t>(
-              std::find(isas.begin(), isas.end(), t.isa) - isas.begin());
+          const auto& re = row_e[static_cast<std::size_t>(t.isa)];
           t.bitplane_accumulate_full(kV, g.data(), kRows, cols, bits.data(),
-                                     kPlanes, kNoiseFrac, row_e[i].data(),
+                                     kPlanes, kNoiseFrac, re.data(),
                                      t.row_energy_width(cols), currents.data(),
                                      noise.data(), energy.data());
           checksum_sink += currents[cols / 2] + energy[0];
