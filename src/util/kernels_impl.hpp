@@ -189,10 +189,10 @@ inline constexpr std::size_t kRowChunk = 256;
 /// Appends to list[k, ...) the rows r in [first, last) whose bits[r] has
 /// bit b set, in increasing order, and returns the new count. Every row is
 /// written; the count moves past it only when the bit is set, so no branch
-/// depends on the bits. A SIMD builder stores the indices of rows
-/// [r, r + lanes) of a chunk as one whole vector at entry k <= r - first,
-/// which ends inside the chunk's list, and leaves this loop the rows past
-/// its last whole vector.
+/// depends on the bits. The AVX2 and AVX-512 versions store the indices
+/// of rows [r, r + lanes) of a chunk as one whole vector at entry
+/// k <= r - first, which ends inside the chunk's list, and leave this loop
+/// the rows past their last whole vector.
 static inline std::size_t driven_rows(const std::uint32_t* bits,
                                       std::size_t first, std::size_t last,
                                       int b, std::uint32_t* list,
