@@ -125,10 +125,10 @@ struct KernelTable {
   /// of vmm_row_accumulate(v, g_r, currents_b, noise_var_b, noise_frac,
   /// t_read_ns, cols, energy[b]) over the rows whose bit b is set, in
   /// increasing row order. Each plane walks a list of its driven rows
-  /// (built without a branch on the bits) with its currents and noise
-  /// variances in registers; a row's energy is its `energy_width` terms of
-  /// `row_energy`, built by this table's row_energy for the same v and g,
-  /// added to energy[b] one at a time.
+  /// (built without a branch on the bits), on the SIMD tables with its
+  /// currents and noise variances in registers; a row's energy is its
+  /// `energy_width` terms of `row_energy`, built by this table's
+  /// row_energy for the same v and g, added to energy[b] one at a time.
   void (*bitplane_accumulate_full)(double v, const double* g,
                                    std::size_t rows, std::size_t cols,
                                    const std::uint32_t* bits, int planes,
