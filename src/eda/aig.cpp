@@ -29,16 +29,15 @@ Aig::Lit Aig::land(Lit a, Lit b) {
   if (a == b) return a;
   if (a == lnot(b)) return const0();
 
-  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-  if (auto it = strash_.find(key); it != strash_.end())
-    return make_lit(it->second, false);
-
-  Node n;
-  n.fanin0 = a;
-  n.fanin1 = b;
-  nodes_.push_back(n);
-  const auto id = static_cast<std::uint32_t>(nodes_.size() - 1);
-  strash_.emplace(key, id);
+  const std::uint64_t hash = detail::strash_hash(a, b);
+  auto id = strash_.find(hash, [&](std::uint32_t n) {
+    return nodes_[n].fanin0 == a && nodes_[n].fanin1 == b;
+  });
+  if (id == detail::StrashTable::kAbsent) {
+    id = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({a, b, false});
+    strash_.insert(hash, id);
+  }
   return make_lit(id, false);
 }
 
@@ -135,7 +134,7 @@ Aig Aig::from_netlist(const Netlist& nl) {
   Aig aig;
   std::vector<Lit> map(nl.num_nodes(), 0);
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
-    const auto& g = nl.gate(i);
+    const Gate g = nl.gate(i);
     auto fan = [&](std::size_t k) { return map[g.fanins[k]]; };
     switch (g.type) {
       case GateType::kInput:

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "eda/netlist.hpp"
+#include "eda/strash.hpp"
 #include "eda/truth_table.hpp"
 
 namespace cim::eda {
@@ -84,7 +84,7 @@ class Aig {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> inputs_;
   std::vector<Lit> outputs_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  detail::StrashTable strash_;  ///< AND nodes by (fanin0, fanin1)
 };
 
 }  // namespace cim::eda

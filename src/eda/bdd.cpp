@@ -1,7 +1,6 @@
 #include "eda/bdd.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace cim::eda {
@@ -15,12 +14,16 @@ BddManager::BddManager(int vars) : vars_(vars) {
 
 BddManager::Ref BddManager::make_node(int var, Ref low, Ref high) {
   if (low == high) return low;  // reduction rule
-  const std::uint64_t key = (static_cast<std::uint64_t>(var) << 48) |
-                            (static_cast<std::uint64_t>(low) << 24) | high;
-  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
+  const std::uint64_t hash =
+      detail::strash_hash(static_cast<std::uint32_t>(var), low, high);
+  const Ref found = unique_.find(hash, [&](Ref n) {
+    return nodes_[n].var == var && nodes_[n].low == low &&
+           nodes_[n].high == high;
+  });
+  if (found != detail::StrashTable::kAbsent) return found;
   nodes_.push_back({var, low, high});
   const Ref id = static_cast<Ref>(nodes_.size() - 1);
-  unique_.emplace(key, id);
+  unique_.insert(hash, id);
   return id;
 }
 
@@ -36,9 +39,11 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
   if (g == h) return g;
   if (g == one() && h == zero()) return f;
 
-  const std::uint64_t key = (static_cast<std::uint64_t>(f) << 42) |
-                            (static_cast<std::uint64_t>(g) << 21) | h;
-  if (auto it = computed_.find(key); it != computed_.end()) return it->second;
+  const std::uint64_t hash = detail::strash_hash(f, g, h);
+  const auto hit = computed_.find(hash, [&](std::uint32_t k) {
+    return ite_[k][0] == f && ite_[k][1] == g && ite_[k][2] == h;
+  });
+  if (hit != detail::StrashTable::kAbsent) return ite_[hit][3];
 
   // Top variable among the three. The manager's variable order is
   // *descending* index: variable vars-1 sits at the root, variable 0 just
@@ -56,7 +61,8 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
   const Ref hi = ite(cofactor(f, true), cofactor(g, true), cofactor(h, true));
   const Ref lo = ite(cofactor(f, false), cofactor(g, false), cofactor(h, false));
   const Ref res = make_node(top, lo, hi);
-  computed_.emplace(key, res);
+  ite_.push_back({f, g, h, res});
+  computed_.insert(hash, static_cast<std::uint32_t>(ite_.size() - 1));
   return res;
 }
 
@@ -68,21 +74,36 @@ BddManager::Ref BddManager::bxor(Ref f, Ref g) { return ite(f, bnot(g), g); }
 BddManager::Ref BddManager::from_truth_table(const TruthTable& tt) {
   if (tt.vars() != vars_)
     throw std::invalid_argument("from_truth_table: var count mismatch");
-  // Bottom-up over minterm blocks: standard recursive construction by
-  // splitting on the highest variable.
-  struct Builder {
-    BddManager& mgr;
-    const TruthTable& tt;
-    Ref build(std::uint64_t lo, std::uint64_t hi, int var) {
-      if (var < 0) return tt.get(lo) ? mgr.one() : mgr.zero();
-      const std::uint64_t mid = lo + ((hi - lo) >> 1);
-      const Ref l = build(lo, mid, var - 1);
-      const Ref h = build(mid, hi, var - 1);
-      return mgr.make_node(var, l, h);
+  // Splits the minterm range on its highest variable, low half first. A
+  // constant block is its terminal and a block with equal halves is its low
+  // half's node, both checked a word at a time: a build down to single
+  // minterms reaches the same refs there only through make_node calls that
+  // hit, so the node table comes out identical.
+  const auto build = [&](auto&& self, std::uint64_t lo, int var) -> Ref {
+    const std::uint64_t n = 1ULL << (var + 1), half = n / 2;  // [lo, lo + n)
+    bool zeros = true, ones = true, same = true;
+    if (n <= 64) {
+      const std::uint64_t all = n == 64 ? ~0ULL : (1ULL << n) - 1;
+      const std::uint64_t w = (tt.word(lo / 64) >> (lo % 64)) & all;
+      zeros = w == 0;
+      ones = w == all;
+      same = (w >> half) == (w & (all >> half));
+    } else {
+      for (std::size_t k = lo / 64, m = half / 64, end = k + m; k < end; ++k) {
+        const std::uint64_t a = tt.word(k), b = tt.word(k + m);
+        zeros = zeros && (a | b) == 0;
+        ones = ones && (a & b) == ~0ULL;
+        same = same && a == b;
+      }
     }
+    if (zeros) return zero();
+    if (ones) return one();
+    if (same) return self(self, lo, var - 1);
+    const Ref l = self(self, lo, var - 1);
+    const Ref h = self(self, lo + half, var - 1);
+    return make_node(var, l, h);
   };
-  Builder b{*this, tt};
-  return b.build(0, tt.size(), vars_ - 1);
+  return build(build, 0, vars_ - 1);
 }
 
 bool BddManager::eval(Ref f, std::uint64_t assignment) const {
@@ -101,27 +122,28 @@ TruthTable BddManager::to_truth_table(Ref f) const {
 }
 
 std::size_t BddManager::size(Ref f) const {
-  std::set<Ref> seen;
+  std::vector<char> seen(nodes_.size(), 0);
   std::vector<Ref> stack = {f};
   while (!stack.empty()) {
     const Ref r = stack.back();
     stack.pop_back();
-    if (is_terminal(r) || !seen.insert(r).second) continue;
+    if (is_terminal(r) || seen[r]) continue;
+    seen[r] = 1;
     stack.push_back(nodes_[r].low);
     stack.push_back(nodes_[r].high);
   }
-  return seen.size();
+  return static_cast<std::size_t>(std::ranges::count(seen, 1));
 }
 
 std::uint64_t BddManager::sat_count(Ref f) const {
   // Memoized count of satisfying paths, scaled by skipped variables.
   // Variable order is descending: below a node with var v live variables
   // v-1 .. 0 (terminals act as var -1).
-  std::unordered_map<Ref, double> memo;
+  std::vector<double> memo(nodes_.size(), -1.0);  // -1: not counted yet
   auto count = [&](auto&& self, Ref r) -> double {
     if (r == zero()) return 0.0;
     if (r == one()) return 1.0;
-    if (auto it = memo.find(r); it != memo.end()) return it->second;
+    if (memo[r] >= 0.0) return memo[r];
     const auto& n = nodes_[r];
     auto weight = [&](Ref child) {
       const int child_var = is_terminal(child) ? -1 : nodes_[child].var;
@@ -129,7 +151,7 @@ std::uint64_t BddManager::sat_count(Ref f) const {
              static_cast<double>(1ULL << (n.var - child_var - 1));
     };
     const double c = weight(n.low) + weight(n.high);
-    memo.emplace(r, c);
+    memo[r] = c;
     return c;
   };
   const int top = is_terminal(f) ? -1 : nodes_[f].var;

@@ -8,10 +8,11 @@
 /// keeps the package simple and canonical per variable order.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "eda/strash.hpp"
 #include "eda/truth_table.hpp"
 
 namespace cim::eda {
@@ -62,8 +63,9 @@ class BddManager {
 
   int vars_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::uint64_t, Ref> unique_;
-  std::unordered_map<std::uint64_t, Ref> computed_;  // ITE cache
+  detail::StrashTable unique_;              ///< nodes by (var, low, high)
+  std::vector<std::array<Ref, 4>> ite_;     ///< memoized (f, g, h, result)
+  detail::StrashTable computed_;            ///< indices into ite_ by (f, g, h)
 };
 
 }  // namespace cim::eda

@@ -180,8 +180,7 @@ Netlist address_decoder(int bits) {
     for (int b = 0; b < bits; ++b)
       terms.push_back(((line >> b) & 1) ? a[static_cast<std::size_t>(b)]
                                         : na[static_cast<std::size_t>(b)]);
-    nl.mark_output(bits == 1 ? terms[0]
-                             : nl.add_gate(GateType::kAnd, std::move(terms)));
+    nl.mark_output(bits == 1 ? terms[0] : nl.add_gate(GateType::kAnd, terms));
   }
   return nl;
 }

@@ -26,6 +26,7 @@ MagicProgram compile_magic(const Netlist& nl, bool reuse_cells) {
         t != GateType::kConst1 && t != GateType::kNor)
       throw std::invalid_argument("compile_magic: netlist not NOR-only");
   }
+  prog.instrs.reserve(2 * nl.gate_count());  // a SET and a NOR per NOR gate
 
   // Fanout counts for cell recycling.
   std::vector<int> remaining(nl.num_nodes(), 0);
@@ -61,7 +62,7 @@ MagicProgram compile_magic(const Netlist& nl, bool reuse_cells) {
   };
 
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
-    const auto& g = nl.gate(i);
+    const Gate g = nl.gate(i);
     switch (g.type) {
       case GateType::kInput:
         break;
@@ -74,6 +75,7 @@ MagicProgram compile_magic(const Netlist& nl, bool reuse_cells) {
       case GateType::kNor: {
         bool forced_zero = false;
         std::vector<std::size_t> ins;
+        ins.reserve(g.fanins.size());
         for (const auto f : g.fanins) {
           if (const_value[f] == 1) forced_zero = true;
           else if (const_value[f] == 0) continue;  // neutral for NOR
@@ -88,7 +90,8 @@ MagicProgram compile_magic(const Netlist& nl, bool reuse_cells) {
           const auto out = alloc();
           cell[i] = out;
           prog.instrs.push_back({MagicInstr::Kind::kSet, out, {}, i});
-          prog.instrs.push_back({MagicInstr::Kind::kNor, out, ins, i});
+          prog.instrs.push_back(
+              {MagicInstr::Kind::kNor, out, std::move(ins), i});
         }
         for (const auto f : g.fanins) release(f);
         break;

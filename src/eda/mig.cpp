@@ -44,19 +44,15 @@ Mig::Lit Mig::lmaj(Lit a, Lit b, Lit c) {
     out_compl = true;
   }
 
-  const std::uint64_t key = (static_cast<std::uint64_t>(f[0]) << 42) |
-                            (static_cast<std::uint64_t>(f[1]) << 21) | f[2];
-  std::uint32_t id;
-  if (auto it = strash_.find(key); it != strash_.end()) {
-    id = it->second;
-  } else {
-    Node n;
-    n.fanin[0] = f[0];
-    n.fanin[1] = f[1];
-    n.fanin[2] = f[2];
-    nodes_.push_back(n);
-    id = static_cast<std::uint32_t>(nodes_.size() - 1);
-    strash_.emplace(key, id);
+  const std::uint64_t hash = detail::strash_hash(f[0], f[1], f[2]);
+  std::uint32_t id = strash_.find(hash, [&](std::uint32_t n) {
+    const Lit* g = nodes_[n].fanin;
+    return g[0] == f[0] && g[1] == f[1] && g[2] == f[2];
+  });
+  if (id == detail::StrashTable::kAbsent) {
+    id = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({{f[0], f[1], f[2]}, false});
+    strash_.insert(hash, id);
   }
   return make_lit(id, out_compl);
 }

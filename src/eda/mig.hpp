@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "eda/aig.hpp"
+#include "eda/strash.hpp"
 #include "eda/truth_table.hpp"
 
 namespace cim::eda {
@@ -75,7 +75,7 @@ class Mig {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> inputs_;
   std::vector<Lit> outputs_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  detail::StrashTable strash_;  ///< majority nodes by sorted fanins
 };
 
 }  // namespace cim::eda

@@ -26,19 +26,22 @@ std::string_view gate_type_name(GateType type) {
 }
 
 std::size_t Netlist::add_input(std::string name) {
-  gates_.push_back({GateType::kInput, {}});
-  inputs_.push_back(gates_.size() - 1);
+  types_.push_back(GateType::kInput);
+  fanin_end_.push_back(fanins_.size());
+  inputs_.push_back(types_.size() - 1);
   if (name.empty()) name = "x" + std::to_string(inputs_.size() - 1);
   input_names_.push_back(std::move(name));
-  return gates_.size() - 1;
+  return types_.size() - 1;
 }
 
 std::size_t Netlist::add_const(bool value) {
-  gates_.push_back({value ? GateType::kConst1 : GateType::kConst0, {}});
-  return gates_.size() - 1;
+  types_.push_back(value ? GateType::kConst1 : GateType::kConst0);
+  fanin_end_.push_back(fanins_.size());
+  return types_.size() - 1;
 }
 
-std::size_t Netlist::add_gate(GateType type, std::vector<std::size_t> fanins) {
+std::size_t Netlist::add_gate(GateType type,
+                              std::span<const std::size_t> fanins) {
   switch (type) {
     case GateType::kInput:
     case GateType::kConst0:
@@ -62,43 +65,50 @@ std::size_t Netlist::add_gate(GateType type, std::vector<std::size_t> fanins) {
       if (fanins.size() < 2) throw std::invalid_argument("gate: >= 2 fanins");
       break;
   }
-  const std::size_t id = gates_.size();
+  const std::size_t id = types_.size();
   for (const auto f : fanins)
     if (f >= id)
       throw std::invalid_argument(
           "add_gate: fanin " + std::to_string(f) +
           " does not precede the new gate (id " + std::to_string(id) +
           ") — netlists are built in topological order");
-  gates_.push_back({type, std::move(fanins)});
+  // `fanins` may view fanins_ itself (add_gate(t, gate(j).fanins)): when
+  // the array must grow, the copy reads from the old buffer before it goes.
+  std::vector<std::size_t> old;
+  if (fanins_.capacity() - fanins_.size() < fanins.size()) {
+    old.reserve(2 * (fanins_.size() + fanins.size()));
+    old.assign(fanins_.begin(), fanins_.end());
+    fanins_.swap(old);
+  }
+  for (const auto f : fanins) fanins_.push_back(f);
+  types_.push_back(type);
+  fanin_end_.push_back(fanins_.size());
   return id;
 }
 
 void Netlist::mark_output(std::size_t node) {
-  if (node >= gates_.size()) throw std::out_of_range("mark_output");
+  if (node >= types_.size()) throw std::out_of_range("mark_output");
   outputs_.push_back(node);
 }
 
 std::size_t Netlist::gate_count() const {
   std::size_t n = 0;
-  for (const auto& g : gates_)
-    if (g.type != GateType::kInput && g.type != GateType::kConst0 &&
-        g.type != GateType::kConst1)
+  for (const auto t : types_)
+    if (t != GateType::kInput && t != GateType::kConst0 &&
+        t != GateType::kConst1)
       ++n;
   return n;
 }
 
 std::size_t Netlist::count(GateType type) const {
-  std::size_t n = 0;
-  for (const auto& g : gates_)
-    if (g.type == type) ++n;
-  return n;
+  return static_cast<std::size_t>(std::ranges::count(types_, type));
 }
 
 std::size_t Netlist::depth() const {
-  std::vector<std::size_t> d(gates_.size(), 0);
+  std::vector<std::size_t> d(types_.size(), 0);
   std::size_t best = 0;
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const auto& g = gates_[i];
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    const Gate g = gate(i);
     if (g.fanins.empty()) continue;
     std::size_t m = 0;
     for (const auto f : g.fanins) m = std::max(m, d[f]);
@@ -109,10 +119,10 @@ std::size_t Netlist::depth() const {
 }
 
 std::vector<bool> Netlist::simulate(std::uint64_t assignment) const {
-  std::vector<bool> value(gates_.size(), false);
+  std::vector<bool> value(types_.size(), false);
   std::size_t input_idx = 0;
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const auto& g = gates_[i];
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    const Gate g = gate(i);
     switch (g.type) {
       case GateType::kInput:
         value[i] = (assignment >> input_idx++) & 1ULL;
@@ -173,10 +183,10 @@ std::vector<bool> Netlist::simulate(std::uint64_t assignment) const {
 
 std::vector<TruthTable> Netlist::truth_tables() const {
   // Gate by gate over whole rows of the arena, in the order simulate walks.
-  detail::TableArena arena(gates_.size(), inputs_);
+  detail::TableArena arena(types_.size(), inputs_);
   const std::size_t width = arena.width();
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const auto& g = gates_[i];
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    const Gate g = gate(i);
     std::uint64_t* v = arena.row(i);
     const auto in = [&](std::size_t j) { return arena.row(g.fanins[j]); };
     const auto fold = [&](auto op) {
@@ -212,7 +222,9 @@ std::vector<TruthTable> Netlist::truth_tables() const {
 
 Netlist Netlist::to_nor_only() const {
   Netlist out;
-  std::vector<std::size_t> map(gates_.size());
+  std::vector<std::size_t> map(types_.size());
+  std::vector<std::size_t> ins;  // one multi-input NOR's fanins
+  std::size_t next_input = 0;
 
   auto nor1 = [&out](std::size_t a) {
     return out.add_gate(GateType::kNor, {a});
@@ -220,14 +232,19 @@ Netlist Netlist::to_nor_only() const {
   auto nor2 = [&out](std::size_t a, std::size_t b) {
     return out.add_gate(GateType::kNor, {a, b});
   };
+  // NOR over the gate's fanins, each through `in` first.
+  auto nor_of = [&](const Gate& g, auto&& in) {
+    ins.clear();
+    for (const auto f : g.fanins) ins.push_back(in(map[f]));
+    return out.add_gate(GateType::kNor, ins);
+  };
+  const auto same = [](std::size_t a) { return a; };
 
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    const auto& g = gates_[i];
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    const Gate g = gate(i);
     switch (g.type) {
       case GateType::kInput:
-        map[i] = out.add_input(input_names_[static_cast<std::size_t>(
-            std::distance(inputs_.begin(),
-                          std::find(inputs_.begin(), inputs_.end(), i)))]);
+        map[i] = out.add_input(input_names_[next_input++]);
         break;
       case GateType::kConst0:
         map[i] = out.add_const(false);
@@ -238,31 +255,18 @@ Netlist Netlist::to_nor_only() const {
       case GateType::kNot:
         map[i] = nor1(map[g.fanins[0]]);
         break;
-      case GateType::kNor: {
-        std::vector<std::size_t> ins;
-        for (const auto f : g.fanins) ins.push_back(map[f]);
-        map[i] = out.add_gate(GateType::kNor, std::move(ins));
+      case GateType::kNor:
+        map[i] = nor_of(g, same);
         break;
-      }
-      case GateType::kOr: {
-        std::vector<std::size_t> ins;
-        for (const auto f : g.fanins) ins.push_back(map[f]);
-        map[i] = nor1(out.add_gate(GateType::kNor, std::move(ins)));
+      case GateType::kOr:
+        map[i] = nor1(nor_of(g, same));
         break;
-      }
-      case GateType::kAnd: {
-        // AND(a...) = NOR(!a...)
-        std::vector<std::size_t> ins;
-        for (const auto f : g.fanins) ins.push_back(nor1(map[f]));
-        map[i] = out.add_gate(GateType::kNor, std::move(ins));
+      case GateType::kAnd:  // AND(a...) = NOR(!a...)
+        map[i] = nor_of(g, nor1);
         break;
-      }
-      case GateType::kNand: {
-        std::vector<std::size_t> ins;
-        for (const auto f : g.fanins) ins.push_back(nor1(map[f]));
-        map[i] = nor1(out.add_gate(GateType::kNor, std::move(ins)));
+      case GateType::kNand:
+        map[i] = nor1(nor_of(g, nor1));
         break;
-      }
       case GateType::kXor:
       case GateType::kXnor: {
         // n1 = NOR(a,b); n2 = NOR(a,n1) = !a b; n3 = NOR(b,n1) = a !b;

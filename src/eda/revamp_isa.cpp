@@ -124,6 +124,9 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
   // Group plan entries by row (the schedule emits them level by level).
   std::vector<std::vector<const MajNodePlan*>> by_row(sched.rows);
   for (const auto& p : sched.plan) by_row[p.row].push_back(&p);
+  // RESET, PRELOAD and about one READ per row, at most one Apply per entry.
+  prog.instrs.reserve(3 * sched.rows + sched.plan.size());
+  std::vector<const MajNodePlan*> groups;
 
   for (std::size_t row = 0; row < by_row.size(); ++row) {
     const auto& nodes = by_row[row];
@@ -147,7 +150,7 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
                                             0, 0, 0, false};
       reset.def_nodes.push_back(p->node);
     }
-    prog.instrs.push_back(reset);
+    prog.instrs.push_back(std::move(reset));
 
     // APPLY #2: PRELOAD (wl = 1, bl = !preload: MAJ(0, 1, preload)).
     auto preload =
@@ -157,13 +160,13 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
           operand_of(Mig::lnot(p->preload), placed, input_index);
       preload.def_nodes.push_back(p->node);
     }
-    prog.instrs.push_back(preload);
+    prog.instrs.push_back(std::move(preload));
 
     // APPLY #3..: one instruction per shared-literal group, in ascending
-    // literal order; members keep their plan order.
-    auto groups = nodes;
-    std::stable_sort(groups.begin(), groups.end(), [](auto* a, auto* b) {
-      return a->shared < b->shared;
+    // literal order; members keep their plan (and address) order.
+    groups.assign(nodes.begin(), nodes.end());
+    std::sort(groups.begin(), groups.end(), [](auto* a, auto* b) {
+      return a->shared != b->shared ? a->shared < b->shared : a < b;
     });
     for (std::size_t g = 0; g < groups.size();) {
       const Mig::Lit shared = groups[g]->shared;
@@ -175,7 +178,7 @@ RevampProgram assemble_revamp(const Mig& mig, const MajSchedule& sched) {
             operand_of(Mig::lnot(p.per_column), placed, input_index);
         apply.def_nodes.push_back(p.node);
       }
-      prog.instrs.push_back(apply);
+      prog.instrs.push_back(std::move(apply));
     }
 
     for (const auto* p : nodes) placed[p->node] = {p->row, p->col};

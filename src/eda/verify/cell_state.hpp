@@ -56,14 +56,29 @@ struct CellInfo {
   }
 };
 
-/// Flat cell-state table with write accounting.
+/// Flat cell-state table with write accounting, and a node index: per
+/// source node below the index size, the cells it was made resident in.
+/// Every write of a `CellInfo::node` other than kNoNode goes through
+/// `set_node`; a direct kNoNode write (as `join_cell` makes) is safe.
 class CellTable {
  public:
-  explicit CellTable(std::size_t cells) : cells_(cells) {}
+  explicit CellTable(std::size_t cells, std::size_t nodes = 0)
+      : cells_(cells), head_(nodes, kEnd) {
+    links_.reserve(nodes);  // a node is most often resident in one cell
+  }
 
   CellInfo& operator[](std::size_t c) { return cells_[c]; }
   const CellInfo& operator[](std::size_t c) const { return cells_[c]; }
   std::size_t size() const { return cells_.size(); }
+
+  /// Makes `node` the resident source node of `cell`.
+  void set_node(std::size_t cell, std::size_t node) {
+    if (node < head_.size() && cells_[cell].node != node) {
+      links_.push_back({cell, head_[node]});
+      head_[node] = links_.size() - 1;
+    }
+    cells_[cell].node = node;
+  }
 
   /// Records a write into `cell` by instruction `instr`.
   void record_write(std::size_t cell, std::size_t instr) {
@@ -72,12 +87,24 @@ class CellTable {
     ci.def_instr = instr;
   }
 
-  /// Marks every cell whose resident value came from `node` as dead — the
-  /// fanout death point of that node, re-derived by the verifier.
+  /// Marks every cell at or past `first_protected_cell` whose resident
+  /// value came from `node` as dead — the fanout death point of that node,
+  /// re-derived by the verifier. Only the node's list is visited (its
+  /// entries may since hold another node); an id past the index, kNoNode
+  /// among them, has no list and checks every cell.
   void kill_node(std::size_t node, std::size_t first_protected_cell) {
-    for (std::size_t c = first_protected_cell; c < cells_.size(); ++c)
-      if (cells_[c].node == node && cells_[c].state != CellState::kUnknown)
-        cells_[c].state = CellState::kDead;
+    const auto kill = [&](std::size_t c) {
+      auto& ci = cells_[c];
+      if (c >= first_protected_cell && ci.node == node &&
+          ci.state != CellState::kUnknown)
+        ci.state = CellState::kDead;
+    };
+    if (node >= head_.size()) {
+      for (std::size_t c = 0; c < cells_.size(); ++c) kill(c);
+      return;
+    }
+    for (std::size_t l = head_[node]; l != kEnd; l = links_[l].next)
+      kill(links_[l].cell);
   }
 
   std::size_t max_writes() const {
@@ -87,7 +114,14 @@ class CellTable {
   }
 
  private:
+  static constexpr std::size_t kEnd = static_cast<std::size_t>(-1);
+  struct Link {
+    std::size_t cell, next;  ///< a cell, and the list's next (older) link
+  };
+
   std::vector<CellInfo> cells_;
+  std::vector<std::size_t> head_;  ///< per node: its newest link, or kEnd
+  std::vector<Link> links_;        ///< every list's entries, oldest first
 };
 
 }  // namespace cim::eda::verify

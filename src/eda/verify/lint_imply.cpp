@@ -55,7 +55,8 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     diag(Severity::kError, Rule::kOobCell, kNoInstr, kNoCell,
          "more inputs than cells in the program footprint");
 
-  CellTable cells(n_cells);
+  const bool live = source != nullptr;
+  CellTable cells(n_cells, live ? source->num_nodes() : 0);
   // The executor materializes the assignment into the input cells before the
   // first micro-op, so they start Driven.
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n_cells); ++i)
@@ -64,7 +65,6 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
   // --- liveness bookkeeping re-derived from the source AIG ------------------
   std::vector<std::size_t> uses;       // remaining fanouts per AIG node
   std::vector<char> consumed;          // AND nodes whose fanins were consumed
-  const bool live = source != nullptr;
   if (live) {
     uses.assign(source->num_nodes(), 0);
     for (std::uint32_t i = 1; i < source->num_nodes(); ++i) {
@@ -77,7 +77,7 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     consumed.assign(source->num_nodes(), 0);
     std::size_t k = 0;
     for (const auto in : source->input_nodes()) {
-      if (k < n_cells) cells[k].node = in;
+      if (k < n_cells) cells.set_node(k, in);
       ++k;
     }
   }
@@ -139,7 +139,7 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
       if (check_write(i, ins.dest)) {
         cells.record_write(ins.dest, i);
         cells[ins.dest].state = CellState::kReset;
-        cells[ins.dest].node = kNoNode;
+        cells.set_node(ins.dest, kNoNode);
       }
     } else {
       check_read(i, ins.src);
@@ -147,12 +147,12 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
       if (check_write(i, ins.dest)) {
         cells.record_write(ins.dest, i);
         cells[ins.dest].state = CellState::kDriven;
-        cells[ins.dest].node = kNoNode;
+        cells.set_node(ins.dest, kNoNode);
       }
     }
     // Completion annotation: dest now holds def_node's value.
     if (ins.def_node != kNoNode && ins.dest < n_cells) {
-      cells[ins.dest].node = ins.def_node;
+      cells.set_node(ins.dest, ins.def_node);
       if (live && ins.def_node < source->num_nodes() &&
           source->is_and(static_cast<std::uint32_t>(ins.def_node)) &&
           !consumed[ins.def_node]) {

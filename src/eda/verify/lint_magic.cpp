@@ -41,12 +41,12 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     diag(Severity::kError, Rule::kOobCell, kNoInstr, kNoCell,
          "more inputs than cells in the program footprint");
 
-  CellTable cells(n_cells);
+  const bool live = source != nullptr;
+  CellTable cells(n_cells, live ? source->num_nodes() : 0);
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n_cells); ++i)
     cells[i].state = CellState::kDriven;
 
   // --- source-netlist analysis: const folding + fanout counts ---------------
-  const bool live = source != nullptr;
   std::vector<int> const_value;          // -1: not a constant
   std::vector<std::size_t> remaining;    // fanout counts per node
   std::vector<char> consumed;            // gates whose fanins were consumed
@@ -57,7 +57,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     remaining.assign(n_nodes, 0);
     consumed.assign(n_nodes, 0);
     for (std::size_t i = 0; i < n_nodes; ++i) {
-      const auto& g = source->gate(i);
+      const Gate g = source->gate(i);
       for (const auto f : g.fanins) ++remaining[f];
       // Mirror compile_magic's folding: a const-1 fanin forces 0; a NOR
       // whose non-const fanins all vanished evaluates to 1.
@@ -79,7 +79,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     for (const auto o : source->outputs()) ++remaining[o];
     std::size_t k = 0;
     for (const auto in : source->inputs()) {
-      if (k < n_cells) cells[k].node = in;
+      if (k < n_cells) cells.set_node(k, in);
       ++k;
     }
   }
@@ -98,13 +98,15 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
   // the fanins of) without emitting instructions, up to netlist position `g`.
   auto advance_to = [&](std::size_t g) {
     for (; gate_cursor < std::min(g, source->num_nodes()); ++gate_cursor) {
-      const auto& gate = source->gate(gate_cursor);
-      if (gate.type == GateType::kNor && const_value[gate_cursor] >= 0)
+      if (source->gate(gate_cursor).type == GateType::kNor &&
+          const_value[gate_cursor] >= 0)
         consume_gate(gate_cursor);
     }
   };
 
   // --- the abstract walk, hosted on the dataflow driver ---------------------
+  std::vector<std::size_t> resident_nodes;  // per NOR: nodes its cells hold
+  std::vector<std::size_t> expected;        // per NOR: its live fanins
   run_straight_line(prog.instrs.size(), cells, [&](CellTable& cells,
                                                    std::size_t i) {
     const auto& ins = prog.instrs[i];
@@ -129,12 +131,12 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
       }
       cells.record_write(ins.out_cell, i);
       out.state = CellState::kSet;
-      out.node = kNoNode;
+      cells.set_node(ins.out_cell, kNoNode);
       return;
     }
 
     // kNor: read every input cell.
-    std::vector<std::size_t> resident_nodes;
+    resident_nodes.clear();
     for (const auto c : ins.in_cells) {
       if (c >= n_cells) {
         diag(Severity::kError, Rule::kOobCell, i, c,
@@ -159,15 +161,13 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     // Residency check: the cells read must hold exactly the gate's live
     // (non-constant) fanins — anything else is a stale value.
     if (live && ins.node < source->num_nodes()) {
-      std::vector<std::size_t> expected;
+      expected.clear();
       for (const auto f : source->gate(ins.node).fanins)
         if (const_value[f] < 0) expected.push_back(f);
-      auto exp = expected;
-      std::sort(exp.begin(), exp.end());
       for (const auto rn : resident_nodes) {
-        const auto it = std::find(exp.begin(), exp.end(), rn);
-        if (it != exp.end()) {
-          exp.erase(it);
+        const auto it = std::find(expected.begin(), expected.end(), rn);
+        if (it != expected.end()) {
+          expected.erase(it);
           continue;
         }
         std::ostringstream os;
@@ -195,7 +195,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     }
     cells.record_write(ins.out_cell, i);
     out.state = CellState::kDriven;
-    out.node = (ins.node == static_cast<std::size_t>(-1)) ? kNoNode : ins.node;
+    cells.set_node(ins.out_cell, ins.node);
 
     if (live && ins.node < source->num_nodes()) {
       consume_gate(ins.node);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
+#include <tuple>
+#include <vector>
+
 namespace cim::eda {
 namespace {
 
@@ -102,6 +110,86 @@ TEST(Bdd, Validation) {
   EXPECT_THROW((void)mgr.var(2), std::invalid_argument);
   EXPECT_THROW((void)mgr.from_truth_table(TruthTable::constant(false, 3)),
                std::invalid_argument);
+}
+
+/// The minterm-by-minterm builder from_truth_table replaced: one
+/// make_node per block, down to single minterms, over its own unique
+/// table, and the std::set walk size() used to make.
+struct MintermBuilder {
+  using Ref = BddManager::Ref;
+  std::vector<BddManager::Node> nodes = {{-1, 0, 0}, {-1, 1, 1}};
+  std::map<std::tuple<int, Ref, Ref>, Ref> unique;
+
+  Ref make_node(int var, Ref low, Ref high) {
+    if (low == high) return low;
+    const auto [it, fresh] = unique.try_emplace(
+        {var, low, high}, static_cast<Ref>(nodes.size()));
+    if (fresh) nodes.push_back({var, low, high});
+    return it->second;
+  }
+  Ref build(const TruthTable& tt, std::uint64_t lo, std::uint64_t hi,
+            int var) {
+    if (var < 0) return tt.get(lo) ? 1 : 0;
+    const std::uint64_t mid = lo + ((hi - lo) >> 1);
+    const Ref l = build(tt, lo, mid, var - 1);
+    const Ref h = build(tt, mid, hi, var - 1);
+    return make_node(var, l, h);
+  }
+  std::size_t size(Ref f) const {
+    std::set<Ref> seen;
+    std::vector<Ref> stack = {f};
+    while (!stack.empty()) {
+      const Ref r = stack.back();
+      stack.pop_back();
+      if (r <= 1 || !seen.insert(r).second) continue;
+      stack.push_back(nodes[r].low);
+      stack.push_back(nodes[r].high);
+    }
+    return seen.size();
+  }
+};
+
+// The word-level builder skips only make_node calls that hit the unique
+// table, so it leaves the same node list, in the same order, with the same
+// roots and sizes, including across builds that share one manager.
+TEST(Bdd, FromTruthTableMatchesMintermBuilder) {
+  std::mt19937_64 rng(11);
+  for (int n = 0; n <= 12; ++n) {
+    BddManager mgr(n);
+    MintermBuilder ref;
+    const auto check = [&](const TruthTable& tt, const char* kind) {
+      const auto got = mgr.from_truth_table(tt);
+      const auto want = ref.build(tt, 0, tt.size(), n - 1);
+      ASSERT_EQ(got, want) << kind << " n=" << n;
+      ASSERT_EQ(mgr.table_size(), ref.nodes.size()) << kind << " n=" << n;
+      for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+        const auto& a = mgr.node(static_cast<BddManager::Ref>(i));
+        ASSERT_EQ(a.var, ref.nodes[i].var) << kind << " node " << i;
+        ASSERT_EQ(a.low, ref.nodes[i].low) << kind << " node " << i;
+        ASSERT_EQ(a.high, ref.nodes[i].high) << kind << " node " << i;
+      }
+      EXPECT_EQ(mgr.size(got), ref.size(want)) << kind << " n=" << n;
+      EXPECT_TRUE(mgr.to_truth_table(got) == tt) << kind << " n=" << n;
+    };
+    TruthTable random(n), parity(n), majority(n), sparse(n);
+    // `sparse` reads only some variables: long runs of equal halves.
+    const std::uint64_t used = rng() & ((1ULL << n) - 1);
+    for (std::uint64_t m = 0; m < random.size(); ++m) {
+      const int ones = std::popcount(m);
+      random.set(m, rng() & 1);
+      parity.set(m, ones % 2 == 1);
+      majority.set(m, 2 * ones > n);
+      sparse.set(m, std::popcount((m & used) * 0x9E3779B97F4A7C15ULL) % 2);
+    }
+    check(TruthTable::constant(false, n), "const0");
+    check(TruthTable::constant(true, n), "const1");
+    check(random, "random");
+    check(parity, "parity");
+    check(majority, "majority");
+    check(sparse, "sparse");
+    check(~random, "~random");
+    check(random, "random again");
+  }
 }
 
 }  // namespace

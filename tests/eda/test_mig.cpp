@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "eda/bench_circuits.hpp"
 
 namespace cim::eda {
@@ -97,6 +99,29 @@ TEST(Mig, DepthAndLevels) {
   const auto lv = mig.levels();
   EXPECT_EQ(lv[Mig::node_of(m1)], 1u);
   EXPECT_EQ(lv[Mig::node_of(m2)], 2u);
+}
+
+// Structural hashing compares whole fanin literals. A key packing each of
+// the three sorted literals into 21 bits let a literal at or past 2^21
+// carry into the next field: with 2^20 + 8 inputs, M(x1, x3, x_{2^20+4})
+// (literals 4, 8, 2^21 + 10) packed to the key of M(x1, !x3, x4)
+// (literals 4, 9, 10) and came back as that node, a different function.
+TEST(Mig, StrashKeysAreExactPastTwentyOneBits) {
+  Mig mig;
+  std::vector<Mig::Lit> x((1u << 20) + 8);
+  for (auto& l : x) l = mig.add_input();
+  const auto first = mig.lmaj(x[1], Mig::lnot(x[3]), x[4]);
+  const auto far = x[(1u << 20) + 4];
+  const auto second = mig.lmaj(x[1], x[3], far);
+  EXPECT_NE(Mig::node_of(second), Mig::node_of(first));
+  EXPECT_EQ(mig.num_majs(), 2u);
+  const auto& n = mig.node(Mig::node_of(second));
+  EXPECT_EQ(n.fanin[0], x[1]);
+  EXPECT_EQ(n.fanin[1], x[3]);
+  EXPECT_EQ(n.fanin[2], far);
+  // Both nodes still hash-cons to themselves.
+  EXPECT_EQ(mig.lmaj(far, x[3], x[1]), second);
+  EXPECT_EQ(mig.lmaj(x[4], x[1], Mig::lnot(x[3])), first);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "eda/bench_circuits.hpp"
 
 namespace cim::eda {
@@ -165,6 +169,64 @@ TEST(Netlist, NorOnlyPreservesOutputOrder) {
   const auto tts = nor.truth_tables();
   EXPECT_EQ(tts[0].to_binary_string(), "1000");
   EXPECT_EQ(tts[1].to_binary_string(), "1110");
+}
+
+/// Every gate's type and fanins, to compare a netlist before and after.
+std::vector<std::pair<GateType, std::vector<std::size_t>>> gates_of(
+    const Netlist& nl) {
+  std::vector<std::pair<GateType, std::vector<std::size_t>>> out;
+  for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
+    const Gate g = nl.gate(i);
+    out.emplace_back(g.type, std::vector<std::size_t>(g.fanins.begin(),
+                                                       g.fanins.end()));
+  }
+  return out;
+}
+
+TEST(Netlist, ThrowingAddGateLeavesNetlistUnchanged) {
+  Netlist nl;
+  const auto a = nl.add_input();
+  const auto b = nl.add_input();
+  const auto g = nl.add_gate(GateType::kAnd, {a, b});
+  nl.mark_output(g);
+  const auto before = gates_of(nl);
+  EXPECT_THROW(nl.add_gate(GateType::kNot, {a, b}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(GateType::kXor, {a}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(GateType::kNor, {}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(GateType::kOr, {a, g + 1}), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(GateType::kMaj, {a, b, 7}), std::invalid_argument);
+  EXPECT_EQ(gates_of(nl), before);
+  EXPECT_EQ(nl.num_outputs(), 1u);
+  // The next gate takes the next id, with exactly its own fanins.
+  const auto n = nl.add_gate(GateType::kNor, {g, a, b});
+  EXPECT_EQ(n, g + 1);
+  const auto fanins = nl.gate(n).fanins;
+  EXPECT_EQ(std::vector<std::size_t>(fanins.begin(), fanins.end()),
+            (std::vector<std::size_t>{g, a, b}));
+}
+
+// A gate's fanins view the netlist's one fanin array; adding a gate over
+// them copies from that array while it grows.
+TEST(Netlist, AddGateFromOwnFaninsSurvivesReallocation) {
+  Netlist nl;
+  std::vector<std::size_t> x;
+  for (int i = 0; i < 5; ++i) x.push_back(nl.add_input());
+  const auto wide = nl.add_gate(GateType::kOr, {x[0], x[1], x[2], x[3], x[4]});
+  const auto pair = nl.add_gate(GateType::kAnd, {x[4], x[0]});
+  std::vector<std::size_t> copies;
+  for (int i = 0; i < 300; ++i)
+    copies.push_back(nl.add_gate(i % 3 ? GateType::kOr : GateType::kAnd,
+                                 nl.gate(i % 2 ? wide : pair).fanins));
+  for (int i = 0; i < 300; ++i) {
+    const Gate c = nl.gate(copies[static_cast<std::size_t>(i)]);
+    const Gate src = nl.gate(i % 2 ? wide : pair);
+    EXPECT_EQ(c.type, i % 3 ? GateType::kOr : GateType::kAnd);
+    EXPECT_TRUE(std::equal(c.fanins.begin(), c.fanins.end(),
+                           src.fanins.begin(), src.fanins.end()))
+        << "copy " << i;
+  }
+  EXPECT_EQ(nl.gate(wide).fanins.size(), 5u);
+  EXPECT_EQ(nl.gate(pair).fanins[0], x[4]);
 }
 
 }  // namespace
