@@ -139,32 +139,29 @@ inline __mmask8 lane_select(std::uint32_t on) {
   return static_cast<__mmask8>(0u - on);
 }
 
-/// bitplane_accumulate over planes [p0, p0 + NP): every plane's
-/// accumulators for a 32-column block (four 8-lane chunks) stay in
-/// registers across the whole row loop, 4·NP independent add chains. A
-/// masked add leaves a plane's lanes unchanged on rows whose bit is clear,
-/// which equals skipping the row. Rows are never skipped by a branch: on
-/// random bit patterns its mispredictions cost more than the adds it
-/// saves. Columns past the last full block go one masked 8-lane chunk at
-/// a time.
-template <int NP>
-void bitplane_group_avx512(double v, const double* g, std::size_t rows,
+/// bitplane_accumulate over planes [p0, p0 + NP), NP = sizeof...(k): every
+/// plane's accumulators for a 32-column block (four 8-lane chunks) stay in
+/// registers across the whole row loop, 4·NP independent add chains. The
+/// plane loops are folds over k, so no build leaves them rolled with the
+/// accumulators in memory. A masked add leaves a plane's lanes unchanged
+/// on rows whose bit is clear, which equals skipping the row. Rows are
+/// never skipped by a branch: on random bit patterns its mispredictions
+/// cost more than the adds it saves. Columns past the last full block go
+/// one masked 8-lane chunk at a time.
+template <std::size_t... k>
+void bitplane_group_avx512(std::index_sequence<k...>, double v,
+                           const double* g, std::size_t rows,
                            std::size_t cols, const std::uint32_t* bits,
                            int p0, double* currents) {
-  constexpr std::uint32_t kGroup = (1u << NP) - 1u;
+  constexpr std::uint32_t kGroup = (1u << sizeof...(k)) - 1u;
   const __m512d vv = _mm512_set1_pd(v);
-  double* cur[NP];
-  for (int k = 0; k < NP; ++k)
-    cur[k] = currents + static_cast<std::size_t>(p0 + k) * cols;
+  double* const cur[] = {currents + (p0 + k) * cols...};
   std::size_t c = 0;
   for (; c + 32 <= cols; c += 32) {
-    __m512d a0[NP], a1[NP], a2[NP], a3[NP];
-    for (int k = 0; k < NP; ++k) {
-      a0[k] = _mm512_loadu_pd(cur[k] + c);
-      a1[k] = _mm512_loadu_pd(cur[k] + c + 8);
-      a2[k] = _mm512_loadu_pd(cur[k] + c + 16);
-      a3[k] = _mm512_loadu_pd(cur[k] + c + 24);
-    }
+    __m512d a0[] = {_mm512_loadu_pd(cur[k] + c)...};
+    __m512d a1[] = {_mm512_loadu_pd(cur[k] + c + 8)...};
+    __m512d a2[] = {_mm512_loadu_pd(cur[k] + c + 16)...};
+    __m512d a3[] = {_mm512_loadu_pd(cur[k] + c + 24)...};
     for (std::size_t r = 0; r < rows; ++r) {
       const std::uint32_t m = (bits[r] >> p0) & kGroup;
       const double* gr = g + r * cols + c;
@@ -172,36 +169,29 @@ void bitplane_group_avx512(double v, const double* g, std::size_t rows,
       const __m512d x1 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 8));
       const __m512d x2 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 16));
       const __m512d x3 = _mm512_mul_pd(vv, _mm512_loadu_pd(gr + 24));
-      for (int k = 0; k < NP; ++k) {
-        const __mmask8 on = lane_select((m >> k) & 1u);
-        a0[k] = _mm512_mask_add_pd(a0[k], on, a0[k], x0);
-        a1[k] = _mm512_mask_add_pd(a1[k], on, a1[k], x1);
-        a2[k] = _mm512_mask_add_pd(a2[k], on, a2[k], x2);
-        a3[k] = _mm512_mask_add_pd(a3[k], on, a3[k], x3);
-      }
+      const __mmask8 on[] = {lane_select((m >> k) & 1u)...};
+      ((a0[k] = _mm512_mask_add_pd(a0[k], on[k], a0[k], x0)), ...);
+      ((a1[k] = _mm512_mask_add_pd(a1[k], on[k], a1[k], x1)), ...);
+      ((a2[k] = _mm512_mask_add_pd(a2[k], on[k], a2[k], x2)), ...);
+      ((a3[k] = _mm512_mask_add_pd(a3[k], on[k], a3[k], x3)), ...);
     }
-    for (int k = 0; k < NP; ++k) {
-      _mm512_storeu_pd(cur[k] + c, a0[k]);
-      _mm512_storeu_pd(cur[k] + c + 8, a1[k]);
-      _mm512_storeu_pd(cur[k] + c + 16, a2[k]);
-      _mm512_storeu_pd(cur[k] + c + 24, a3[k]);
-    }
+    (_mm512_storeu_pd(cur[k] + c, a0[k]), ...);
+    (_mm512_storeu_pd(cur[k] + c + 8, a1[k]), ...);
+    (_mm512_storeu_pd(cur[k] + c + 16, a2[k]), ...);
+    (_mm512_storeu_pd(cur[k] + c + 24, a3[k]), ...);
   }
   for (; c < cols; c += 8) {
     const std::size_t w = std::min<std::size_t>(8, cols - c);
     const auto lanes = static_cast<__mmask8>(0xffu >> (8 - w));
-    __m512d a[NP];
-    for (int k = 0; k < NP; ++k)
-      a[k] = _mm512_maskz_loadu_pd(lanes, cur[k] + c);
+    __m512d a[] = {_mm512_maskz_loadu_pd(lanes, cur[k] + c)...};
     for (std::size_t r = 0; r < rows; ++r) {
       const std::uint32_t m = (bits[r] >> p0) & kGroup;
       const __m512d x =
           _mm512_mul_pd(vv, _mm512_maskz_loadu_pd(lanes, g + r * cols + c));
-      for (int k = 0; k < NP; ++k)
-        a[k] = _mm512_mask_add_pd(a[k], lane_select((m >> k) & 1u), a[k], x);
+      ((a[k] = _mm512_mask_add_pd(a[k], lane_select((m >> k) & 1u), a[k], x)),
+       ...);
     }
-    for (int k = 0; k < NP; ++k)
-      _mm512_mask_storeu_pd(cur[k] + c, lanes, a[k]);
+    (_mm512_mask_storeu_pd(cur[k] + c, lanes, a[k]), ...);
   }
 }
 
@@ -211,19 +201,14 @@ void bitplane_accumulate_avx512(double v, const double* g, std::size_t rows,
                                 std::size_t cols, const std::uint32_t* bits,
                                 int planes, double* currents) {
   for (int p0 = 0; p0 < planes; p0 += 4) {
+    const auto group = [&](auto planes_here) {
+      bitplane_group_avx512(planes_here, v, g, rows, cols, bits, p0, currents);
+    };
     switch (std::min(4, planes - p0)) {
-      case 1:
-        bitplane_group_avx512<1>(v, g, rows, cols, bits, p0, currents);
-        break;
-      case 2:
-        bitplane_group_avx512<2>(v, g, rows, cols, bits, p0, currents);
-        break;
-      case 3:
-        bitplane_group_avx512<3>(v, g, rows, cols, bits, p0, currents);
-        break;
-      default:
-        bitplane_group_avx512<4>(v, g, rows, cols, bits, p0, currents);
-        break;
+      case 1: group(std::make_index_sequence<1>{}); break;
+      case 2: group(std::make_index_sequence<2>{}); break;
+      case 3: group(std::make_index_sequence<3>{}); break;
+      default: group(std::make_index_sequence<4>{}); break;
     }
   }
 }
