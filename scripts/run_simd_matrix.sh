@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Runs the `simd` ctest slice (cross-ISA kernel conformance + fidelity-tier
-# gates) with runtime dispatch forced to each instruction set in turn via
-# CIM_SIMD. Variants the build or CPU cannot execute clamp down to the best
-# supported table (with a one-time notice on stderr), so the matrix is safe
-# to run on any host — on a scalar-only machine all three legs exercise the
-# portable table.
+# gates) and the `tsan` slice (the thread pool, the batched-VMM rows and the
+# end-to-end determinism tests) with runtime dispatch forced to each
+# instruction set in turn via CIM_SIMD. A batch equals a vmm() loop per
+# kernel table, since tier-0 energy is a per-table reduction, so the batch
+# rows run under every table. Variants the build or CPU cannot execute clamp
+# down to the best supported table (with a one-time notice on stderr), so
+# the matrix is safe to run on any host — on a scalar-only machine all
+# three legs exercise the portable table.
 #
 # Usage: scripts/run_simd_matrix.sh <build-dir> [extra ctest args...]
 #   e.g. scripts/run_simd_matrix.sh build
@@ -18,9 +21,9 @@ shift || true
 
 status=0
 for isa in scalar avx2 avx512; do
-  echo "=== ctest -L simd with CIM_SIMD=${isa} ===" >&2
-  if ! (cd "${build_dir}" && CIM_SIMD="${isa}" ctest -L simd "$@"); then
-    echo "!! simd slice failed with CIM_SIMD=${isa}" >&2
+  echo "=== ctest -L 'simd|tsan' with CIM_SIMD=${isa} ===" >&2
+  if ! (cd "${build_dir}" && CIM_SIMD="${isa}" ctest -L 'simd|tsan' "$@"); then
+    echo "!! simd|tsan slice failed with CIM_SIMD=${isa}" >&2
     status=1
   fi
 done

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/health.hpp"
@@ -50,6 +51,33 @@ double abs_sum(std::span<const double> v_rows) {
 
 /// Stream of an array's seed that keys its tier-0 read noise.
 constexpr std::uint64_t kReadNoiseStream = 0x7469657230ULL;  // "tier0"
+
+/// Span of a read entry point at `tier`: "crossbar.vmm[.fast|.ideal]" for
+/// vmm() and vmm_bit_planes, "crossbar.vmm_batch[.fast|.ideal]" for
+/// vmm_batch.
+obs::SpanHandle& read_span(FidelityTier tier, bool batch) {
+  static obs::SpanHandle spans[2][3] = {
+      {obs::SpanHandle{"crossbar.vmm", obs::Component::kArray},
+       obs::SpanHandle{"crossbar.vmm.fast", obs::Component::kArray},
+       obs::SpanHandle{"crossbar.vmm.ideal", obs::Component::kArray}},
+      {obs::SpanHandle{"crossbar.vmm_batch", obs::Component::kArray},
+       obs::SpanHandle{"crossbar.vmm_batch.fast", obs::Component::kArray},
+       obs::SpanHandle{"crossbar.vmm_batch.ideal", obs::Component::kArray}}};
+  const int t = tier == FidelityTier::kFull    ? 0
+                : tier == FidelityTier::kIdeal ? 2
+                                               : 1;
+  return spans[batch ? 1 : 0][t];
+}
+
+/// body(s) for every s in [begin, end): across `pool`, or in order on the
+/// calling thread when there is none. The std::function a pool takes holds
+/// only a reference to `body`, so neither path allocates.
+template <class Body>
+void fan_out(util::ThreadPool* pool, std::size_t begin, std::size_t end,
+             const Body& body) {
+  if (pool != nullptr) return pool->parallel_for(begin, end, std::cref(body));
+  for (std::size_t s = begin; s < end; ++s) body(s);
+}
 
 }  // namespace
 
@@ -478,20 +506,6 @@ void Crossbar::apply_dirty_cells() {
   util::perf::cache_delta_updates.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Crossbar::accumulate_currents(std::span<const double> v_rows,
-                                   std::span<double> currents,
-                                   std::span<double> noise_var,
-                                   double& energy) const {
-  for (std::size_t r = 0; r < cfg_.rows; ++r) {
-    const double v = v_rows[r];
-    if (v == 0.0) continue;
-    util::kernels::vmm_row_accumulate(
-        v, g_eff_cache_.data() + r * cfg_.cols, currents.data(),
-        noise_var.data(), tech_.read_noise_frac, tech_.t_read_ns, cfg_.cols,
-        energy);
-  }
-}
-
 double Crossbar::sneak_background_per_col(double v_abs_sum) const {
   // Passive 0T1R arrays: half-selected cells leak a sneak background whose
   // magnitude scales with the mean conductance of the unselected matrix.
@@ -501,27 +515,75 @@ double Crossbar::sneak_background_per_col(double v_abs_sum) const {
   return v_mean * (g_mean / 3.0) * 0.1 * static_cast<double>(cfg_.rows - 1);
 }
 
-bool Crossbar::apply_read_disturb(util::Rng& rng) {
-  // Read disturb: expected number of disturbed cells this cycle.
-  if (tech_.read_disturb_prob <= 0.0) return false;
+template <class Hit>
+std::size_t Crossbar::draw_full_read(util::Rng& rng, Hit&& hit) const {
+  rng.skip_normals(cfg_.cols);
+  if (tech_.read_disturb_prob <= 0.0) return 0;
+  // Read disturb: expected number of disturbed cells per read.
   const double expected =
       tech_.read_disturb_prob * static_cast<double>(cells_.size());
   std::size_t hits = static_cast<std::size_t>(expected);
   if (rng.bernoulli(expected - static_cast<double>(hits))) ++hits;
-  // Every hit is drawn; a stuck cell does not move, and the rest take
-  // ReRamCell's disturb step (capped at g_on). Only a cell that moved is
-  // dirty-marked and health-recorded.
+  for (std::size_t k = 0; k < hits; ++k) hit(rng.uniform_int(cells_.size()));
+  return hits;
+}
+
+void Crossbar::add_full_read_noise(double v_abs_sum,
+                                   std::span<double> currents,
+                                   std::span<const double> noise_var,
+                                   const double* z) const {
+  if (cfg_.passive_array) {
+    const double sneak_per_col = sneak_background_per_col(v_abs_sum);
+    for (double& i : currents) i += sneak_per_col;
+  }
+  // Aggregate read noise per column, keyed by (seed, read, column).
+  util::kernels::noise_add(noise_var.data(), z, currents.data(), cfg_.cols);
+}
+
+double Crossbar::full_read(std::span<const double> v_rows,
+                           std::span<double> currents,
+                           std::span<double> noise_var,
+                           const double* z) const {
+  std::fill(currents.begin(), currents.end(), 0.0);
+  std::fill(noise_var.begin(), noise_var.end(), 0.0);
+  double energy = 0.0;
+  for (std::size_t r = 0; r < cfg_.rows; ++r) {
+    const double v = v_rows[r];
+    if (v == 0.0) continue;
+    util::kernels::vmm_row_accumulate(
+        v, g_eff_cache_.data() + r * cfg_.cols, currents.data(),
+        noise_var.data(), tech_.read_noise_frac, tech_.t_read_ns, cfg_.cols,
+        energy);
+  }
+  add_full_read_noise(cfg_.passive_array ? abs_sum(v_rows) : 0.0, currents,
+                      noise_var, z);
+  return energy;
+}
+
+bool Crossbar::finish_full_read(double v_abs_sum, double energy) {
+  if (cfg_.passive_array && obs::health_enabled()) {
+    auto& h = health_monitor();
+    const double sneak_per_col = sneak_background_per_col(v_abs_sum);
+    for (std::size_t c = 0; c < cfg_.cols; ++c)
+      h.record_sneak_current(c, sneak_per_col);
+  }
+  ++tier0_reads_;
+  ++stats_.vmm_ops;
+  charge(tech_.t_read_ns, energy);
+  if (obs::enabled()) obs_counters().vmm_ops.add(1);
+  // A hit on a stuck cell leaves it as it is; the others take ReRamCell's
+  // disturb step (capped at g_on). Only a cell that moved is dirty-marked
+  // and health-recorded.
   bool moved = false;
-  for (std::size_t k = 0; k < hits; ++k) {
-    const std::size_t idx = rng.uniform_int(cells_.size());
+  draw_full_read(rng_, [&](std::size_t idx) {
     auto& cl = cells_[idx];
-    if (cl.stuck() != device::StuckMode::kNone || !cl.disturb_step()) continue;
+    if (cl.stuck() != device::StuckMode::kNone || !cl.disturb_step()) return;
     moved = true;
     mark_cell_dirty(idx / cfg_.cols, idx % cfg_.cols);
     if (obs::health_enabled())
       health_monitor().record_disturb(idx / cfg_.cols, idx % cfg_.cols,
                                       cl.true_conductance_us());
-  }
+  });
   return moved;
 }
 
@@ -629,33 +691,6 @@ double Crossbar::finish_ideal_read(const ReadSums& s) {
   return energy;
 }
 
-void Crossbar::vmm_calibrated(std::span<const double> v_rows,
-                              std::span<double> currents) {
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
-  ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
-  const double energy =
-      finish_calibrated_read(read_sums(v_rows, g_eff_rowsum_), currents);
-  if (obs::enabled()) {
-    span.add_sim_time_ns(tech_.t_read_ns);
-    span.add_energy_pj(energy);
-  }
-}
-
-void Crossbar::vmm_ideal(std::span<const double> v_rows,
-                         std::span<double> currents) {
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.ideal", obs::Component::kArray);
-  ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
-  const double energy = finish_ideal_read(read_sums(v_rows, g_ideal_rowsum_));
-  if (obs::enabled()) {
-    span.add_sim_time_ns(tech_.t_read_ns);
-    span.add_energy_pj(energy);
-  }
-}
-
 const double* Crossbar::tier0_row_energy(const util::simd::KernelTable& t,
                                          double v) {
   if (row_energy_table_ != &t || row_energy_gen_ != g_cache_gen_ ||
@@ -678,44 +713,70 @@ const double* Crossbar::next_read_normals(std::size_t reads) {
   return noise_z_scratch_.data();
 }
 
-bool Crossbar::finish_full_read(double v_abs_sum, std::span<double> currents,
-                                std::span<const double> noise_var,
-                                const double* z, double energy) {
-  if (cfg_.passive_array) {
-    const double sneak_per_col = sneak_background_per_col(v_abs_sum);
-    for (double& i : currents) i += sneak_per_col;
-    if (obs::health_enabled()) {
-      auto& h = health_monitor();
-      for (std::size_t c = 0; c < cfg_.cols; ++c)
-        h.record_sneak_current(c, sneak_per_col);
+double Crossbar::reads_full(std::span<const double> v, std::span<double> out,
+                            std::span<double> energy, util::ThreadPool* pool) {
+  const std::size_t rows = cfg_.rows;
+  const std::size_t cols = cfg_.cols;
+  const std::size_t n = energy.size();
+  // Runs of reads that see one array state. With more than one lane to fan
+  // out to, a run is found by drawing ahead on a copy of the generator (no
+  // draw depends on the array): it ends at the first read whose disturb
+  // draws a hit. Each read of the run is then finished in read order, its
+  // hits applied as drawn, so the next run's cache repair picks them up.
+  // Read s0 + k of a run takes noise scratch k.
+  const bool fan = pool != nullptr && pool->thread_count() > 1;
+  ensure_conductance_cache();
+  vmm_noise_scratch_.resize((fan ? n : 1) * cols);
+  const double* z = next_read_normals(n);
+  std::size_t s0 = 0;
+  const auto compute = [&](std::size_t s) {
+    energy[s] =
+        full_read(v.subspan(s * rows, rows), out.subspan(s * cols, cols),
+                  std::span(vmm_noise_scratch_).subspan((s - s0) * cols, cols),
+                  z + s * cols);
+  };
+  util::Rng ahead = rng_;
+  double total = 0.0;
+  for (std::size_t s1 = 0; s0 < n; s0 = s1) {
+    s1 = s0 + 1;
+    if (fan)
+      while (draw_full_read(ahead, [](std::size_t) {}) == 0 && s1 < n) ++s1;
+    ensure_conductance_cache();
+    fan_out(pool, s0, s1, compute);
+    for (std::size_t s = s0; s < s1; ++s) {
+      finish_full_read(
+          cfg_.passive_array ? abs_sum(v.subspan(s * rows, rows)) : 0.0,
+          energy[s]);
+      total += energy[s];
     }
   }
-
-  // Aggregate read noise per column, keyed by (seed, read, column). The
-  // generator then skips the per-column draws this noise once took, so
-  // the read disturb below and every later write draw as they did.
-  util::kernels::noise_add(noise_var.data(), z, currents.data(), cfg_.cols);
-  ++tier0_reads_;
-  rng_.skip_normals(cfg_.cols);
-
-  const bool disturbed = apply_read_disturb(rng_);
-
-  ++stats_.vmm_ops;
-  charge(tech_.t_read_ns, energy);
-  if (obs::enabled()) obs_counters().vmm_ops.add(1);
-  return disturbed;
+  return total;
 }
 
-double Crossbar::vmm_full(std::span<const double> v_rows,
-                          std::span<double> currents) {
+double Crossbar::reads_fast(FidelityTier tier, std::span<const double> v,
+                            std::span<double> out, std::span<double> energy,
+                            util::ThreadPool* pool) {
+  const std::size_t rows = cfg_.rows;
+  const std::size_t cols = cfg_.cols;
+  const std::size_t n = energy.size();
+  const bool ideal = tier == FidelityTier::kIdeal;
   ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  vmm_noise_scratch_.assign(cfg_.cols, 0.0);
-  double energy = 0.0;
-  accumulate_currents(v_rows, currents, vmm_noise_scratch_, energy);
-  finish_full_read(cfg_.passive_array ? abs_sum(v_rows) : 0.0, currents,
-                   vmm_noise_scratch_, next_read_normals(1), energy);
-  return energy;
+  const double* g = ideal ? g_ideal_cache_.data() : g_eff_cache_.data();
+  fan_out(pool, 0, n, [&](std::size_t s) {
+    const auto currents = out.subspan(s * cols, cols);
+    std::fill(currents.begin(), currents.end(), 0.0);
+    accumulate_currents_plain(v.subspan(s * rows, rows), g, currents);
+  });
+  // The tails in read order: tier 1 draws its noise key in its tail.
+  const auto& rowsum = ideal ? g_ideal_rowsum_ : g_eff_rowsum_;
+  double total = 0.0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const ReadSums sums = read_sums(v.subspan(s * rows, rows), rowsum);
+    energy[s] = ideal ? finish_ideal_read(sums)
+                      : finish_calibrated_read(sums, out.subspan(s * cols, cols));
+    total += energy[s];
+  }
+  return total;
 }
 
 void Crossbar::vmm(std::span<const double> v_rows, std::span<double> currents,
@@ -724,10 +785,12 @@ void Crossbar::vmm(std::span<const double> v_rows, std::span<double> currents,
     throw std::invalid_argument("vmm: input size != rows");
   if (currents.size() != cfg_.cols)
     throw std::invalid_argument("vmm: output size != cols");
-  if (tier == FidelityTier::kCalibrated) return vmm_calibrated(v_rows, currents);
-  if (tier == FidelityTier::kIdeal) return vmm_ideal(v_rows, currents);
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm", obs::Component::kArray);
-  const double energy = vmm_full(v_rows, currents);
+  obs::Span span{read_span(tier, /*batch=*/false)};
+  double energy = 0.0;
+  if (tier == FidelityTier::kFull)
+    reads_full(v_rows, currents, {&energy, 1}, nullptr);
+  else
+    reads_fast(tier, v_rows, currents, {&energy, 1}, nullptr);
   if (obs::enabled()) {
     span.add_sim_time_ns(tech_.t_read_ns);
     span.add_energy_pj(energy);
@@ -743,16 +806,28 @@ void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
   if (inputs.size() != cfg_.rows)
     throw std::invalid_argument("vmm_bit_planes: input size != rows");
   const auto np = static_cast<std::size_t>(planes);
-  const std::size_t cols = cfg_.cols;
-  if (currents.size() != np * cols)
+  if (currents.size() != np * cfg_.cols)
     throw std::invalid_argument("vmm_bit_planes: output size != planes*cols");
   if (energy.size() != np)
     throw std::invalid_argument("vmm_bit_planes: energy size != planes");
-  if (tier == FidelityTier::kCalibrated)
-    return bit_planes_calibrated(inputs, planes, v, currents, energy);
-  if (tier == FidelityTier::kIdeal)
-    return bit_planes_ideal(inputs, planes, v, currents, energy);
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm", obs::Component::kArray);
+  obs::Span span{read_span(tier, /*batch=*/false)};
+  if (tier == FidelityTier::kFull)
+    bit_planes_full(inputs, planes, v, currents, energy);
+  else
+    bit_planes_fast(tier, inputs, planes, v, currents, energy);
+  if (obs::enabled())
+    for (const double e : energy) {
+      span.add_sim_time_ns(tech_.t_read_ns);
+      span.add_energy_pj(e);
+    }
+}
+
+void Crossbar::bit_planes_full(std::span<const std::uint32_t> inputs,
+                               int planes, double v,
+                               std::span<double> currents,
+                               std::span<double> energy) {
+  const auto np = static_cast<std::size_t>(planes);
+  const std::size_t cols = cfg_.cols;
   ensure_conductance_cache();
 
   // One pass forms every plane's pre-noise currents, noise variance and
@@ -774,81 +849,52 @@ void Crossbar::vmm_bit_planes(std::span<const std::uint32_t> inputs,
     plane_read_sums(inputs, planes, v, g_eff_rowsum_,
                     std::span(sums).first(np));
 
-  // Then each plane's stochastic tail, in plane order; one kernel call
-  // draws every plane's noise (plane b is read tier0_reads_ + b). Once a
-  // read disturb has dirtied a cell, the fused currents of the later
+  // Then each plane's noise, draws and commit, in plane order; one kernel
+  // call draws every plane's noise (plane b is read tier0_reads_ + b). Once
+  // a read disturb has moved a cell, the fused currents of the later
   // planes are stale: those planes are read one at a time, each repairing
-  // the caches first, exactly as a vmm() per plane would (vmm_full reuses
-  // the noise scratches, whose fused values are dead by then, and draws
-  // the same normals for the same read).
+  // the caches first, exactly as a vmm() per plane would (reads_full
+  // reuses the noise scratches, whose fused values are dead by then, and
+  // draws the same normals for the same read).
   const double* z = next_read_normals(np);
   bool stale = false;
   for (std::size_t b = 0; b < np; ++b) {
     const auto cur = currents.subspan(b * cols, cols);
-    if (!stale) {
-      stale = finish_full_read(
-          sums[b].v_abs, cur,
-          std::span<const double>(vmm_noise_scratch_).subspan(b * cols, cols),
-          z + b * cols, energy[b]);
-    } else {
+    if (stale) {
       auto& volts = bit_planes_scratch_;
       volts.resize(cfg_.rows);
       for (std::size_t r = 0; r < cfg_.rows; ++r)
         volts[r] = ((inputs[r] >> b) & 1u) != 0 ? v : 0.0;
-      energy[b] = vmm_full(volts, cur);
+      reads_full(volts, cur, energy.subspan(b, 1), nullptr);
+      continue;
     }
-    if (obs::enabled()) {
-      span.add_sim_time_ns(tech_.t_read_ns);
-      span.add_energy_pj(energy[b]);
-    }
+    add_full_read_noise(
+        sums[b].v_abs, cur,
+        std::span<const double>(vmm_noise_scratch_).subspan(b * cols, cols),
+        z + b * cols);
+    stale = finish_full_read(sums[b].v_abs, energy[b]);
   }
 }
 
-void Crossbar::bit_planes_calibrated(std::span<const std::uint32_t> inputs,
-                                     int planes, double v,
-                                     std::span<double> currents,
-                                     std::span<double> energy) {
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.fast", obs::Component::kArray);
+void Crossbar::bit_planes_fast(FidelityTier tier,
+                               std::span<const std::uint32_t> inputs,
+                               int planes, double v,
+                               std::span<double> currents,
+                               std::span<double> energy) {
+  const bool ideal = tier == FidelityTier::kIdeal;
   ensure_conductance_cache();
   std::fill(currents.begin(), currents.end(), 0.0);
   if (v != 0.0)
-    util::kernels::bitplane_accumulate(v, g_eff_cache_.data(), cfg_.rows,
-                                       cfg_.cols, inputs.data(), planes,
-                                       currents.data());
+    util::kernels::bitplane_accumulate(
+        v, ideal ? g_ideal_cache_.data() : g_eff_cache_.data(), cfg_.rows,
+        cfg_.cols, inputs.data(), planes, currents.data());
   std::array<ReadSums, 16> sums{};
-  plane_read_sums(inputs, planes, v, g_eff_rowsum_,
+  plane_read_sums(inputs, planes, v, ideal ? g_ideal_rowsum_ : g_eff_rowsum_,
                   std::span(sums).first(energy.size()));
-  for (std::size_t b = 0; b < energy.size(); ++b) {
-    energy[b] = finish_calibrated_read(
-        sums[b], currents.subspan(b * cfg_.cols, cfg_.cols));
-    if (obs::enabled()) {
-      span.add_sim_time_ns(tech_.t_read_ns);
-      span.add_energy_pj(energy[b]);
-    }
-  }
-}
-
-void Crossbar::bit_planes_ideal(std::span<const std::uint32_t> inputs,
-                                int planes, double v,
-                                std::span<double> currents,
-                                std::span<double> energy) {
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm.ideal", obs::Component::kArray);
-  ensure_conductance_cache();
-  std::fill(currents.begin(), currents.end(), 0.0);
-  if (v != 0.0)
-    util::kernels::bitplane_accumulate(v, g_ideal_cache_.data(), cfg_.rows,
-                                       cfg_.cols, inputs.data(), planes,
-                                       currents.data());
-  std::array<ReadSums, 16> sums{};
-  plane_read_sums(inputs, planes, v, g_ideal_rowsum_,
-                  std::span(sums).first(energy.size()));
-  for (std::size_t b = 0; b < energy.size(); ++b) {
-    energy[b] = finish_ideal_read(sums[b]);
-    if (obs::enabled()) {
-      span.add_sim_time_ns(tech_.t_read_ns);
-      span.add_energy_pj(energy[b]);
-    }
-  }
+  for (std::size_t b = 0; b < energy.size(); ++b)
+    energy[b] = ideal ? finish_ideal_read(sums[b])
+                      : finish_calibrated_read(
+                            sums[b], currents.subspan(b * cfg_.cols, cfg_.cols));
 }
 
 void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
@@ -859,149 +905,17 @@ void Crossbar::vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
   if (out.rows() != batch || out.cols() != cfg_.cols)
     out = util::Matrix(batch, cfg_.cols);
   if (batch == 0) return;
-  auto& pool_ref = pool != nullptr ? *pool : util::ThreadPool::global();
-  if (tier == FidelityTier::kCalibrated)
-    return vmm_batch_calibrated(v_batch, out, pool_ref);
-  if (tier == FidelityTier::kIdeal)
-    return vmm_batch_ideal(v_batch, out, pool_ref);
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm_batch", obs::Component::kArray);
-  ensure_conductance_cache();
-
-  // Sample s is tier-0 read tier0_reads_ + s: its noise is the keyed
-  // normals a vmm() of that read draws. One serial draw ties the batch
-  // into the array's RNG sequence, and the read-disturb streams derive
-  // from it by counter splitting, so the fan-out below is bit-identical
-  // for any pool size.
-  const std::uint64_t master = rng_();
-  const double* z = next_read_normals(batch);
-  tier0_reads_ += batch;
-  batch_energy_scratch_.assign(batch, 0.0);
-  auto& sample_energy = batch_energy_scratch_;
-
-  // Attach the monitor before the fan-out: the lazy attach mutates health_,
-  // which must not happen concurrently from pool lanes.
-  obs::HealthMonitor* hm = cfg_.passive_array && obs::health_enabled()
-                               ? &health_monitor()
-                               : nullptr;
-
-  auto& p = pool != nullptr ? *pool : util::ThreadPool::global();
-  p.parallel_for(0, batch, [&](std::size_t s) {
-    const auto v_rows = v_batch.row(s);
-    auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
-    thread_local std::vector<double> noise_var;
-    noise_var.assign(cfg_.cols, 0.0);
-    double energy = 0.0;
-    accumulate_currents(v_rows, currents, noise_var, energy);
-    if (cfg_.passive_array) {
-      const double sneak_per_col = sneak_background_per_col(abs_sum(v_rows));
-      for (double& i : currents) i += sneak_per_col;
-      // Relaxed-atomic accumulators tolerate the pool's concurrent lanes.
-      if (hm != nullptr)
-        for (std::size_t c = 0; c < cfg_.cols; ++c)
-          hm->record_sneak_current(c, sneak_per_col);
-    }
-    util::kernels::noise_add(noise_var.data(), z + s * cfg_.cols,
-                             currents.data(), cfg_.cols);
-    sample_energy[s] = energy;
-  });
-
-  // Serial epilogue in sample order: stats, then the read disturb each
-  // sample accumulated (applied post-batch; see header contract).
-  for (std::size_t s = 0; s < batch; ++s) {
-    ++stats_.vmm_ops;
-    charge(tech_.t_read_ns, sample_energy[s]);
-  }
+  auto* p = pool != nullptr ? pool : &util::ThreadPool::global();
+  obs::Span span{read_span(tier, /*batch=*/true)};
+  batch_energy_scratch_.resize(batch);
+  const auto e = std::span(batch_energy_scratch_);
+  const double energy =
+      tier == FidelityTier::kFull
+          ? reads_full(v_batch.flat(), out.flat(), e, p)
+          : reads_fast(tier, v_batch.flat(), out.flat(), e, p);
   if (obs::enabled()) {
-    obs_counters().vmm_ops.add(batch);
-    double batch_energy = 0.0;
-    for (const double e : sample_energy) batch_energy += e;
     span.add_sim_time_ns(tech_.t_read_ns * static_cast<double>(batch));
-    span.add_energy_pj(batch_energy);
-  }
-  if (tech_.read_disturb_prob > 0.0) {
-    for (std::size_t s = 0; s < batch; ++s) {
-      util::Rng drng = util::Rng::stream(master, 2 * s + 1);
-      apply_read_disturb(drng);
-    }
-  }
-}
-
-void Crossbar::vmm_batch_calibrated(const util::Matrix& v_batch,
-                                    util::Matrix& out,
-                                    util::ThreadPool& pool) {
-  const std::size_t batch = v_batch.rows();
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm_batch.fast", obs::Component::kArray);
-  ensure_conductance_cache();
-  // Same counter-split determinism contract as tier 0: one serial master
-  // draw, per-sample noise streams — bit-identical for any pool size. No
-  // disturb streams (tier 1 skips read disturb).
-  const std::uint64_t master = rng_();
-  batch_energy_scratch_.assign(batch, 0.0);
-  auto& sample_energy = batch_energy_scratch_;
-  pool.parallel_for(0, batch, [&](std::size_t s) {
-    const auto v_rows = v_batch.row(s);
-    auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
-    accumulate_currents_plain(v_rows, g_eff_cache_.data(), currents);
-    const ReadSums sums = read_sums(v_rows, g_eff_rowsum_);
-    if (cfg_.passive_array) {
-      const double sneak_per_col = sneak_background_per_col(sums.v_abs);
-      for (double& i : currents) i += sneak_per_col;
-    }
-    const double scale = calibrated_noise_scale(sums);
-    if (scale > 0.0) {
-      // Counter-split per sample, counter-hashed per column: pure
-      // functions of (master, s, c), so the fan-out stays bit-identical
-      // for any pool size without paying a generator per column.
-      const std::uint64_t key = util::Rng::stream_seed(master, s);
-      for (std::size_t c = 0; c < cfg_.cols; ++c)
-        currents[c] +=
-            scale * g_eff_col_std_[c] * util::Rng::normal_hash(key, c);
-    }
-    sample_energy[s] = read_energy(sums);
-  });
-  for (std::size_t s = 0; s < batch; ++s) {
-    ++stats_.vmm_ops;
-    charge(tech_.t_read_ns, sample_energy[s]);
-  }
-  if (obs::enabled()) {
-    obs_counters().vmm_ops.add(batch);
-    obs_counters().vmm_fast_ops.add(batch);
-    double batch_energy = 0.0;
-    for (const double e : sample_energy) batch_energy += e;
-    span.add_sim_time_ns(tech_.t_read_ns * static_cast<double>(batch));
-    span.add_energy_pj(batch_energy);
-  }
-}
-
-void Crossbar::vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
-                               util::ThreadPool& pool) {
-  const std::size_t batch = v_batch.rows();
-  CIM_OBS_SPAN_NAMED(span, "crossbar.vmm_batch.ideal",
-                     obs::Component::kArray);
-  ensure_conductance_cache();
-  // No RNG at all: tier 2 does not advance the array's stream.
-  batch_energy_scratch_.assign(batch, 0.0);
-  auto& sample_energy = batch_energy_scratch_;
-  pool.parallel_for(0, batch, [&](std::size_t s) {
-    const auto v_rows = v_batch.row(s);
-    auto currents = out.row(s);
-    std::fill(currents.begin(), currents.end(), 0.0);
-    accumulate_currents_plain(v_rows, g_ideal_cache_.data(), currents);
-    sample_energy[s] = read_energy(read_sums(v_rows, g_ideal_rowsum_));
-  });
-  for (std::size_t s = 0; s < batch; ++s) {
-    ++stats_.vmm_ops;
-    charge(tech_.t_read_ns, sample_energy[s]);
-  }
-  if (obs::enabled()) {
-    obs_counters().vmm_ops.add(batch);
-    obs_counters().vmm_ideal_ops.add(batch);
-    double batch_energy = 0.0;
-    for (const double e : sample_energy) batch_energy += e;
-    span.add_sim_time_ns(tech_.t_read_ns * static_cast<double>(batch));
-    span.add_energy_pj(batch_energy);
+    span.add_energy_pj(energy);
   }
 }
 

@@ -208,26 +208,14 @@ class Crossbar {
 
   /// Batched analog VMM: row b of `v_batch` is one input vector; result b
   /// lands in row b of `out` (resized only on shape change, so the storage
-  /// is reused across batches). Samples fan out across `pool` (the global
-  /// pool when null); the output is bit-identical for any thread count —
-  /// including 1.
-  ///
-  /// At kFull, sample s is the tier-0 read at index (the array's read index
-  /// at the call) + s, and the call advances that index by the batch size:
-  /// its read noise is the keyed normals a vmm() of that read draws. One
-  /// serial generator draw keys the per-sample read-disturb streams by
-  /// counter-based splitting.
-  ///
-  /// Semantics vs. calling vmm() in a loop: the effective-conductance
-  /// matrix is computed once for the whole batch and read disturb
-  /// accumulated by the batch is applied after all samples (pipelined-read
-  /// semantics: every sample of a batch sees the same array state). Stats
-  /// accounting matches `batch` sequential vmm() calls. With read disturb
-  /// off, currents and stats equal a vmm() loop's bitwise; the generator
-  /// ends elsewhere (one draw here, the per-column advance there).
-  ///
-  /// Cheaper tiers skip the per-sample disturb streams (kCalibrated) or the
-  /// RNG entirely (kIdeal) — see fidelity.hpp.
+  /// is reused across batches). At every tier and for any pool size (the
+  /// global pool when null) the call equals vmm() on each row in order,
+  /// bitwise: currents, stats, last_op_energy_pj(), read disturb, cache
+  /// repairs and the generator position. Only the current accumulation
+  /// fans out across `pool`; generator draws, stats, charge and disturb
+  /// hits are committed serially in read order. At kFull a fan-out stops
+  /// at the first sample whose read disturb draws a hit, and the next one
+  /// reads the array that hit left.
   void vmm_batch(const util::Matrix& v_batch, util::Matrix& out,
                  util::ThreadPool* pool = nullptr,
                  FidelityTier tier = FidelityTier::kFull);
@@ -377,16 +365,67 @@ class Crossbar {
   void rebuild_conductance_cache();  ///< full O(rows*cols) rebuild
   void apply_dirty_cells();          ///< O(|dirty|) delta repair
 
-  /// Accumulates per-column currents / noise variance / array energy for
-  /// one input vector from the cached effective conductances.
-  void accumulate_currents(std::span<const double> v_rows,
-                           std::span<double> currents,
-                           std::span<double> noise_var, double& energy) const;
+  // Every tier splits one read into a pure compute over the conductance
+  // caches and a serial commit in read order: generator draws, stats,
+  // charge, obs counters and read-disturb hits. vmm() and vmm_bit_planes
+  // run both per read; vmm_batch fans out only the compute.
 
-  /// Tier-0 single read without a span (the body of vmm() and of the
-  /// vmm_bit_planes disturb fallback): cache repair, current accumulation,
-  /// then finish_full_read. Returns the energy charged.
-  double vmm_full(std::span<const double> v_rows, std::span<double> currents);
+  /// The reads of vmm() (one) and vmm_batch (energy.size()): read s drives
+  /// v[s*rows, (s+1)*rows), writes out[s*cols, (s+1)*cols) and the energy
+  /// charged for it to energy[s], and the compute fans out across `pool`
+  /// when it is not null. Returns the energy summed in read order.
+  ///
+  /// Tier 0 computes (full_read) and finishes (finish_full_read) runs of
+  /// reads that see one array state. With more than one lane, a run is
+  /// found by drawing ahead on a copy of the generator: it ends at the
+  /// first read whose disturb draws a hit.
+  double reads_full(std::span<const double> v, std::span<double> out,
+                    std::span<double> energy, util::ThreadPool* pool);
+  /// Tiers 1 and 2 (`tier` picks the conductance cache, the row sums and
+  /// the tail): the current accumulation fans out, then each read's tail
+  /// (finish_calibrated_read, which draws tier 1's noise key, or
+  /// finish_ideal_read) runs in read order.
+  double reads_fast(FidelityTier tier, std::span<const double> v,
+                    std::span<double> out, std::span<double> energy,
+                    util::ThreadPool* pool);
+
+  /// vmm_bit_planes bodies at tier 0, and at tiers 1/2 picked as in
+  /// reads_fast.
+  void bit_planes_full(std::span<const std::uint32_t> inputs, int planes,
+                       double v, std::span<double> currents,
+                       std::span<double> energy);
+  void bit_planes_fast(FidelityTier tier,
+                       std::span<const std::uint32_t> inputs, int planes,
+                       double v, std::span<double> currents,
+                       std::span<double> energy);
+
+  /// Tier-0 generator draws of one read from `rng`, in order: it advances
+  /// as the `cols` Box-Muller draws the keyed noise replaced did
+  /// (Rng::skip_normals), then draws the read disturb's expected-count hit
+  /// number (one bernoulli) and one uniform_int cell per hit, passed to
+  /// `hit` as a flat index. Returns the hit count. No draw depends on the
+  /// array's state.
+  template <class Hit>
+  std::size_t draw_full_read(util::Rng& rng, Hit&& hit) const;
+
+  /// Tier-0 compute of one read, pure over the caches: currents and noise
+  /// variances (noise_var, cols) from g_eff_cache_, then
+  /// add_full_read_noise. Returns the read's energy.
+  double full_read(std::span<const double> v_rows, std::span<double> currents,
+                   std::span<double> noise_var, const double* z) const;
+  /// Passive sneak background (`v_abs_sum` is read only for passive
+  /// arrays) and per-column read noise sqrt(noise_var[c]) * z[c], with `z`
+  /// the read's keyed normals.
+  void add_full_read_noise(double v_abs_sum, std::span<double> currents,
+                           std::span<const double> noise_var,
+                           const double* z) const;
+  /// Tier-0 commit of one read: the sneak background's health record,
+  /// tier0_reads_, stats and charge, then the read's draws from rng_ with
+  /// its disturb hits applied as drawn. A hit on a stuck cell leaves it as
+  /// it is; the others take ReRamCell::disturb_step. Returns true when a
+  /// hit moved (and dirty-marked) a cell, i.e. the next read must repair
+  /// the caches.
+  bool finish_full_read(double v_abs_sum, double energy);
 
   /// Tier-0 bit-plane reads' row-energy table for kernel table `t` at `v`
   /// (KernelTable::row_energy over g_eff_cache_). Rebuilt when the
@@ -399,18 +438,6 @@ class Crossbar {
   /// (tier0_reads_ + i) * cols + c of noise_key_ (util::kernels::
   /// normal_fill). Does not count the reads.
   const double* next_read_normals(std::size_t reads);
-
-  /// Tier-0 tail of one read, after its pre-noise accumulation: passive
-  /// sneak background (and its health record; `v_abs_sum` is read only
-  /// for passive arrays), per-column read noise sqrt(noise_var[c]) * z[c]
-  /// with `z` this read's keyed normals, read disturb, stats and charge.
-  /// Counts the read in tier0_reads_ and advances rng_ as the per-column
-  /// Box-Muller draws it replaced did (Rng::skip_normals). Returns true
-  /// when the read disturb moved a cell, i.e. the next read must repair
-  /// the caches.
-  bool finish_full_read(double v_abs_sum, std::span<double> currents,
-                        std::span<const double> noise_var, const double* z,
-                        double energy);
 
   /// Serial sums over one read's wordline voltages, in row order: the
   /// sneak background's sum |v_r|, and the closed forms' sum v_r^2 and
@@ -444,20 +471,6 @@ class Crossbar {
   /// otherwise. Per-column std = scale * g_eff_col_std_[c].
   double calibrated_noise_scale(const ReadSums& s) const;
 
-  /// Tier-1/2 serial VMM bodies (dispatched from vmm()). Both assume a
-  /// valid conductance cache.
-  void vmm_calibrated(std::span<const double> v_rows,
-                      std::span<double> currents);
-  void vmm_ideal(std::span<const double> v_rows, std::span<double> currents);
-
-  /// Tier-1/2 vmm_bit_planes bodies.
-  void bit_planes_calibrated(std::span<const std::uint32_t> inputs,
-                             int planes, double v, std::span<double> currents,
-                             std::span<double> energy);
-  void bit_planes_ideal(std::span<const std::uint32_t> inputs, int planes,
-                        double v, std::span<double> currents,
-                        std::span<double> energy);
-
   /// Tier-1 tail of one read, after its plain current accumulation: sneak
   /// background, calibrated noise keyed by one generator draw, stats and
   /// charge. Returns the energy charged.
@@ -473,22 +486,10 @@ class Crossbar {
                                  const double* g_flat,
                                  std::span<double> currents) const;
 
-  /// Tier-dependent batch fan-out bodies (dispatched from vmm_batch()).
-  void vmm_batch_calibrated(const util::Matrix& v_batch, util::Matrix& out,
-                            util::ThreadPool& pool);
-  void vmm_batch_ideal(const util::Matrix& v_batch, util::Matrix& out,
-                       util::ThreadPool& pool);
-
   /// Sneak background current per column of a passive 0T1R array, given
   /// the read's sum of |v_r| (from the cached conductance sum; requires a
   /// valid cache).
   double sneak_background_per_col(double v_abs_sum) const;
-
-  /// Expected-count read-disturb events for one VMM cycle, drawn from
-  /// `rng`. A hit on a stuck cell leaves it as it is; the others take
-  /// ReRamCell::disturb_step. Returns true when any cell moved (and was
-  /// marked dirty).
-  bool apply_read_disturb(util::Rng& rng);
 
   CrossbarConfig cfg_;
   device::TechnologyParams tech_;
@@ -538,8 +539,9 @@ class Crossbar {
   std::vector<std::uint64_t> dirty_bits_;
   std::size_t dirty_words_per_row_ = 0;
 
-  /// Noise variances of one read (cols), or of every plane of a
-  /// vmm_bit_planes call (planes x cols).
+  /// Noise variances of the reads of one reads_full run (one read without
+  /// a fan-out), or of every plane of a vmm_bit_planes call (reads or
+  /// planes x cols).
   std::vector<double> vmm_noise_scratch_;
   /// Keyed standard normals of one or more tier-0 reads (next_read_normals).
   std::vector<double> noise_z_scratch_;

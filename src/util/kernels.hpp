@@ -53,10 +53,6 @@
 ///    separate multiplies and adds; no libm call is made. A pure function
 ///    of (key, counter), so a caller may fill any range in any order or
 ///    split it across threads.
-///  - `dot_serial` is the order-preserving escape hatch: strict
-///    left-to-right summation, never dispatched, bit-identical everywhere.
-///    Route callers that require reproducible sums across ISA settings
-///    through it.
 #pragma once
 
 #include <cmath>
@@ -69,20 +65,9 @@ namespace cim::util::kernels {
 
 /// Dot product via the active table (4-way scalar splitting or per-lane
 /// FMA accumulators). Deterministic for a fixed table; reassociated —
-/// NOT bitwise-stable across CIM_SIMD settings. Callers needing that use
-/// dot_serial().
+/// NOT bitwise-stable across CIM_SIMD settings.
 inline double dot(const double* a, const double* b, std::size_t n) {
   return simd::active().dot(a, b, n);
-}
-
-/// Strict left-to-right dot product. Never dispatched: bit-identical on
-/// every host, thread count, and CIM_SIMD setting. Slower than dot() —
-/// one dependent add chain — so reserve it for bit-exactness-dependent
-/// callers (golden files, cross-run replay checks).
-inline double dot_serial(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 /// y[i] += a * x[i]. Element-wise separate mul+add on every table:

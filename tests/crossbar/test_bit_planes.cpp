@@ -28,6 +28,7 @@
 #include "crossbar/crossbar.hpp"
 #include "device/technology.hpp"
 #include "fault/fault_map.hpp"
+#include "same_state.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -49,33 +50,6 @@ CrossbarConfig make_config(std::size_t rows, std::size_t cols,
   tech.read_disturb_prob = disturb;
   cfg.tech_override = tech;
   return cfg;
-}
-
-/// Everything observable about an array after a call, compared bitwise.
-void expect_same_state(Crossbar& fused, Crossbar& split) {
-  const CrossbarStats& a = fused.stats();
-  const CrossbarStats& b = split.stats();
-  EXPECT_EQ(a.bit_reads, b.bit_reads);
-  EXPECT_EQ(a.bit_writes, b.bit_writes);
-  EXPECT_EQ(a.analog_writes, b.analog_writes);
-  EXPECT_EQ(a.vmm_ops, b.vmm_ops);
-  EXPECT_EQ(a.logic_ops, b.logic_ops);
-  EXPECT_EQ(bits(a.time_ns), bits(b.time_ns));
-  EXPECT_EQ(bits(a.energy_pj), bits(b.energy_pj));
-  EXPECT_EQ(a.cache_full_rebuilds, b.cache_full_rebuilds);
-  EXPECT_EQ(a.cache_delta_updates, b.cache_delta_updates);
-  EXPECT_EQ(a.cache_dirty_cells, b.cache_dirty_cells);
-  EXPECT_EQ(bits(fused.last_op_energy_pj()), bits(split.last_op_energy_pj()));
-  util::Rng ra = fused.rng();
-  util::Rng rb = split.rng();
-  EXPECT_EQ(ra(), rb());
-  // normal() also exposes a cached second Box-Muller value.
-  EXPECT_EQ(bits(ra.normal()), bits(rb.normal()));
-  for (std::size_t r = 0; r < fused.rows(); ++r)
-    for (std::size_t c = 0; c < fused.cols(); ++c)
-      ASSERT_EQ(bits(fused.true_conductance(r, c)),
-                bits(split.true_conductance(r, c)))
-          << "cell (" << r << ", " << c << ")";
 }
 
 /// One fused call on `fused` against `planes` vmm() calls on `split`.

@@ -1,14 +1,18 @@
 /// \file test_crossbar_batch.cpp
 /// \brief Batched VMM contract tests: shape validation, the bit-identical
-///        determinism guarantee across pool sizes, agreement with the ideal
-///        VMM, and conductance-cache invalidation on array mutation.
+///        determinism guarantee across pool sizes, equality with a vmm()
+///        loop at every tier, agreement with the ideal VMM, and
+///        conductance-cache invalidation on array mutation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "crossbar/crossbar.hpp"
+#include "same_state.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -16,6 +20,7 @@ namespace {
 
 using cim::crossbar::Crossbar;
 using cim::crossbar::CrossbarConfig;
+using cim::crossbar::FidelityTier;
 using cim::util::Matrix;
 using cim::util::Rng;
 using cim::util::ThreadPool;
@@ -95,52 +100,69 @@ TEST(CrossbarBatch, BitIdenticalAcrossPoolSizes) {
   }
 }
 
-// Tier 0's batch and vmm() share one draw contract: sample s of a batch is
-// the read a vmm() loop makes at the same read index. Without read disturb
-// a batch on one array equals a vmm() loop on an identically built one,
-// currents and stats bitwise, at any pool size.
-TEST(CrossbarBatch, MatchesVmmLoopWithoutReadDisturb) {
-  for (const std::size_t threads : {1u, 4u}) {
-    auto cfg = xbar_cfg(23, 24);
-    auto tech = cim::device::technology_params(cfg.tech);
-    tech.read_disturb_prob = 0.0;
-    cfg.tech_override = tech;
-    const auto program = [](Crossbar& x) {
-      Rng rng(24);
-      Matrix lv(24, 24);
-      for (auto& v : lv.flat()) v = static_cast<double>(rng.uniform_int(8));
-      x.program_levels(lv);
-    };
-    Crossbar batched(cfg), looped(cfg);
-    program(batched);
-    program(looped);
-    ThreadPool pool(threads);
-    Matrix out;
-    for (int round = 0; round < 3; ++round) {
-      const auto v = make_batch(7 + round, 24, 31 + round);
-      batched.vmm_batch(v, out, &pool);
-      for (std::size_t s = 0; s < v.rows(); ++s) {
-        const auto row = v.row(s);
-        const auto ref = looped.vmm(std::vector<double>(row.begin(), row.end()));
-        for (std::size_t c = 0; c < ref.size(); ++c)
-          ASSERT_EQ(out(s, c), ref[c])
-              << "threads=" << threads << " round=" << round << " s=" << s
-              << " c=" << c;
-      }
-    }
-    const auto& a = batched.stats();
-    const auto& b = looped.stats();
-    EXPECT_EQ(a.vmm_ops, b.vmm_ops);
-    EXPECT_EQ(a.bit_reads, b.bit_reads);
-    EXPECT_EQ(a.bit_writes, b.bit_writes);
-    EXPECT_EQ(a.analog_writes, b.analog_writes);
-    EXPECT_EQ(a.logic_ops, b.logic_ops);
-    EXPECT_EQ(a.time_ns, b.time_ns);
-    EXPECT_EQ(a.energy_pj, b.energy_pj);
-    EXPECT_EQ(a.cache_full_rebuilds, b.cache_full_rebuilds);
-    EXPECT_EQ(a.cache_delta_updates, b.cache_delta_updates);
-    EXPECT_EQ(a.cache_dirty_cells, b.cache_dirty_cells);
-  }
+// vmm_batch is vmm() fanned out. At every tier, with read disturb on and
+// off, on active and passive arrays and at any pool size, a batch on one
+// array equals a vmm() loop over its rows on an identically built twin:
+// currents bitwise, then everything expect_same_state compares. At 2e-3 a
+// 16x16 array draws about one disturb hit every other read, so a tier-0
+// batch fans out in runs of one and more samples. A write between batches
+// leaves the next one a pending cache repair.
+TEST(CrossbarBatch, MatchesVmmLoop) {
+  constexpr std::size_t kN = 16;
+  int moved_batches = 0;
+  for (const auto tier : {FidelityTier::kFull, FidelityTier::kCalibrated,
+                          FidelityTier::kIdeal})
+    for (const double disturb : {0.0, 2e-3})
+      for (const bool passive : {false, true})
+        for (const std::size_t threads : {1u, 4u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tier=" << cim::crossbar::tier_name(tier)
+                       << " disturb=" << disturb << " passive=" << passive
+                       << " threads=" << threads);
+          auto cfg = xbar_cfg(23, kN);
+          cfg.passive_array = passive;
+          auto tech = cim::device::technology_params(cfg.tech);
+          tech.read_disturb_prob = disturb;
+          cfg.tech_override = tech;
+          Crossbar batched(cfg), looped(cfg);
+          for (Crossbar* x : {&batched, &looped}) {
+            Rng rng(24);
+            Matrix lv(kN, kN);
+            for (auto& v : lv.flat())
+              v = static_cast<double>(rng.uniform_int(8));
+            x->program_levels(lv);
+          }
+          ThreadPool pool(threads);
+          Matrix out;
+          std::vector<double> before(kN * kN);
+          for (int round = 0; round < 3; ++round) {
+            for (std::size_t i = 0; i < before.size(); ++i)
+              before[i] = batched.true_conductance(i / kN, i % kN);
+            const auto v = make_batch(7 + round, kN, 31 + round);
+            batched.vmm_batch(v, out, &pool, tier);
+            for (std::size_t i = 0; i < before.size(); ++i)
+              if (before[i] != batched.true_conductance(i / kN, i % kN)) {
+                ++moved_batches;
+                break;
+              }
+            for (std::size_t s = 0; s < v.rows(); ++s) {
+              const auto row = v.row(s);
+              const auto ref =
+                  looped.vmm(std::vector<double>(row.begin(), row.end()), tier);
+              for (std::size_t c = 0; c < ref.size(); ++c)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(out(s, c)),
+                          std::bit_cast<std::uint64_t>(ref[c]))
+                    << "round=" << round << " s=" << s << " c=" << c << ": "
+                    << out(s, c) << " vs " << ref[c];
+            }
+            cim::crossbar::expect_same_state(batched, looped);
+            const double g = batched.scheme().level_conductance_us(round);
+            batched.program_cell(round, 2 * round, g);
+            looped.program_cell(round, 2 * round, g);
+          }
+        }
+  // The disturb-on rows took the run path: some batch moved a cell.
+  EXPECT_GT(moved_batches, 0);
 }
 
 TEST(CrossbarBatch, TracksIdealVmm) {

@@ -20,7 +20,6 @@
 //   - normal_fill is BIT-IDENTICAL on every table, element-wise (a pure
 //     function of key and counter), and standard normal over 2^26 draws
 //     with support past 8 sigma,
-//   - dot_serial is the strict left-to-right escape hatch,
 //   - set_isa / table_for clamp unsupported requests downward.
 #include <gtest/gtest.h>
 
@@ -142,16 +141,6 @@ TEST(SimdKernels, DotMatchesScalarWithinUlps) {
         EXPECT_EQ(got, t.dot(a.data() + off, b.data() + off, n));
       }
     }
-  }
-}
-
-TEST(SimdKernels, DotSerialIsStrictLeftToRight) {
-  for (std::size_t n : kSizes) {
-    const auto a = make_vec(n, 31);
-    const auto b = make_vec(n, 47);
-    double ref = 0.0;
-    for (std::size_t i = 0; i < n; ++i) ref += a[i] * b[i];
-    EXPECT_EQ(kernels::dot_serial(a.data(), b.data(), n), ref) << "n=" << n;
   }
 }
 
