@@ -12,8 +12,10 @@
 /// circuit regardless of input count.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hpp"
+#include "device/technology.hpp"
 #include "eda/aig.hpp"
 #include "eda/flow.hpp"
 #include "eda/imply_mapper.hpp"
@@ -21,8 +23,9 @@
 #include "eda/majority_mapper.hpp"
 #include "eda/mig.hpp"
 #include "eda/revamp_isa.hpp"
-#include "eda/verify/pass.hpp"
+#include "eda/verify/access.hpp"
 #include "eda/verify/verify.hpp"
+#include "eda/verify/wear_cost.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -92,51 +95,60 @@ int main() {
     t.print(std::cout);
   }
 
-  // --- static pass pipeline timings + cross-tile hazard gate ------------------
-  // One shared PassManager accumulates per-pass wall time across the whole
-  // suite x 3 families; the suite-level run re-checks the cross-tile hazard
+  // --- static analysis timings + cross-tile hazard gate ----------------------
+  // The three analyses check_program runs, each timed on its own across the
+  // whole suite x 3 families: the family linter, the wear certificate
+  // (access sets + certify_wear) and the cost certificate (estimate_cost +
+  // certify_cost). The suite-level run re-checks that the cross-tile hazard
   // analyzer (round-robin tile pool) stays finding-free on mapper output.
   double pass_lint_ms = 0.0;
   double pass_wear_ms = 0.0;
   double pass_cost_ms = 0.0;
+  std::size_t runs = 0;
   std::size_t hazard_findings = 0;
   {
-    auto pm = eda::verify::PassManager::standard();
+    const eda::verify::VerifyOptions opts;
+    const auto tech = device::technology_params(opts.tech);
+    const auto time_analyses = [&](const auto& prog, auto&& lint) {
+      bench::WallTimer timer;
+      auto rep = lint();
+      pass_lint_ms += timer.elapsed_ms();
+      timer.restart();
+      eda::verify::certify_wear(eda::verify::access_of(prog), opts, 0, rep);
+      pass_wear_ms += timer.elapsed_ms();
+      timer.restart();
+      eda::verify::certify_cost(eda::verify::estimate_cost(prog, tech), {},
+                                rep);
+      pass_cost_ms += timer.elapsed_ms();
+      ++runs;
+    };
     for (const auto& bc : suite) {
       const eda::Aig aig = eda::Aig::from_netlist(bc.netlist);
       const auto iprog = eda::compile_imply(aig, true);
-      eda::verify::ProgramUnit iu;
-      iu.name = bc.name + "/IMPLY";
-      iu.imply = &iprog;
-      iu.aig = &aig;
-      pm.run(iu);
+      time_analyses(iprog,
+                    [&] { return eda::verify::lint_imply(iprog, &aig); });
       const auto nor = aig.to_netlist().to_nor_only();
       const auto mprog = eda::compile_magic(nor, true);
-      eda::verify::ProgramUnit mu;
-      mu.name = bc.name + "/MAGIC";
-      mu.magic = &mprog;
-      mu.netlist = &nor;
-      pm.run(mu);
+      time_analyses(mprog,
+                    [&] { return eda::verify::lint_magic(mprog, &nor); });
       const eda::Mig mig = eda::Mig::from_aig(aig);
       const auto rprog = eda::assemble_revamp(mig, eda::schedule_revamp(mig));
-      eda::verify::ProgramUnit ru;
-      ru.name = bc.name + "/Majority";
-      ru.revamp = &rprog;
-      pm.run(ru);
+      time_analyses(rprog, [&] { return eda::verify::lint_revamp(rprog); });
     }
     util::Table t({"pass", "runs", "wall ms"});
-    t.set_title("Static pass pipeline timings (suite x 3 families)");
-    for (const auto& pt : pm.timings()) {
-      char ms[32];
-      std::snprintf(ms, sizeof(ms), "%.3f", pt.wall_ms);
-      t.add_row({pt.name, std::to_string(pt.runs), ms});
-      if (pt.name == "family-lint") pass_lint_ms = pt.wall_ms;
-      if (pt.name == "wear-certify") pass_wear_ms = pt.wall_ms;
-      if (pt.name == "cost-certify") pass_cost_ms = pt.wall_ms;
+    t.set_title("Static analysis timings (suite x 3 families)");
+    const std::pair<const char*, double> rows[] = {
+        {"family-lint", pass_lint_ms},
+        {"wear-certify", pass_wear_ms},
+        {"cost-certify", pass_cost_ms}};
+    for (const auto& [name, ms] : rows) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.3f", ms);
+      t.add_row({name, std::to_string(runs), buf});
     }
     t.print(std::cout);
-    const auto reports = eda::run_suite(
-        suite, {.reuse_cells = true, .verify = false, .lint = true});
+    const auto reports =
+        eda::run_suite(suite, {.reuse_cells = true, .verify = false});
     for (const auto& r : reports) hazard_findings += r.hazard_findings;
     std::cout << "cross-tile hazard gate: "
               << (hazard_findings == 0 ? "clean" : "FINDINGS") << " ("
@@ -152,8 +164,7 @@ int main() {
       if (bc.netlist.num_inputs() > 9) continue;  // keep simulation cheap
       for (const auto family : eda::all_logic_families()) {
         const auto rep = eda::run_flow(bc.name, bc.netlist, family,
-                                       {.reuse_cells = true, .verify = true,
-                                        .lint = true});
+                                       {.reuse_cells = true, .verify = true});
         t.add_row({bc.name, std::string(eda::logic_family_name(family)),
                    rep.lint_clean ? "clean" : "DIRTY",
                    rep.verified ? "pass" : "FAIL"});

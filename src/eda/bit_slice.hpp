@@ -2,10 +2,11 @@
 /// \brief Word-level evaluation shared by the EDA flow: assignment 64k + j
 ///        rides bit j of word k, so each gate or micro-op is one host
 ///        instruction over 64 assignments — the host-side form of SIMD
-///        MAGIC [70], where one instruction fires on every lane. The
-///        functional verifiers (verify_imply, verify_magic, verify_revamp)
-///        run block by block; Netlist, Aig and Mig::truth_tables fill a
-///        table arena node by node.
+///        MAGIC [70], where one instruction fires on every lane. The exact
+///        walks of verify/wear_cost.cpp (behind estimate_cost and the
+///        functional verifiers) step every word of a cell per micro-op;
+///        Netlist, Aig and Mig::truth_tables fill a table arena node by
+///        node.
 #pragma once
 
 #include <cstddef>
@@ -30,27 +31,6 @@ inline std::uint64_t var_word(std::size_t i, std::size_t k) {
 /// Words of one table over `vars` variables.
 inline std::size_t table_words(std::size_t vars) {
   return vars < 6 ? 1 : std::size_t{1} << (vars - 6);
-}
-
-/// Runs `block(in, out)` once per block of 64 assignments of `num_inputs`
-/// variables: in[i] is input i's word and the block writes out[o] for every
-/// spec output. True iff every output word equals the spec's on every
-/// assignment (lanes past 2^inputs are ignored).
-template <class Block>
-bool every_block_matches(const std::vector<TruthTable>& spec,
-                         std::size_t num_inputs, Block&& block) {
-  const std::uint64_t assignments = 1ULL << num_inputs;
-  const std::uint64_t lanes =
-      assignments >= 64 ? ~0ULL : (1ULL << assignments) - 1;
-  std::vector<std::uint64_t> in(num_inputs);
-  std::vector<std::uint64_t> out(spec.size());
-  for (std::size_t k = 0; k < table_words(num_inputs); ++k) {
-    for (std::size_t i = 0; i < num_inputs; ++i) in[i] = var_word(i, k);
-    block(in, out);
-    for (std::size_t o = 0; o < spec.size(); ++o)
-      if (((out[o] ^ spec[o].word(k)) & lanes) != 0) return false;
-  }
-  return true;
 }
 
 /// One flat arena of width() words per node, for truth tables computed node

@@ -11,42 +11,31 @@
 #include "eda/mig.hpp"
 #include "eda/revamp_isa.hpp"
 #include "eda/verify/hazard.hpp"
-#include "eda/verify/pass.hpp"
 #include "eda/verify/verify.hpp"
+#include "eda/verify/wear_cost.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
 namespace {
 
-/// Folds a static-verification report into the flow report.
-void absorb_lint(FlowReport& rep, verify::VerifyReport&& lint) {
-  rep.lint_errors = lint.errors();
-  rep.lint_warnings = lint.warnings();
-  rep.lint_clean = lint.clean();
-  rep.max_writes_per_cell = lint.max_writes_per_cell;
-  rep.lint_diagnostics = std::move(lint.diagnostics);
-}
-
-/// Runs the standard static pass pipeline over `unit`, absorbing the
-/// aggregated diagnostics plus the wear/cost certificates. When `keep` is
+/// Folds a program's static check into the flow report. When `keep` is
 /// non-null the program's access sets (which run_suite schedules across
-/// the hazard tile pool) are copied out.
-void run_passes(FlowReport& rep, const verify::ProgramUnit& unit,
-                verify::ProgramAccess* keep) {
-  verify::PassManager pm = verify::PassManager::standard();
-  verify::AnalysisResults results;
-  absorb_lint(rep, pm.run(unit, results));
-  const auto& cost = results.cost(unit);
-  rep.static_time_ns = cost.time_ns;
-  rep.static_energy_pj_min = cost.energy_pj_min;
-  rep.static_energy_pj_exp = cost.energy_pj_exp;
-  rep.static_energy_pj_max = cost.energy_pj_max;
-  rep.static_cost_exact = cost.exact_expectation;
-  const auto& access = results.access(unit);
-  rep.static_max_writes_per_cell = access.max_write_bound();
-  if (results.wear())
-    rep.certified_evaluations = results.wear()->certified_evaluations;
-  if (keep != nullptr) *keep = access;
+/// the hazard tile pool) are moved out.
+void absorb_check(FlowReport& rep, verify::ProgramCheck&& chk,
+                  verify::ProgramAccess* keep) {
+  rep.lint_errors = chk.report.errors();
+  rep.lint_warnings = chk.report.warnings();
+  rep.lint_clean = chk.report.clean();
+  rep.max_writes_per_cell = chk.report.max_writes_per_cell;
+  rep.lint_diagnostics = std::move(chk.report.diagnostics);
+  rep.static_time_ns = chk.cost.time_ns;
+  rep.static_energy_pj_min = chk.cost.energy_pj_min;
+  rep.static_energy_pj_exp = chk.cost.energy_pj_exp;
+  rep.static_energy_pj_max = chk.cost.energy_pj_max;
+  rep.static_cost_exact = chk.cost.exact_expectation;
+  rep.static_max_writes_per_cell = chk.access.max_write_bound();
+  rep.certified_evaluations = chk.wear.certified_evaluations;
+  if (keep != nullptr) *keep = std::move(chk.access);
 }
 
 /// Assigns the suite's compiled programs round-robin onto a small tile
@@ -139,24 +128,16 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
     rep.bdd_nodes = bdd.size(bdd.from_truth_table(tt));
   }
 
-  // Phase 3: technology mapping, then the static pass pipeline over the
-  // mapped micro-op program (family linter + wear/cost certification).
+  // Phase 3: technology mapping, then the static checks of the mapped
+  // micro-op program (family linter + wear/cost certification).
   CIM_OBS_SPAN("eda.flow.map", obs::Component::kDigital);
-  verify::ProgramUnit unit;
-  unit.name = name + "/" + std::string(logic_family_name(family));
-  unit.planned_evaluations = opts.planned_evaluations;
-  unit.cost_budget = opts.cost_budget;
   switch (family) {
     case LogicFamily::kImply: {
       const auto prog = compile_imply(aig, opts.reuse_cells);
       rep.devices = prog.num_cells;
       rep.delay = prog.delay();
       if (opts.verify) rep.verified = verify_imply(prog, aig);
-      if (opts.lint) {
-        unit.imply = &prog;
-        unit.aig = &aig;
-        run_passes(rep, unit, keep_access);
-      }
+      absorb_check(rep, verify::check_program(prog, &aig), keep_access);
       break;
     }
     case LogicFamily::kMajority: {
@@ -166,10 +147,7 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
       // Verify and lint the one program the hardware runs.
       const auto prog = assemble_revamp(mig, sched);
       if (opts.verify) rep.verified = verify_revamp(prog, mig);
-      if (opts.lint) {
-        unit.revamp = &prog;
-        run_passes(rep, unit, keep_access);
-      }
+      absorb_check(rep, verify::check_program(prog), keep_access);
       break;
     }
     case LogicFamily::kMagic: {
@@ -178,11 +156,7 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
       rep.devices = prog.num_cells;
       rep.delay = prog.delay();
       if (opts.verify) rep.verified = verify_magic(prog, nor);
-      if (opts.lint) {
-        unit.magic = &prog;
-        unit.netlist = &nor;
-        run_passes(rep, unit, keep_access);
-      }
+      absorb_check(rep, verify::check_program(prog, &nor), keep_access);
       break;
     }
   }
@@ -207,9 +181,8 @@ std::vector<FlowReport> run_suite(const std::vector<BenchmarkCircuit>& suite,
   for (const auto& bc : suite) {
     for (const auto family : all_logic_families()) {
       SuiteScheduleEntry entry;
-      reports.push_back(run_flow_impl(bc.name, bc.netlist, family, opts,
-                                      opts.lint ? &entry.access : nullptr));
-      if (!opts.lint) continue;
+      reports.push_back(
+          run_flow_impl(bc.name, bc.netlist, family, opts, &entry.access));
       entry.name = reports.back().circuit + "/" +
                    std::string(logic_family_name(family));
       entry.duration_ns = reports.back().static_time_ns;

@@ -39,9 +39,9 @@ struct FlowReport {
   std::size_t delay = 0;        ///< steps
   double area_delay_product = 0.0;
   bool verified = false;        ///< mapping simulated == specification
-  // Static verification (the `cim-lint` pass pipeline; see
-  // eda/verify/pass.hpp). Diagnostics aggregate the family linter plus the
-  // wear and cost certification passes.
+  // Static verification (verify::check_program, as `cim-lint` runs it;
+  // see eda/verify/wear_cost.hpp). Diagnostics aggregate the family linter
+  // plus the wear and cost certificates.
   bool lint_clean = true;       ///< no static-analysis errors
   std::size_t lint_errors = 0;
   std::size_t lint_warnings = 0;
@@ -71,16 +71,10 @@ struct FlowReport {
 struct FlowOptions {
   bool reuse_cells = true;   ///< area-constrained mapping for IMPLY/MAGIC
   bool verify = true;        ///< exhaustively simulate each mapping
-  bool lint = true;          ///< run the static pass pipeline per program
-  /// Planned lifetime evaluations for the wear-budget gate (0: report the
-  /// certificate without gating).
-  std::uint64_t planned_evaluations = 0;
-  /// Per-execution cost budget for the cost-budget gate (0-dimensions are
-  /// unconstrained).
-  verify::CostBudget cost_budget{};
 };
 
-/// Runs the full flow for one circuit and one family.
+/// Runs the full flow for one circuit and one family; every program gets
+/// verify::check_program without a wear or cost gate.
 FlowReport run_flow(const std::string& name, const Netlist& circuit,
                     LogicFamily family, const FlowOptions& opts = {});
 

@@ -1,9 +1,7 @@
 #include "eda/imply_mapper.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -187,36 +185,6 @@ std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
     span.add_energy_pj(xbar.stats().energy_pj - e0);
   }
   return out;
-}
-
-bool verify_imply(const ImplyProgram& prog, const Aig& aig) {
-  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
-  const auto spec = aig.truth_tables();
-  // A program the executor could not run is wrong, never undefined.
-  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
-  if (prog.num_inputs != aig.num_inputs() || prog.num_inputs > prog.num_cells ||
-      prog.output_cells.size() != spec.size())
-    return false;
-  for (const auto& ins : prog.instrs)
-    if (!in_row(ins.dest) ||
-        (ins.kind == ImplyInstr::Kind::kImply && !in_row(ins.src)))
-      return false;
-  for (const auto c : prog.output_cells)
-    if (!in_row(c)) return false;
-
-  std::vector<std::uint64_t> cell(prog.num_cells);
-  return detail::every_block_matches(
-      spec, prog.num_inputs, [&](const auto& in, auto& out) {
-        // A fresh row: every cell RESET, then the inputs launched.
-        std::fill(cell.begin(), cell.end(), 0);
-        std::copy(in.begin(), in.end(), cell.begin());
-        for (const auto& ins : prog.instrs)
-          cell[ins.dest] = ins.kind == ImplyInstr::Kind::kFalse
-                               ? 0
-                               : ~cell[ins.dest] | cell[ins.src];
-        for (std::size_t o = 0; o < out.size(); ++o)
-          out[o] = cell[prog.output_cells[o]];
-      });
 }
 
 }  // namespace cim::eda

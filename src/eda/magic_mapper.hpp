@@ -54,10 +54,11 @@ std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
                                 const MagicProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
 
-/// Exhaustive check against the netlist's truth tables: a word-level
-/// SET/NOR interpreter runs 64 assignments per pass, each cell one
-/// uint64_t. False for a malformed program (counts that differ from the
-/// netlist, a cell past num_cells, or a NOR with no inputs).
+/// Exhaustive check against the netlist's truth tables: the exact word walk
+/// behind verify::estimate_cost (verify/wear_cost.cpp) runs the program on
+/// every assignment, 64 per word. False for a malformed program (counts
+/// that differ from the netlist, a cell past num_cells, or a NOR with no
+/// inputs).
 bool verify_magic(const MagicProgram& prog, const Netlist& nor_netlist);
 
 }  // namespace cim::eda

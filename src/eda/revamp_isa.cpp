@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "eda/bit_slice.hpp"
 #include "obs/obs.hpp"
 
 namespace cim::eda {
@@ -255,77 +254,6 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
     span.add_energy_pj(xbar.stats().energy_pj - e0);
   }
   return out;
-}
-
-bool verify_revamp(const RevampProgram& prog, const Mig& mig) {
-  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
-  const auto spec = mig.truth_tables();
-  if (prog.num_inputs != mig.num_inputs() || prog.outputs.size() != spec.size())
-    return false;
-  // A program the executor could not run is wrong, never undefined: check
-  // every index, and that each DMR operand's row was latched by an earlier
-  // READ (in program order, so it holds for every assignment).
-  std::vector<bool> latched(prog.wordlines, false);
-  const auto valid = [&](const RevampOperand& op) {
-    if (op.src == RevampOperand::Src::kInput)
-      return op.input_index < prog.num_inputs;
-    if (op.src == RevampOperand::Src::kDmr)
-      return op.dmr_row < prog.wordlines && op.dmr_col < prog.bitlines &&
-             latched[op.dmr_row];
-    return true;
-  };
-  for (const auto& ins : prog.instrs) {
-    if (ins.wordline >= prog.wordlines) return false;
-    if (ins.kind == RevampInstruction::Kind::kRead) {
-      latched[ins.wordline] = true;
-      continue;
-    }
-    if (!valid(ins.wl) || ins.columns.size() > prog.bitlines) return false;
-    for (const auto& col : ins.columns)
-      if (col && !valid(*col)) return false;
-  }
-  for (const auto& o : prog.outputs)
-    if (!valid(o)) return false;
-
-  const std::size_t width = prog.bitlines;
-  std::vector<std::uint64_t> cell(prog.wordlines * width);
-  std::vector<std::uint64_t> dmr(cell.size());
-  return detail::every_block_matches(
-      spec, prog.num_inputs, [&](const auto& in, auto& out) {
-        const auto word = [&](const RevampOperand& op) {
-          std::uint64_t v = 0;
-          switch (op.src) {
-            case RevampOperand::Src::kConst0: v = 0; break;
-            case RevampOperand::Src::kConst1: v = ~0ULL; break;
-            case RevampOperand::Src::kInput: v = in[op.input_index]; break;
-            case RevampOperand::Src::kDmr:
-              v = dmr[op.dmr_row * width + op.dmr_col];
-              break;
-          }
-          return op.complemented ? ~v : v;
-        };
-        // A fresh array: every cell RESET. The DMR needs no reset, since
-        // each operand's row is re-latched before it is read.
-        std::fill(cell.begin(), cell.end(), 0);
-        for (const auto& ins : prog.instrs) {
-          const std::size_t row = ins.wordline * width;
-          if (ins.kind == RevampInstruction::Kind::kRead) {
-            std::copy_n(cell.begin() + static_cast<std::ptrdiff_t>(row), width,
-                        dmr.begin() + static_cast<std::ptrdiff_t>(row));
-            continue;
-          }
-          const std::uint64_t wl = word(ins.wl);
-          for (std::size_t c = 0; c < ins.columns.size(); ++c) {
-            if (!ins.columns[c]) continue;
-            // NS = MAJ3(S, V_wl, !V_bl).
-            const std::uint64_t s = cell[row + c];
-            const std::uint64_t b = ~word(*ins.columns[c]);
-            cell[row + c] = (s & wl) | (s & b) | (wl & b);
-          }
-        }
-        for (std::size_t o = 0; o < out.size(); ++o)
-          out[o] = word(prog.outputs[o]);
-      });
 }
 
 }  // namespace cim::eda

@@ -59,7 +59,7 @@ struct CellInfo {
 /// Flat cell-state table with write accounting, and a node index: per
 /// source node below the index size, the cells it was made resident in.
 /// Every write of a `CellInfo::node` other than kNoNode goes through
-/// `set_node`; a direct kNoNode write (as `join_cell` makes) is safe.
+/// `set_node`; a direct kNoNode write is safe.
 class CellTable {
  public:
   explicit CellTable(std::size_t cells, std::size_t nodes = 0)

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "eda/verify/cell_state.hpp"
-#include "eda/verify/dataflow.hpp"
 #include "eda/verify/verify.hpp"
 
 namespace cim::eda::verify {
@@ -131,9 +130,8 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     return true;
   };
 
-  // --- the abstract walk, hosted on the dataflow driver ---------------------
-  run_straight_line(prog.instrs.size(), cells, [&](CellTable& cells,
-                                                   std::size_t i) {
+  // --- the abstract walk: one in-place sweep of the branch-free program ---
+  for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     const auto& ins = prog.instrs[i];
     if (ins.kind == ImplyInstr::Kind::kFalse) {
       if (check_write(i, ins.dest)) {
@@ -162,7 +160,7 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
         consume_node(Aig::node_of(nd.fanin1));
       }
     }
-  });
+  }
 
   // --- output-cell reachability ---------------------------------------------
   if (live && prog.output_cells.size() != source->outputs().size())

@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "eda/verify/cell_state.hpp"
-#include "eda/verify/dataflow.hpp"
 #include "eda/verify/verify.hpp"
 
 namespace cim::eda::verify {
@@ -104,11 +103,10 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     }
   };
 
-  // --- the abstract walk, hosted on the dataflow driver ---------------------
+  // --- the abstract walk: one in-place sweep of the branch-free program ---
   std::vector<std::size_t> resident_nodes;  // per NOR: nodes its cells hold
   std::vector<std::size_t> expected;        // per NOR: its live fanins
-  run_straight_line(prog.instrs.size(), cells, [&](CellTable& cells,
-                                                   std::size_t i) {
+  for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     const auto& ins = prog.instrs[i];
     if (live && ins.node < source->num_nodes()) advance_to(ins.node);
 
@@ -116,7 +114,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
       diag(Severity::kError, Rule::kOobCell, i, ins.out_cell,
            std::string(ins.kind == MagicInstr::Kind::kSet ? "SET" : "NOR") +
                " drives a cell outside the program footprint");
-      return;
+      continue;
     }
     auto& out = cells[ins.out_cell];
 
@@ -132,7 +130,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
       cells.record_write(ins.out_cell, i);
       out.state = CellState::kSet;
       cells.set_node(ins.out_cell, kNoNode);
-      return;
+      continue;
     }
 
     // kNor: read every input cell.
@@ -201,7 +199,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
       consume_gate(ins.node);
       gate_cursor = std::max(gate_cursor, ins.node + 1);
     }
-  });
+  }
   if (live) advance_to(source->num_nodes());
 
   // --- output-cell reachability ---------------------------------------------

@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "eda/verify/cell_state.hpp"
-#include "eda/verify/dataflow.hpp"
 #include "eda/verify/verify.hpp"
 
 namespace cim::eda::verify {
@@ -117,16 +116,15 @@ VerifyReport lint_revamp(const RevampProgram& prog,
     }
   };
 
-  // --- the abstract walk, hosted on the dataflow driver ---------------------
-  run_straight_line(prog.instrs.size(), cells, [&](CellTable& cells,
-                                                   std::size_t i) {
+  // --- the abstract walk: one in-place sweep of the branch-free program ---
+  for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     const auto& ins = prog.instrs[i];
     if (ins.wordline >= W) {
       std::ostringstream os;
       os << (ins.kind == RevampInstruction::Kind::kRead ? "READ" : "APPLY")
          << " addresses wordline " << ins.wordline << " of " << W;
       diag(Severity::kError, Rule::kOobCell, i, kNoCell, os.str());
-      return;
+      continue;
     }
 
     if (ins.kind == RevampInstruction::Kind::kRead) {
@@ -137,7 +135,7 @@ VerifyReport lint_revamp(const RevampProgram& prog,
       for (std::size_t c = 0; c < B; ++c)
         latch.valid[c] =
             cells[flat(ins.wordline, c)].state != CellState::kUnknown;
-      return;
+      continue;
     }
 
     // kApply.
@@ -176,7 +174,7 @@ VerifyReport lint_revamp(const RevampProgram& prog,
       wrote = true;
     }
     if (wrote) ++write_version[ins.wordline];
-  });
+  }
 
   // --- output taps ----------------------------------------------------------
   for (std::size_t k = 0; k < prog.outputs.size(); ++k)

@@ -8,6 +8,7 @@
 
 #include "eda/bit_slice.hpp"
 #include "obs/health.hpp"
+#include "obs/obs.hpp"
 
 namespace cim::eda::verify {
 namespace {
@@ -75,10 +76,11 @@ class WordDomain {
   static V or_(V a, V b) { return a | b; }
   static V and_(V a, V b) { return a & b; }
   static V maj(V a, V b, V c) { return (a & b) | (a & c) | (b & c); }
+  /// Below 6 variables only the low 2^vars lanes are assignments.
+  V lanes() const { return vars_ < 6 ? (1ULL << (1ULL << vars_)) - 1 : ~0ULL; }
   template <typename Lane>
   double p(Lane&& lane) const {
-    // Below 6 variables only the low 2^vars lanes are assignments.
-    const V valid = vars_ < 6 ? (1ULL << (1ULL << vars_)) - 1 : ~0ULL;
+    const V valid = lanes();
     std::uint64_t ones = 0;
     for (std::size_t k = 0; k < words(); ++k)
       ones += static_cast<std::uint64_t>(std::popcount(lane(k) & valid));
@@ -108,10 +110,16 @@ class ProbDomain {
 };
 
 // --- per-family walkers ------------------------------------------------------
+//
+// Each walk is its family's one interpreter: a fresh row (every cell RESET),
+// the inputs launched, then every micro-op on all of a cell's lanes. With
+// `outs` set it appends each output's lanes after the program ran, which
+// the functional verifiers compare with the specification.
 
 template <typename D>
-CostEstimate cost_imply(const ImplyProgram& prog,
-                        const device::TechnologyParams& tech) {
+CostEstimate walk(const ImplyProgram& prog,
+                  const device::TechnologyParams& tech,
+                  std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
@@ -146,12 +154,16 @@ CostEstimate cost_imply(const ImplyProgram& prog,
   for (const auto c : prog.output_cells)
     acc.sensed_read(
         c < n ? dom.p([&](std::size_t k) { return val[c * L + k]; }) : 0.0);
+  if (outs != nullptr)
+    for (const auto c : prog.output_cells)
+      outs->insert(outs->end(), &val[c * L], &val[c * L] + L);
   return acc.est;
 }
 
 template <typename D>
-CostEstimate cost_magic(const MagicProgram& prog,
-                        const device::TechnologyParams& tech) {
+CostEstimate walk(const MagicProgram& prog,
+                  const device::TechnologyParams& tech,
+                  std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
@@ -169,12 +181,16 @@ CostEstimate cost_magic(const MagicProgram& prog,
         std::fill_n(&val[ins.out_cell * L], L, dom.constant(true));
       continue;
     }
-    // NOR conditionally RESETs: fires iff any input holds 1.
+    // NOR conditionally RESETs the output where any input holds 1 (the
+    // executor's out & !any); the pulse fires iff any input holds 1.
     acc.conditional(dom.p([&](std::size_t k) {
       auto any = dom.constant(false);
       for (const auto c : ins.in_cells)
         if (c < n) any = D::or_(any, val[c * L + k]);
-      if (ins.out_cell < n) val[ins.out_cell * L + k] = D::not_(any);
+      if (ins.out_cell < n) {
+        V& out = val[ins.out_cell * L + k];
+        out = D::and_(out, D::not_(any));
+      }
       return any;
     }));
   }
@@ -184,12 +200,21 @@ CostEstimate cost_magic(const MagicProgram& prog,
     acc.sensed_read(
         c < n ? dom.p([&](std::size_t j) { return val[c * L + j]; }) : 0.0);
   }
+  if (outs != nullptr)
+    for (std::size_t k = 0; k < prog.output_cells.size(); ++k) {
+      if (prog.output_is_const[k])
+        outs->insert(outs->end(), L, dom.constant(prog.const_values[k]));
+      else
+        outs->insert(outs->end(), &val[prog.output_cells[k] * L],
+                     &val[prog.output_cells[k] * L] + L);
+    }
   return acc.est;
 }
 
 template <typename D>
-CostEstimate cost_revamp(const RevampProgram& prog,
-                         const device::TechnologyParams& tech) {
+CostEstimate walk(const RevampProgram& prog,
+                  const device::TechnologyParams& tech,
+                  std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t W = prog.wordlines;
@@ -246,41 +271,86 @@ CostEstimate cost_revamp(const RevampProgram& prog,
     }
   }
   // Output taps resolve from DMR/PIR/constants — nothing charged.
+  if (outs != nullptr)
+    for (const auto& op : prog.outputs)
+      for (std::size_t k = 0; k < L; ++k) outs->push_back(resolve(op, k));
   return acc.est;
 }
 
-template <typename WalkFn, typename ProbWalkFn>
-CostEstimate dispatch(std::size_t num_inputs, WalkFn&& exact,
-                      ProbWalkFn&& approx) {
-  if (num_inputs <= kExactCostInputCap) {
-    auto est = exact();
+/// The exact walk up to kExactCostInputCap inputs, the approximate one past.
+template <typename Prog>
+CostEstimate estimate(const Prog& prog, const device::TechnologyParams& tech) {
+  if (prog.num_inputs <= kExactCostInputCap) {
+    auto est = walk<WordDomain>(prog, tech);
     est.exact_expectation = true;
     return est;
   }
-  return approx();
+  return walk<ProbDomain>(prog, tech);
+}
+
+/// True iff the exact walk of `prog` leaves every output equal to the
+/// spec's table on every assignment. The walk's cost is dropped.
+template <typename Prog>
+bool walk_matches(const Prog& prog, const std::vector<TruthTable>& spec) {
+  std::vector<std::uint64_t> words;
+  walk<WordDomain>(prog, device::TechnologyParams{}, &words);
+  const WordDomain dom(prog.num_inputs);
+  const std::size_t L = dom.words();
+  for (std::size_t o = 0; o < spec.size(); ++o)
+    for (std::size_t k = 0; k < L; ++k)
+      if (((words[o * L + k] ^ spec[o].word(k)) & dom.lanes()) != 0)
+        return false;
+  return true;
+}
+
+/// The access sets and both certificates of `prog`, their diagnostics
+/// appended to its `lint` report.
+template <typename Prog>
+ProgramCheck certify(const Prog& prog, VerifyReport&& lint,
+                     const CheckOptions& opts) {
+  ProgramCheck chk{std::move(lint), access_of(prog), {}, {}};
+  VerifyReport& rep = chk.report;
+  chk.wear =
+      certify_wear(chk.access, opts.verify, opts.planned_evaluations, rep);
+  rep.max_writes_per_cell =
+      std::max(rep.max_writes_per_cell, chk.access.max_write_bound());
+  rep.cells_tracked =
+      std::max(rep.cells_tracked, chk.access.rows * chk.access.cols);
+  chk.cost = estimate_cost(prog, device::technology_params(opts.verify.tech));
+  certify_cost(chk.cost, opts.cost_budget, rep);
+  return chk;
 }
 
 }  // namespace
 
+ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
+                           const CheckOptions& opts) {
+  return certify(prog, lint_imply(prog, source, opts.verify), opts);
+}
+
+ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
+                           const CheckOptions& opts) {
+  return certify(prog, lint_magic(prog, source, opts.verify), opts);
+}
+
+ProgramCheck check_program(const RevampProgram& prog,
+                           const CheckOptions& opts) {
+  return certify(prog, lint_revamp(prog, opts.verify), opts);
+}
+
 CostEstimate estimate_cost(const ImplyProgram& prog,
                            const device::TechnologyParams& tech) {
-  return dispatch(
-      prog.num_inputs, [&] { return cost_imply<WordDomain>(prog, tech); },
-      [&] { return cost_imply<ProbDomain>(prog, tech); });
+  return estimate(prog, tech);
 }
 
 CostEstimate estimate_cost(const MagicProgram& prog,
                            const device::TechnologyParams& tech) {
-  return dispatch(
-      prog.num_inputs, [&] { return cost_magic<WordDomain>(prog, tech); },
-      [&] { return cost_magic<ProbDomain>(prog, tech); });
+  return estimate(prog, tech);
 }
 
 CostEstimate estimate_cost(const RevampProgram& prog,
                            const device::TechnologyParams& tech) {
-  return dispatch(
-      prog.num_inputs, [&] { return cost_revamp<WordDomain>(prog, tech); },
-      [&] { return cost_revamp<ProbDomain>(prog, tech); });
+  return estimate(prog, tech);
 }
 
 void certify_cost(const CostEstimate& cost, const CostBudget& budget,
@@ -373,3 +443,84 @@ void write_static_wear_json(std::ostream& os,
 }
 
 }  // namespace cim::eda::verify
+
+// --- functional verification over the exact walk -----------------------------
+//
+// Each verifier checks that the executor could run the program (a malformed
+// program is wrong, never undefined), then compares the outputs of its
+// family's exact walk with the specification.
+
+namespace cim::eda {
+
+bool verify_imply(const ImplyProgram& prog, const Aig& aig) {
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = aig.truth_tables();
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  if (prog.num_inputs != aig.num_inputs() || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != spec.size())
+    return false;
+  for (const auto& ins : prog.instrs)
+    if (!in_row(ins.dest) ||
+        (ins.kind == ImplyInstr::Kind::kImply && !in_row(ins.src)))
+      return false;
+  for (const auto c : prog.output_cells)
+    if (!in_row(c)) return false;
+
+  return verify::walk_matches(prog, spec);
+}
+
+bool verify_magic(const MagicProgram& prog, const Netlist& nl) {
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = nl.truth_tables();
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  const std::size_t outs = spec.size();
+  if (prog.num_inputs != nl.num_inputs() || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != outs || prog.output_is_const.size() != outs ||
+      prog.const_values.size() != outs)
+    return false;
+  for (const auto& ins : prog.instrs) {
+    if (!in_row(ins.out_cell)) return false;
+    if (ins.kind != MagicInstr::Kind::kNor) continue;
+    if (ins.in_cells.empty()) return false;
+    for (const auto c : ins.in_cells)
+      if (!in_row(c)) return false;
+  }
+  for (std::size_t k = 0; k < outs; ++k)
+    if (!prog.output_is_const[k] && !in_row(prog.output_cells[k])) return false;
+
+  return verify::walk_matches(prog, spec);
+}
+
+bool verify_revamp(const RevampProgram& prog, const Mig& mig) {
+  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
+  const auto spec = mig.truth_tables();
+  if (prog.num_inputs != mig.num_inputs() || prog.outputs.size() != spec.size())
+    return false;
+  // Every DMR operand's row must be latched by an earlier READ (in program
+  // order, so it holds for every assignment).
+  std::vector<bool> latched(prog.wordlines, false);
+  const auto valid = [&](const RevampOperand& op) {
+    if (op.src == RevampOperand::Src::kInput)
+      return op.input_index < prog.num_inputs;
+    if (op.src == RevampOperand::Src::kDmr)
+      return op.dmr_row < prog.wordlines && op.dmr_col < prog.bitlines &&
+             latched[op.dmr_row];
+    return true;
+  };
+  for (const auto& ins : prog.instrs) {
+    if (ins.wordline >= prog.wordlines) return false;
+    if (ins.kind == RevampInstruction::Kind::kRead) {
+      latched[ins.wordline] = true;
+      continue;
+    }
+    if (!valid(ins.wl) || ins.columns.size() > prog.bitlines) return false;
+    for (const auto& col : ins.columns)
+      if (col && !valid(*col)) return false;
+  }
+  for (const auto& o : prog.outputs)
+    if (!valid(o)) return false;
+
+  return verify::walk_matches(prog, spec);
+}
+
+}  // namespace cim::eda

@@ -41,6 +41,17 @@
 /// per-cell probability propagation takes over. Stochastic write
 /// variation and read noise are zero-mean, so measured energy converges to
 /// the expectation (the `bench_fig8_eda_flow` gate checks 15%).
+///
+/// The exact walk is each family's one word-level interpreter:
+/// `verify_imply`, `verify_magic` and `verify_revamp` (declared with their
+/// mappers, defined in wear_cost.cpp) compare its output words with the
+/// specification at any input count.
+///
+/// **Program check.** `check_program` runs every static check of one
+/// compiled program in order — the family linter, the access sets, the wear
+/// certificate, the cost estimate and the cost certificate — and returns
+/// one report with the linter's diagnostics first, then the wear and the
+/// cost-budget diagnostics. The flow and `cim-lint` both call it.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +124,36 @@ struct StaticWearEntry {
   std::string name;
   const ProgramAccess* access = nullptr;
 };
+
+/// What `check_program` checks against, besides the linter's options.
+struct CheckOptions {
+  VerifyOptions verify;
+  /// Planned lifetime evaluations for the wear certificate (0: report the
+  /// certificate without gating).
+  std::uint64_t planned_evaluations = 0;
+  /// Per-execution cost budget (0 dimensions are unconstrained).
+  CostBudget cost_budget{};
+};
+
+/// Every static fact about one program. `report` holds the linter's
+/// diagnostics, then the wear and the cost-budget diagnostics;
+/// `max_writes_per_cell` and `cells_tracked` take the max over the linter
+/// and the access sets.
+struct ProgramCheck {
+  VerifyReport report;
+  ProgramAccess access;
+  WearCertificate wear;
+  CostEstimate cost;
+};
+
+/// Runs lint_imply (liveness rules when `source` is set), access_of,
+/// certify_wear, estimate_cost and certify_cost, in that order.
+ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
+                           const CheckOptions& opts = {});
+ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
+                           const CheckOptions& opts = {});
+ProgramCheck check_program(const RevampProgram& prog,
+                           const CheckOptions& opts = {});
 
 /// Writes the per-cell static write bounds in the `cim-health-heatmap-v1`
 /// JSON schema (wear = write bound, adc_samples = sensed reads per column;

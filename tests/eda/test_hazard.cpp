@@ -197,8 +197,7 @@ TEST(HazardIsolation, NonPositiveDurationIsAlwaysActive) {
 // back clean for the whole standard suite.
 TEST(HazardSweep, StandardSuiteSchedulesClean) {
   const auto reports =
-      run_suite(standard_suite(), {.reuse_cells = true, .verify = false,
-                                   .lint = true});
+      run_suite(standard_suite(), {.reuse_cells = true, .verify = false});
   ASSERT_FALSE(reports.empty());
   for (const auto& r : reports) {
     EXPECT_TRUE(r.hazard_clean)

@@ -332,7 +332,7 @@ TEST(VerifyPositive, CompiledProgramsAreClean) {
 TEST(VerifyPositive, FlowReportsCarryLintVerdict) {
   const auto nl = majority_n(5);
   const auto rep = run_flow("maj5", nl, LogicFamily::kMagic,
-                            {.reuse_cells = true, .verify = true, .lint = true});
+                            {.reuse_cells = true, .verify = true});
   EXPECT_TRUE(rep.lint_clean);
   EXPECT_EQ(rep.lint_errors, 0u);
   EXPECT_TRUE(rep.verified);

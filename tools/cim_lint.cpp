@@ -2,12 +2,12 @@
 /// \brief `cim-lint` — offline static analysis of dumped micro-op programs.
 ///
 /// Reads one or more `cim-prog-v1` files (see eda/verify/program_io.hpp;
-/// `-` reads stdin), runs the standard verification pipeline over each
-/// (family linter, wear certificate, cost certificate), and — when a tile
-/// pool is given — checks the whole batch for cross-tile scheduling
-/// hazards as if the programs were dispatched concurrently. Exit status is
-/// 0 when every program is clean, 1 on any error-severity diagnostic, and
-/// 2 on usage/parse failures.
+/// `-` reads stdin), runs `verify::check_program` over each (family linter,
+/// wear certificate, cost certificate), and — when a tile pool is given —
+/// checks the whole batch for cross-tile scheduling hazards as if the
+/// programs were dispatched concurrently. Exit status is 0 when every
+/// program is clean, 1 on any error-severity diagnostic, and 2 on
+/// usage/parse failures.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -15,11 +15,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "device/technology.hpp"
 #include "eda/verify/hazard.hpp"
-#include "eda/verify/pass.hpp"
 #include "eda/verify/program_io.hpp"
 #include "eda/verify/verify.hpp"
 #include "eda/verify/wear_cost.hpp"
@@ -53,7 +53,6 @@ void print_usage(std::ostream& os) {
         "                          hazard check (default 8)\n"
         "  --wear-json <path>      export static per-cell write bounds in\n"
         "                          cim-health-heatmap-v1 JSON\n"
-        "  --timings               print per-pass wall-clock totals\n"
         "  --quiet                 verdicts only, no diagnostics\n"
         "  -h, --help              this message\n";
 }
@@ -69,13 +68,10 @@ std::optional<device::Technology> parse_tech(const std::string& name) {
 }
 
 struct Options {
-  verify::VerifyOptions verify;
-  std::uint64_t planned_evals = 0;
-  verify::CostBudget budget{};
+  verify::CheckOptions check;
   std::size_t tiles = 0;
   std::size_t adcs = 8;
   std::string wear_json;
-  bool timings = false;
   bool quiet = false;
   std::vector<std::string> files;
 };
@@ -106,13 +102,13 @@ std::optional<Options> parse_args(int argc, char** argv) {
         std::cerr << "cim-lint: unknown technology '" << v << "'\n";
         return std::nullopt;
       }
-      opt.verify.tech = *tech;
+      opt.check.verify.tech = *tech;
     } else if (arg == "--planned-evals") {
-      if (!number(i, opt.planned_evals)) return std::nullopt;
+      if (!number(i, opt.check.planned_evaluations)) return std::nullopt;
     } else if (arg == "--time-budget-ns") {
-      if (!number(i, opt.budget.time_ns)) return std::nullopt;
+      if (!number(i, opt.check.cost_budget.time_ns)) return std::nullopt;
     } else if (arg == "--energy-budget-pj") {
-      if (!number(i, opt.budget.energy_pj)) return std::nullopt;
+      if (!number(i, opt.check.cost_budget.energy_pj)) return std::nullopt;
     } else if (arg == "--tiles") {
       if (!number(i, opt.tiles)) return std::nullopt;
     } else if (arg == "--adcs") {
@@ -121,8 +117,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       const char* v = value(i);
       if (v == nullptr) return std::nullopt;
       opt.wear_json = v;
-    } else if (arg == "--timings") {
-      opt.timings = true;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "-") {
@@ -143,10 +137,18 @@ std::optional<Options> parse_args(int argc, char** argv) {
 
 struct Analyzed {
   std::string name;
-  verify::ParsedProgram program;
   verify::ProgramAccess access;
-  verify::VerifyReport report;
 };
+
+/// The program's family tag and its static check.
+std::pair<const char*, verify::ProgramCheck> check(
+    const verify::ParsedProgram& p, const verify::CheckOptions& opts) {
+  if (p.family == verify::ProgramFamily::kImply)
+    return {"IMPLY", verify::check_program(p.imply, nullptr, opts)};
+  if (p.family == verify::ProgramFamily::kMagic)
+    return {"MAGIC", verify::check_program(p.magic, nullptr, opts)};
+  return {"ReVAMP", verify::check_program(p.revamp, opts)};
+}
 
 }  // namespace
 
@@ -155,7 +157,6 @@ int main(int argc, char** argv) {
   if (!parsed_opts) return 2;
   const Options& opt = *parsed_opts;
 
-  verify::PassManager pm = verify::PassManager::standard();
   std::vector<Analyzed> batch;
   batch.reserve(opt.files.size());
   bool any_error = false;
@@ -178,42 +179,25 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    Analyzed a;
-    a.name = file == "-" ? "<stdin>" : file;
-    a.program = std::move(*program);
-
-    verify::ProgramUnit unit;
-    unit.name = a.name;
-    unit.opts = opt.verify;
-    unit.planned_evaluations = opt.planned_evals;
-    unit.cost_budget = opt.budget;
-    switch (a.program.family) {
-      case verify::ProgramFamily::kImply: unit.imply = &a.program.imply; break;
-      case verify::ProgramFamily::kMagic: unit.magic = &a.program.magic; break;
-      case verify::ProgramFamily::kRevamp:
-        unit.revamp = &a.program.revamp;
-        break;
-    }
-
-    verify::AnalysisResults results;
-    a.report = pm.run(unit, results);
-    a.access = results.access(unit);
-    const auto& cost = results.cost(unit);
+    const std::string name = file == "-" ? "<stdin>" : file;
+    auto [family, chk] = check(*program, opt.check);
+    const auto& rep = chk.report;
+    const auto& cost = chk.cost;
 
     if (!opt.quiet) {
-      for (const auto& d : a.report.diagnostics)
-        std::cout << a.name << ": " << d.to_string() << "\n";
+      for (const auto& d : rep.diagnostics)
+        std::cout << name << ": " << d.to_string() << "\n";
     }
-    std::cout << a.name << " [" << unit.family() << "]: "
-              << (a.report.clean() ? "clean" : "NOT CLEAN") << " ("
-              << a.report.errors() << " error(s), " << a.report.warnings()
+    std::cout << name << " [" << family << "]: "
+              << (rep.clean() ? "clean" : "NOT CLEAN") << " ("
+              << rep.errors() << " error(s), " << rep.warnings()
               << " warning(s)); max writes/cell "
-              << a.access.max_write_bound() << "; static cost "
+              << chk.access.max_write_bound() << "; static cost "
               << cost.time_ns << " ns, [" << cost.energy_pj_min << ", "
               << cost.energy_pj_max << "] pJ (exp " << cost.energy_pj_exp
               << (cost.exact_expectation ? ", exact)" : ", approx)") << "\n";
-    any_error = any_error || !a.report.clean();
-    batch.push_back(std::move(a));
+    any_error = any_error || !rep.clean();
+    batch.push_back({name, std::move(chk.access)});
   }
 
   // Cross-tile hazard analysis: the batch as one concurrent dispatch.
@@ -259,12 +243,6 @@ int main(int argc, char** argv) {
     }
     verify::write_static_wear_json(os, entries);
     std::cout << "static wear heatmap -> " << opt.wear_json << "\n";
-  }
-
-  if (opt.timings) {
-    for (const auto& t : pm.timings())
-      std::cout << "pass " << t.name << ": " << t.wall_ms << " ms over "
-                << t.runs << " run(s)\n";
   }
   return any_error ? 1 : 0;
 }
