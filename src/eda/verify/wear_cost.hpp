@@ -135,10 +135,9 @@ struct CheckOptions {
   CostBudget cost_budget{};
 };
 
-/// Every static fact about one program. `report` holds the linter's
-/// diagnostics, then the wear and the cost-budget diagnostics;
-/// `max_writes_per_cell` and `cells_tracked` take the max over the linter
-/// and the access sets.
+/// What `check_program` returns: the merged report (`max_writes_per_cell`
+/// and `cells_tracked` take the max over the linter and the access sets),
+/// the access sets and both certificates.
 struct ProgramCheck {
   VerifyReport report;
   ProgramAccess access;
