@@ -208,11 +208,13 @@ double Crossbar::charge(double time_ns, double energy_pj) {
 void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
   const bool health = obs::health_enabled();
   // Coupling faults: an up-transition on the aggressor forces the victim to 1
-  // (CFid-style idempotent coupling — the bridge conducts the SET pulse).
+  // (CFid-style idempotent coupling — the bridge conducts the SET pulse). A
+  // stuck victim does not move.
   if (value_is_one) {
     for (const auto& fd : faults_.coupling_faults()) {
       if (fd.row == r && fd.col == c) {
         auto& victim = cell(fd.aux_row, fd.aux_col);
+        if (victim.stuck() != device::StuckMode::kNone) continue;
         victim.force_conductance(tech_.g_on_us());
         mark_cell_dirty(fd.aux_row, fd.aux_col);
         if (health)

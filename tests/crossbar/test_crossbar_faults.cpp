@@ -68,6 +68,20 @@ TEST(CrossbarFaults, CouplingFaultSetsVictimOnAggressorUpWrite) {
   EXPECT_TRUE(xbar.read_bit(3, 4));
 }
 
+TEST(CrossbarFaults, CouplingFaultLeavesStuckVictimStuck) {
+  CrossbarConfig cfg;
+  cfg.rows = 4;
+  cfg.cols = 4;
+  Crossbar xbar(cfg);
+  fault::FaultMap map(4, 4);
+  map.add({fault::FaultKind::kStuckAtZero, 1, 2, 0, 0, 1.0});
+  map.add({fault::FaultKind::kCoupling, 1, 1, /*victim=*/1, 2, 1.0});
+  xbar.apply_faults(map);
+  xbar.write_bit(1, 1, true);  // aggressor up-transition
+  EXPECT_EQ(xbar.true_conductance(1, 2), xbar.tech().g_off_us());
+  EXPECT_FALSE(xbar.read_bit(1, 2));
+}
+
 TEST(CrossbarFaults, CouplingFaultInertOnDownWrite) {
   Crossbar xbar(cfg8());
   fault::FaultMap map(8, 8);
