@@ -17,6 +17,12 @@ BulkBitwiseEngine::BulkBitwiseEngine(std::size_t words, std::size_t bits,
   cfg.model_ir_drop = false;
   cfg.verified_writes = true;
   cfg.seed = seed;
+  // A digital store: no half-select write disturb, since one hit moves a
+  // 2-level cell half its window, onto the read threshold, and a stored 0
+  // would read 1.
+  auto tech = device::technology_params(cfg.tech);
+  tech.write_disturb_prob = 0.0;
+  cfg.tech_override = tech;
   xbar_ = std::make_unique<crossbar::Crossbar>(cfg);
 }
 

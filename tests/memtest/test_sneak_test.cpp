@@ -19,8 +19,16 @@ crossbar::CrossbarConfig cfg16() {
   return cfg;
 }
 
+// A clean array has no fault of any kind, soft ones included: with write
+// disturb on, one half-select hit while the background is programmed moves
+// a 2-level cell onto the read threshold (about 1 run in 10 at HfOx's rate),
+// and the test then rightly flags it.
 TEST(SneakTest, CleanArrayRaisesNoFlags) {
-  crossbar::Crossbar xbar(cfg16());
+  auto cfg = cfg16();
+  auto tech = device::technology_params(cfg.tech);
+  tech.write_disturb_prob = 0.0;
+  cfg.tech_override = tech;
+  crossbar::Crossbar xbar(cfg);
   const auto res = run_sneak_path_test(xbar);
   EXPECT_TRUE(res.flagged.empty());
   EXPECT_GT(res.probes, 0u);
