@@ -51,6 +51,24 @@ double abs_sum(std::span<const double> v_rows) {
 
 /// Stream of an array's seed that keys its tier-0 read noise.
 constexpr std::uint64_t kReadNoiseStream = 0x7469657230ULL;  // "tier0"
+/// Stream of an array's seed that keys its disturb events. Sweep s keys its
+/// row line by counter 2s and its column line by 2s + 1; tier-0 read i keys
+/// its read disturb by kReadDisturbCtr | i.
+constexpr std::uint64_t kDisturbStream = 0x6469737462ULL;  // "distb"
+constexpr std::uint64_t kReadDisturbCtr = std::uint64_t{1} << 63;
+
+/// A keyed word's 53 high bits as a uniform in [0, 1), and in (0, 1].
+double unit_word(std::uint64_t w) {
+  return static_cast<double>(w >> 11) * 0x1.0p-53;
+}
+double open_unit_word(std::uint64_t w) {
+  return (static_cast<double>(w >> 11) + 1.0) * 0x1.0p-53;
+}
+/// A keyed word as an index in [0, n): the high word of w * n.
+std::size_t index_word(std::uint64_t w, std::size_t n) {
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(w) * n) >> 64);
+}
 
 /// Span of a read entry point at `tier`: "crossbar.vmm[.fast|.ideal]" for
 /// vmm() and vmm_bit_planes, "crossbar.vmm_batch[.fast|.ideal]" for
@@ -87,17 +105,22 @@ Crossbar::Crossbar(CrossbarConfig cfg)
                               : device::technology_params(cfg.tech)),
       rng_(cfg.seed),
       noise_key_(util::Rng::stream_seed(cfg.seed, kReadNoiseStream)),
+      disturb_key_(util::Rng::stream_seed(cfg.seed, kDisturbStream)),
       faults_(std::max<std::size_t>(1, cfg.rows), std::max<std::size_t>(1, cfg.cols)) {
   if (cfg_.rows == 0 || cfg_.cols == 0)
     throw std::invalid_argument("Crossbar: empty array");
   cells_.reserve(cfg_.rows * cfg_.cols);
   for (std::size_t i = 0; i < cfg_.rows * cfg_.cols; ++i)
     cells_.emplace_back(tech_, cfg_.levels, rng_);
-  dirty_words_per_row_ = (cfg_.cols + 63) / 64;
-  dirty_bits_.assign(cfg_.rows * dirty_words_per_row_, 0);
+  dirty_bits_.assign(cfg_.rows * dirty_words_per_row(), 0);
   sweep_walk_row_.assign(cfg_.rows, 0);
   sweep_walk_col_.assign(cfg_.cols, 0);
-  sweep_hits_.resize(std::max(cfg_.rows, cfg_.cols));
+  const double p = tech_.write_disturb_prob;
+  if (p > 0.0 && p < 1.0) {
+    const double log_q = std::log1p(-p);
+    sweep_miss_row_ = std::exp(log_q * static_cast<double>(cfg_.cols - 1));
+    sweep_miss_col_ = std::exp(log_q * static_cast<double>(cfg_.rows - 1));
+  }
 }
 
 void Crossbar::apply_faults(const fault::FaultMap& map) {
@@ -169,7 +192,7 @@ void Crossbar::note_write(std::size_t r, std::size_t c,
                           const device::WriteResult& res, bool was_stuck) {
   const auto& cl = cell(r, c);
   const bool wore_out = !was_stuck && cl.stuck() != device::StuckMode::kNone;
-  // A stuck cell draws no sweep uniform; one with a write-disturb scale
+  // A stuck cell is never hit by the sweep; one with a write-disturb scale
   // other than 1 is counted already.
   if (wore_out && cl.write_disturb_scale() == 1.0) {
     ++sweep_walk_row_[r];
@@ -225,46 +248,66 @@ void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
   }
   // Half-select disturb on the same-row, then the same-column neighbours.
   if (tech_.write_disturb_prob > 0.0) {
-    disturb_line(r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0);
-    disturb_line(c, cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0);
+    const std::uint64_t sweep = sweeps_++;
+    disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep),
+                 r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0,
+                 sweep_miss_row_);
+    disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep + 1), c,
+                 cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0,
+                 sweep_miss_col_);
   }
 }
 
-void Crossbar::disturb_line(std::size_t first, std::size_t stride,
-                            std::size_t n, std::size_t skip, bool walk) {
-  // The draw contract (DESIGN.md §7): in index order, one uniform per
-  // neighbour that is not stuck, a hit when it is below min(1, p * the
-  // cell's write-disturb scale). On a line with no stuck or rescaled cell
-  // that is one uniform per neighbour against min(1, p), so the draw pass
-  // loads a cell only on a walked line. It makes no call, so the local
-  // generator copy stays in registers; the hits are applied after it, in
-  // the same order (a hit changes no later draw).
-  const double p = std::min(1.0, tech_.write_disturb_prob);
-  util::Rng rng = rng_;
-  std::uint32_t* hit = sweep_hits_.data();
-  std::size_t hits = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k == skip) continue;
-    double p_hit = p;
-    if (walk) {
-      const auto& cl = cells_[first + k * stride];
-      if (cl.stuck() != device::StuckMode::kNone) continue;
-      p_hit =
-          std::min(1.0, tech_.write_disturb_prob * cl.write_disturb_scale());
-    }
-    if (rng.bernoulli(p_hit)) hit[hits++] = static_cast<std::uint32_t>(k);
-  }
-  rng_ = rng;
-  // Half a level step per hit; only the cells whose conductance actually
-  // moved go on the dirty list.
-  for (std::size_t h = 0; h < hits; ++h) {
-    const std::size_t idx = first + hit[h] * stride;
-    if (!cells_[idx].disturb_step()) continue;
+void Crossbar::disturb_line(std::uint64_t key, std::size_t first,
+                            std::size_t stride, std::size_t n,
+                            std::size_t skip, bool walk, double miss) {
+  // The draw contract (DESIGN.md §7): each neighbour that is not stuck is
+  // hit, independently, with probability min(1, p * its write-disturb
+  // scale). A hit takes half a level step; only the cells whose conductance
+  // actually moved go on the dirty list. Hits are applied in index order.
+  const auto hit = [&](std::size_t k) {
+    const std::size_t idx = first + k * stride;
+    if (!cells_[idx].disturb_step()) return;
     const std::size_t r = idx / cfg_.cols;
     const std::size_t c = idx % cfg_.cols;
     mark_cell_dirty(r, c);
     if (obs::health_enabled())
       health_monitor().record_disturb(r, c, cells_[idx].true_conductance_us());
+  };
+  const double p = tech_.write_disturb_prob;
+  if (walk) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k == skip) continue;
+      const auto& cl = cells_[first + k * stride];
+      if (cl.stuck() != device::StuckMode::kNone) continue;
+      if (unit_word(util::Rng::keyed_word(key, k)) <
+          std::min(1.0, p * cl.write_disturb_scale()))
+        hit(k);
+    }
+    return;
+  }
+  if (p >= 1.0) {
+    for (std::size_t k = 0; k < n; ++k)
+      if (k != skip) hit(k);
+    return;
+  }
+  // One rate over the m = n - 1 neighbours (j-th neighbour: k = j, or j + 1
+  // past the skipped cell). Word i's uniform u in (0, 1] gives the gap of
+  // misses before the next hit, floor(ln u / ln(1 - p)); word 0 hits
+  // nothing exactly when u <= (1 - p)^m. A gap is compared with the
+  // neighbours left before it is cast, since it can exceed any integer.
+  double u = open_unit_word(util::Rng::keyed_word(key, 0));
+  if (u <= miss) return;
+  const double log_q = std::log1p(-p);
+  const std::size_t m = n - 1;
+  std::size_t j = 0;
+  for (std::uint64_t i = 1;; ++i) {
+    const double gap = std::floor(std::log(u) / log_q);
+    if (!(gap < static_cast<double>(m - j))) return;
+    j += static_cast<std::size_t>(gap);
+    hit(j < skip ? j : j + 1);
+    if (++j == m) return;
+    u = open_unit_word(util::Rng::keyed_word(key, i));
   }
 }
 
@@ -406,7 +449,7 @@ void Crossbar::mark_cell_dirty(std::size_t r, std::size_t c) {
     g_all_dirty_ = true;  // a rebuild is already pending (or forced)
     return;
   }
-  auto& word = dirty_bits_[r * dirty_words_per_row_ + (c >> 6)];
+  auto& word = dirty_bits_[r * dirty_words_per_row() + (c >> 6)];
   const std::uint64_t bit = std::uint64_t{1} << (c & 63);
   if ((word & bit) != 0) return;
   if (dirty_cells_.size() >= dirty_spill_threshold()) {
@@ -483,7 +526,7 @@ void Crossbar::apply_dirty_cells() {
     g_eff_sq_colsum_[c] += ge * ge - ge_old * ge_old;
     g_eff_rowsum_[r] += ge - ge_old;
     g_ideal_rowsum_[r] += gi - gi_old;
-    dirty_bits_[r * dirty_words_per_row_ + (c >> 6)] &=
+    dirty_bits_[r * dirty_words_per_row() + (c >> 6)] &=
         ~(std::uint64_t{1} << (c & 63));
   }
   // Refresh the std of each dirty cell's column (a column with several
@@ -518,15 +561,20 @@ double Crossbar::sneak_background_per_col(double v_abs_sum) const {
 }
 
 template <class Hit>
-std::size_t Crossbar::draw_full_read(util::Rng& rng, Hit&& hit) const {
-  rng.skip_normals(cfg_.cols);
+std::size_t Crossbar::draw_full_read(std::uint64_t read, Hit&& hit) const {
   if (tech_.read_disturb_prob <= 0.0) return 0;
-  // Read disturb: expected number of disturbed cells per read.
+  // Read disturb: expected number of disturbed cells per read. Word 0 of
+  // the read's key rounds it up or down, word k + 1 picks hit k's cell.
   const double expected =
       tech_.read_disturb_prob * static_cast<double>(cells_.size());
+  const std::uint64_t key =
+      util::Rng::keyed_word(disturb_key_, kReadDisturbCtr | read);
   std::size_t hits = static_cast<std::size_t>(expected);
-  if (rng.bernoulli(expected - static_cast<double>(hits))) ++hits;
-  for (std::size_t k = 0; k < hits; ++k) hit(rng.uniform_int(cells_.size()));
+  if (unit_word(util::Rng::keyed_word(key, 0)) <
+      expected - static_cast<double>(hits))
+    ++hits;
+  for (std::size_t k = 0; k < hits; ++k)
+    hit(index_word(util::Rng::keyed_word(key, k + 1), cells_.size()));
   return hits;
 }
 
@@ -569,7 +617,7 @@ bool Crossbar::finish_full_read(double v_abs_sum, double energy) {
     for (std::size_t c = 0; c < cfg_.cols; ++c)
       h.record_sneak_current(c, sneak_per_col);
   }
-  ++tier0_reads_;
+  const std::uint64_t read = tier0_reads_++;
   ++stats_.vmm_ops;
   charge(tech_.t_read_ns, energy);
   if (obs::enabled()) obs_counters().vmm_ops.add(1);
@@ -577,7 +625,7 @@ bool Crossbar::finish_full_read(double v_abs_sum, double energy) {
   // disturb step (capped at g_on). Only a cell that moved is dirty-marked
   // and health-recorded.
   bool moved = false;
-  draw_full_read(rng_, [&](std::size_t idx) {
+  draw_full_read(read, [&](std::size_t idx) {
     auto& cl = cells_[idx];
     if (cl.stuck() != device::StuckMode::kNone || !cl.disturb_step()) return;
     moved = true;
@@ -721,11 +769,11 @@ double Crossbar::reads_full(std::span<const double> v, std::span<double> out,
   const std::size_t cols = cfg_.cols;
   const std::size_t n = energy.size();
   // Runs of reads that see one array state. With more than one lane to fan
-  // out to, a run is found by drawing ahead on a copy of the generator (no
-  // draw depends on the array): it ends at the first read whose disturb
-  // draws a hit. Each read of the run is then finished in read order, its
-  // hits applied as drawn, so the next run's cache repair picks them up.
-  // Read s0 + k of a run takes noise scratch k.
+  // out to, a run ends at the first read whose keyed disturb draw hits a
+  // cell (no draw depends on the array, so it is drawn ahead). Each read of
+  // the run is then finished in read order, its hits applied as drawn, so
+  // the next run's cache repair picks them up. Read s0 + k of a run takes
+  // noise scratch k.
   const bool fan = pool != nullptr && pool->thread_count() > 1;
   ensure_conductance_cache();
   vmm_noise_scratch_.resize((fan ? n : 1) * cols);
@@ -737,12 +785,14 @@ double Crossbar::reads_full(std::span<const double> v, std::span<double> out,
                   std::span(vmm_noise_scratch_).subspan((s - s0) * cols, cols),
                   z + s * cols);
   };
-  util::Rng ahead = rng_;
+  const std::uint64_t first = tier0_reads_;
   double total = 0.0;
   for (std::size_t s1 = 0; s0 < n; s0 = s1) {
     s1 = s0 + 1;
     if (fan)
-      while (draw_full_read(ahead, [](std::size_t) {}) == 0 && s1 < n) ++s1;
+      while (draw_full_read(first + s1 - 1, [](std::size_t) {}) == 0 &&
+             s1 < n)
+        ++s1;
     ensure_conductance_cache();
     fan_out(pool, s0, s1, compute);
     for (std::size_t s = s0; s < s1; ++s) {

@@ -171,11 +171,12 @@ class Crossbar {
   /// (FidelityTier::kFull) models IR-drop, read noise, read disturb and
   /// (for passive arrays) sneak-path background current; the cheaper tiers
   /// trade model fidelity for throughput (see fidelity.hpp). Tier-0 read
-  /// noise is keyed: column c of the array's i-th tier-0 read (counted from
-  /// construction; reset_stats() does not reset it) adds its std times the
-  /// standard normal for counter i * cols + c of a key derived from the
-  /// seed (util::kernels::normal_fill), and the generator then advances as
-  /// `cols` Rng::normal() draws would, so every other draw is unchanged.
+  /// noise and read disturb are keyed and draw nothing from rng(): column c
+  /// of the array's i-th tier-0 read (counted from construction;
+  /// reset_stats() does not reset it) adds its std times the standard
+  /// normal for counter i * cols + c of a key derived from the seed
+  /// (util::kernels::normal_fill), and the read's disturb hits are keyed
+  /// words of i (see draw_full_read).
   std::vector<double> vmm(std::span<const double> v_rows,
                           FidelityTier tier = FidelityTier::kFull);
 
@@ -313,13 +314,17 @@ class Crossbar {
   void after_write(std::size_t r, std::size_t c, bool value_is_one);
 
   /// Half-select disturb sweep over one line: the `n` cells at
-  /// `first + k * stride`, skipping k == `skip` (the written cell). Set
-  /// `walk` when the line holds a cell that changes a neighbour's draw (see
-  /// sweep_walk_row_): each cell is then loaded for its stuck mode and
-  /// scale. Otherwise every draw is against one probability and only the
-  /// cells hit are loaded. Same draws and hits either way.
-  void disturb_line(std::size_t first, std::size_t stride, std::size_t n,
-                    std::size_t skip, bool walk);
+  /// `first + k * stride`, skipping k == `skip` (the written cell), with
+  /// uniforms from the keyed words of `key` (one key per line of a sweep).
+  /// Set `walk` when the line holds a cell that changes a neighbour's rate
+  /// (see sweep_walk_row_): each neighbour that is not stuck then draws
+  /// word k against min(1, p * its write-disturb scale). Otherwise every
+  /// neighbour is hit at one rate p, and the hits are found by geometric
+  /// gaps, so only the cells hit are loaded: word 0 against `miss`, the
+  /// line's no-hit probability (1 - p)^(n - 1), settles a line with no hit
+  /// in one compare. At p >= 1 every neighbour is hit.
+  void disturb_line(std::uint64_t key, std::size_t first, std::size_t stride,
+                    std::size_t n, std::size_t skip, bool walk, double miss);
 
   /// Bookkeeping for one completed write on (r, c), shared by every write
   /// entry point: a cell that wore out on this write joins its line's sweep
@@ -357,6 +362,9 @@ class Crossbar {
   /// invalidate_conductance_cache() once the list stops paying off.
   void mark_cell_dirty(std::size_t r, std::size_t c);
 
+  /// Words of one row of the dirty bitset.
+  std::size_t dirty_words_per_row() const { return (cfg_.cols + 63) / 64; }
+
   /// Dirty-list length at which delta bookkeeping loses to a rebuild.
   std::size_t dirty_spill_threshold() const {
     return std::max<std::size_t>(32, cells_.size() / 8);
@@ -376,9 +384,9 @@ class Crossbar {
   /// when it is not null. Returns the energy summed in read order.
   ///
   /// Tier 0 computes (full_read) and finishes (finish_full_read) runs of
-  /// reads that see one array state. With more than one lane, a run is
-  /// found by drawing ahead on a copy of the generator: it ends at the
-  /// first read whose disturb draws a hit.
+  /// reads that see one array state. With more than one lane, a run ends at
+  /// the first read whose keyed disturb draw (draw_full_read of its read
+  /// index) hits a cell.
   double reads_full(std::span<const double> v, std::span<double> out,
                     std::span<double> energy, util::ThreadPool* pool);
   /// Tiers 1 and 2 (`tier` picks the conductance cache, the row sums and
@@ -399,14 +407,13 @@ class Crossbar {
                        double v, std::span<double> currents,
                        std::span<double> energy);
 
-  /// Tier-0 generator draws of one read from `rng`, in order: it advances
-  /// as the `cols` Box-Muller draws the keyed noise replaced did
-  /// (Rng::skip_normals), then draws the read disturb's expected-count hit
-  /// number (one bernoulli) and one uniform_int cell per hit, passed to
-  /// `hit` as a flat index. Returns the hit count. No draw depends on the
-  /// array's state.
+  /// Read disturb of tier-0 read `read` (its index from construction), from
+  /// the keyed words of that index: floor(E) + Bernoulli(E - floor(E))
+  /// hits, with E = read_disturb_prob * cells, each a cell uniform over the
+  /// array, passed to `hit` as a flat index. Returns the hit count. A pure
+  /// function of (seed, read): no draw depends on the array's state.
   template <class Hit>
-  std::size_t draw_full_read(util::Rng& rng, Hit&& hit) const;
+  std::size_t draw_full_read(std::uint64_t read, Hit&& hit) const;
 
   /// Tier-0 compute of one read, pure over the caches: currents and noise
   /// variances (noise_var, cols) from g_eff_cache_, then
@@ -420,8 +427,8 @@ class Crossbar {
                            std::span<const double> noise_var,
                            const double* z) const;
   /// Tier-0 commit of one read: the sneak background's health record,
-  /// tier0_reads_, stats and charge, then the read's draws from rng_ with
-  /// its disturb hits applied as drawn. A hit on a stuck cell leaves it as
+  /// tier0_reads_, stats and charge, then the read's disturb hits
+  /// (draw_full_read) applied as drawn. A hit on a stuck cell leaves it as
   /// it is; the others take ReRamCell::disturb_step. Returns true when a
   /// hit moved (and dirty-marked) a cell, i.e. the next read must repair
   /// the caches.
@@ -498,6 +505,14 @@ class Crossbar {
   /// so far, which reset_stats() leaves alone.
   std::uint64_t noise_key_;
   std::uint64_t tier0_reads_ = 0;
+  /// Disturb events: the key (another stream of the seed) of the sweeps'
+  /// and the tier-0 reads' keyed words, and the sweeps made so far.
+  std::uint64_t disturb_key_;
+  std::uint64_t sweeps_ = 0;
+  /// No-hit probability of a row line, (1 - p)^(cols - 1), and of a column
+  /// line, (1 - p)^(rows - 1), at write-disturb probability p in (0, 1).
+  double sweep_miss_row_ = 1.0;
+  double sweep_miss_col_ = 1.0;
   std::vector<device::ReRamCell> cells_;
   fault::FaultMap faults_;
   CrossbarStats stats_;
@@ -534,10 +549,9 @@ class Crossbar {
   const util::simd::KernelTable* row_energy_table_ = nullptr;
 
   // Dirty tracking (incremental_cache): flat cell indices pending repair,
-  // deduplicated by a per-row bitset (dirty_words_per_row_ words per row).
+  // deduplicated by a per-row bitset (dirty_words_per_row() words per row).
   std::vector<std::uint32_t> dirty_cells_;
   std::vector<std::uint64_t> dirty_bits_;
-  std::size_t dirty_words_per_row_ = 0;
 
   /// Noise variances of the reads of one reads_full run (one read without
   /// a fan-out), or of every plane of a vmm_bit_planes call (reads or
@@ -551,11 +565,10 @@ class Crossbar {
   std::vector<double> bit_planes_scratch_;
 
   // Per row / per column: cells that change a neighbour's write-disturb
-  // draw, i.e. stuck (no draw) or with a write-disturb scale other than 1.
+  // rate, i.e. stuck (never hit) or with a write-disturb scale other than 1.
   // Recounted by apply_faults, bumped by note_write at a wear-out.
   std::vector<std::uint32_t> sweep_walk_row_;
   std::vector<std::uint32_t> sweep_walk_col_;
-  std::vector<std::uint32_t> sweep_hits_;  ///< one sweep's hit indices
 };
 
 }  // namespace cim::crossbar

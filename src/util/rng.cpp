@@ -51,18 +51,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-void Rng::skip_normals(std::size_t n) {
-  if (n > 0 && has_cached_normal_) {
-    has_cached_normal_ = false;
-    --n;
-  }
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    (void)(*this)();
-    (void)(*this)();
-  }
-  if (n % 2 != 0) (void)normal();
-}
-
 double Rng::lognormal(double mu_log, double sigma_log) {
   return std::exp(normal(mu_log, sigma_log));
 }

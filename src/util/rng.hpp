@@ -58,15 +58,17 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Advances the generator exactly as `n` calls of normal() would, without
-  /// computing their values: the same words are consumed and the same
-  /// variate is left cached, so every later draw is unchanged. A cached
-  /// variate is used up first; each further pair of draws costs two
-  /// generator steps, and an odd last draw is made in full to cache its
-  /// partner. Tier-0 crossbar reads, whose noise is keyed (see
-  /// util::kernels::normal_fill), call it to keep write variation and
-  /// disturb drawing where they always did.
-  void skip_normals(std::size_t n);
+  /// Counter-based 64-bit word: word ctr + 1 of the SplitMix64 stream
+  /// seeded at `key` (its output function on key + (ctr + 1) * gamma). A
+  /// pure function of (key, ctr); distinct ctr values give independent words
+  /// (full-avalanche mix). Keyed draws whose statistics are their contract,
+  /// such as a crossbar's disturb events, take their words from it.
+  static std::uint64_t keyed_word(std::uint64_t key, std::uint64_t ctr) {
+    std::uint64_t z = key + (ctr + 1) * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
 
   /// Counter-based approximate standard normal: a pure function of
   /// (key, ctr), so N draws need only ONE generator advance for the key —
@@ -80,10 +82,7 @@ class Rng {
   /// (crossbar FidelityTier::kCalibrated). Inline by design: hot tier-1
   /// crossbar paths draw this per column.
   static double normal_hash(std::uint64_t key, std::uint64_t ctr) {
-    std::uint64_t z = key + (ctr + 1) * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
+    const std::uint64_t z = keyed_word(key, ctr);
     const double s = static_cast<double>(z & 0xffff) +
                      static_cast<double>((z >> 16) & 0xffff) +
                      static_cast<double>((z >> 32) & 0xffff) +

@@ -71,26 +71,6 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(var, 9.0, 0.3);
 }
 
-// skip_normals(n) leaves the generator where n normal() calls leave it,
-// cached variate included, whether or not one was cached before.
-TEST(Rng, SkipNormalsMatchesDrawing) {
-  for (const bool cached : {false, true}) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      Rng drawn(31), skipped(31);
-      if (cached) {
-        (void)drawn.normal();
-        (void)skipped.normal();
-      }
-      for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
-      skipped.skip_normals(n);
-      for (int k = 0; k < 3; ++k) {
-        EXPECT_EQ(drawn.normal(), skipped.normal()) << cached << " " << n;
-        EXPECT_EQ(drawn(), skipped()) << cached << " " << n;
-      }
-    }
-  }
-}
-
 TEST(Rng, LognormalIsPositive) {
   Rng rng(19);
   for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 0.5), 0.0);
