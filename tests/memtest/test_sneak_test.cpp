@@ -21,8 +21,8 @@ crossbar::CrossbarConfig cfg16() {
 
 // A clean array has no fault of any kind, soft ones included: with write
 // disturb on, one half-select hit while the background is programmed moves
-// a 2-level cell onto the read threshold (about 1 run in 10 at HfOx's rate),
-// and the test then rightly flags it.
+// a 2-level cell onto the read threshold, and the test then rightly flags
+// it.
 TEST(SneakTest, CleanArrayRaisesNoFlags) {
   auto cfg = cfg16();
   auto tech = device::technology_params(cfg.tech);
