@@ -115,12 +115,6 @@ Crossbar::Crossbar(CrossbarConfig cfg)
   dirty_bits_.assign(cfg_.rows * dirty_words_per_row(), 0);
   sweep_walk_row_.assign(cfg_.rows, 0);
   sweep_walk_col_.assign(cfg_.cols, 0);
-  const double p = tech_.write_disturb_prob;
-  if (p > 0.0 && p < 1.0) {
-    const double log_q = std::log1p(-p);
-    sweep_miss_row_ = std::exp(log_q * static_cast<double>(cfg_.cols - 1));
-    sweep_miss_col_ = std::exp(log_q * static_cast<double>(cfg_.rows - 1));
-  }
 }
 
 void Crossbar::apply_faults(const fault::FaultMap& map) {
@@ -250,17 +244,15 @@ void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
   if (tech_.write_disturb_prob > 0.0) {
     const std::uint64_t sweep = sweeps_++;
     disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep),
-                 r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0,
-                 sweep_miss_row_);
+                 r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0);
     disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep + 1), c,
-                 cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0,
-                 sweep_miss_col_);
+                 cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0);
   }
 }
 
 void Crossbar::disturb_line(std::uint64_t key, std::size_t first,
                             std::size_t stride, std::size_t n,
-                            std::size_t skip, bool walk, double miss) {
+                            std::size_t skip, bool walk) {
   // The draw contract (DESIGN.md §7): each neighbour that is not stuck is
   // hit, independently, with probability min(1, p * its write-disturb
   // scale). A hit takes half a level step; only the cells whose conductance
@@ -286,28 +278,20 @@ void Crossbar::disturb_line(std::uint64_t key, std::size_t first,
     }
     return;
   }
-  if (p >= 1.0) {
-    for (std::size_t k = 0; k < n; ++k)
-      if (k != skip) hit(k);
-    return;
-  }
   // One rate over the m = n - 1 neighbours (j-th neighbour: k = j, or j + 1
   // past the skipped cell). Word i's uniform u in (0, 1] gives the gap of
-  // misses before the next hit, floor(ln u / ln(1 - p)); word 0 hits
-  // nothing exactly when u <= (1 - p)^m. A gap is compared with the
-  // neighbours left before it is cast, since it can exceed any integer.
-  double u = open_unit_word(util::Rng::keyed_word(key, 0));
-  if (u <= miss) return;
-  const double log_q = std::log1p(-p);
+  // misses before the next hit, floor(ln u / ln(1 - p)), so word 0 hits
+  // nothing exactly when u <= (1 - p)^m; at p = 1 every gap is 0. A gap is
+  // compared with the neighbours left before it is cast, since it can
+  // exceed any integer.
+  const double log_q = std::log1p(-std::min(1.0, p));
   const std::size_t m = n - 1;
-  std::size_t j = 0;
-  for (std::uint64_t i = 1;; ++i) {
-    const double gap = std::floor(std::log(u) / log_q);
+  for (std::size_t i = 0, j = 0; j < m; ++i, ++j) {
+    const double gap = std::floor(
+        std::log(open_unit_word(util::Rng::keyed_word(key, i))) / log_q);
     if (!(gap < static_cast<double>(m - j))) return;
     j += static_cast<std::size_t>(gap);
     hit(j < skip ? j : j + 1);
-    if (++j == m) return;
-    u = open_unit_word(util::Rng::keyed_word(key, i));
   }
 }
 

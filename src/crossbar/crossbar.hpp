@@ -319,12 +319,11 @@ class Crossbar {
   /// Set `walk` when the line holds a cell that changes a neighbour's rate
   /// (see sweep_walk_row_): each neighbour that is not stuck then draws
   /// word k against min(1, p * its write-disturb scale). Otherwise every
-  /// neighbour is hit at one rate p, and the hits are found by geometric
-  /// gaps, so only the cells hit are loaded: word 0 against `miss`, the
-  /// line's no-hit probability (1 - p)^(n - 1), settles a line with no hit
-  /// in one compare. At p >= 1 every neighbour is hit.
+  /// neighbour is hit at one rate min(1, p), and the hits are found by
+  /// geometric gaps, so only the cells hit are loaded and a line with no
+  /// hit costs one word.
   void disturb_line(std::uint64_t key, std::size_t first, std::size_t stride,
-                    std::size_t n, std::size_t skip, bool walk, double miss);
+                    std::size_t n, std::size_t skip, bool walk);
 
   /// Bookkeeping for one completed write on (r, c), shared by every write
   /// entry point: a cell that wore out on this write joins its line's sweep
@@ -509,10 +508,6 @@ class Crossbar {
   /// and the tier-0 reads' keyed words, and the sweeps made so far.
   std::uint64_t disturb_key_;
   std::uint64_t sweeps_ = 0;
-  /// No-hit probability of a row line, (1 - p)^(cols - 1), and of a column
-  /// line, (1 - p)^(rows - 1), at write-disturb probability p in (0, 1).
-  double sweep_miss_row_ = 1.0;
-  double sweep_miss_col_ = 1.0;
   std::vector<device::ReRamCell> cells_;
   fault::FaultMap faults_;
   CrossbarStats stats_;
