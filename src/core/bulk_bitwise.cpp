@@ -17,19 +17,14 @@ BulkBitwiseEngine::BulkBitwiseEngine(std::size_t words, std::size_t bits,
   cfg.model_ir_drop = false;
   cfg.verified_writes = true;
   cfg.seed = seed;
-  // A digital store: no half-select write disturb, since one hit moves a
-  // 2-level cell half its window, onto the read threshold, and a stored 0
-  // would read 1.
-  auto tech = device::technology_params(cfg.tech);
-  tech.write_disturb_prob = 0.0;
-  cfg.tech_override = tech;
   xbar_ = std::make_unique<crossbar::Crossbar>(cfg);
 }
 
 void BulkBitwiseEngine::store(std::size_t word, std::uint64_t value) {
   if (word >= words_) throw std::out_of_range("BulkBitwiseEngine::store");
-  for (std::size_t b = 0; b < bits_; ++b)
-    xbar_->write_bit(word, b, (value >> b) & 1ULL);
+  std::vector<bool> row(bits_);
+  for (std::size_t b = 0; b < bits_; ++b) row[b] = (value >> b) & 1ULL;
+  xbar_->write_row(word, row);
 }
 
 std::uint64_t BulkBitwiseEngine::load(std::size_t word) {
@@ -47,12 +42,12 @@ void BulkBitwiseEngine::op_rows(std::size_t dest, std::size_t r1,
   const auto& tech = xbar_->tech();
   const double e0 = xbar_->stats().energy_pj;
 
-  // All columns sense in parallel (one cycle) and write back in one write
-  // cycle; the per-column loop below is simulation bookkeeping only.
-  for (std::size_t b = 0; b < bits_; ++b) {
-    const bool r = xbar_->scout_read(r1, r2, b, op);
-    xbar_->write_bit(dest, b, r);
-  }
+  // All columns sense in parallel (one cycle), then the row is written back
+  // in one write cycle; the per-column sense loop is simulation bookkeeping.
+  std::vector<bool> row(bits_);
+  for (std::size_t b = 0; b < bits_; ++b)
+    row[b] = xbar_->scout_read(r1, r2, b, op);
+  xbar_->write_row(dest, row);
   ++stats_.ops;
   stats_.lockstep_time_ns += tech.t_read_ns + tech.t_write_ns;
   stats_.energy_pj += xbar_->stats().energy_pj - e0;

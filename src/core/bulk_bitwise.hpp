@@ -37,7 +37,8 @@ class BulkBitwiseEngine {
   std::size_t words() const { return words_; }
   std::size_t bits() const { return bits_; }
 
-  /// Stores a word (LSB in column 0).
+  /// Stores a word (LSB in column 0) in one row write
+  /// (crossbar::Crossbar::write_row).
   void store(std::size_t word, std::uint64_t value);
   std::uint64_t load(std::size_t word);
 

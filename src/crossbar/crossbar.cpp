@@ -222,7 +222,8 @@ double Crossbar::charge(double time_ns, double energy_pj) {
   return energy_pj;
 }
 
-void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
+void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one,
+                           bool row_line) {
   const bool health = obs::health_enabled();
   // Coupling faults: an up-transition on the aggressor forces the victim to 1
   // (CFid-style idempotent coupling — the bridge conducts the SET pulse). A
@@ -243,8 +244,9 @@ void Crossbar::after_write(std::size_t r, std::size_t c, bool value_is_one) {
   // Half-select disturb on the same-row, then the same-column neighbours.
   if (tech_.write_disturb_prob > 0.0) {
     const std::uint64_t sweep = sweeps_++;
-    disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep),
-                 r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0);
+    if (row_line)
+      disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep),
+                   r * cfg_.cols, 1, cfg_.cols, c, sweep_walk_row_[r] != 0);
     disturb_line(util::Rng::keyed_word(disturb_key_, 2 * sweep + 1), c,
                  cfg_.cols, cfg_.rows, r, sweep_walk_col_[c] != 0);
   }
@@ -298,7 +300,19 @@ void Crossbar::disturb_line(std::uint64_t key, std::size_t first,
 void Crossbar::write_bit(std::size_t row, std::size_t col, bool value) {
   if (row >= cfg_.rows || col >= cfg_.cols)
     throw std::out_of_range("write_bit: out of range");
+  write_bit_at(effective_row(row), col, value, true);
+}
+
+void Crossbar::write_row(std::size_t row, const std::vector<bool>& bits) {
+  if (row >= cfg_.rows || bits.size() > cfg_.cols)
+    throw std::out_of_range("write_row: out of range");
   const std::size_t er = effective_row(row);
+  for (std::size_t col = 0; col < bits.size(); ++col)
+    write_bit_at(er, col, bits[col], false);
+}
+
+void Crossbar::write_bit_at(std::size_t er, std::size_t col, bool value,
+                            bool row_line) {
   mark_cell_dirty(er, col);
   auto& cl = cell(er, col);
   const bool was_stuck = cl.stuck() != device::StuckMode::kNone;
@@ -308,7 +322,7 @@ void Crossbar::write_bit(std::size_t row, std::size_t col, bool value) {
   if (obs::enabled()) obs_counters().bit_writes.add(1);
   note_write(er, col, res, was_stuck);
   charge(res.time_ns, res.energy_pj);
-  after_write(er, col, value);
+  after_write(er, col, value, row_line);
 }
 
 bool Crossbar::read_bit(std::size_t row, std::size_t col) {

@@ -134,6 +134,15 @@ class Crossbar {
   /// coupling faults and neighbour write-disturb.
   void write_bit(std::size_t row, std::size_t col, bool value);
 
+  /// Writes columns [0, bits.size()) of one row in one write cycle, through
+  /// the row decoder. Each cell takes the write, cost and coupling faults
+  /// of write_bit, in column order. The row's cells are all selected, so
+  /// the half-select sweep runs on each written column's line only: the
+  /// other rows take the column-line hits a write_bit loop would, and the
+  /// row takes none. Throws std::out_of_range on a bad row or more bits
+  /// than columns.
+  void write_row(std::size_t row, const std::vector<bool>& bits);
+
   /// Reads one bit (threshold at mid conductance) through the row decoder.
   bool read_bit(std::size_t row, std::size_t col);
 
@@ -310,8 +319,15 @@ class Crossbar {
   device::WriteResult program_cell_impl(std::size_t row, std::size_t col,
                                         double g_us);
 
+  /// Shared body of write_bit and write_row on decoded row `er`; the sweep
+  /// skips the row line unless `row_line` is set.
+  void write_bit_at(std::size_t er, std::size_t col, bool value, bool row_line);
+
   /// Post-write side effects: coupling-fault victims and neighbour disturb.
-  void after_write(std::size_t r, std::size_t c, bool value_is_one);
+  /// Every write takes one sweep index; `row_line` false (write_row) leaves
+  /// the row line out of its sweep.
+  void after_write(std::size_t r, std::size_t c, bool value_is_one,
+                   bool row_line = true);
 
   /// Half-select disturb sweep over one line: the `n` cells at
   /// `first + k * stride`, skipping k == `skip` (the written cell), with

@@ -48,6 +48,7 @@ enum class Op {
   kScoutRead,
   kProgramCell,
   kProgramBulk,
+  kWriteRow,
 };
 
 struct Case {
@@ -59,7 +60,7 @@ std::string case_name(const testing::TestParamInfo<Case>& info) {
   static const char* names[] = {"WriteBit",      "ApplyFaults", "Imply",
                                 "MagicNor",      "MajorityWrite", "SetFalse",
                                 "ReadDisturb",   "ScoutRead",   "ProgramCell",
-                                "ProgramBulk"};
+                                "ProgramBulk",   "WriteRow"};
   return std::string(names[static_cast<int>(info.param.op)]) +
          (info.param.passive ? "_Passive" : "_Active");
 }
@@ -167,6 +168,12 @@ void apply_op(Crossbar& xbar, Op op, Rng& rng) {
       xbar.program_levels(lv);
       break;
     }
+    case Op::kWriteRow: {
+      std::vector<bool> bits(kN);
+      for (std::size_t k = 0; k < kN; ++k) bits[k] = rng.bernoulli(0.5);
+      xbar.write_row(r, bits);
+      break;
+    }
   }
 }
 
@@ -257,7 +264,8 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{Op::kScoutRead, false},
                     Case{Op::kProgramCell, false},
                     Case{Op::kProgramCell, true},
-                    Case{Op::kProgramBulk, false}),
+                    Case{Op::kProgramBulk, false},
+                    Case{Op::kWriteRow, false}, Case{Op::kWriteRow, true}),
     case_name);
 
 // Perf smoke gate: a single write_bit between two VMMs must be served by a

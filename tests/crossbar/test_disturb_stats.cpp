@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "crossbar/crossbar.hpp"
@@ -173,6 +174,74 @@ TEST(WriteDisturbStats, ProbabilityOneHitsEveryNeighbour) {
           EXPECT_EQ(g, before(r, c)) << r << "," << c;
       }
   }
+}
+
+// A row write selects its whole row. At p >= 1 each cell of the other rows is
+// hit once, by its column's write, exactly as a write_bit loop on a twin
+// array hits it; the row's own cells hold what was written, where the loop's
+// later writes along the row hit them.
+TEST(WriteDisturbStats, RowWriteSweepsColumnsOnly) {
+  Crossbar rows(disturb_config(4, 8, 2.0, 0.0, 405));
+  Crossbar loop(disturb_config(4, 8, 2.0, 0.0, 405));
+  const double half = 0.5 * rows.scheme().step_us();
+  const double g_off = rows.tech().g_off_us();
+  const std::vector<bool> word = {true, false, false, true,
+                                  false, true, true, false};
+  util::Matrix before(4, 8);
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c)
+      before(r, c) = rows.true_conductance(r, c);
+  rows.write_row(1, word);
+  for (std::size_t c = 0; c < word.size(); ++c) loop.write_bit(1, c, word[c]);
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c) {
+      const double g = rows.true_conductance(r, c);
+      if (r == 1) {
+        EXPECT_EQ(g, rows.scheme().level_conductance_us(
+                         word[c] ? rows.scheme().levels() - 1 : 0))
+            << c;
+      } else {
+        EXPECT_NEAR(g - before(r, c), half, 1e-9 * half) << r << "," << c;
+        EXPECT_EQ(g, loop.true_conductance(r, c)) << r << "," << c;
+      }
+    }
+  // Cell (1, 1) holds a 0, and the loop's six later writes on row 1 hit it.
+  EXPECT_NEAR(loop.true_conductance(1, 1) - g_off, 6.0 * half, 1e-9 * half);
+}
+
+// Without write disturb a row write is a write_bit loop: the same cells and
+// the same costs, through the same row decoder.
+TEST(WriteDisturbStats, RowWriteIsWriteBitLoopWithoutDisturb) {
+  CrossbarConfig cfg;
+  cfg.rows = 4;
+  cfg.cols = 8;
+  cfg.levels = 2;
+  cfg.verified_writes = true;
+  cfg.seed = 406;
+  auto tech = device::technology_params(device::Technology::kReRamHfOx);
+  tech.write_disturb_prob = 0.0;
+  cfg.tech_override = tech;
+  Crossbar rows(cfg);
+  Crossbar loop(cfg);
+  fault::FaultMap map(4, 8);
+  map.add({fault::FaultKind::kAddressDecoder, 2, 0, /*aux_row=*/0, 0, 1.0});
+  rows.apply_faults(map);
+  loop.apply_faults(map);
+  for (std::size_t r = 0; r < 4; ++r) {
+    std::vector<bool> word(8);
+    for (std::size_t c = 0; c < 8; ++c) word[c] = ((r * 8 + c) * 5) % 3 == 0;
+    rows.write_row(r, word);
+    for (std::size_t c = 0; c < 8; ++c) loop.write_bit(r, c, word[c]);
+  }
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c)
+      EXPECT_EQ(rows.true_conductance(r, c), loop.true_conductance(r, c))
+          << r << "," << c;
+  EXPECT_EQ(rows.stats().bit_writes, loop.stats().bit_writes);
+  EXPECT_EQ(rows.stats().time_ns, loop.stats().time_ns);
+  EXPECT_EQ(rows.stats().energy_pj, loop.stats().energy_pj);
+  EXPECT_THROW(rows.write_row(4, std::vector<bool>(8)), std::out_of_range);
+  EXPECT_THROW(rows.write_row(0, std::vector<bool>(9)), std::out_of_range);
 }
 
 // On a line that holds a stuck cell and a write-disturb fault (scale 1e3),

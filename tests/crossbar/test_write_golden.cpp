@@ -5,6 +5,8 @@
 /// majority_write — on 1x16, 16x1, 16x16 and 128x128 arrays, at write-disturb
 /// probabilities 0, 1e-5, 0.05 and 2, with the incremental cache, device
 /// health and verified writes each on in some scenarios and off in others.
+/// (write_row is a write_bit loop with the row line left out of its sweeps;
+/// WriteDisturbStats.RowWrite* pin it to one.)
 /// Every cell wears out on its sixth programming pulse, so the script
 /// chooses which write wears a cell out: each entry point wears out its own
 /// cell, and a write across that cell's row and one down its column follow.
