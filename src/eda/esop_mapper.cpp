@@ -84,10 +84,7 @@ bool execute_esop(crossbar::Crossbar& xbar, const EsopProgram& prog,
 
 bool verify_esop(const EsopProgram& prog) {
   // HfOx: the large on/off ratio keeps the HRS leakage of unmasked cells
-  // far below one LRS unit, which the sense threshold relies on. The check
-  // is of the mapping, so write disturb is off: one half-select hit moves a
-  // 2-level cell onto the read threshold, and every assignment's fresh
-  // array (same seed, same disturb draws) would take the same hit.
+  // far below one LRS unit, which the sense threshold relies on.
   crossbar::CrossbarConfig cfg;
   cfg.rows = prog.rows;
   cfg.cols = prog.cols;
@@ -96,9 +93,6 @@ bool verify_esop(const EsopProgram& prog) {
   cfg.model_ir_drop = false;
   cfg.verified_writes = true;
   cfg.seed = 11;
-  auto tech = device::technology_params(cfg.tech);
-  tech.write_disturb_prob = 0.0;
-  cfg.tech_override = tech;
 
   const auto tt = prog.esop.to_truth_table();
   const std::uint64_t n = 1ULL << prog.esop.vars();
