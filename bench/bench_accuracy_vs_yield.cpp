@@ -11,7 +11,7 @@
 /// fresh pair of arrays from a (seed, cell, rep) counter-split RNG, and
 /// low-variance points (yield ~1.0) freeze after a handful of trials while
 /// the noisy mid-yield cliff keeps drawing replications. Results are
-/// bit-identical for any CIM_THREADS / CIM_EXP_WORKERS.
+/// bit-identical for any CIM_THREADS.
 #include <algorithm>
 #include <array>
 #include <cmath>

@@ -18,8 +18,8 @@
 /// and adaptive_total <= 0.7 * fixed_total. Exit 1 on a gate violation, so
 /// the collect_bench aggregation fails loudly. Both campaigns share the
 /// same name/seed/cells/block — trials are identical functions of
-/// (seed, cell, rep) — so the comparison is apples-to-apples and a single
-/// CIM_EXP_WORKERS pool serves both.
+/// (seed, cell, rep) — so the comparison is apples-to-apples. Results are
+/// bit-identical for any CIM_THREADS.
 #include <algorithm>
 #include <cmath>
 #include <iostream>

@@ -10,7 +10,7 @@
 /// and reports the recovered accuracy (after - before). The adaptive
 /// campaign (exp::run_campaign) replicates each yield point until the 95%
 /// CI on the recovery tightens. Results are bit-identical for any
-/// CIM_THREADS / CIM_EXP_WORKERS.
+/// CIM_THREADS.
 #include <algorithm>
 #include <array>
 #include <cmath>

@@ -13,7 +13,7 @@
 /// builds a fresh 32x32 array from a (seed, cell, rep) counter-split RNG
 /// and measures one VMM's mean relative error, and trials stop per cell
 /// once the 95% CI half-width falls under 5% of the mean. Results are
-/// bit-identical for any CIM_THREADS / CIM_EXP_WORKERS.
+/// bit-identical for any CIM_THREADS.
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -168,7 +168,6 @@ int main() {
             << " rounds).\n";
   bench::report("bench_technology_sweep", total.elapsed_ms(),
                 static_cast<double>(res.total_trials),
-                {{"campaign_rounds", static_cast<double>(res.rounds)},
-                 {"campaign_shards", static_cast<double>(res.worker_shards)}});
+                {{"campaign_rounds", static_cast<double>(res.rounds)}});
   return 0;
 }

@@ -82,9 +82,9 @@ OPTIONAL = {
     "slo_fast_alerts_overload", "slo_budget_consumed_overload",
     "windows_closed",
     # adaptive Monte-Carlo campaigns (exp::run_campaign): scheduler round
-    # counts / process-shard counts for the migrated sweeps, and the
-    # adaptive-vs-fixed trial economics of the bench_campaign gate.
-    "campaign_rounds", "campaign_shards",
+    # counts for the migrated sweeps, and the adaptive-vs-fixed trial
+    # economics of the bench_campaign gate.
+    "campaign_rounds",
     "adaptive_trials", "fixed_trials", "saved_frac",
     "adaptive_wall_ms", "fixed_wall_ms",
     # dispatched-ISA kernel sweep (bench_micro_kernels): GB/s per variant

@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "exp/worker.hpp"
+#include "obs/obs.hpp"
 #include "obs/record.hpp"
 
 namespace cim::exp {
@@ -21,27 +21,26 @@ std::string cell_label(const CampaignConfig& cfg, std::size_t c) {
   return "cell" + std::to_string(c);
 }
 
+/// The unit of scheduling and merging: a contiguous rep range of one cell.
+struct Block {
+  std::size_t cell = 0;
+  std::uint64_t rep_begin = 0;
+  std::uint64_t rep_count = 0;
+};
+
 /// Canonical block evaluation: sequential Welford adds in rep order, each
-/// trial seeded purely from (seed, cell, rep). Every execution path —
-/// serial, thread pool, worker process — reduces to this function, which
-/// is what makes the sharded results bit-identical.
+/// trial seeded purely from (seed, cell, rep). The serial loop and every
+/// thread of the pool run a block through this function, which is what
+/// makes a pooled run bit-identical to a serial one.
 obs::StreamStat run_block(const TrialFn& trial, std::uint64_t seed,
-                          const WorkerTask& t) {
+                          const Block& b) {
   obs::StreamStat st;
-  for (std::uint64_t r = 0; r < t.rep_count; ++r) {
-    const std::uint64_t rep = t.rep_begin + r;
-    util::Rng rng(trial_seed(seed, t.cell, rep));
-    st.add(trial(t.cell, rep, rng));
+  for (std::uint64_t r = 0; r < b.rep_count; ++r) {
+    const std::uint64_t rep = b.rep_begin + r;
+    util::Rng rng(trial_seed(seed, b.cell, rep));
+    st.add(trial(b.cell, rep, rng));
   }
   return st;
-}
-
-void run_many(util::ThreadPool* pool, std::size_t n,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr)
-    pool->parallel_for(0, n, body);
-  else
-    for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
 double cell_target(const CampaignConfig& cfg, const obs::StreamStat& s) {
@@ -106,11 +105,11 @@ std::uint64_t desired_new(const CampaignConfig& cfg, double z,
 /// Emits this round's task list (block granularity, cell-index order) and
 /// advances the replication cursors. High-variance cells get up to
 /// `max_blocks_per_round` blocks; nearly-converged cells get one.
-std::vector<WorkerTask> schedule_round(const CampaignConfig& cfg, double z,
-                                       std::vector<CellCheckpoint>& st,
-                                       std::uint64_t round,
-                                       std::vector<Decision>& decisions) {
-  std::vector<WorkerTask> tasks;
+std::vector<Block> schedule_round(const CampaignConfig& cfg, double z,
+                                  std::vector<CellCheckpoint>& st,
+                                  std::uint64_t round,
+                                  std::vector<Decision>& decisions) {
+  std::vector<Block> tasks;
   const std::uint64_t cap =
       !cfg.adaptive && cfg.fixed_trials > 0 ? cfg.fixed_trials
                                             : cfg.max_trials;
@@ -135,73 +134,12 @@ std::vector<WorkerTask> schedule_round(const CampaignConfig& cfg, double z,
   return tasks;
 }
 
-/// Runs one round's tasks across the active shards and fills `results` by
-/// task index. On any worker-pipe failure the parent recomputes the lost
-/// shards in-process — bit-identical by construction — and demotes the
-/// campaign to in-process execution for the remaining rounds.
-void execute_tasks(const CampaignConfig& cfg, const TrialFn& trial,
-                   const std::vector<WorkerTask>& tasks,
-                   std::vector<obs::StreamStat>& results, WorkerPool& wpool,
-                   bool& use_workers) {
-  results.assign(tasks.size(), obs::StreamStat{});
-  const auto compute = [&](std::size_t i) {
-    results[i] = run_block(trial, cfg.seed, tasks[i]);
-  };
-
-  const std::size_t shards = use_workers ? wpool.children() + 1 : 1;
-  if (shards <= 1) {
-    run_many(cfg.pool, tasks.size(), compute);
-    return;
-  }
-
-  std::vector<std::vector<WorkerTask>> child_tasks(shards - 1);
-  std::vector<std::vector<std::size_t>> child_idx(shards - 1);
-  std::vector<std::size_t> mine;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::size_t shard = i % shards;
-    if (shard == 0) {
-      mine.push_back(i);
-    } else {
-      child_tasks[shard - 1].push_back(tasks[i]);
-      child_idx[shard - 1].push_back(i);
-    }
-  }
-
-  bool ok = true;
-  for (std::size_t c = 0; c < child_tasks.size() && ok; ++c)
-    ok = wpool.send_tasks(c, child_tasks[c]);
-
-  // The parent is shard 0 and chews its own blocks while children work.
-  run_many(cfg.pool, mine.size(),
-           [&](std::size_t j) { compute(mine[j]); });
-
-  if (ok) {
-    for (std::size_t c = 0; c < child_tasks.size() && ok; ++c) {
-      std::vector<obs::StreamStat> stats;
-      ok = wpool.read_stats(c, child_tasks[c].size(), stats);
-      if (ok)
-        for (std::size_t j = 0; j < stats.size(); ++j)
-          results[child_idx[c][j]] = stats[j];
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr,
-                 "[cim-exp] %s: worker pool failed mid-round; recomputing "
-                 "in-process\n",
-                 cfg.name.c_str());
-    wpool.shutdown();
-    use_workers = false;
-    std::vector<std::size_t> lost;
-    for (const auto& idx : child_idx)
-      lost.insert(lost.end(), idx.begin(), idx.end());
-    run_many(cfg.pool, lost.size(),
-             [&](std::size_t j) { compute(lost[j]); });
-  }
-}
-
-CampaignManifest make_manifest(const CampaignConfig& cfg, std::uint64_t fp,
-                               const std::vector<CellCheckpoint>& st,
-                               std::uint64_t rounds, std::uint64_t trials) {
+/// Writes the manifest of the campaign's state to `checkpoint_path`, or
+/// throws: a campaign that cannot save its checkpoint must not run on as
+/// if it had.
+void save_checkpoint(const CampaignConfig& cfg, std::uint64_t fp,
+                     const std::vector<CellCheckpoint>& st,
+                     std::uint64_t rounds, std::uint64_t trials) {
   CampaignManifest m;
   m.name = cfg.name;
   m.seed = cfg.seed;
@@ -211,7 +149,10 @@ CampaignManifest make_manifest(const CampaignConfig& cfg, std::uint64_t fp,
   m.rounds = rounds;
   m.total_trials = trials;
   m.cell_state = st;
-  return m;
+  if (!save_manifest(cfg.checkpoint_path, m))
+    throw std::runtime_error("campaign '" + cfg.name +
+                             "': cannot write checkpoint '" +
+                             cfg.checkpoint_path + "'");
 }
 
 }  // namespace
@@ -222,13 +163,10 @@ std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
 }
 
 CampaignConfig apply_env(CampaignConfig cfg) {
-  // A zero count or target keeps the default too. Workers are forked
-  // processes, so their count is capped like CIM_THREADS.
-  const auto u64 = [](const char* name,
-                      std::uint64_t max = obs::record::kU64Max) {
-    return obs::record::env_u64(name, std::getenv(name), max).value_or(0);
+  // A zero count or target keeps the default too.
+  const auto u64 = [](const char* name) {
+    return obs::record::env_u64(name, std::getenv(name)).value_or(0);
   };
-  if (const auto v = u64("CIM_EXP_WORKERS", 1024)) cfg.workers = v;
   if (const auto v = u64("CIM_EXP_MAX_TRIALS")) cfg.max_trials = v;
   if (const auto v = u64("CIM_EXP_CHECKPOINT_EVERY"))
     cfg.checkpoint_every_rounds = v;
@@ -263,18 +201,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
   if (cfg.min_trials > cfg.max_trials) cfg.min_trials = cfg.max_trials;
   if (cfg.max_blocks_per_round == 0) cfg.max_blocks_per_round = 1;
   if (cfg.checkpoint_every_rounds == 0) cfg.checkpoint_every_rounds = 1;
-  if (cfg.workers == 0) cfg.workers = 1;
 
   const std::uint64_t fp =
       campaign_fingerprint(cfg.name, cfg.seed, cfg.cells, cfg.block);
-
-  // A worker child turns into a protocol server at its first campaign and
-  // never comes back; the fingerprint handshake rejects campaigns other
-  // than the one its parent is running.
-  if (in_worker_mode())
-    serve_worker(fp, [&](const WorkerTask& t) {
-      return run_block(trial, cfg.seed, t);
-    });
 
   const double z = obs::z_for_confidence(cfg.ci_confidence);
   CampaignResult res;
@@ -286,7 +215,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
     std::string err;
     if (!load_manifest(cfg.checkpoint_path, m, &err))
       throw std::runtime_error("campaign '" + cfg.name +
-                               "': cannot resume: " + err);
+                               "': cannot resume from '" +
+                               cfg.checkpoint_path + "': " + err);
     if (m.fingerprint != fp)
       throw std::runtime_error(
           "campaign '" + cfg.name + "': checkpoint '" + cfg.checkpoint_path +
@@ -295,19 +225,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
     res.rounds = m.rounds;
     res.total_trials = m.total_trials;
     res.resumed = true;
-  }
-
-  WorkerPool wpool;
-  bool use_workers = false;
-  if (cfg.workers > 1) {
-    if (wpool.start(cfg.workers - 1, fp)) {
-      use_workers = true;
-    } else {
-      std::fprintf(stderr,
-                   "[cim-exp] %s: could not start %zu worker processes; "
-                   "running in-process\n",
-                   cfg.name.c_str(), cfg.workers - 1);
-    }
   }
 
   obs::Registry& reg = obs::Registry::global();
@@ -324,12 +241,18 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
     if (frozen == cfg.cells) break;
 
     const std::uint64_t round = res.rounds;
-    std::vector<WorkerTask> tasks =
+    const std::vector<Block> tasks =
         schedule_round(cfg, z, st, round, res.decisions);
     if (tasks.empty()) break;  // unschedulable: freeze_pass will cap next
 
-    std::vector<obs::StreamStat> results;
-    execute_tasks(cfg, trial, tasks, results, wpool, use_workers);
+    std::vector<obs::StreamStat> results(tasks.size());
+    const auto compute = [&](std::size_t i) {
+      results[i] = run_block(trial, cfg.seed, tasks[i]);
+    };
+    if (cfg.pool != nullptr)
+      cfg.pool->parallel_for(0, tasks.size(), compute);
+    else
+      for (std::size_t i = 0; i < tasks.size(); ++i) compute(i);
 
     // Merge in task-enumeration order: the determinism linchpin.
     std::uint64_t round_trials = 0;
@@ -383,41 +306,23 @@ CampaignResult run_campaign(const CampaignConfig& cfg_in,
 
     if (!cfg.checkpoint_path.empty() &&
         res.rounds % cfg.checkpoint_every_rounds == 0)
-      save_manifest(cfg.checkpoint_path,
-                    make_manifest(cfg, fp, st, res.rounds, res.total_trials));
+      save_checkpoint(cfg, fp, st, res.rounds, res.total_trials);
   }
 
   if (cfg.progress) std::fputc('\n', stderr);
 
   // Final manifest doubles as the result export for tools/cim_campaign.
   if (!cfg.checkpoint_path.empty())
-    save_manifest(cfg.checkpoint_path,
-                  make_manifest(cfg, fp, st, res.rounds, res.total_trials));
+    save_checkpoint(cfg, fp, st, res.rounds, res.total_trials);
 
-  if (!cfg.convergence_csv.empty())
-    obs::write_file_atomic(cfg.convergence_csv, [&](std::ostream& os) {
-      os << "round,cell,name,n,mean,ci_half,frozen\n";
-      for (const std::string& row : conv_rows) os << row;
-    });
-
-  res.worker_shards = use_workers ? wpool.children() + 1 : 1;
-  if (use_workers) {
-    for (std::size_t c = 0; c < wpool.children(); ++c) {
-      std::string json;
-      obs::Snapshot snap;
-      if (wpool.collect_snapshot(c, json) &&
-          obs::parse_snapshot_json(json, snap)) {
-        const obs::MergeStats ms = obs::absorb_snapshot(snap, 0);
-        res.worker_telemetry.counters_added += ms.counters_added;
-        res.worker_telemetry.gauges_taken += ms.gauges_taken;
-        res.worker_telemetry.histograms_merged += ms.histograms_merged;
-        res.worker_telemetry.bound_conflicts += ms.bound_conflicts;
-        res.worker_telemetry.spans_merged += ms.spans_merged;
-      }
-    }
-    wpool.end_campaign();
-    wpool.shutdown();
-  }
+  if (!cfg.convergence_csv.empty() &&
+      !obs::write_file_atomic(cfg.convergence_csv, [&](std::ostream& os) {
+        os << "round,cell,name,n,mean,ci_half,frozen\n";
+        for (const std::string& row : conv_rows) os << row;
+      }))
+    throw std::runtime_error("campaign '" + cfg.name +
+                             "': cannot write convergence CSV '" +
+                             cfg.convergence_csv + "'");
 
   res.cells.reserve(cfg.cells);
   for (std::size_t c = 0; c < st.size(); ++c) {

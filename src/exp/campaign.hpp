@@ -2,20 +2,19 @@
 /// \brief Adaptive Monte-Carlo campaign runner (cim::exp).
 ///
 /// A *campaign* evaluates one scalar metric over `cells` parameter-grid
-/// cells by repeated randomized trials. The runner shards trials across
-/// the in-process thread pool AND across worker processes (worker.hpp),
-/// with a hard determinism contract:
+/// cells by repeated randomized trials. The runner spreads each round's
+/// trials over the in-process thread pool (`CampaignConfig::pool`, serial
+/// when null), with a hard determinism contract:
 ///
 ///   The final per-cell summaries are bit-identical to a serial run for
-///   any thread count, worker count, and any checkpoint/kill/resume
-///   history.
+///   any thread count and any checkpoint/kill/resume history.
 ///
 /// The contract holds because the unit of scheduling is a *replication
 /// block* — a contiguous rep range of one cell. Each trial derives its RNG
 /// purely from (campaign seed, cell, rep) via `trial_seed` (the two-index
 /// counter split, Rng::stream_seed2); each block summary is built by
 /// sequential Welford adds in rep order; and block summaries are merged in
-/// task-enumeration order no matter where they were computed. The
+/// task-enumeration order no matter which thread computed them. The
 /// scheduler itself runs single-threaded in the parent and every decision
 /// it makes is a pure function of the merged summaries, so resuming from a
 /// `cim-campaign-v1` checkpoint (written atomically at round boundaries)
@@ -43,7 +42,6 @@
 
 #include "exp/checkpoint.hpp"
 #include "obs/dataset.hpp"
-#include "obs/obs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,7 +49,7 @@ namespace cim::exp {
 
 /// One randomized trial: returns the metric for `cell` at replication
 /// `rep`, drawing all randomness from `rng`. Must be a pure function of
-/// its arguments (it runs on arbitrary threads/processes).
+/// its arguments (it runs on arbitrary threads).
 using TrialFn =
     std::function<double(std::size_t cell, std::uint64_t rep, util::Rng& rng)>;
 
@@ -79,10 +77,8 @@ struct CampaignConfig {
   /// (0 means max_trials). The baseline bench_campaign compares against.
   std::uint64_t fixed_trials = 0;
 
-  // Sharding. `workers` counts TOTAL shards including the parent (1 = no
-  /// child processes); `pool` parallelizes each shard's blocks (nullptr =
-  /// serial). Neither affects results — see file comment.
-  std::size_t workers = 1;
+  /// Runs each round's blocks in parallel (nullptr = serial). It never
+  /// affects results — see file comment.
   util::ThreadPool* pool = nullptr;
 
   // Checkpoint/resume: when `checkpoint_path` is set the runner resumes
@@ -118,9 +114,7 @@ struct CampaignResult {
   std::uint64_t total_trials = 0;  ///< including trials restored on resume
   std::uint64_t rounds = 0;
   bool resumed = false;            ///< state was restored from a checkpoint
-  std::size_t worker_shards = 1;   ///< shards actually used (1 on fallback)
   std::vector<Decision> decisions;  ///< this run's allocations (post-resume)
-  obs::MergeStats worker_telemetry;  ///< from absorbing worker snapshots
 };
 
 /// RNG seed of one trial: Rng::stream_seed2(seed, cell, rep). Exposed so
@@ -128,16 +122,16 @@ struct CampaignResult {
 std::uint64_t trial_seed(std::uint64_t seed, std::size_t cell,
                          std::uint64_t rep);
 
-/// Applies the CIM_EXP_* environment overrides to `cfg` (workers, CI
-/// target, checkpoint path/cadence, max trials, progress, convergence
-/// file). Benches call this so campaigns are steerable without a rebuild;
-/// tests call run_campaign with explicit configs and stay env-immune.
+/// Applies the CIM_EXP_* environment overrides to `cfg` (CI target,
+/// checkpoint path/cadence, max trials, progress, convergence file).
+/// Benches call this so campaigns are steerable without a rebuild; tests
+/// call run_campaign with explicit configs and stay env-immune.
 CampaignConfig apply_env(CampaignConfig cfg);
 
-/// Runs the campaign. In a worker process (in_worker_mode()) this never
-/// returns — it serves the parent's protocol and exits. Throws
-/// std::invalid_argument on a malformed config and std::runtime_error when
-/// an existing checkpoint does not match the campaign identity.
+/// Runs the campaign. Throws std::invalid_argument on a malformed config,
+/// and std::runtime_error naming the file when an existing checkpoint is
+/// malformed or belongs to another campaign, or when the checkpoint or the
+/// convergence CSV cannot be written.
 CampaignResult run_campaign(const CampaignConfig& cfg, const TrialFn& trial);
 
 }  // namespace cim::exp

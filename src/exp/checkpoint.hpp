@@ -59,7 +59,7 @@ struct CampaignManifest {
 };
 
 /// FNV-1a over "name|seed|cells|block" — the identity a checkpoint is
-/// bound to. Scheduler knobs (CI targets, worker counts, thread counts) are
+/// bound to. Scheduler knobs (CI targets, trial budgets, thread counts) are
 /// deliberately excluded: they change how fast a campaign converges, never
 /// what any (cell, rep) trial computes, so resuming across them is sound.
 std::uint64_t campaign_fingerprint(std::string_view name, std::uint64_t seed,

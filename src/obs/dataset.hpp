@@ -10,13 +10,13 @@
 ///
 ///  - `StreamStat`: a Welford accumulator (count/mean/M2/min/max) that is
 ///    *mergeable*, so per-block partial summaries computed on different
-///    threads or in different worker processes combine into the same
-///    moments. Merging is Chan's parallel update; it is exact in exact
-///    arithmetic, and in floating point it is deterministic as long as the
-///    merge order is fixed — the campaign engine always folds block
-///    summaries in block-index order, which is what makes sharded campaigns
-///    bit-identical to a serial run. The benches, the power monitor and
-///    util::summarize / util::pearson accumulate with it too.
+///    threads combine into the same moments. Merging is Chan's parallel
+///    update; it is exact in exact arithmetic, and in floating point it is
+///    deterministic as long as the merge order is fixed — the campaign
+///    engine always folds block summaries in block-index order, which is
+///    what makes pooled campaigns bit-identical to a serial run. The
+///    benches, the power monitor and util::summarize / util::pearson
+///    accumulate with it too.
 ///  - CI helpers: `normal_quantile` / `z_for_confidence` and
 ///    `StreamStat::ci_half_width`, the numbers the campaign scheduler
 ///    compares against its convergence target.

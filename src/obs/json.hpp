@@ -1,7 +1,7 @@
 /// \file json.hpp
 /// \brief JSON values and the reader of the record codec (obs/record.hpp)
-///        for the cim-reqlog-v1 lines, the snapshot JSON and the exporter
-///        output tests validate.
+///        for the cim-reqlog-v1 lines and the exporter output tests
+///        validate.
 ///
 /// Duplicate keys and non-finite numbers are rejected and nesting is
 /// bounded. A number keeps its text, so `as_u64` / `as_i64` read integers

@@ -196,13 +196,6 @@ class Histogram {
   Snapshot snapshot() const;
   void reset() noexcept;
 
-  /// Bucket-wise add of a compatible snapshot (identical bounds): bucket
-  /// counts, total count and sum accumulate exactly. Returns false and
-  /// leaves the histogram untouched when the bucket layout differs. This
-  /// is the live-registry half of the snapshot merge (worker-process
-  /// telemetry absorption).
-  bool absorb(const Snapshot& s) noexcept;
-
  private:
   std::vector<double> bounds_;
   std::vector<Counter> counts_;  ///< bounds_.size() + 1
@@ -330,12 +323,9 @@ struct Snapshot {
     std::string mode;
     std::string simd_isa;
     /// Wall-clock capture time (unix epoch microseconds,
-    /// std::chrono::system_clock). Monotone process-relative clocks cannot
-    /// order snapshots taken by *different processes*, and the snapshot
-    /// merge uses this to resolve gauge conflicts (last writer wins) when
-    /// worker-process telemetry aggregates into a parent campaign runner.
-    /// Microseconds, not ns: the value round-trips exactly through the
-    /// JSON exporter's double numbers (2^53 > 10^15).
+    /// std::chrono::system_clock), so snapshots exported by different
+    /// processes can be ordered. Microseconds, not ns: the value fits a
+    /// JSON number exactly (2^53 > 10^15).
     std::uint64_t unix_us = 0;
   } meta;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -407,35 +397,6 @@ Snapshot snapshot();
 /// Zero the global registry and recorded trace events.
 void reset();
 
-// --- snapshot merge (merge.cpp) ----------------------------------------------
-
-/// What an absorb_snapshot() call did — returned so callers (and tests) can
-/// assert the merge semantics instead of trusting them.
-struct MergeStats {
-  std::size_t counters_added = 0;     ///< counter names summed or adopted
-  std::size_t gauges_taken = 0;       ///< gauges where `from` won (newer)
-  std::size_t histograms_merged = 0;  ///< bucket-wise added histograms
-  std::size_t bound_conflicts = 0;    ///< histograms skipped: bounds differ
-  std::size_t spans_merged = 0;
-};
-
-/// Parses the flat-JSON snapshot format produced by write_snapshot_json()
-/// back into a Snapshot. Returns false (and fills `error` when non-null)
-/// on malformed input. parse(write(s)) == s up to histogram-bound float
-/// formatting (%.17g is used on export for exactly this reason).
-bool parse_snapshot_json(std::string_view text, Snapshot& out,
-                         std::string* error = nullptr);
-
-/// Folds a parsed snapshot into the *live* global registry: counters add
-/// their deltas, histogram buckets re-observe... structurally (bucket
-/// counts are added to a histogram registered with the same bounds),
-/// span stats accumulate, and gauges are set when the snapshot is newer
-/// than `newer_than_unix_us`. This is how a campaign parent absorbs the
-/// telemetry a worker process shipped over its result pipe. Histograms
-/// whose registered bounds differ are skipped (counted in the result).
-MergeStats absorb_snapshot(const Snapshot& from,
-                           std::uint64_t newer_than_unix_us = 0);
-
 // --- attribution report ------------------------------------------------------
 
 /// Per-component attribution with shares over the attributed totals — the
@@ -474,8 +435,7 @@ bool write_file_atomic(const std::string& path,
 
 /// Flat JSON snapshot of the registry (meta header + every metric).
 void write_snapshot_json(std::ostream& os);
-/// Same format for an already-captured Snapshot (numbers at %.17g, so the
-/// file re-parses bit-identically — see parse_snapshot_json).
+/// Same format for an already-captured Snapshot (numbers at %.17g).
 void write_snapshot_json(std::ostream& os, const Snapshot& s);
 
 /// Chrome trace_event JSON (chrome://tracing, Perfetto) of the span events

@@ -409,11 +409,6 @@ void Reader::json_lines(
   while (next()) decode_at(format_, line_no_, decode, line());
 }
 
-void decode_json(std::string_view text, std::string_view format,
-                 const std::function<void(const json::Value&)>& decode) {
-  decode_at(format, 1, decode, JsonParser(text, format, 1).document());
-}
-
 }  // namespace cim::obs::record
 
 namespace cim::obs::json {

@@ -2,8 +2,7 @@
 /// \brief The record codec: one line grammar, one number syntax, one
 ///        header check and one error type behind every versioned text
 ///        format — `cim-prog-v1`, `cim-trace-v1`, `cim-reqlog-v1`,
-///        `cim-campaign-v1`, the campaign worker pipe and the snapshot JSON
-///        (DESIGN.md section 14).
+///        `cim-campaign-v1` and the snapshot JSON (DESIGN.md section 14).
 ///
 /// A line loses its trailing whitespace; blank lines and lines whose first
 /// token starts with `#` are skipped, and a `#` token starts a comment. The
@@ -133,10 +132,5 @@ class Reader {
   std::size_t col_ = 1;  ///< 1-based column of the last token
   bool eof_ = false;
 };
-
-/// A single JSON document (which may span lines): parse errors carry their
-/// line and column; an error `decode` raises becomes a ParseError at line 1.
-void decode_json(std::string_view text, std::string_view format,
-                 const std::function<void(const json::Value&)>& decode);
 
 }  // namespace cim::obs::record

@@ -121,18 +121,6 @@ double Histogram::Snapshot::quantile(double q) const {
   return bounds.back();
 }
 
-bool Histogram::absorb(const Snapshot& s) noexcept {
-  if (s.bounds.size() != bounds_.size() ||
-      s.counts.size() != counts_.size() ||
-      !std::equal(s.bounds.begin(), s.bounds.end(), bounds_.begin()))
-    return false;
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    if (s.counts[i] != 0) counts_[i].add(s.counts[i]);
-  if (s.count != 0) count_.add(s.count);
-  if (s.sum != 0.0) sum_.add(s.sum);
-  return true;
-}
-
 void Histogram::reset() noexcept {
   for (auto& c : counts_) c.reset();
   count_.reset();

@@ -1,8 +1,8 @@
 /// \file test_campaign.cpp
 /// \brief Campaign runner: bit-identical results at any thread count,
 ///        adaptive freezing/capping/reinvestment semantics, fixed-count
-///        mode, checkpoint resume, config validation, and the exp.*
-///        telemetry stream.
+///        mode, checkpoint resume, config validation, the exp.* telemetry
+///        stream, and loud failure on unwritable files or a torn manifest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -62,13 +63,28 @@ void expect_bitwise_equal(const CampaignResult& a, const CampaignResult& b) {
 }
 
 TEST(Campaign, SerialAndThreadedRunsAreBitIdentical) {
+  // Every trial bumps a registry counter, so telemetry counted inside
+  // trials must total the campaign's trials on both paths.
+  cim::obs::Counter& trials =
+      cim::obs::Registry::global().counter("test.campaign_trials");
+  const TrialFn inner = noisy_cells();
+  const TrialFn counted = [&](std::size_t cell, std::uint64_t rep,
+                              cim::util::Rng& rng) {
+    trials.add(1);
+    return inner(cell, rep, rng);
+  };
+
   CampaignConfig serial = base_config("tc_threads");
   serial.pool = nullptr;
-  const CampaignResult a = run_campaign(serial, noisy_cells());
+  trials.reset();
+  const CampaignResult a = run_campaign(serial, counted);
+  EXPECT_EQ(trials.value(), a.total_trials);
 
   CampaignConfig pooled = serial;
   pooled.pool = &cim::util::ThreadPool::global();
-  const CampaignResult b = run_campaign(pooled, noisy_cells());
+  trials.reset();
+  const CampaignResult b = run_campaign(pooled, counted);
+  EXPECT_EQ(trials.value(), b.total_trials);
 
   expect_bitwise_equal(a, b);
   ASSERT_EQ(a.decisions.size(), b.decisions.size());
@@ -259,39 +275,103 @@ TEST(Campaign, ConvergenceCsvAndTelemetryAreEmitted) {
 }
 
 TEST(Campaign, EnvOverridesParseKnobs) {
-  const char* const kNames[] = {"CIM_EXP_WORKERS", "CIM_EXP_MAX_TRIALS",
+  const char* const kNames[] = {"CIM_EXP_MAX_TRIALS",
                                 "CIM_EXP_CHECKPOINT_EVERY",
                                 "CIM_EXP_CI_TARGET"};
-  ::setenv("CIM_EXP_WORKERS", "3", 1);
   ::setenv("CIM_EXP_MAX_TRIALS", "777", 1);
   ::setenv("CIM_EXP_CHECKPOINT_EVERY", "5", 1);
   ::setenv("CIM_EXP_CI_TARGET", "0.25", 1);
   CampaignConfig cfg = cim::exp::apply_env(base_config("env"));
-  EXPECT_EQ(cfg.workers, 3u);
   EXPECT_EQ(cfg.max_trials, 777u);
   EXPECT_EQ(cfg.checkpoint_every_rounds, 5u);
   EXPECT_DOUBLE_EQ(cfg.ci_target, 0.25);
 
   // Malformed values keep the previous setting and print one stderr line
-  // each. A worker count is decimal digits up to 1024, so -1 is not read
-  // as 2^64 - 1 forks.
-  for (const char* workers : {"-1", "100000"}) {
-    ::setenv("CIM_EXP_WORKERS", workers, 1);
-    ::setenv("CIM_EXP_MAX_TRIALS", "1e30", 1);
-    ::setenv("CIM_EXP_CHECKPOINT_EVERY", "five", 1);
-    ::setenv("CIM_EXP_CI_TARGET", "nan", 1);
-    ::testing::internal::CaptureStderr();
-    cfg = cim::exp::apply_env(cfg);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(cfg.workers, 3u) << workers;
-    EXPECT_EQ(cfg.max_trials, 777u);
-    EXPECT_EQ(cfg.checkpoint_every_rounds, 5u);
-    EXPECT_DOUBLE_EQ(cfg.ci_target, 0.25);
-    for (const char* name : kNames)
-      EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
-    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 4) << err;
-  }
+  // each.
+  ::setenv("CIM_EXP_MAX_TRIALS", "1e30", 1);
+  ::setenv("CIM_EXP_CHECKPOINT_EVERY", "five", 1);
+  ::setenv("CIM_EXP_CI_TARGET", "nan", 1);
+  ::testing::internal::CaptureStderr();
+  cfg = cim::exp::apply_env(cfg);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(cfg.max_trials, 777u);
+  EXPECT_EQ(cfg.checkpoint_every_rounds, 5u);
+  EXPECT_DOUBLE_EQ(cfg.ci_target, 0.25);
+  for (const char* name : kNames)
+    EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 3) << err;
   for (const char* name : kNames) ::unsetenv(name);
+}
+
+// --- failure paths -----------------------------------------------------------
+
+/// The message of the std::runtime_error `cfg` throws, or "" if it runs.
+std::string run_error(const CampaignConfig& cfg) {
+  try {
+    (void)run_campaign(cfg, noisy_cells());
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::filesystem::path missing_dir() {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "tc_no_such_dir";
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(Campaign, UnwritableCheckpointThrowsNamingIt) {
+  CampaignConfig cfg = base_config("tc_unwritable_ckpt");
+  cfg.checkpoint_path = (missing_dir() / "c.cimcampaign").string();
+  const std::string err = run_error(cfg);
+  EXPECT_NE(err.find("'" + cfg.checkpoint_path + "'"), std::string::npos)
+      << err;
+}
+
+TEST(Campaign, UnwritableConvergenceCsvThrowsNamingIt) {
+  CampaignConfig cfg = base_config("tc_unwritable_csv");
+  cfg.convergence_csv = (missing_dir() / "conv.csv").string();
+  const std::string err = run_error(cfg);
+  EXPECT_NE(err.find("'" + cfg.convergence_csv + "'"), std::string::npos)
+      << err;
+}
+
+TEST(Campaign, TornManifestIsNeverResumed) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tc_torn.cimcampaign")
+          .string();
+  std::filesystem::remove(path);
+  CampaignConfig cfg = base_config("tc_torn");
+  cfg.checkpoint_path = path;
+  (void)run_campaign(cfg, noisy_cells());
+  const auto slurp = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  const std::string full = slurp();
+  ASSERT_FALSE(full.empty());
+
+  // The manifest cut off in the middle of each of its lines in turn: the
+  // run refuses to resume and leaves the file as it found it.
+  for (std::size_t b = 0; b < full.size();) {
+    const std::size_t e = full.find('\n', b);
+    ASSERT_NE(e, std::string::npos);
+    const std::string torn = full.substr(0, b + (e - b + 1) / 2);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << torn;
+    }
+    const std::string err = run_error(cfg);
+    EXPECT_NE(err.find("cannot resume"), std::string::npos)
+        << "cut at " << torn.size() << ": " << err;
+    EXPECT_EQ(slurp(), torn) << "cut at " << torn.size();
+    b = e + 1;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 
 #include "eda/verify/program_io.hpp"
 #include "exp/checkpoint.hpp"
-#include "obs/obs.hpp"
 #include "obs/record.hpp"
 #include "serve/reqlog.hpp"
 #include "serve/trace_io.hpp"
@@ -99,15 +98,6 @@ std::optional<std::string> redump_campaign(const std::string& text,
   }
 }
 
-std::optional<std::string> redump_snapshot(const std::string& text,
-                                           std::string& error) {
-  cim::obs::Snapshot s;
-  if (!cim::obs::parse_snapshot_json(text, s, &error)) return std::nullopt;
-  std::ostringstream os;
-  cim::obs::write_snapshot_json(os, s);
-  return os.str();
-}
-
 using Redump = std::optional<std::string> (*)(const std::string&,
                                               std::string&);
 
@@ -151,37 +141,6 @@ struct Seed {
   bool json = false;  ///< its objects get a duplicated-key mutation
 };
 
-/// A registry snapshot with every metric kind, its build metadata pinned so
-/// the seed is the same on every host and run.
-std::string snapshot_seed() {
-  namespace obs = cim::obs;
-  obs::Registry& reg = obs::Registry::global();
-  reg.reset();
-  reg.counter("fuzz.trials").add(12345);
-  reg.gauge("fuzz.eta_s").set(0.1);
-  const double bounds[] = {1.0, 10.0, 100.0};
-  obs::Histogram& h = reg.histogram("fuzz.latency", bounds);
-  h.observe(5.0);
-  h.observe(50.0);
-  obs::SpanStat& span = reg.span_stat("fuzz.span", obs::Component::kAdc);
-  span.count.add(3);
-  span.wall_ns.add(1.5);
-  span.sim_time_ns.add(2.25);
-  span.energy_pj.add(1e-3);
-  reg.component(obs::Component::kArray).events.add(2);
-  obs::Snapshot s = reg.snapshot();
-  reg.reset();
-  s.meta.git_sha = "0123abc";
-  s.meta.build_type = "Release";
-  s.meta.threads = 4;
-  s.meta.simd_isa = "avx2";
-  s.meta.mode = "metrics";
-  s.meta.unix_us = 1700000000000000;
-  std::ostringstream os;
-  obs::write_snapshot_json(os, s);
-  return os.str();
-}
-
 std::vector<Seed> seeds() {
   return {
       {"rca2_imply", redump_program, slurp("rca2_imply.cimprog")},
@@ -192,7 +151,6 @@ std::vector<Seed> seeds() {
        slurp("mixed_poisson.cimreqlog"), true},
       {"ci_demo", redump_campaign, slurp("ci_demo.cimcampaign")},
       {"ci_demo_shard", redump_campaign, slurp("ci_demo_shard.cimcampaign")},
-      {"snapshot", redump_snapshot, snapshot_seed(), true},
   };
 }
 
