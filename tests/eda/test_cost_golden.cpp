@@ -8,11 +8,18 @@
 /// one above it. Hand-built malformed programs and zero-input programs pin
 /// the estimator's out-of-range branches.
 ///
-/// tests/data/eda_cost.golden was written once by the disabled case below,
-/// and is never rewritten by the test suite:
+/// The access golden pins an FNV-1a hash of every ProgramAccess field
+/// (`access_of`) of the same programs: write bounds, operand reads, sensed
+/// columns and driven rows, per cell, beyond the aggregates above.
+///
+/// tests/data/eda_cost.golden and tests/data/eda_access.golden were each
+/// written once by a disabled case below, and are never rewritten by the
+/// test suite:
 ///
 ///   build/tests/test_verify --gtest_also_run_disabled_tests
 ///       --gtest_filter=CostGolden.DISABLED_DumpGolden
+///   build/tests/test_verify --gtest_also_run_disabled_tests
+///       --gtest_filter=AccessGolden.DISABLED_DumpGolden
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +27,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "device/technology.hpp"
@@ -38,6 +46,7 @@ namespace cim::eda {
 namespace {
 
 const char* const kGoldenPath = CIM_TEST_DATA_DIR "/eda_cost.golden";
+const char* const kAccessGoldenPath = CIM_TEST_DATA_DIR "/eda_access.golden";
 
 std::string num(double v) {
   char buf[40];
@@ -210,13 +219,20 @@ MagicInstr mg(MagicInstr::Kind kind, std::size_t out,
 /// Hand-built programs the mappers never emit: cells, input indices and
 /// wordlines past the program's size, an unlatched DMR row, and programs
 /// over zero inputs.
-void edge_lines(std::vector<std::string>& lines) {
+struct EdgePrograms {
+  ImplyProgram imply_oob, imply_narrow, imply_zero;
+  MagicProgram magic_oob, magic_zero;
+  RevampProgram rv_oob, rv_zero;
+};
+
+EdgePrograms edge_programs() {
   using K = ImplyInstr::Kind;
   using M = MagicInstr::Kind;
   using S = RevampOperand::Src;
+  EdgePrograms e;
 
   // IMPLY cells past the footprint, in each operand and in an output.
-  ImplyProgram imply_oob;
+  ImplyProgram& imply_oob = e.imply_oob;
   imply_oob.num_inputs = 3;
   imply_oob.num_cells = 5;
   imply_oob.instrs = {im(K::kFalse, 3),    im(K::kImply, 3, 0),
@@ -225,7 +241,7 @@ void edge_lines(std::vector<std::string>& lines) {
                       im(K::kImply, 4, 3)};
   imply_oob.output_cells = {4, 8, 3};
   // More inputs than cells: only the cells that exist are launched.
-  ImplyProgram imply_narrow;
+  ImplyProgram& imply_narrow = e.imply_narrow;
   imply_narrow.num_inputs = 4;
   imply_narrow.num_cells = 2;
   imply_narrow.instrs = {im(K::kImply, 0, 1), im(K::kImply, 1, 0)};
@@ -234,7 +250,7 @@ void edge_lines(std::vector<std::string>& lines) {
   // MAGIC cells past the footprint (a NOR input, a NOR output, a SET and
   // an output tap), an empty NOR, and a const flag list shorter than the
   // outputs.
-  MagicProgram magic_oob;
+  MagicProgram& magic_oob = e.magic_oob;
   magic_oob.num_inputs = 3;
   magic_oob.num_cells = 6;
   magic_oob.instrs = {mg(M::kSet, 3),          mg(M::kNor, 3, {0, 11}),
@@ -248,7 +264,7 @@ void edge_lines(std::vector<std::string>& lines) {
   // ReVAMP: an input index past num_inputs, an unlatched DMR row, a DMR
   // column past the bitlines, wordlines past the program and a column list
   // longer than the bitlines.
-  RevampProgram rv_oob;
+  RevampProgram& rv_oob = e.rv_oob;
   rv_oob.wordlines = 2;
   rv_oob.bitlines = 2;
   rv_oob.num_inputs = 2;
@@ -267,20 +283,20 @@ void edge_lines(std::vector<std::string>& lines) {
   rv_oob.outputs = {rv_op(S::kDmr, 1, 0), rv_op(S::kInput, 9)};
 
   // Zero inputs: one assignment, the tail of every word masked.
-  ImplyProgram imply_zero;
+  ImplyProgram& imply_zero = e.imply_zero;
   imply_zero.num_cells = 3;
   imply_zero.instrs = {im(K::kFalse, 0), im(K::kFalse, 1),
                        im(K::kImply, 0, 1), im(K::kImply, 1, 0),
                        im(K::kImply, 2, 1)};
   imply_zero.output_cells = {0, 1, 2};
-  MagicProgram magic_zero;
+  MagicProgram& magic_zero = e.magic_zero;
   magic_zero.num_cells = 3;
   magic_zero.instrs = {mg(M::kSet, 0), mg(M::kSet, 1), mg(M::kNor, 1, {0}),
                        mg(M::kSet, 2), mg(M::kNor, 2, {1})};
   magic_zero.output_cells = {1, 2};
   magic_zero.output_is_const = {false, false};
   magic_zero.const_values = {false, false};
-  RevampProgram rv_zero;
+  RevampProgram& rv_zero = e.rv_zero;
   rv_zero.wordlines = 1;
   rv_zero.bitlines = 2;
   rv_zero.instrs = {
@@ -289,63 +305,152 @@ void edge_lines(std::vector<std::string>& lines) {
       rv_apply(0, rv_op(S::kDmr, 0, 0, true), {rv_op(S::kDmr, 0, 1)}),
       rv_read(0)};
   rv_zero.outputs = {rv_op(S::kDmr, 0, 0), rv_op(S::kDmr, 0, 1, true)};
+  return e;
+}
 
+void edge_lines(std::vector<std::string>& lines) {
+  const EdgePrograms e = edge_programs();
   lines.push_back("edge programs");
   for (const auto& t : techs()) {
     const std::string tn = t.name;
     const auto& p = t.params;
     lines.push_back(cost_line(tn + " imply_oob",
-                              verify::estimate_cost(imply_oob, p)));
+                              verify::estimate_cost(e.imply_oob, p)));
     lines.push_back(cost_line(tn + " imply_narrow",
-                              verify::estimate_cost(imply_narrow, p)));
+                              verify::estimate_cost(e.imply_narrow, p)));
     lines.push_back(cost_line(tn + " magic_oob",
-                              verify::estimate_cost(magic_oob, p)));
+                              verify::estimate_cost(e.magic_oob, p)));
     lines.push_back(
-        cost_line(tn + " revamp_oob", verify::estimate_cost(rv_oob, p)));
+        cost_line(tn + " revamp_oob", verify::estimate_cost(e.rv_oob, p)));
     lines.push_back(cost_line(tn + " imply_zero",
-                              verify::estimate_cost(imply_zero, p)));
+                              verify::estimate_cost(e.imply_zero, p)));
     lines.push_back(cost_line(tn + " magic_zero",
-                              verify::estimate_cost(magic_zero, p)));
+                              verify::estimate_cost(e.magic_zero, p)));
     lines.push_back(
-        cost_line(tn + " revamp_zero", verify::estimate_cost(rv_zero, p)));
+        cost_line(tn + " revamp_zero", verify::estimate_cost(e.rv_zero, p)));
   }
+}
+
+/// Every circuit both goldens cover. parity12 sits at kExactCostInputCap;
+/// the two 13-input circuits take the approximate domain.
+std::vector<std::pair<std::string, Netlist>> golden_circuits() {
+  std::vector<std::pair<std::string, Netlist>> out;
+  for (const auto& c : standard_suite()) out.emplace_back(c.name, c.netlist);
+  util::Rng rng(2021);
+  for (int v = 2; v <= 10; ++v)
+    out.emplace_back("random" + std::to_string(v), random_function(v, rng));
+  out.emplace_back("parity12", parity(12));
+  out.emplace_back("parity13", parity(13));
+  out.emplace_back("rca6", ripple_carry_adder(6));
+  return out;
 }
 
 std::vector<std::string> run_golden() {
   std::vector<std::string> lines;
-  for (const auto& c : standard_suite()) circuit_lines(c.name, c.netlist, lines);
-  util::Rng rng(2021);
-  for (int v = 2; v <= 10; ++v)
-    circuit_lines("random" + std::to_string(v), random_function(v, rng), lines);
-  // parity12 sits at kExactCostInputCap; the two 13-input circuits take
-  // the approximate domain.
-  circuit_lines("parity12", parity(12), lines);
-  circuit_lines("parity13", parity(13), lines);
-  circuit_lines("rca6", ripple_carry_adder(6), lines);
+  for (const auto& [name, nl] : golden_circuits())
+    circuit_lines(name, nl, lines);
   edge_lines(lines);
   return lines;
 }
 
-TEST(CostGolden, DISABLED_DumpGolden) {
-  const auto lines = run_golden();
-  std::ofstream out(kGoldenPath);
-  ASSERT_TRUE(out) << kGoldenPath;
-  out << "# cim eda cost golden: CostEstimate fields (%.17g), ReVAMP "
-         "schedules and listings, truth-table hashes (FNV-1a)\n";
+/// Every ProgramAccess field: the aggregates in the clear, then one FNV-1a
+/// hash over the footprint, every per-cell, per-column and per-row vector
+/// (size first) and the aggregates.
+std::string access_line(const std::string& tag,
+                        const verify::ProgramAccess& a) {
+  Fnv f;
+  const auto vec = [&f](const auto& v) {
+    f.u64(v.size());
+    for (const auto x : v) f.u64(static_cast<std::uint64_t>(x));
+  };
+  f.u64(a.rows);
+  f.u64(a.cols);
+  vec(a.write_bound);
+  vec(a.read);
+  vec(a.written);
+  vec(a.sensed_cols);
+  vec(a.driven_rows);
+  f.u64(a.total_writes);
+  f.u64(a.sensed_reads);
+  return "  access " + tag + " rows=" + std::to_string(a.rows) +
+         " cols=" + std::to_string(a.cols) +
+         " total_writes=" + std::to_string(a.total_writes) +
+         " sensed_reads=" + std::to_string(a.sensed_reads) +
+         " max_write_bound=" + std::to_string(a.max_write_bound()) +
+         " hash=" + f.hex();
+}
+
+std::vector<std::string> run_access_golden() {
+  std::vector<std::string> lines;
+  for (const auto& [name, nl] : golden_circuits()) {
+    const Aig aig = Aig::from_netlist(nl);
+    const Mig mig = Mig::from_aig(aig);
+    const Netlist nor = aig.to_netlist().to_nor_only();
+    const RevampProgram rv = assemble_revamp(mig, schedule_revamp(mig));
+    lines.push_back(name);
+    lines.push_back(access_line("revamp", verify::access_of(rv)));
+    for (const bool reuse : {false, true}) {
+      const std::string r = reuse ? " reuse" : " fresh";
+      lines.push_back(access_line(
+          "imply" + r, verify::access_of(compile_imply(aig, reuse))));
+      lines.push_back(access_line(
+          "magic" + r, verify::access_of(compile_magic(nor, reuse))));
+    }
+  }
+  const EdgePrograms e = edge_programs();
+  lines.push_back("edge programs");
+  lines.push_back(access_line("imply_oob", verify::access_of(e.imply_oob)));
+  lines.push_back(
+      access_line("imply_narrow", verify::access_of(e.imply_narrow)));
+  lines.push_back(access_line("magic_oob", verify::access_of(e.magic_oob)));
+  lines.push_back(access_line("revamp_oob", verify::access_of(e.rv_oob)));
+  lines.push_back(access_line("imply_zero", verify::access_of(e.imply_zero)));
+  lines.push_back(access_line("magic_zero", verify::access_of(e.magic_zero)));
+  lines.push_back(access_line("revamp_zero", verify::access_of(e.rv_zero)));
+  return lines;
+}
+
+/// Writes `lines` to `path` under a `#` header line.
+void dump(const char* path, const char* header,
+          const std::vector<std::string>& lines) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out) << path;
+  out << "# " << header << "\n";
   for (const auto& line : lines) out << line << "\n";
 }
 
-TEST(CostGolden, MatchesCheckedInGolden) {
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in) << "missing " << kGoldenPath;
+/// Compares `got` with the non-comment lines of the golden at `path`.
+void expect_golden(const char* path, const std::vector<std::string>& got) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing " << path;
   std::vector<std::string> want;
   for (std::string line; std::getline(in, line);)
     if (!line.empty() && line[0] != '#') want.push_back(line);
-
-  const auto got = run_golden();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_EQ(got[i], want[i]) << "line " << i;
+}
+
+TEST(CostGolden, DISABLED_DumpGolden) {
+  dump(kGoldenPath,
+       "cim eda cost golden: CostEstimate fields (%.17g), ReVAMP schedules "
+       "and listings, truth-table hashes (FNV-1a)",
+       run_golden());
+}
+
+TEST(CostGolden, MatchesCheckedInGolden) {
+  expect_golden(kGoldenPath, run_golden());
+}
+
+TEST(AccessGolden, DISABLED_DumpGolden) {
+  dump(kAccessGoldenPath,
+       "cim eda access golden: ProgramAccess fields (FNV-1a) of every "
+       "program the cost golden covers",
+       run_access_golden());
+}
+
+TEST(AccessGolden, MatchesCheckedInGolden) {
+  expect_golden(kAccessGoldenPath, run_access_golden());
 }
 
 }  // namespace
