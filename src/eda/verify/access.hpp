@@ -8,7 +8,10 @@
 /// includes the executor's input-launch writes), which columns it senses
 /// through the column-muxed ADC, and which wordlines its drivers occupy.
 ///
-/// The derivation mirrors the executors exactly:
+/// Each family's one interpreter (the cost walk in wear_cost.cpp) records
+/// these sets in the same pass that charges the cost, when its caller keeps
+/// them: `check_program` and `access_of` do, so a program check walks each
+/// program once after its linter. The sets mirror the executors exactly:
 ///
 ///  - IMPLY  (`execute_imply`):  inputs are materialized with `write_bit`
 ///    before the first micro-op; FALSE/IMPLY write their destination;
@@ -60,9 +63,19 @@ struct ProgramAccess {
 
   std::size_t flat(std::size_t r, std::size_t c) const { return r * cols + c; }
   std::size_t max_write_bound() const;
+
+  /// An empty footprint of rows x cols cells.
+  static ProgramAccess footprint(std::size_t rows, std::size_t cols);
+  /// One write of `cell`; a cell past the footprint is left to the linters.
+  void bump_write(std::size_t cell);
+  /// An internal operand read of `cell` (no ADC charge, still a dependence).
+  void mark_read(std::size_t cell);
+  /// One charged `read_bit` of `cell` through its column's ADC.
+  void sense(std::size_t cell);
 };
 
-/// Access summary of a compiled IMPLY program (single row).
+/// Access summary of a compiled IMPLY program (single row). The three
+/// overloads run their family's walk (defined in wear_cost.cpp).
 ProgramAccess access_of(const ImplyProgram& prog);
 
 /// Access summary of a compiled MAGIC program (single row).

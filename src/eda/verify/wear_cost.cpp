@@ -1,6 +1,7 @@
 #include "eda/verify/wear_cost.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <ostream>
@@ -14,25 +15,35 @@ namespace cim::eda::verify {
 namespace {
 
 // --- cost accumulator mirroring Crossbar::charge -----------------------------
+//
+// Every charge names the cell it charges. With `access` set, the walk also
+// records that cell in the program's access sets (access.hpp).
 
 struct CostAcc {
   const device::TechnologyParams& tech;
+  ProgramAccess* access;  ///< null unless the caller keeps the access sets
   CostEstimate est;
 
-  explicit CostAcc(const device::TechnologyParams& t) : tech(t) {}
+  CostAcc(const device::TechnologyParams& t, ProgramAccess* a,
+          std::size_t rows, std::size_t cols)
+      : tech(t), access(a) {
+    if (access != nullptr) *access = ProgramAccess::footprint(rows, cols);
+  }
 
-  /// Unconditional programming pulse: write_bit / set_false / MAGIC SET.
-  void write() {
+  /// Unconditional programming pulse on `cell`: write_bit / set_false /
+  /// MAGIC SET.
+  void write(std::size_t cell) {
     est.time_ns += tech.t_write_ns;
     est.energy_pj_min += tech.e_write_pj;
     est.energy_pj_max += tech.e_write_pj;
     est.energy_pj_exp += tech.e_write_pj;
     ++est.write_slots;
+    if (access != nullptr) access->bump_write(cell);
   }
 
-  /// Conditional logic op: fires with probability `p_fire`, else costs the
-  /// 0.1 * e_write no-fire pulse window.
-  void conditional(double p_fire) {
+  /// Conditional logic op on `cell`: fires with probability `p_fire`, else
+  /// costs the 0.1 * e_write no-fire pulse window.
+  void conditional(std::size_t cell, double p_fire) {
     est.time_ns += tech.t_write_ns;
     est.energy_pj_min += 0.1 * tech.e_write_pj;
     est.energy_pj_max += tech.e_write_pj;
@@ -40,10 +51,11 @@ struct CostAcc {
         p_fire * tech.e_write_pj + (1.0 - p_fire) * 0.1 * tech.e_write_pj;
     ++est.write_slots;
     ++est.conditional_ops;
+    if (access != nullptr) access->bump_write(cell);
   }
 
-  /// Charged read_bit of a cell holding 1 with probability `p1`.
-  void sensed_read(double p1) {
+  /// Charged read_bit of `cell`, which holds 1 with probability `p1`.
+  void sensed_read(std::size_t cell, double p1) {
     auto e = [&](double g_us) {
       return tech.v_read * tech.v_read * g_us * tech.t_read_ns * 1e-3 +
              tech.e_read_pj;
@@ -54,6 +66,19 @@ struct CostAcc {
     est.energy_pj_exp +=
         e(p1 * tech.g_on_us() + (1.0 - p1) * tech.g_off_us());
     ++est.sensed_reads;
+    if (access != nullptr) access->sense(cell);
+  }
+
+  /// Internal operand reads: uncharged, but data dependences.
+  template <typename Cells>
+  void operand_reads(const Cells& cells) {
+    if (access != nullptr)
+      for (const auto c : cells) access->mark_read(c);
+  }
+
+  /// The wordline driver of `row` is engaged.
+  void drive(std::size_t row) {
+    if (access != nullptr) access->driven_rows[row] = 1;
   }
 };
 
@@ -113,38 +138,41 @@ class ProbDomain {
 //
 // Each walk is its family's one interpreter: a fresh row (every cell RESET),
 // the inputs launched, then every micro-op on all of a cell's lanes. With
-// `outs` set it appends each output's lanes after the program ran, which
-// the functional verifiers compare with the specification.
+// `access` set it records the access sets as it charges; with `outs` set it
+// appends each output's lanes after the program ran, which the functional
+// verifiers compare with the specification.
 
 template <typename D>
 CostEstimate walk(const ImplyProgram& prog,
-                  const device::TechnologyParams& tech,
+                  const device::TechnologyParams& tech, ProgramAccess* access,
                   std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
   const std::size_t L = dom.words();
   std::vector<V> val(n * L, dom.constant(false));
-  CostAcc acc(tech);
+  CostAcc acc(tech, access, 1, n);
+  if (n > 0) acc.drive(0);
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
     for (std::size_t k = 0; k < L; ++k) val[i * L + k] = dom.input(i, k);
-    acc.write();  // executor launch: write_bit per input
+    acc.write(i);  // executor launch: write_bit per input
   }
   for (const auto& ins : prog.instrs) {
     if (ins.kind == ImplyInstr::Kind::kFalse) {
-      acc.write();
+      acc.write(ins.dest);
       if (ins.dest < n)
         std::fill_n(&val[ins.dest * L], L, dom.constant(false));
       continue;
     }
+    acc.operand_reads(std::array{ins.src, ins.dest});
     if (ins.dest >= n || ins.src >= n) {  // oob: the linters report it;
-      acc.conditional(0.5);               // keep the pulse-window cost
+      acc.conditional(ins.dest, 0.5);     // keep the pulse-window cost
       continue;
     }
     // dest' = dest -> src; switches unless dest = src = 1.
     V* dest = &val[ins.dest * L];
     const V* src = &val[ins.src * L];
-    acc.conditional(dom.p([&](std::size_t k) {
+    acc.conditional(ins.dest, dom.p([&](std::size_t k) {
       const V d = dest[k];
       const V s = src[k];
       dest[k] = D::or_(D::not_(d), s);
@@ -153,7 +181,7 @@ CostEstimate walk(const ImplyProgram& prog,
   }
   for (const auto c : prog.output_cells)
     acc.sensed_read(
-        c < n ? dom.p([&](std::size_t k) { return val[c * L + k]; }) : 0.0);
+        c, c < n ? dom.p([&](std::size_t k) { return val[c * L + k]; }) : 0.0);
   if (outs != nullptr)
     for (const auto c : prog.output_cells)
       outs->insert(outs->end(), &val[c * L], &val[c * L] + L);
@@ -162,28 +190,30 @@ CostEstimate walk(const ImplyProgram& prog,
 
 template <typename D>
 CostEstimate walk(const MagicProgram& prog,
-                  const device::TechnologyParams& tech,
+                  const device::TechnologyParams& tech, ProgramAccess* access,
                   std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
   const std::size_t n = prog.num_cells;
   const std::size_t L = dom.words();
   std::vector<V> val(n * L, dom.constant(false));
-  CostAcc acc(tech);
+  CostAcc acc(tech, access, 1, n);
+  if (n > 0) acc.drive(0);
   for (std::size_t i = 0; i < std::min(prog.num_inputs, n); ++i) {
     for (std::size_t k = 0; k < L; ++k) val[i * L + k] = dom.input(i, k);
-    acc.write();
+    acc.write(i);
   }
   for (const auto& ins : prog.instrs) {
     if (ins.kind == MagicInstr::Kind::kSet) {
-      acc.write();
+      acc.write(ins.out_cell);
       if (ins.out_cell < n)
         std::fill_n(&val[ins.out_cell * L], L, dom.constant(true));
       continue;
     }
     // NOR conditionally RESETs the output where any input holds 1 (the
     // executor's out & !any); the pulse fires iff any input holds 1.
-    acc.conditional(dom.p([&](std::size_t k) {
+    acc.operand_reads(ins.in_cells);
+    acc.conditional(ins.out_cell, dom.p([&](std::size_t k) {
       auto any = dom.constant(false);
       for (const auto c : ins.in_cells)
         if (c < n) any = D::or_(any, val[c * L + k]);
@@ -198,7 +228,7 @@ CostEstimate walk(const MagicProgram& prog,
     if (k < prog.output_is_const.size() && prog.output_is_const[k]) continue;
     const std::size_t c = prog.output_cells[k];
     acc.sensed_read(
-        c < n ? dom.p([&](std::size_t j) { return val[c * L + j]; }) : 0.0);
+        c, c < n ? dom.p([&](std::size_t j) { return val[c * L + j]; }) : 0.0);
   }
   if (outs != nullptr)
     for (std::size_t k = 0; k < prog.output_cells.size(); ++k) {
@@ -213,7 +243,7 @@ CostEstimate walk(const MagicProgram& prog,
 
 template <typename D>
 CostEstimate walk(const RevampProgram& prog,
-                  const device::TechnologyParams& tech,
+                  const device::TechnologyParams& tech, ProgramAccess* access,
                   std::vector<typename D::V>* outs = nullptr) {
   using V = typename D::V;
   D dom(prog.num_inputs);
@@ -224,7 +254,7 @@ CostEstimate walk(const RevampProgram& prog,
   std::vector<V> dmr(val.size());
   std::vector<bool> latched(W, false);
   std::vector<V> wl(L);
-  CostAcc acc(tech);
+  CostAcc acc(tech, access, W, B);
 
   auto resolve = [&](const RevampOperand& op, std::size_t k) -> V {
     V v = dom.constant(false);
@@ -245,10 +275,13 @@ CostEstimate walk(const RevampProgram& prog,
 
   for (const auto& ins : prog.instrs) {
     if (ins.wordline >= W) continue;  // oob: the linter reports it
+    acc.drive(ins.wordline);
     V* row = val.data() + ins.wordline * B * L;
     if (ins.kind == RevampInstruction::Kind::kRead) {
+      // READ latches the whole row into the DMR: B sensed read_bit calls.
       for (std::size_t c = 0; c < B; ++c)
-        acc.sensed_read(dom.p([&](std::size_t k) { return row[c * L + k]; }));
+        acc.sensed_read(ins.wordline * B + c,
+                        dom.p([&](std::size_t k) { return row[c * L + k]; }));
       std::copy_n(row, B * L, dmr.data() + ins.wordline * B * L);
       latched[ins.wordline] = true;
       continue;
@@ -257,7 +290,7 @@ CostEstimate walk(const RevampProgram& prog,
     for (std::size_t c = 0; c < std::min(ins.columns.size(), B); ++c) {
       if (!ins.columns[c]) continue;
       V* cell = &row[c * L];
-      acc.conditional(dom.p([&](std::size_t k) {
+      acc.conditional(ins.wordline * B + c, dom.p([&](std::size_t k) {
         const V w = wl[k];
         const V b = resolve(*ins.columns[c], k);  // v_bl; the cell sees !v_bl
         const V s = cell[k];
@@ -277,15 +310,25 @@ CostEstimate walk(const RevampProgram& prog,
   return acc.est;
 }
 
-/// The exact walk up to kExactCostInputCap inputs, the approximate one past.
+/// The exact walk up to kExactCostInputCap inputs, the approximate one past;
+/// it fills `access` when that is set.
 template <typename Prog>
-CostEstimate estimate(const Prog& prog, const device::TechnologyParams& tech) {
+CostEstimate estimate(const Prog& prog, const device::TechnologyParams& tech,
+                      ProgramAccess* access = nullptr) {
   if (prog.num_inputs <= kExactCostInputCap) {
-    auto est = walk<WordDomain>(prog, tech);
+    auto est = walk<WordDomain>(prog, tech, access);
     est.exact_expectation = true;
     return est;
   }
-  return walk<ProbDomain>(prog, tech);
+  return walk<ProbDomain>(prog, tech, access);
+}
+
+/// The access sets alone: the one-lane walk, its cost dropped.
+template <typename Prog>
+ProgramAccess access_walk(const Prog& prog) {
+  ProgramAccess a;
+  walk<ProbDomain>(prog, device::TechnologyParams{}, &a);
+  return a;
 }
 
 /// True iff the exact walk of `prog` leaves every output equal to the
@@ -293,7 +336,7 @@ CostEstimate estimate(const Prog& prog, const device::TechnologyParams& tech) {
 template <typename Prog>
 bool walk_matches(const Prog& prog, const std::vector<TruthTable>& spec) {
   std::vector<std::uint64_t> words;
-  walk<WordDomain>(prog, device::TechnologyParams{}, &words);
+  walk<WordDomain>(prog, device::TechnologyParams{}, nullptr, &words);
   const WordDomain dom(prog.num_inputs);
   const std::size_t L = dom.words();
   for (std::size_t o = 0; o < spec.size(); ++o)
@@ -303,12 +346,14 @@ bool walk_matches(const Prog& prog, const std::vector<TruthTable>& spec) {
   return true;
 }
 
-/// The access sets and both certificates of `prog`, their diagnostics
-/// appended to its `lint` report.
+/// The access sets and the cost of `prog` from one walk, and both
+/// certificates, their diagnostics appended to its `lint` report.
 template <typename Prog>
 ProgramCheck certify(const Prog& prog, VerifyReport&& lint,
                      const CheckOptions& opts) {
-  ProgramCheck chk{std::move(lint), access_of(prog), {}, {}};
+  ProgramCheck chk{std::move(lint), {}, {}, {}};
+  chk.cost = estimate(prog, device::technology_params(opts.verify.tech),
+                      &chk.access);
   VerifyReport& rep = chk.report;
   chk.wear =
       certify_wear(chk.access, opts.verify, opts.planned_evaluations, rep);
@@ -316,12 +361,54 @@ ProgramCheck certify(const Prog& prog, VerifyReport&& lint,
       std::max(rep.max_writes_per_cell, chk.access.max_write_bound());
   rep.cells_tracked =
       std::max(rep.cells_tracked, chk.access.rows * chk.access.cols);
-  chk.cost = estimate_cost(prog, device::technology_params(opts.verify.tech));
   certify_cost(chk.cost, opts.cost_budget, rep);
   return chk;
 }
 
 }  // namespace
+
+ProgramAccess ProgramAccess::footprint(std::size_t rows, std::size_t cols) {
+  ProgramAccess a;
+  a.rows = rows;
+  a.cols = cols;
+  a.write_bound.assign(rows * cols, 0);
+  a.read.assign(rows * cols, 0);
+  a.written.assign(rows * cols, 0);
+  a.sensed_cols.assign(cols, 0);
+  a.driven_rows.assign(rows, 0);
+  return a;
+}
+
+void ProgramAccess::bump_write(std::size_t cell) {
+  if (cell >= write_bound.size()) return;  // oob caught by the linters
+  ++write_bound[cell];
+  written[cell] = 1;
+  ++total_writes;
+}
+
+void ProgramAccess::mark_read(std::size_t cell) {
+  if (cell < read.size()) read[cell] = 1;
+}
+
+void ProgramAccess::sense(std::size_t cell) {
+  mark_read(cell);
+  if (cols != 0 && cell < read.size()) ++sensed_cols[cell % cols];
+  ++sensed_reads;
+}
+
+std::size_t ProgramAccess::max_write_bound() const {
+  std::uint32_t m = 0;
+  for (const auto w : write_bound) m = std::max(m, w);
+  return m;
+}
+
+ProgramAccess access_of(const ImplyProgram& prog) { return access_walk(prog); }
+
+ProgramAccess access_of(const MagicProgram& prog) { return access_walk(prog); }
+
+ProgramAccess access_of(const RevampProgram& prog) {
+  return access_walk(prog);
+}
 
 ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
                            const CheckOptions& opts) {

@@ -45,13 +45,16 @@
 /// The exact walk is each family's one word-level interpreter:
 /// `verify_imply`, `verify_magic` and `verify_revamp` (declared with their
 /// mappers, defined in wear_cost.cpp) compare its output words with the
-/// specification at any input count.
+/// specification at any input count. The same walk records a program's
+/// access sets (access.hpp) when its caller keeps them; `access_of` runs
+/// it for the sets alone.
 ///
 /// **Program check.** `check_program` runs every static check of one
-/// compiled program in order — the family linter, the access sets, the wear
-/// certificate, the cost estimate and the cost certificate — and returns
-/// one report with the linter's diagnostics first, then the wear and the
-/// cost-budget diagnostics. The flow and `cim-lint` both call it.
+/// compiled program in order — the family linter, then one walk that yields
+/// the cost estimate and the access sets, the wear certificate and the cost
+/// certificate — and returns one report with the linter's diagnostics
+/// first, then the wear and the cost-budget diagnostics. It walks each
+/// program once after its linter. The flow and `cim-lint` both call it.
 #pragma once
 
 #include <cstdint>
@@ -145,8 +148,9 @@ struct ProgramCheck {
   CostEstimate cost;
 };
 
-/// Runs lint_imply (liveness rules when `source` is set), access_of,
-/// certify_wear, estimate_cost and certify_cost, in that order.
+/// Runs lint_imply (liveness rules when `source` is set), the cost walk
+/// (which fills the access sets), certify_wear and certify_cost, in that
+/// order.
 ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
                            const CheckOptions& opts = {});
 ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
