@@ -8,6 +8,8 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "obs/health.hpp"
 #include "obs/obs.hpp"
@@ -61,6 +63,17 @@ bool write_file_atomic(const std::string& path,
     std::remove(tmp.c_str());
     return false;
   }
+  return true;
+}
+
+bool export_env_file(
+    const char* var,
+    const std::function<void(std::ostream&, std::string_view path)>& writer) {
+  const char* path = std::getenv(var);
+  if (path == nullptr || *path == '\0') return false;
+  if (!write_file_atomic(path, [&](std::ostream& os) { writer(os, path); }))
+    throw std::runtime_error(std::string(var) + ": cannot write '" + path +
+                             "'");
   return true;
 }
 
@@ -205,22 +218,21 @@ void emit_bench_json(
     const std::string& bench, double wall_ms, double ops,
     const std::vector<std::pair<std::string, double>>& extras) {
   std::printf("%s\n", bench_json_line(bench, wall_ms, ops, extras).c_str());
+  std::fflush(stdout);  // the line stands even if an export below throws
 
   // Exporter hooks: every bench dumps telemetry when asked to, without
-  // per-bench wiring. All file exports are crash-safe (temp + rename).
+  // per-bench wiring.
   if (!enabled()) return;
-  if (const char* path = std::getenv("CIM_OBS_SNAPSHOT_FILE");
-      path != nullptr && *path != '\0') {
-    write_file_atomic(path, [](std::ostream& os) { write_snapshot_json(os); });
-  }
-  if (const char* path = std::getenv("CIM_OBS_TRACE_FILE");
-      path != nullptr && *path != '\0' && trace_enabled()) {
-    write_file_atomic(path, [](std::ostream& os) { write_chrome_trace(os); });
-  }
-  if (const char* path = std::getenv("CIM_OBS_PROM_FILE");
-      path != nullptr && *path != '\0') {
-    write_prometheus_file(path);
-  }
+  export_env_file("CIM_OBS_SNAPSHOT_FILE", [](std::ostream& os, auto) {
+    write_snapshot_json(os);
+  });
+  if (trace_enabled())
+    export_env_file("CIM_OBS_TRACE_FILE", [](std::ostream& os, auto) {
+      write_chrome_trace(os);
+    });
+  export_env_file("CIM_OBS_PROM_FILE", [](std::ostream& os, auto) {
+    write_prometheus_text(os);
+  });
   export_health_heatmap_if_requested();
 }
 

@@ -182,8 +182,8 @@ void write_health_json(std::ostream& os,
 
 /// Honours the CIM_OBS_HEATMAP_FILE env hook: when set, health telemetry
 /// is enabled and at least one monitor exists, writes the heatmap dump
-/// crash-safely (CSV when the path ends in ".csv", flat JSON otherwise).
-/// Returns true when a file was written.
+/// through export_env_file (CSV when the path ends in ".csv", flat JSON
+/// otherwise). Returns true when a file was written; a failed write throws.
 bool export_health_heatmap_if_requested();
 
 }  // namespace cim::obs

@@ -2,7 +2,6 @@
 /// \brief Spatial heatmap exporters (CSV + flat JSON) over the
 ///        HealthRegistry. Schemas documented in DESIGN.md §8.
 #include <cstdint>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -117,18 +116,14 @@ void write_health_json(std::ostream& os,
 }
 
 bool export_health_heatmap_if_requested() {
-  const char* path = std::getenv("CIM_OBS_HEATMAP_FILE");
-  if (path == nullptr || *path == '\0') return false;
-  if (!health_enabled()) return false;
-  if (HealthRegistry::global().size() == 0) return false;
-  const std::string_view p(path);
-  const bool csv = p.size() >= 4 && p.substr(p.size() - 4) == ".csv";
-  return write_file_atomic(path, [&](std::ostream& os) {
-    if (csv)
-      write_health_heatmap_csv(os);
-    else
-      write_health_json(os);
-  });
+  if (!health_enabled() || HealthRegistry::global().size() == 0) return false;
+  return export_env_file("CIM_OBS_HEATMAP_FILE",
+                         [](std::ostream& os, std::string_view path) {
+                           if (path.ends_with(".csv"))
+                             write_health_heatmap_csv(os);
+                           else
+                             write_health_json(os);
+                         });
 }
 
 }  // namespace cim::obs

@@ -433,6 +433,17 @@ BuildInfo build_info();
 bool write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 
+/// The one writer of the env-named exports (CIM_OBS_SNAPSHOT_FILE,
+/// CIM_OBS_TRACE_FILE, CIM_OBS_PROM_FILE, CIM_OBS_HEATMAP_FILE,
+/// CIM_OBS_REQLOG_FILE), called once the hook's own enable conditions
+/// hold. When the environment variable `var` names a non-empty path,
+/// `writer(os, path)` fills that file through write_file_atomic. Returns
+/// false when `var` is unset or empty; throws std::runtime_error naming
+/// `var` and the path when the write fails.
+bool export_env_file(
+    const char* var,
+    const std::function<void(std::ostream&, std::string_view path)>& writer);
+
 /// Flat JSON snapshot of the registry (meta header + every metric).
 void write_snapshot_json(std::ostream& os);
 /// Same format for an already-captured Snapshot (numbers at %.17g).
@@ -458,14 +469,15 @@ std::string bench_json_line(
     const std::string& bench, double wall_ms, double ops,
     const std::vector<std::pair<std::string, double>>& extras);
 
-/// Prints the BENCH_JSON line and honours the exporter env hooks:
-/// CIM_OBS_TRACE_FILE / CIM_OBS_SNAPSHOT_FILE receive the Chrome trace /
-/// JSON snapshot when set (and telemetry is enabled);
-/// CIM_OBS_HEATMAP_FILE receives the device-health heatmap dump (CSV when
-/// the path ends in .csv, flat JSON otherwise) when health telemetry is
-/// enabled. All file exports are crash-safe (write_file_atomic). When
-/// CIM_OBS_PROM_PORT is set the Prometheus endpoint is started on first
-/// use (obs/prom.hpp).
+/// Prints (and flushes) the BENCH_JSON line, then honours the exporter env
+/// hooks when telemetry is enabled: CIM_OBS_SNAPSHOT_FILE / CIM_OBS_TRACE_FILE
+/// / CIM_OBS_PROM_FILE receive the JSON snapshot / Chrome trace (trace mode
+/// only) / Prometheus text; CIM_OBS_HEATMAP_FILE receives the device-health
+/// heatmap dump (CSV when the path ends in .csv, flat JSON otherwise) when
+/// health telemetry is enabled. Every export goes through export_env_file:
+/// crash-safe, and a failed write throws std::runtime_error naming the
+/// variable and the path. When CIM_OBS_PROM_PORT is set the Prometheus
+/// endpoint is started on first use (obs/prom.hpp).
 void emit_bench_json(
     const std::string& bench, double wall_ms, double ops,
     std::initializer_list<std::pair<const char*, double>> extras = {});

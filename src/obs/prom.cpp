@@ -220,11 +220,6 @@ void write_prometheus_text(std::ostream& os) {
   }
 }
 
-bool write_prometheus_file(const std::string& path) {
-  return write_file_atomic(path,
-                           [](std::ostream& os) { write_prometheus_text(os); });
-}
-
 // --- PromServer --------------------------------------------------------------
 
 PromServer::~PromServer() { stop(); }

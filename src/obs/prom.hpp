@@ -3,8 +3,8 @@
 ///        whole cim::obs registry + health summaries, with two delivery
 ///        paths:
 ///
-///  - a one-shot writer (`write_prometheus_text` / `write_prometheus_file`,
-///    env hook `CIM_OBS_PROM_FILE`) for batch jobs, and
+///  - a one-shot writer (`write_prometheus_text`, env hook
+///    `CIM_OBS_PROM_FILE`) for batch jobs, and
 ///  - a minimal blocking TCP endpoint (`PromServer`, env hook
 ///    `CIM_OBS_PROM_PORT`) so long-running `CimSystem` processes can be
 ///    scraped like production hardware.
@@ -36,9 +36,6 @@ namespace cim::obs {
 /// Renders the full registry (counters, gauges, histograms, spans,
 /// components) plus per-array health summaries in Prometheus text format.
 void write_prometheus_text(std::ostream& os);
-
-/// One-shot crash-safe file export of write_prometheus_text.
-bool write_prometheus_file(const std::string& path);
 
 /// Blocking-accept TCP endpoint serving write_prometheus_text at any path.
 /// One background thread; each accepted connection gets one response and is

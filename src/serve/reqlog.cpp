@@ -1,7 +1,6 @@
 #include "serve/reqlog.hpp"
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -71,11 +70,6 @@ void write_reqlog(std::ostream& os, const ReqLog& log) {
   write_lines(os, log.completions, log.rejections);
 }
 
-bool write_reqlog_file(const std::string& path, const ServeReport& report) {
-  return obs::write_file_atomic(
-      path, [&](std::ostream& os) { write_reqlog(os, report); });
-}
-
 ReqLog read_reqlog(std::istream& is) {
   ReqLog log;
   obs::record::Reader r(is, kFormat);
@@ -122,10 +116,10 @@ ReqLog read_reqlog_file(const std::string& path) {
 }
 
 void export_reqlog_if_requested(const ServeReport& report) {
-  if (!obs::enabled()) return;
-  if (const char* path = std::getenv("CIM_OBS_REQLOG_FILE");
-      path != nullptr && *path != '\0')
-    write_reqlog_file(path, report);
+  if (obs::enabled())
+    obs::export_env_file("CIM_OBS_REQLOG_FILE", [&](std::ostream& os, auto) {
+      write_reqlog(os, report);
+    });
 }
 
 }  // namespace cim::serve

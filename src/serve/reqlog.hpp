@@ -9,7 +9,7 @@
 /// the record codec (obs/record.hpp): doubles are printed with %.17g so a
 /// parse -> dump round trip is byte-identical (the fixpoint the format
 /// tests gate), and ids and counts are read exactly from their digits. The
-/// file itself is written via `obs::write_file_atomic`, so an interrupted
+/// file itself is written via `obs::export_env_file`, so an interrupted
 /// run never leaves a truncated log. `tools/cim_reqlog` turns a reqlog
 /// into decomposition tables and top-k slow-request attribution.
 #pragma once
@@ -34,9 +34,6 @@ struct ReqLog {
 /// completion, then per rejection, both in id order).
 void write_reqlog(std::ostream& os, const ServeReport& report);
 
-/// Crash-safe file export (temp + rename). Returns false on I/O failure.
-bool write_reqlog_file(const std::string& path, const ServeReport& report);
-
 /// Parses a cim-reqlog-v1 stream, line by line without reading it whole;
 /// throws obs::record::ParseError (a std::runtime_error) naming the line
 /// on malformed input.
@@ -47,8 +44,9 @@ ReqLog read_reqlog_file(const std::string& path);
 /// any dump-produced x).
 void write_reqlog(std::ostream& os, const ReqLog& log);
 
-/// Env hook: writes the reqlog to CIM_OBS_REQLOG_FILE when set and
-/// telemetry is enabled (CIM_OBS). Called at the end of Controller::run.
+/// Env hook: writes the reqlog to CIM_OBS_REQLOG_FILE through
+/// obs::export_env_file when set and telemetry is enabled (CIM_OBS), so a
+/// failed write throws. Called at the end of Controller::run.
 void export_reqlog_if_requested(const ServeReport& report);
 
 }  // namespace cim::serve

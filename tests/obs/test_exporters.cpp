@@ -1,13 +1,19 @@
 /// Exporter tests: the JSON snapshot, the Chrome trace_event document
 /// produced by a real CimSystem workload (the bench_cim_system telemetry
-/// path), and the BENCH_JSON line schema.
+/// path), the BENCH_JSON line schema, and the env-named exports failing
+/// loudly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cim_system.hpp"
+#include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -127,6 +133,39 @@ TEST_F(ExporterTest, BenchJsonLineMatchesSchema) {
   EXPECT_TRUE(doc.at("git_sha").is_string());
   EXPECT_TRUE(doc.at("build_type").is_string());
   EXPECT_DOUBLE_EQ(doc.at("extra_metric").as_number(), 3.5);
+}
+
+TEST_F(ExporterTest, FailedEnvExportThrowsAfterTheBenchJsonLine) {
+  const std::string dir = ::testing::TempDir() + "cim-no-such-dir";
+  ASSERT_FALSE(std::filesystem::exists(dir));
+  HealthRegistry::global().clear();
+  const auto monitor = HealthRegistry::global().monitor("hook", 1, 1);
+  const struct {
+    const char* var;
+    Mode mode;
+  } hooks[] = {{"CIM_OBS_SNAPSHOT_FILE", Mode::kMetrics},
+               {"CIM_OBS_TRACE_FILE", Mode::kTrace},
+               {"CIM_OBS_PROM_FILE", Mode::kMetrics},
+               {"CIM_OBS_HEATMAP_FILE", Mode::kHealth}};
+  for (const auto& h : hooks) {
+    const std::string path = dir + "/" + h.var;
+    set_mode(h.mode);
+    ::setenv(h.var, path.c_str(), 1);
+    ::testing::internal::CaptureStdout();
+    std::string what;
+    try {
+      emit_bench_json("hook_bench", 1.0, 1.0);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ::unsetenv(h.var);
+    EXPECT_EQ(out.rfind("BENCH_JSON {\"bench\":\"hook_bench\"", 0), 0u)
+        << h.var << ": " << out;
+    EXPECT_NE(what.find(h.var), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+  HealthRegistry::global().clear();
 }
 
 TEST_F(ExporterTest, JsonParserRejectsMalformedInput) {

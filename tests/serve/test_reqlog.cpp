@@ -213,5 +213,22 @@ TEST(ReqLog, EnvHookExportsFromControllerRun) {
   std::remove(path.c_str());
 }
 
+TEST(ReqLog, EnvHookThrowsWhenTheExportCannotBeWritten) {
+  const std::string path = std::string(::testing::TempDir()) +
+                           "cim-no-such-dir/reqlog_env_export.cimreqlog";
+  obs::set_mode(obs::Mode::kMetrics);
+  ::setenv("CIM_OBS_REQLOG_FILE", path.c_str(), 1);
+  std::string what;
+  try {
+    shedding_report();
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  obs::set_mode(obs::Mode::kOff);
+  ::unsetenv("CIM_OBS_REQLOG_FILE");
+  EXPECT_NE(what.find("CIM_OBS_REQLOG_FILE"), std::string::npos) << what;
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+}
+
 }  // namespace
 }  // namespace cim::serve
