@@ -32,7 +32,8 @@
 /// disabled every instrumentation site costs one relaxed atomic load and a
 /// predictable branch (gated <2% by bench_obs_overhead). Registry metric
 /// handles keep counting regardless of the mode: they are storage, and
-/// always-on consumers (util/perf_counters.hpp) are thin views over them.
+/// always-on counters (`Crossbar`'s cache.full_rebuilds and
+/// cache.delta_updates) bump them directly.
 #pragma once
 
 #include <array>

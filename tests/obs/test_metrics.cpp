@@ -1,5 +1,5 @@
 /// Metrics-registry unit tests: counters, gauges, histograms, snapshot
-/// determinism, and the util::perf thin views over registry storage.
+/// determinism, and the always-on cache counters a crossbar bumps.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/perf_counters.hpp"
+#include "crossbar/crossbar.hpp"
 
 namespace cim::obs {
 namespace {
@@ -120,27 +120,26 @@ TEST_F(MetricsTest, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(&Registry::global().counter("test.reset_me"), &c);
 }
 
-TEST_F(MetricsTest, PerfCountersAreViewsOverRegistry) {
-  const std::uint64_t before =
-      Registry::global().counter("cache.full_rebuilds").value();
-  util::perf::cache_full_rebuilds.fetch_add(3, std::memory_order_relaxed);
-  EXPECT_EQ(Registry::global().counter("cache.full_rebuilds").value(),
-            before + 3);
-  EXPECT_EQ(util::perf::cache_full_rebuilds.load(std::memory_order_relaxed),
-            before + 3);
-  ++util::perf::cache_delta_updates;
-  EXPECT_GE(Registry::global().counter("cache.delta_updates").value(), 1u);
-}
-
 TEST_F(MetricsTest, PerfCountersCountEvenWhenObsDisabled) {
-  // perf counters are storage, not telemetry: CIM_OBS off must not stop
-  // them (the BENCH_JSON schema depends on them).
+  // The cache counters are storage, not telemetry: with CIM_OBS off a
+  // crossbar's cache rebuild and delta repair still reach the registry
+  // (BENCH_JSON's cache_* fields read it).
   set_mode(Mode::kOff);
-  const std::uint64_t before =
-      util::perf::cache_delta_updates.load(std::memory_order_relaxed);
-  util::perf::cache_delta_updates.fetch_add(1, std::memory_order_relaxed);
-  EXPECT_EQ(util::perf::cache_delta_updates.load(std::memory_order_relaxed),
-            before + 1);
+  const Counter& rebuilds = Registry::global().counter("cache.full_rebuilds");
+  const Counter& deltas = Registry::global().counter("cache.delta_updates");
+  const std::uint64_t rebuilds_before = rebuilds.value();
+  const std::uint64_t deltas_before = deltas.value();
+  crossbar::CrossbarConfig cfg;
+  cfg.rows = cfg.cols = 16;
+  crossbar::Crossbar xb(cfg);
+  const std::vector<double> v(16, 0.2);
+  xb.vmm(v);  // the first read builds the cache
+  xb.write_bit(3, 5, true);
+  xb.vmm(v);  // the next one repairs the dirty cells
+  EXPECT_EQ(xb.stats().cache_full_rebuilds, 1u);
+  EXPECT_EQ(xb.stats().cache_delta_updates, 1u);
+  EXPECT_EQ(rebuilds.value(), rebuilds_before + 1);
+  EXPECT_EQ(deltas.value(), deltas_before + 1);
 }
 
 TEST_F(MetricsTest, BuildInfoIsPopulated) {

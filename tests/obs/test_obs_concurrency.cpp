@@ -1,6 +1,6 @@
 /// Concurrency regression tests for the telemetry hot paths. The
 /// ThreadSanitizer race gate (`ctest -L 'tsan|obs'` in the CIM_TSAN build)
-/// runs these so the sharded counters, the perf-counter views, span
+/// runs these so the sharded counters, the crossbar cache counters, span
 /// recording, and component attribution are checked from thread-pool
 /// bodies.
 #include <gtest/gtest.h>
@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "crossbar/crossbar.hpp"
 #include "obs/obs.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cim::obs {
@@ -30,21 +30,26 @@ class ObsConcurrencyTest : public ::testing::Test {
 TEST_F(ObsConcurrencyTest, PerfCountersSafeFromParallelForBodies) {
   // Regression: the process-wide cache counters are bumped from
   // ThreadPool::parallel_for bodies (Monte-Carlo fan-out with private
-  // crossbars); the registry-backed views must stay exact under that load.
-  const std::uint64_t base_full =
-      util::perf::cache_full_rebuilds.load(std::memory_order_relaxed);
-  const std::uint64_t base_delta =
-      util::perf::cache_delta_updates.load(std::memory_order_relaxed);
+  // crossbars); the sharded registry counters must stay exact under that
+  // load. Each body's first read rebuilds its cache, its second repairs it.
+  const Counter& full = Registry::global().counter("cache.full_rebuilds");
+  const Counter& delta = Registry::global().counter("cache.delta_updates");
+  const std::uint64_t base_full = full.value();
+  const std::uint64_t base_delta = delta.value();
   util::ThreadPool pool(4);
-  constexpr std::size_t kIters = 4000;
-  pool.parallel_for(0, kIters, [](std::size_t) {
-    util::perf::cache_full_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    util::perf::cache_delta_updates.fetch_add(2, std::memory_order_relaxed);
+  constexpr std::size_t kIters = 64;
+  pool.parallel_for(0, kIters, [](std::size_t i) {
+    crossbar::CrossbarConfig cfg;
+    cfg.rows = cfg.cols = 8;
+    cfg.seed = i;
+    crossbar::Crossbar xb(cfg);
+    const std::vector<double> v(8, 0.2);
+    xb.vmm(v);
+    xb.write_bit(i % 8, (i / 8) % 8, true);
+    xb.vmm(v);
   });
-  EXPECT_EQ(util::perf::cache_full_rebuilds.load(std::memory_order_relaxed),
-            base_full + kIters);
-  EXPECT_EQ(util::perf::cache_delta_updates.load(std::memory_order_relaxed),
-            base_delta + 2 * kIters);
+  EXPECT_EQ(full.value(), base_full + kIters);
+  EXPECT_EQ(delta.value(), base_delta + kIters);
 }
 
 TEST_F(ObsConcurrencyTest, RegistryMetricsSafeUnderConcurrentUse) {
