@@ -8,9 +8,17 @@
 #include "obs/prom.hpp"
 
 namespace cim::core {
+namespace {
+
+/// Energy to move one partial-sum word between tiles and the reduction
+/// tree (on-chip interconnect), and the latency of one tree hop.
+constexpr double kTransferEnergyPjPerWord = 0.8;
+constexpr double kTransferLatencyNsPerHop = 0.5;
+
+}  // namespace
 
 CimSystem::CimSystem(const util::Matrix& w_int, CimSystemConfig cfg)
-    : in_(w_int.cols()), out_(w_int.rows()), cfg_(cfg), weights_(w_int) {
+    : in_(w_int.cols()), out_(w_int.rows()), weights_(w_int) {
   if (w_int.empty()) throw std::invalid_argument("CimSystem: empty weights");
   // Long-running system processes expose the scrape endpoint when asked
   // (CIM_OBS_PROM_PORT); idempotent, off unless telemetry is enabled.
@@ -18,6 +26,13 @@ CimSystem::CimSystem(const util::Matrix& w_int, CimSystemConfig cfg)
   const std::size_t tr = cfg.tile.tile.rows;
   const std::size_t tc = cfg.tile.tile.cols;
   if (tr == 0 || tc == 0) throw std::invalid_argument("CimSystem: empty tile");
+  // Tiles operate in parallel; the reduction tree adds hop latency
+  // logarithmic in the number of row-blocks feeding each output.
+  const std::size_t row_blocks = (in_ + tr - 1) / tr;
+  const double reduce_hops =
+      row_blocks > 1 ? std::ceil(std::log2(static_cast<double>(row_blocks)))
+                     : 0.0;
+  reduce_ns_ = reduce_hops * kTransferLatencyNsPerHop;
 
   std::uint64_t seed = cfg.tile.seed;
   for (std::size_t r0 = 0; r0 < in_; r0 += tr) {
@@ -87,24 +102,16 @@ std::vector<long> CimSystem::vmm_int(std::span<const std::uint32_t> inputs,
     transfers += blk.cols;
   }
 
-  // Tiles operate in parallel; the reduction tree adds hop latency
-  // logarithmic in the number of row-blocks feeding each output.
-  const std::size_t row_blocks =
-      (in_ + cfg_.tile.tile.rows - 1) / cfg_.tile.tile.rows;
-  const double reduce_hops =
-      row_blocks > 1 ? std::ceil(std::log2(static_cast<double>(row_blocks))) : 0.0;
   const double move_energy =
-      static_cast<double>(transfers) * cfg_.transfer_energy_pj_per_word;
+      static_cast<double>(transfers) * kTransferEnergyPjPerWord;
 
-  stats_.time_ns +=
-      worst_tile_time + reduce_hops * cfg_.transfer_latency_ns_per_hop;
+  stats_.time_ns += worst_tile_time + reduce_ns_;
   stats_.energy_pj += tile_energy + move_energy;
   stats_.movement_energy_pj += move_energy;
   ++stats_.vmm_ops;
   if (obs::enabled()) {
-    const double reduce_time = reduce_hops * cfg_.transfer_latency_ns_per_hop;
-    obs::attribute(obs::Component::kInterconnect, reduce_time, move_energy);
-    span.add_sim_time_ns(worst_tile_time + reduce_time);
+    obs::attribute(obs::Component::kInterconnect, reduce_ns_, move_energy);
+    span.add_sim_time_ns(worst_tile_time + reduce_ns_);
     span.add_energy_pj(tile_energy + move_energy);
   }
   return y;
@@ -116,12 +123,7 @@ CimSystem::RequestLatencyParts CimSystem::request_latency_parts(
   for (const auto& blk : tiles_)
     p.bitserial_ns =
         std::max(p.bitserial_ns, blk.tile->vmm_latency_ns(input_bits));
-  const std::size_t row_blocks =
-      (in_ + cfg_.tile.tile.rows - 1) / cfg_.tile.tile.rows;
-  const double reduce_hops =
-      row_blocks > 1 ? std::ceil(std::log2(static_cast<double>(row_blocks)))
-                     : 0.0;
-  p.reduce_ns = reduce_hops * cfg_.transfer_latency_ns_per_hop;
+  p.reduce_ns = reduce_ns_;
   return p;
 }
 

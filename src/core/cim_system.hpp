@@ -17,13 +17,9 @@
 
 namespace cim::core {
 
-/// System configuration: tile template + aggregation costs.
+/// System configuration: the tile template.
 struct CimSystemConfig {
   CimTileConfig tile{};
-  /// Energy to move one partial-sum word between tiles and the reduction
-  /// tree (on-chip interconnect).
-  double transfer_energy_pj_per_word = 0.8;
-  double transfer_latency_ns_per_hop = 0.5;
 };
 
 /// Aggregated execution report.
@@ -100,7 +96,7 @@ class CimSystem {
 
   std::size_t in_;
   std::size_t out_;
-  CimSystemConfig cfg_;
+  double reduce_ns_ = 0.0;  ///< reduction-tree latency of one request
   util::Matrix weights_;
   std::vector<Block> tiles_;
   mutable CimSystemStats stats_;

@@ -49,7 +49,6 @@ struct CellInfo {
   CellState state = CellState::kUnknown;
   std::size_t node = kNoNode;  ///< source IR node of the resident value
   std::size_t writes = 0;      ///< total micro-op writes into this cell
-  std::size_t def_instr = static_cast<std::size_t>(-1);  ///< last defining op
 
   bool readable() const {
     return state != CellState::kUnknown && state != CellState::kDead;
@@ -80,12 +79,8 @@ class CellTable {
     cells_[cell].node = node;
   }
 
-  /// Records a write into `cell` by instruction `instr`.
-  void record_write(std::size_t cell, std::size_t instr) {
-    auto& ci = cells_[cell];
-    ++ci.writes;
-    ci.def_instr = instr;
-  }
+  /// Records a micro-op write into `cell`.
+  void record_write(std::size_t cell) { ++cells_[cell].writes; }
 
   /// Marks every cell at or past `first_protected_cell` whose resident
   /// value came from `node` as dead — the fanout death point of that node,

@@ -20,8 +20,7 @@ bool windows_overlap(const ScheduledProgram& a, const ScheduledProgram& b) {
 }  // namespace
 
 VerifyReport analyze_hazards(const TilePool& pool,
-                             const std::vector<ScheduledProgram>& scheduled,
-                             const HazardOptions& opts) {
+                             const std::vector<ScheduledProgram>& scheduled) {
   VerifyReport rep;
   auto diag = [&rep](Severity sev, Rule rule, std::size_t cell,
                      std::string msg) {
@@ -116,7 +115,7 @@ VerifyReport analyze_hazards(const TilePool& pool,
 
       // Shared-ADC contention: both programs sense columns muxed onto the
       // same physical channel during the overlap.
-      if (opts.check_adc && tile.adc_channels > 0) {
+      if (tile.adc_channels > 0) {
         std::vector<char> chan_a(tile.adc_channels, 0);
         for (std::size_t c = 0; c < a->access.sensed_cols.size(); ++c)
           if (a->access.sensed_cols[c] != 0)
@@ -141,26 +140,23 @@ VerifyReport analyze_hazards(const TilePool& pool,
       }
 
       // Shared wordline drivers: a throughput (serialization) warning.
-      if (opts.check_row_drivers) {
-        std::size_t shared = 0, first_row = kNoCell;
-        for (std::size_t ra = 0; ra < a->access.driven_rows.size(); ++ra) {
-          if (!a->access.driven_rows[ra]) continue;
-          const std::size_t abs_row = a->row0 + ra;
-          if (abs_row < b->row0 ||
-              abs_row >= b->row0 + b->access.driven_rows.size())
-            continue;
-          if (b->access.driven_rows[abs_row - b->row0]) {
-            if (shared++ == 0) first_row = abs_row;
-          }
+      std::size_t shared = 0, first_row = kNoCell;
+      for (std::size_t ra = 0; ra < a->access.driven_rows.size(); ++ra) {
+        if (!a->access.driven_rows[ra]) continue;
+        const std::size_t abs_row = a->row0 + ra;
+        if (abs_row < b->row0 ||
+            abs_row >= b->row0 + b->access.driven_rows.size())
+          continue;
+        if (b->access.driven_rows[abs_row - b->row0]) {
+          if (shared++ == 0) first_row = abs_row;
         }
-        if (shared > 0) {
-          std::ostringstream os;
-          os << "programs '" << a->name << "' and '" << b->name << "' drive "
-             << shared << " shared wordline(s) on tile " << a->tile
-             << " — the row decoder serializes them";
-          diag(Severity::kWarning, Rule::kRowDriverConflict, first_row,
-               os.str());
-        }
+      }
+      if (shared > 0) {
+        std::ostringstream os;
+        os << "programs '" << a->name << "' and '" << b->name << "' drive "
+           << shared << " shared wordline(s) on tile " << a->tile
+           << " — the row decoder serializes them";
+        diag(Severity::kWarning, Rule::kRowDriverConflict, first_row, os.str());
       }
     }
   }

@@ -66,15 +66,8 @@ struct ScheduledProgram {
   ProgramAccess access;  ///< access_of(program)
 };
 
-/// Analysis toggles (both default on).
-struct HazardOptions {
-  bool check_adc = true;
-  bool check_row_drivers = true;
-};
-
 /// Runs the pairwise hazard analysis over `scheduled` against `pool`.
 VerifyReport analyze_hazards(const TilePool& pool,
-                             const std::vector<ScheduledProgram>& scheduled,
-                             const HazardOptions& opts = {});
+                             const std::vector<ScheduledProgram>& scheduled);
 
 }  // namespace cim::eda::verify

@@ -135,7 +135,7 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     const auto& ins = prog.instrs[i];
     if (ins.kind == ImplyInstr::Kind::kFalse) {
       if (check_write(i, ins.dest)) {
-        cells.record_write(ins.dest, i);
+        cells.record_write(ins.dest);
         cells[ins.dest].state = CellState::kReset;
         cells.set_node(ins.dest, kNoNode);
       }
@@ -143,7 +143,7 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
       check_read(i, ins.src);
       check_read(i, ins.dest);  // IMPLY is read-modify-write on dest
       if (check_write(i, ins.dest)) {
-        cells.record_write(ins.dest, i);
+        cells.record_write(ins.dest);
         cells[ins.dest].state = CellState::kDriven;
         cells.set_node(ins.dest, kNoNode);
       }

@@ -127,7 +127,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
            << " live fanout(s) — premature recycle";
         diag(Severity::kError, Rule::kDeadCellRead, i, ins.out_cell, os.str());
       }
-      cells.record_write(ins.out_cell, i);
+      cells.record_write(ins.out_cell);
       out.state = CellState::kSet;
       cells.set_node(ins.out_cell, kNoNode);
       continue;
@@ -191,7 +191,7 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
                  std::string(cell_state_name(out.state)) + ")");
         break;
     }
-    cells.record_write(ins.out_cell, i);
+    cells.record_write(ins.out_cell);
     out.state = CellState::kDriven;
     cells.set_node(ins.out_cell, ins.node);
 

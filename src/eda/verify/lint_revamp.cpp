@@ -170,7 +170,7 @@ VerifyReport lint_revamp(const RevampProgram& prog,
         }
         cell.state = CellState::kDriven;
       }
-      cells.record_write(flat(ins.wordline, c), i);
+      cells.record_write(flat(ins.wordline, c));
       wrote = true;
     }
     if (wrote) ++write_version[ins.wordline];

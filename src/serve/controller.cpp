@@ -22,6 +22,11 @@ namespace cim::serve {
 
 namespace {
 
+/// Weight (ns of equivalent backlog) of a health score of 1.0 under
+/// kWearAware: how much extra queueing a dispatch will absorb before it
+/// lands on the most-worn replica.
+constexpr double kWearPenaltyNs = 50000.0;
+
 /// Exact q-quantile of a sorted sample (nearest-rank; the per-request
 /// records are all in hand, unlike the scrape-side histogram estimate).
 double exact_quantile(const std::vector<double>& sorted, double q) {
@@ -231,7 +236,7 @@ ServeReport Controller::run(std::span<const Request> requests,
         for (std::size_t r = 0; r < replicas; ++r) {
           double cost = std::max(busy_until[r] - now, 0.0);
           if (cfg_.routing == RoutingPolicy::kWearAware)
-            cost += cfg_.wear_penalty_ns * health[r];
+            cost += kWearPenaltyNs * health[r];
           if (r == 0 || cost < best_cost) {
             best = r;
             best_cost = cost;

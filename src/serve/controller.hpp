@@ -58,7 +58,7 @@ namespace cim::serve {
 enum class RoutingPolicy : int {
   kRoundRobin = 0,   ///< cyclic, load- and health-blind
   kLeastLoaded = 1,  ///< smallest busy backlog at flush time
-  kWearAware = 2,    ///< backlog + wear_penalty_ns * normalized health score
+  kWearAware = 2,    ///< backlog + 50 us * normalized health score
 };
 
 constexpr const char* policy_name(RoutingPolicy p) {
@@ -81,10 +81,6 @@ struct ControllerConfig {
   /// control setup, paid once per batch before its bit-serial cycles.
   double issue_overhead_ns = 600.0;
   RoutingPolicy routing = RoutingPolicy::kLeastLoaded;
-  /// Weight (ns of equivalent backlog) of a health score of 1.0 under
-  /// kWearAware: how much extra queueing a dispatch will absorb before it
-  /// lands on the most-worn replica.
-  double wear_penalty_ns = 50000.0;
   /// Downgrade kFull requests to kCalibrated while the admission queue is
   /// at or above `escalation_queue_depth` (off by default).
   bool tier_escalation = false;
