@@ -27,17 +27,6 @@ namespace {
 /// lands on the most-worn replica.
 constexpr double kWearPenaltyNs = 50000.0;
 
-/// Exact q-quantile of a sorted sample (nearest-rank; the per-request
-/// records are all in hand, unlike the scrape-side histogram estimate).
-double exact_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t idx = static_cast<std::size_t>(std::ceil(rank));
-  if (idx > 0) --idx;
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
-}
-
 int argmax_label(const std::vector<long>& logits) {
   if (logits.empty()) return -1;
   return static_cast<int>(

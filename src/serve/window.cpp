@@ -15,6 +15,15 @@ const std::vector<double>& latency_bounds() {
   return bounds;
 }
 
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double rank = q * static_cast<double>(sorted.size());
+  std::size_t idx = static_cast<std::size_t>(std::ceil(rank));
+  if (idx > 0) --idx;
+  if (idx >= sorted.size()) idx = sorted.size() - 1;
+  return sorted[idx];
+}
+
 WindowSeries::WindowSeries(double window_ns, double slo_target_ns,
                            double slo_objective)
     : window_ns_(window_ns) {

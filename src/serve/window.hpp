@@ -77,6 +77,13 @@ inline constexpr double kSloSlowBurn = 6.0;
 /// queues.
 const std::vector<double>& latency_bounds();
 
+/// Exact q-quantile of a sorted sample by nearest rank: element
+/// ceil(q * n) - 1, clamped to [0, n - 1]; 0 for an empty sample. The
+/// controller's run summary and cim-reqlog read their latency quantiles
+/// from it, since the per-request records are all in hand (unlike the
+/// bucket estimate of the windows and the registry histograms).
+double exact_quantile(const std::vector<double>& sorted, double q);
+
 /// In-order per-window accumulator of a run's completions and rejections.
 class WindowSeries {
  public:

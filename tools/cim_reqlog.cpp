@@ -10,7 +10,6 @@
 /// every gate passes, 1 on a gate violation, and 2 on usage/parse
 /// failures — the cim-lint convention.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -21,10 +20,12 @@
 #include "flag_number.hpp"
 #include "serve/reqlog.hpp"
 #include "serve/request.hpp"
+#include "serve/window.hpp"
 
 namespace {
 
 using cim::serve::Completion;
+using cim::serve::exact_quantile;
 using cim::serve::ReqLog;
 
 void print_usage(std::ostream& os) {
@@ -42,15 +43,6 @@ void print_usage(std::ostream& os) {
         "                         sum to done_ns - arrival_ns bitwise\n"
         "  --quiet                verdicts only, no tables\n"
         "  -h, --help             this message\n";
-}
-
-double quantile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t idx = static_cast<std::size_t>(std::ceil(rank));
-  if (idx > 0) --idx;
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
 }
 
 struct Options {
@@ -155,8 +147,8 @@ int main(int argc, char** argv) {
   }
 
   std::sort(latencies.begin(), latencies.end());
-  const double p50 = quantile(latencies, 0.50);
-  const double p99 = quantile(latencies, 0.99);
+  const double p50 = exact_quantile(latencies, 0.50);
+  const double p99 = exact_quantile(latencies, 0.99);
   const double mean =
       completed > 0 ? latency_sum / static_cast<double>(completed) : 0.0;
 
@@ -172,7 +164,7 @@ int main(int argc, char** argv) {
       std::sort(r.values.begin(), r.values.end());
       const double m = r.sum / static_cast<double>(completed);
       std::printf("  %-18s %12.3f %12.3f %7.1f%%\n", r.name, m * 1e-3,
-                  quantile(r.values, 0.99) * 1e-3,
+                  exact_quantile(r.values, 0.99) * 1e-3,
                   mean > 0.0 ? 100.0 * m / mean : 0.0);
     }
 
