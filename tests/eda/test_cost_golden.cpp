@@ -10,7 +10,8 @@
 ///
 /// The access golden pins an FNV-1a hash of every ProgramAccess field
 /// (`access_of`) of the same programs: write bounds, operand reads, sensed
-/// columns and driven rows, per cell, beyond the aggregates above.
+/// columns and driven rows, per cell, beyond the aggregates above. The sets
+/// `check_program` records in its cost walk must match the same golden.
 ///
 /// tests/data/eda_cost.golden and tests/data/eda_access.golden were each
 /// written once by a disabled case below, and are never rewritten by the
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -380,7 +382,22 @@ std::string access_line(const std::string& tag,
          " hash=" + f.hex();
 }
 
-std::vector<std::string> run_access_golden() {
+/// The access sets `check_program` takes from the walk that yields its
+/// cost: the exact walk up to kExactCostInputCap inputs, the one-lane past.
+template <typename Prog>
+verify::ProgramAccess checked_access(const Prog& prog) {
+  if constexpr (std::is_same_v<Prog, RevampProgram>)
+    return verify::check_program(prog).access;
+  else
+    return verify::check_program(prog, nullptr).access;
+}
+
+/// The access golden's lines, from `access_of`, or from `check_program`
+/// when `checked` is set.
+std::vector<std::string> run_access_golden(bool checked) {
+  const auto sets = [checked](const auto& prog) {
+    return checked ? checked_access(prog) : verify::access_of(prog);
+  };
   std::vector<std::string> lines;
   for (const auto& [name, nl] : golden_circuits()) {
     const Aig aig = Aig::from_netlist(nl);
@@ -388,25 +405,24 @@ std::vector<std::string> run_access_golden() {
     const Netlist nor = aig.to_netlist().to_nor_only();
     const RevampProgram rv = assemble_revamp(mig, schedule_revamp(mig));
     lines.push_back(name);
-    lines.push_back(access_line("revamp", verify::access_of(rv)));
+    lines.push_back(access_line("revamp", sets(rv)));
     for (const bool reuse : {false, true}) {
       const std::string r = reuse ? " reuse" : " fresh";
-      lines.push_back(access_line(
-          "imply" + r, verify::access_of(compile_imply(aig, reuse))));
-      lines.push_back(access_line(
-          "magic" + r, verify::access_of(compile_magic(nor, reuse))));
+      lines.push_back(
+          access_line("imply" + r, sets(compile_imply(aig, reuse))));
+      lines.push_back(
+          access_line("magic" + r, sets(compile_magic(nor, reuse))));
     }
   }
   const EdgePrograms e = edge_programs();
   lines.push_back("edge programs");
-  lines.push_back(access_line("imply_oob", verify::access_of(e.imply_oob)));
-  lines.push_back(
-      access_line("imply_narrow", verify::access_of(e.imply_narrow)));
-  lines.push_back(access_line("magic_oob", verify::access_of(e.magic_oob)));
-  lines.push_back(access_line("revamp_oob", verify::access_of(e.rv_oob)));
-  lines.push_back(access_line("imply_zero", verify::access_of(e.imply_zero)));
-  lines.push_back(access_line("magic_zero", verify::access_of(e.magic_zero)));
-  lines.push_back(access_line("revamp_zero", verify::access_of(e.rv_zero)));
+  lines.push_back(access_line("imply_oob", sets(e.imply_oob)));
+  lines.push_back(access_line("imply_narrow", sets(e.imply_narrow)));
+  lines.push_back(access_line("magic_oob", sets(e.magic_oob)));
+  lines.push_back(access_line("revamp_oob", sets(e.rv_oob)));
+  lines.push_back(access_line("imply_zero", sets(e.imply_zero)));
+  lines.push_back(access_line("magic_zero", sets(e.magic_zero)));
+  lines.push_back(access_line("revamp_zero", sets(e.rv_zero)));
   return lines;
 }
 
@@ -446,11 +462,15 @@ TEST(AccessGolden, DISABLED_DumpGolden) {
   dump(kAccessGoldenPath,
        "cim eda access golden: ProgramAccess fields (FNV-1a) of every "
        "program the cost golden covers",
-       run_access_golden());
+       run_access_golden(false));
 }
 
 TEST(AccessGolden, MatchesCheckedInGolden) {
-  expect_golden(kAccessGoldenPath, run_access_golden());
+  expect_golden(kAccessGoldenPath, run_access_golden(false));
+}
+
+TEST(AccessGolden, CheckProgramRecordsTheSameSets) {
+  expect_golden(kAccessGoldenPath, run_access_golden(true));
 }
 
 }  // namespace
