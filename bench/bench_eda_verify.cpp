@@ -98,9 +98,11 @@ int main() {
   // --- static analysis timings + cross-tile hazard gate ----------------------
   // The three analyses check_program runs, each timed on its own across the
   // whole suite x 3 families: the family linter, the wear certificate
-  // (access sets + certify_wear) and the cost certificate (estimate_cost +
-  // certify_cost). The suite-level run re-checks that the cross-tile hazard
-  // analyzer (round-robin tile pool) stays finding-free on mapper output.
+  // (access_of + certify_wear) and the cost certificate (estimate_cost +
+  // certify_cost). check_program takes the access sets and the cost from
+  // one walk, so timed apart the two certificates walk each program twice.
+  // The suite-level run re-checks that the cross-tile hazard analyzer
+  // (round-robin tile pool) stays finding-free on mapper output.
   double pass_lint_ms = 0.0;
   double pass_wear_ms = 0.0;
   double pass_cost_ms = 0.0;
