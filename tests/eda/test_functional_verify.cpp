@@ -390,5 +390,43 @@ INSTANTIATE_TEST_SUITE_P(Circuits, PlantedMapperBug,
                            return suite()[info.param].name;
                          });
 
+// rca6 has 13 inputs, one past kExactCostInputCap, where the cost walk is
+// the approximate one: verification still walks every assignment exactly.
+TEST(FunctionalVerifyWide, ThirteenInputsVerifyAndPlantedBugsFail) {
+  const Mapped m(ripple_carry_adder(6));
+  ASSERT_EQ(m.aig.num_inputs(), 13u);
+  EXPECT_TRUE(verify_imply(m.imply, m.aig));
+  EXPECT_TRUE(verify_magic(m.magic, m.nor));
+  EXPECT_TRUE(verify_revamp(m.revamp, m.mig));
+
+  auto imply = m.imply;  // the last IMPLY's operands swapped
+  const auto imp = std::find_if(
+      imply.instrs.rbegin(), imply.instrs.rend(),
+      [](const auto& ins) { return ins.kind == ImplyInstr::Kind::kImply; });
+  ASSERT_NE(imp, imply.instrs.rend());
+  std::swap(imp->dest, imp->src);
+  EXPECT_FALSE(verify_imply(imply, m.aig));
+
+  auto magic = m.magic;  // the first SET dropped
+  const auto set = std::find_if(
+      magic.instrs.begin(), magic.instrs.end(),
+      [](const auto& ins) { return ins.kind == MagicInstr::Kind::kSet; });
+  ASSERT_NE(set, magic.instrs.end());
+  magic.instrs.erase(set);
+  EXPECT_FALSE(verify_magic(magic, m.nor));
+
+  auto revamp = m.revamp;  // the last Apply's first bitline complemented
+  const auto app = std::find_if(
+      revamp.instrs.rbegin(), revamp.instrs.rend(), [](const auto& ins) {
+        return ins.kind == RevampInstruction::Kind::kApply;
+      });
+  ASSERT_NE(app, revamp.instrs.rend());
+  const auto col = std::find_if(app->columns.begin(), app->columns.end(),
+                                [](const auto& c) { return c.has_value(); });
+  ASSERT_NE(col, app->columns.end());
+  (*col)->complemented = !(*col)->complemented;
+  EXPECT_FALSE(verify_revamp(revamp, m.mig));
+}
+
 }  // namespace
 }  // namespace cim::eda
