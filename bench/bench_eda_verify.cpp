@@ -2,9 +2,9 @@
 /// \brief `cim-lint` over the whole bench suite — runs the static micro-op
 ///        program verifier (eda/verify) across every benchmark circuit, all
 ///        three logic families (IMPLY, Majority/ReVAMP, MAGIC) and both
-///        allocator modes (naive vs. CONTRA-style cell reuse), reporting the
-///        per-program diagnostic counts, worst per-cell write pressure and a
-///        clean/NO verdict per row.
+///        allocator modes (naive vs. CONTRA-style cell reuse), reporting
+///        `verify::check_program`'s per-program diagnostic counts, worst
+///        per-cell write bound and a clean/NO verdict per row.
 ///
 /// Contrast with bench_fig8_eda_flow: that run proves functional correctness
 /// by exhaustive simulation (2^inputs evaluations); this one proves
@@ -44,21 +44,21 @@ int main() {
       const eda::Aig aig = eda::Aig::from_netlist(bc.netlist);
       {
         const auto prog = eda::compile_imply(aig, reuse);
-        entries.push_back(
-            {bc.name, "IMPLY", eda::verify::lint_imply(prog, &aig)});
+        entries.push_back({bc.name, "IMPLY",
+                           eda::verify::check_program(prog, &aig).report});
       }
       {
         const eda::Mig mig = eda::Mig::from_aig(aig);
-        const auto sched = eda::schedule_revamp(mig);
+        const auto prog =
+            eda::assemble_revamp(mig, eda::schedule_revamp(mig));
         entries.push_back({bc.name, "Majority",
-                           eda::verify::lint_revamp(
-                               eda::assemble_revamp(mig, sched))});
+                           eda::verify::check_program(prog, &mig).report});
       }
       {
         const auto nor = aig.to_netlist().to_nor_only();
         const auto prog = eda::compile_magic(nor, reuse);
-        entries.push_back(
-            {bc.name, "MAGIC", eda::verify::lint_magic(prog, &nor)});
+        entries.push_back({bc.name, "MAGIC",
+                           eda::verify::check_program(prog, &nor).report});
       }
     }
     auto t = eda::verify::lint_table(entries);
@@ -76,18 +76,18 @@ int main() {
   {
     util::Table t({"circuit", "family", "cells", "fits 64x64", "max W/cell"});
     t.set_title("Footprint check against a 64x64 crossbar tile");
-    eda::verify::VerifyOptions opts;
-    opts.geometry = crossbar::Geometry{64, 64};
+    eda::verify::CheckOptions opts;
+    opts.verify.geometry = crossbar::Geometry{64, 64};
     for (const auto& bc : suite) {
       const eda::Aig aig = eda::Aig::from_netlist(bc.netlist);
       const auto iprog = eda::compile_imply(aig, true);
-      const auto irep = eda::verify::lint_imply(iprog, &aig, opts);
+      const auto irep = eda::verify::check_program(iprog, &aig, opts).report;
       t.add_row({bc.name, "IMPLY", std::to_string(iprog.num_cells),
                  irep.count(eda::verify::Rule::kOobCell) == 0 ? "yes" : "NO",
                  std::to_string(irep.max_writes_per_cell)});
       const auto nor = aig.to_netlist().to_nor_only();
       const auto mprog = eda::compile_magic(nor, true);
-      const auto mrep = eda::verify::lint_magic(mprog, &nor, opts);
+      const auto mrep = eda::verify::check_program(mprog, &nor, opts).report;
       t.add_row({bc.name, "MAGIC", std::to_string(mprog.num_cells),
                  mrep.count(eda::verify::Rule::kOobCell) == 0 ? "yes" : "NO",
                  std::to_string(mrep.max_writes_per_cell)});

@@ -10,6 +10,7 @@
 #include "eda/magic_mapper.hpp"
 #include "eda/majority_mapper.hpp"
 #include "eda/revamp_isa.hpp"
+#include "eda/verify/wear_cost.hpp"
 #include "util/table.hpp"
 
 using namespace cim;
@@ -29,16 +30,23 @@ int main() {
             << " | MIG: " << mig.num_majs() << " MAJs, depth " << mig.depth()
             << "\n\n";
 
-  // Phase 3: map to each logic family and execute.
+  // Phase 3: map to each logic family and check each program against its
+  // source on every input assignment.
   util::Table t({"family", "devices", "delay (steps)", "ADP", "verified"});
   t.set_title("technology mapping of rca3 onto the three logic families");
+  eda::verify::CheckOptions check;
+  check.match_source = true;
+  const auto verdict = [&](const auto& prog, const auto& source) {
+    return eda::verify::check_program(prog, &source, check).verified ? "yes"
+                                                                     : "NO";
+  };
 
   {
     const auto prog = eda::compile_imply(aig, /*reuse_cells=*/true);
     t.add_row({"IMPLY", std::to_string(prog.num_cells),
                std::to_string(prog.delay()),
                std::to_string(prog.num_cells * prog.delay()),
-               eda::verify_imply(prog, aig) ? "yes" : "NO"});
+               verdict(prog, aig)});
   }
   {
     const auto sched = eda::schedule_revamp(mig);
@@ -46,9 +54,7 @@ int main() {
                std::to_string(sched.delay()) + " (lb " +
                    std::to_string(sched.delay_lower_bound()) + ")",
                std::to_string(sched.device_count * sched.delay()),
-               eda::verify_revamp(eda::assemble_revamp(mig, sched), mig)
-                   ? "yes"
-                   : "NO"});
+               verdict(eda::assemble_revamp(mig, sched), mig)});
   }
   {
     const auto nor = aig.to_netlist().to_nor_only();
@@ -56,7 +62,7 @@ int main() {
     t.add_row({"MAGIC", std::to_string(prog.num_cells),
                std::to_string(prog.delay()),
                std::to_string(prog.num_cells * prog.delay()),
-               eda::verify_magic(prog, nor) ? "yes" : "NO"});
+               verdict(prog, nor)});
   }
   t.print(std::cout);
 

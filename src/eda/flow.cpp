@@ -23,6 +23,7 @@ namespace {
 /// the hazard tile pool) are moved out.
 void absorb_check(FlowReport& rep, verify::ProgramCheck&& chk,
                   verify::ProgramAccess* keep) {
+  rep.verified = chk.verified;
   rep.lint_errors = chk.report.errors();
   rep.lint_warnings = chk.report.warnings();
   rep.lint_clean = chk.report.clean();
@@ -128,26 +129,29 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
     rep.bdd_nodes = bdd.size(bdd.from_truth_table(tt));
   }
 
-  // Phase 3: technology mapping, then the static checks of the mapped
-  // micro-op program (family linter + wear/cost certification).
+  // Phase 3: technology mapping, then the one check of the mapped micro-op
+  // program (family linter, functional verification when asked, wear/cost
+  // certification).
   CIM_OBS_SPAN("eda.flow.map", obs::Component::kDigital);
+  verify::CheckOptions check;
+  check.match_source = opts.verify;
   switch (family) {
     case LogicFamily::kImply: {
       const auto prog = compile_imply(aig, opts.reuse_cells);
       rep.devices = prog.num_cells;
       rep.delay = prog.delay();
-      if (opts.verify) rep.verified = verify_imply(prog, aig);
-      absorb_check(rep, verify::check_program(prog, &aig), keep_access);
+      absorb_check(rep, verify::check_program(prog, &aig, check),
+                   keep_access);
       break;
     }
     case LogicFamily::kMajority: {
       const auto sched = schedule_revamp(mig);
       rep.devices = sched.device_count;
       rep.delay = sched.delay();
-      // Verify and lint the one program the hardware runs.
+      // Check the one program the hardware runs.
       const auto prog = assemble_revamp(mig, sched);
-      if (opts.verify) rep.verified = verify_revamp(prog, mig);
-      absorb_check(rep, verify::check_program(prog), keep_access);
+      absorb_check(rep, verify::check_program(prog, &mig, check),
+                   keep_access);
       break;
     }
     case LogicFamily::kMagic: {
@@ -155,8 +159,8 @@ FlowReport run_flow_impl(const std::string& name, const Netlist& circuit,
       const auto prog = compile_magic(nor, opts.reuse_cells);
       rep.devices = prog.num_cells;
       rep.delay = prog.delay();
-      if (opts.verify) rep.verified = verify_magic(prog, nor);
-      absorb_check(rep, verify::check_program(prog, &nor), keep_access);
+      absorb_check(rep, verify::check_program(prog, &nor, check),
+                   keep_access);
       break;
     }
   }

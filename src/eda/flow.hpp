@@ -38,7 +38,7 @@ struct FlowReport {
   std::size_t devices = 0;      ///< area (cells)
   std::size_t delay = 0;        ///< steps
   double area_delay_product = 0.0;
-  bool verified = false;        ///< mapping simulated == specification
+  bool verified = false;        ///< outputs == specification, every input
   // Static verification (verify::check_program, as `cim-lint` runs it;
   // see eda/verify/wear_cost.hpp). Diagnostics aggregate the family linter
   // plus the wear and cost certificates.
@@ -70,11 +70,12 @@ struct FlowReport {
 /// Options for the flow.
 struct FlowOptions {
   bool reuse_cells = true;   ///< area-constrained mapping for IMPLY/MAGIC
-  bool verify = true;        ///< exhaustively simulate each mapping
+  bool verify = true;        ///< check each mapping on every input assignment
 };
 
 /// Runs the full flow for one circuit and one family; every program gets
-/// verify::check_program without a wear or cost gate.
+/// one verify::check_program without a wear or cost gate, which also sets
+/// `verified` when `opts.verify` asks for it.
 FlowReport run_flow(const std::string& name, const Netlist& circuit,
                     LogicFamily family, const FlowOptions& opts = {});
 

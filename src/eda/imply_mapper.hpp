@@ -13,6 +13,8 @@
 /// The mapper compiles an AIG into a linear IMPLY program over one crossbar
 /// row, optionally reusing work cells once their fanouts are consumed
 /// (the two-working-memristor result [64] is the extreme of this reuse).
+/// `verify::check_program` (eda/verify/wear_cost.hpp) checks a program
+/// against its AIG on every input assignment.
 #pragma once
 
 #include <cstddef>
@@ -57,11 +59,5 @@ ImplyProgram compile_imply(const Aig& aig, bool reuse_cells = false);
 std::vector<bool> execute_imply(crossbar::Crossbar& xbar,
                                 const ImplyProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
-
-/// Exhaustive check against the AIG's truth tables: the exact word walk
-/// behind verify::estimate_cost (verify/wear_cost.cpp) runs the program on
-/// every assignment, 64 per word. False for a malformed program (counts
-/// that differ from the AIG, or a cell past num_cells).
-bool verify_imply(const ImplyProgram& prog, const Aig& aig);
 
 }  // namespace cim::eda

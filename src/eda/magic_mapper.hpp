@@ -8,7 +8,8 @@
 /// one row so it can run SIMD-style across many rows; delay equals the
 /// number of SET+NOR steps, area the number of row cells. The
 /// area-constrained variant (CONTRA-flavoured [73]) recycles cells whose
-/// fanouts are exhausted.
+/// fanouts are exhausted. `verify::check_program` (eda/verify/wear_cost.hpp)
+/// checks a program against its NOR-only netlist on every input assignment.
 #pragma once
 
 #include <cstddef>
@@ -53,12 +54,5 @@ MagicProgram compile_magic(const Netlist& nor_netlist, bool reuse_cells = false)
 std::vector<bool> execute_magic(crossbar::Crossbar& xbar,
                                 const MagicProgram& prog,
                                 std::uint64_t assignment, std::size_t row = 0);
-
-/// Exhaustive check against the netlist's truth tables: the exact word walk
-/// behind verify::estimate_cost (verify/wear_cost.cpp) runs the program on
-/// every assignment, 64 per word. False for a malformed program (counts
-/// that differ from the netlist, a cell past num_cells, or a NOR with no
-/// inputs).
-bool verify_magic(const MagicProgram& prog, const Netlist& nor_netlist);
 
 }  // namespace cim::eda

@@ -20,7 +20,9 @@
 /// With unconstrained devices and single-group levels this approaches the
 /// delay-optimal "MIG levels + 1" result of [67], which is also reported.
 /// assemble_revamp (revamp_isa.hpp) lowers a schedule into the instruction
-/// stream that verify_revamp checks and execute_revamp_program runs.
+/// stream that execute_revamp_program runs and `verify::check_program`
+/// (eda/verify/wear_cost.hpp) checks against the MIG on every input
+/// assignment.
 #pragma once
 
 #include <cstddef>

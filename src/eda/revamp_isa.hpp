@@ -80,12 +80,4 @@ std::vector<bool> execute_revamp_program(crossbar::Crossbar& xbar,
                                          const RevampProgram& prog,
                                          std::uint64_t assignment);
 
-/// Exhaustive check against the MIG's truth tables: the exact word walk
-/// behind verify::estimate_cost (verify/wear_cost.cpp), DMR included, runs
-/// the program on every assignment, 64 per word. False for a malformed
-/// program (counts that differ from the MIG, a wordline, bitline or input
-/// index past the program's size, or a DMR operand whose row no earlier
-/// READ latched).
-bool verify_revamp(const RevampProgram& prog, const Mig& mig);
-
 }  // namespace cim::eda

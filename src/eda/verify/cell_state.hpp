@@ -19,7 +19,6 @@
 /// fanout death points independently of the allocator it is checking.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <string_view>
 #include <vector>
@@ -43,20 +42,18 @@ inline std::string_view cell_state_name(CellState s) {
 /// Sentinel for "no source-IR node associated".
 inline constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
-/// Per-cell abstract record: lattice point, resident source node, and the
-/// write counter feeding the endurance-budget accounting.
+/// Per-cell abstract record: lattice point and resident source node.
 struct CellInfo {
   CellState state = CellState::kUnknown;
   std::size_t node = kNoNode;  ///< source IR node of the resident value
-  std::size_t writes = 0;      ///< total micro-op writes into this cell
 
   bool readable() const {
     return state != CellState::kUnknown && state != CellState::kDead;
   }
 };
 
-/// Flat cell-state table with write accounting, and a node index: per
-/// source node below the index size, the cells it was made resident in.
+/// Flat cell-state table with a node index: per source node below the
+/// index size, the cells it was made resident in.
 /// Every write of a `CellInfo::node` other than kNoNode goes through
 /// `set_node`; a direct kNoNode write is safe.
 class CellTable {
@@ -79,9 +76,6 @@ class CellTable {
     cells_[cell].node = node;
   }
 
-  /// Records a micro-op write into `cell`.
-  void record_write(std::size_t cell) { ++cells_[cell].writes; }
-
   /// Marks every cell at or past `first_protected_cell` whose resident
   /// value came from `node` as dead — the fanout death point of that node,
   /// re-derived by the verifier. Only the node's list is visited (its
@@ -100,12 +94,6 @@ class CellTable {
     }
     for (std::size_t l = head_[node]; l != kEnd; l = links_[l].next)
       kill(links_[l].cell);
-  }
-
-  std::size_t max_writes() const {
-    std::size_t m = 0;
-    for (const auto& ci : cells_) m = std::max(m, ci.writes);
-    return m;
   }
 
  private:

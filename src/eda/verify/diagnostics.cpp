@@ -18,7 +18,6 @@ std::string_view rule_id(Rule rule) {
     case Rule::kWriteAfterWrite: return "write-after-write";
     case Rule::kDeadCellRead: return "dead-cell-read";
     case Rule::kOobCell: return "oob-cell";
-    case Rule::kEnduranceBudget: return "endurance-budget";
     case Rule::kOutputUnreachable: return "output-unreachable";
     case Rule::kDmrNotLatched: return "dmr-not-latched";
     case Rule::kRawHazard: return "raw-hazard";

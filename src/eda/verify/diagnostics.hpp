@@ -27,7 +27,6 @@ enum class Rule {
                        ///< live cell overwritten before its last fanout
   kOobCell,            ///< cell/row/column index outside the program or the
                        ///< target crossbar geometry
-  kEnduranceBudget,    ///< per-cell write count exceeds the endurance budget
   kOutputUnreachable,  ///< an output tap is not dominated by a defining write
   kDmrNotLatched,      ///< ReVAMP operand reads a DMR row that was never (or
                        ///< stalely) latched by a READ
@@ -70,7 +69,7 @@ struct Diagnostic {
 /// Result of statically verifying one compiled program.
 struct VerifyReport {
   std::vector<Diagnostic> diagnostics;
-  std::size_t max_writes_per_cell = 0;  ///< endurance accounting summary
+  std::size_t max_writes_per_cell = 0;  ///< worst per-cell write bound
   std::size_t cells_tracked = 0;        ///< cells covered by the analysis
 
   /// True when no error-severity diagnostic was produced.

@@ -7,6 +7,7 @@
 /// node, decremented at each AND completion exactly where compile_imply's
 /// allocator consumes them — so a mapper that recycles a cell one micro-op
 /// too early is caught without trusting any of its bookkeeping.
+#include <algorithm>
 #include <sstream>
 
 #include "eda/verify/cell_state.hpp"
@@ -135,7 +136,6 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     const auto& ins = prog.instrs[i];
     if (ins.kind == ImplyInstr::Kind::kFalse) {
       if (check_write(i, ins.dest)) {
-        cells.record_write(ins.dest);
         cells[ins.dest].state = CellState::kReset;
         cells.set_node(ins.dest, kNoNode);
       }
@@ -143,7 +143,6 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
       check_read(i, ins.src);
       check_read(i, ins.dest);  // IMPLY is read-modify-write on dest
       if (check_write(i, ins.dest)) {
-        cells.record_write(ins.dest);
         cells[ins.dest].state = CellState::kDriven;
         cells.set_node(ins.dest, kNoNode);
       }
@@ -197,17 +196,6 @@ VerifyReport lint_imply(const ImplyProgram& prog, const Aig* source,
     }
   }
 
-  // --- endurance-budget accounting ------------------------------------------
-  rep.max_writes_per_cell = cells.max_writes();
-  const std::size_t budget = opts.resolved_endurance_budget();
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    if (cells[c].writes > budget) {
-      std::ostringstream os;
-      os << cell_desc(prog, c) << " written " << cells[c].writes
-         << " times per run, endurance budget " << budget;
-      diag(Severity::kWarning, Rule::kEnduranceBudget, kNoInstr, c, os.str());
-    }
-  }
   return rep;
 }
 

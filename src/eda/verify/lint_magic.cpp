@@ -127,7 +127,6 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
            << " live fanout(s) — premature recycle";
         diag(Severity::kError, Rule::kDeadCellRead, i, ins.out_cell, os.str());
       }
-      cells.record_write(ins.out_cell);
       out.state = CellState::kSet;
       cells.set_node(ins.out_cell, kNoNode);
       continue;
@@ -191,7 +190,6 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
                  std::string(cell_state_name(out.state)) + ")");
         break;
     }
-    cells.record_write(ins.out_cell);
     out.state = CellState::kDriven;
     cells.set_node(ins.out_cell, ins.node);
 
@@ -240,17 +238,6 @@ VerifyReport lint_magic(const MagicProgram& prog, const Netlist* source,
     }
   }
 
-  // --- endurance-budget accounting ------------------------------------------
-  rep.max_writes_per_cell = cells.max_writes();
-  const std::size_t budget = opts.resolved_endurance_budget();
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    if (cells[c].writes > budget) {
-      std::ostringstream os;
-      os << "cell " << c << " written " << cells[c].writes
-         << " times per run, endurance budget " << budget;
-      diag(Severity::kWarning, Rule::kEnduranceBudget, kNoInstr, c, os.str());
-    }
-  }
   return rep;
 }
 

@@ -8,6 +8,7 @@
 /// so the first write into a cell must be state-independent: the RESET
 /// idiom wl=0 / bl=1, or the forced-SET wl=1 / bl=0). Both are checked with
 /// a per-cell abstract state plus a per-row latch/write version clock.
+#include <algorithm>
 #include <sstream>
 
 #include "eda/verify/cell_state.hpp"
@@ -170,7 +171,6 @@ VerifyReport lint_revamp(const RevampProgram& prog,
         }
         cell.state = CellState::kDriven;
       }
-      cells.record_write(flat(ins.wordline, c));
       wrote = true;
     }
     if (wrote) ++write_version[ins.wordline];
@@ -180,21 +180,6 @@ VerifyReport lint_revamp(const RevampProgram& prog,
   for (std::size_t k = 0; k < prog.outputs.size(); ++k)
     check_operand(kNoInstr, prog.outputs[k], true, k);
 
-  // --- endurance-budget accounting ------------------------------------------
-  rep.max_writes_per_cell = cells.max_writes();
-  const std::size_t budget = opts.resolved_endurance_budget();
-  for (std::size_t r = 0; r < W; ++r) {
-    for (std::size_t c = 0; c < B; ++c) {
-      const auto& ci = cells[flat(r, c)];
-      if (ci.writes > budget) {
-        std::ostringstream os;
-        os << "cell r" << r << ",c" << c << " written " << ci.writes
-           << " times per run, endurance budget " << budget;
-        diag(Severity::kWarning, Rule::kEnduranceBudget, kNoInstr, flat(r, c),
-             os.str());
-      }
-    }
-  }
   return rep;
 }
 

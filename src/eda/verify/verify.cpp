@@ -1,21 +1,6 @@
 #include "eda/verify/verify.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "device/technology.hpp"
-
 namespace cim::eda::verify {
-
-std::size_t VerifyOptions::resolved_endurance_budget() const {
-  if (endurance_budget > 0) return endurance_budget;
-  // Device endurance as a per-run write ceiling: generous for one program
-  // execution, but it ties the static accounting to the device model the
-  // rest of the stack simulates with.
-  const double e = device::technology_params(tech).endurance_mean;
-  const double capped = std::min(e, 1e18);
-  return static_cast<std::size_t>(std::max(1.0, capped));
-}
 
 util::Table lint_table(const std::vector<LintEntry>& entries) {
   util::Table t({"circuit", "family", "errors", "warnings", "max W/cell",

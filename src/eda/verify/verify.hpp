@@ -18,7 +18,6 @@
 ///                          of the CONTRA-style allocator it checks)
 ///   - oob-cell             indices outside the program footprint or the
 ///                          target crossbar geometry
-///   - endurance-budget     per-cell write counts vs. the device endurance
 ///   - output-unreachable   an output tap not dominated by a defining write
 ///   - dmr-not-latched      ReVAMP operand reading an unlatched/stale DMR row
 ///
@@ -49,18 +48,8 @@ struct VerifyOptions {
   /// physical crossbar geometry (rows x cols).
   std::optional<crossbar::Geometry> geometry;
 
-  /// Maximum tolerated writes into a single cell per program execution.
-  /// 0 selects the device endurance budget: technology_params(tech)
-  /// .endurance_mean writes — generous for one run, but the accounting (and
-  /// `VerifyReport::max_writes_per_cell`) lets a system integrator divide
-  /// the device budget by the planned evaluation count.
-  std::size_t endurance_budget = 0;
-
-  /// Technology whose endurance backs the default budget.
+  /// Technology of `check_program`'s cost walk and wear certificate.
   device::Technology tech = device::Technology::kSttMram;
-
-  /// Resolved per-run write budget.
-  std::size_t resolved_endurance_budget() const;
 };
 
 /// Statically verifies a compiled IMPLY program. When `source` is non-null

@@ -6,10 +6,10 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "eda/bit_slice.hpp"
 #include "obs/health.hpp"
-#include "obs/obs.hpp"
 
 namespace cim::eda::verify {
 namespace {
@@ -139,8 +139,9 @@ class ProbDomain {
 // Each walk is its family's one interpreter: a fresh row (every cell RESET),
 // the inputs launched, then every micro-op on all of a cell's lanes. With
 // `access` set it records the access sets as it charges; with `outs` set it
-// appends each output's lanes after the program ran, which the functional
-// verifiers compare with the specification.
+// appends each output's lanes after the program ran, which `check_program`
+// compares with the source's truth tables. Only a well-formed program
+// (`well_formed` below) is walked with `outs` set.
 
 template <typename D>
 CostEstimate walk(const ImplyProgram& prog,
@@ -311,15 +312,19 @@ CostEstimate walk(const RevampProgram& prog,
 }
 
 /// The exact walk up to kExactCostInputCap inputs, the approximate one past;
-/// it fills `access` when that is set.
+/// it fills `access` when that is set. With `outs` set the exact walk's
+/// output words are appended too: past the cap they take an exact walk of
+/// their own.
 template <typename Prog>
 CostEstimate estimate(const Prog& prog, const device::TechnologyParams& tech,
-                      ProgramAccess* access = nullptr) {
+                      ProgramAccess* access = nullptr,
+                      std::vector<std::uint64_t>* outs = nullptr) {
   if (prog.num_inputs <= kExactCostInputCap) {
-    auto est = walk<WordDomain>(prog, tech, access);
+    auto est = walk<WordDomain>(prog, tech, access, outs);
     est.exact_expectation = true;
     return est;
   }
+  if (outs != nullptr) walk<WordDomain>(prog, tech, nullptr, outs);
   return walk<ProbDomain>(prog, tech, access);
 }
 
@@ -331,13 +336,79 @@ ProgramAccess access_walk(const Prog& prog) {
   return a;
 }
 
-/// True iff the exact walk of `prog` leaves every output equal to the
-/// spec's table on every assignment. The walk's cost is dropped.
-template <typename Prog>
-bool walk_matches(const Prog& prog, const std::vector<TruthTable>& spec) {
-  std::vector<std::uint64_t> words;
-  walk<WordDomain>(prog, device::TechnologyParams{}, nullptr, &words);
-  const WordDomain dom(prog.num_inputs);
+// --- structural checks -------------------------------------------------------
+//
+// Whether the executor could run `prog` for a source of `inputs` inputs and
+// `outputs` outputs. A malformed program is never verified (it is wrong,
+// never undefined), and no walk with output words runs on it.
+
+bool well_formed(const ImplyProgram& prog, std::size_t inputs,
+                 std::size_t outputs) {
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  if (prog.num_inputs != inputs || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != outputs)
+    return false;
+  for (const auto& ins : prog.instrs)
+    if (!in_row(ins.dest) ||
+        (ins.kind == ImplyInstr::Kind::kImply && !in_row(ins.src)))
+      return false;
+  return std::all_of(prog.output_cells.begin(), prog.output_cells.end(),
+                     in_row);
+}
+
+bool well_formed(const MagicProgram& prog, std::size_t inputs,
+                 std::size_t outputs) {
+  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
+  if (prog.num_inputs != inputs || prog.num_inputs > prog.num_cells ||
+      prog.output_cells.size() != outputs ||
+      prog.output_is_const.size() != outputs ||
+      prog.const_values.size() != outputs)
+    return false;
+  for (const auto& ins : prog.instrs) {
+    if (!in_row(ins.out_cell)) return false;
+    if (ins.kind != MagicInstr::Kind::kNor) continue;
+    if (ins.in_cells.empty() ||
+        !std::all_of(ins.in_cells.begin(), ins.in_cells.end(), in_row))
+      return false;
+  }
+  for (std::size_t k = 0; k < outputs; ++k)
+    if (!prog.output_is_const[k] && !in_row(prog.output_cells[k])) return false;
+  return true;
+}
+
+bool well_formed(const RevampProgram& prog, std::size_t inputs,
+                 std::size_t outputs) {
+  if (prog.num_inputs != inputs || prog.outputs.size() != outputs)
+    return false;
+  // Every DMR operand's row must be latched by an earlier READ (in program
+  // order, so it holds for every assignment).
+  std::vector<bool> latched(prog.wordlines, false);
+  const auto valid = [&](const RevampOperand& op) {
+    if (op.src == RevampOperand::Src::kInput)
+      return op.input_index < prog.num_inputs;
+    if (op.src == RevampOperand::Src::kDmr)
+      return op.dmr_row < prog.wordlines && op.dmr_col < prog.bitlines &&
+             latched[op.dmr_row];
+    return true;
+  };
+  for (const auto& ins : prog.instrs) {
+    if (ins.wordline >= prog.wordlines) return false;
+    if (ins.kind == RevampInstruction::Kind::kRead) {
+      latched[ins.wordline] = true;
+      continue;
+    }
+    if (!valid(ins.wl) || ins.columns.size() > prog.bitlines) return false;
+    for (const auto& col : ins.columns)
+      if (col && !valid(*col)) return false;
+  }
+  return std::all_of(prog.outputs.begin(), prog.outputs.end(), valid);
+}
+
+/// True iff the output `words` of an exact walk over `vars` inputs equal the
+/// `spec` tables on every assignment.
+bool outputs_match(const std::vector<std::uint64_t>& words,
+                   const std::vector<TruthTable>& spec, std::size_t vars) {
+  const WordDomain dom(vars);
   const std::size_t L = dom.words();
   for (std::size_t o = 0; o < spec.size(); ++o)
     for (std::size_t k = 0; k < L; ++k)
@@ -346,21 +417,30 @@ bool walk_matches(const Prog& prog, const std::vector<TruthTable>& spec) {
   return true;
 }
 
-/// The access sets and the cost of `prog` from one walk, and both
-/// certificates, their diagnostics appended to its `lint` report.
-template <typename Prog>
-ProgramCheck certify(const Prog& prog, VerifyReport&& lint,
-                     const CheckOptions& opts) {
-  ProgramCheck chk{std::move(lint), {}, {}, {}};
+/// Every check of `prog` in order: the structural checks when the program
+/// is to match `source`, the linter (`lint()` returns its report), one walk
+/// that yields the access sets, the cost and the output words `verified` is
+/// read from, then both certificates, their diagnostics appended to the
+/// linter's.
+template <typename Prog, typename Source, typename Lint>
+ProgramCheck certify(const Prog& prog, const Source* source,
+                     const CheckOptions& opts, Lint&& lint) {
+  if (opts.match_source && source == nullptr)
+    throw std::invalid_argument(
+        "check_program: match_source needs the source IR");
+  const bool compare =
+      opts.match_source &&
+      well_formed(prog, source->num_inputs(), source->outputs().size());
+  ProgramCheck chk{lint(), {}, {}, {}, false};
+  std::vector<std::uint64_t> words;
   chk.cost = estimate(prog, device::technology_params(opts.verify.tech),
-                      &chk.access);
+                      &chk.access, compare ? &words : nullptr);
+  chk.verified = compare && outputs_match(words, source->truth_tables(),
+                                          prog.num_inputs);
   VerifyReport& rep = chk.report;
   chk.wear =
       certify_wear(chk.access, opts.verify, opts.planned_evaluations, rep);
-  rep.max_writes_per_cell =
-      std::max(rep.max_writes_per_cell, chk.access.max_write_bound());
-  rep.cells_tracked =
-      std::max(rep.cells_tracked, chk.access.rows * chk.access.cols);
+  rep.max_writes_per_cell = chk.wear.max_writes_per_run;
   certify_cost(chk.cost, opts.cost_budget, rep);
   return chk;
 }
@@ -412,17 +492,20 @@ ProgramAccess access_of(const RevampProgram& prog) {
 
 ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
                            const CheckOptions& opts) {
-  return certify(prog, lint_imply(prog, source, opts.verify), opts);
+  return certify(prog, source, opts,
+                 [&] { return lint_imply(prog, source, opts.verify); });
 }
 
 ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
                            const CheckOptions& opts) {
-  return certify(prog, lint_magic(prog, source, opts.verify), opts);
+  return certify(prog, source, opts,
+                 [&] { return lint_magic(prog, source, opts.verify); });
 }
 
-ProgramCheck check_program(const RevampProgram& prog,
+ProgramCheck check_program(const RevampProgram& prog, const Mig* source,
                            const CheckOptions& opts) {
-  return certify(prog, lint_revamp(prog, opts.verify), opts);
+  return certify(prog, source, opts,
+                 [&] { return lint_revamp(prog, opts.verify); });
 }
 
 CostEstimate estimate_cost(const ImplyProgram& prog,
@@ -530,84 +613,3 @@ void write_static_wear_json(std::ostream& os,
 }
 
 }  // namespace cim::eda::verify
-
-// --- functional verification over the exact walk -----------------------------
-//
-// Each verifier checks that the executor could run the program (a malformed
-// program is wrong, never undefined), then compares the outputs of its
-// family's exact walk with the specification.
-
-namespace cim::eda {
-
-bool verify_imply(const ImplyProgram& prog, const Aig& aig) {
-  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
-  const auto spec = aig.truth_tables();
-  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
-  if (prog.num_inputs != aig.num_inputs() || prog.num_inputs > prog.num_cells ||
-      prog.output_cells.size() != spec.size())
-    return false;
-  for (const auto& ins : prog.instrs)
-    if (!in_row(ins.dest) ||
-        (ins.kind == ImplyInstr::Kind::kImply && !in_row(ins.src)))
-      return false;
-  for (const auto c : prog.output_cells)
-    if (!in_row(c)) return false;
-
-  return verify::walk_matches(prog, spec);
-}
-
-bool verify_magic(const MagicProgram& prog, const Netlist& nl) {
-  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
-  const auto spec = nl.truth_tables();
-  const auto in_row = [&prog](std::size_t c) { return c < prog.num_cells; };
-  const std::size_t outs = spec.size();
-  if (prog.num_inputs != nl.num_inputs() || prog.num_inputs > prog.num_cells ||
-      prog.output_cells.size() != outs || prog.output_is_const.size() != outs ||
-      prog.const_values.size() != outs)
-    return false;
-  for (const auto& ins : prog.instrs) {
-    if (!in_row(ins.out_cell)) return false;
-    if (ins.kind != MagicInstr::Kind::kNor) continue;
-    if (ins.in_cells.empty()) return false;
-    for (const auto c : ins.in_cells)
-      if (!in_row(c)) return false;
-  }
-  for (std::size_t k = 0; k < outs; ++k)
-    if (!prog.output_is_const[k] && !in_row(prog.output_cells[k])) return false;
-
-  return verify::walk_matches(prog, spec);
-}
-
-bool verify_revamp(const RevampProgram& prog, const Mig& mig) {
-  CIM_OBS_SPAN("eda.exec.verify", obs::Component::kDigital);
-  const auto spec = mig.truth_tables();
-  if (prog.num_inputs != mig.num_inputs() || prog.outputs.size() != spec.size())
-    return false;
-  // Every DMR operand's row must be latched by an earlier READ (in program
-  // order, so it holds for every assignment).
-  std::vector<bool> latched(prog.wordlines, false);
-  const auto valid = [&](const RevampOperand& op) {
-    if (op.src == RevampOperand::Src::kInput)
-      return op.input_index < prog.num_inputs;
-    if (op.src == RevampOperand::Src::kDmr)
-      return op.dmr_row < prog.wordlines && op.dmr_col < prog.bitlines &&
-             latched[op.dmr_row];
-    return true;
-  };
-  for (const auto& ins : prog.instrs) {
-    if (ins.wordline >= prog.wordlines) return false;
-    if (ins.kind == RevampInstruction::Kind::kRead) {
-      latched[ins.wordline] = true;
-      continue;
-    }
-    if (!valid(ins.wl) || ins.columns.size() > prog.bitlines) return false;
-    for (const auto& col : ins.columns)
-      if (col && !valid(*col)) return false;
-  }
-  for (const auto& o : prog.outputs)
-    if (!valid(o)) return false;
-
-  return verify::walk_matches(prog, spec);
-}
-
-}  // namespace cim::eda

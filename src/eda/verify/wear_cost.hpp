@@ -42,19 +42,21 @@
 /// variation and read noise are zero-mean, so measured energy converges to
 /// the expectation (the `bench_fig8_eda_flow` gate checks 15%).
 ///
-/// The exact walk is each family's one word-level interpreter:
-/// `verify_imply`, `verify_magic` and `verify_revamp` (declared with their
-/// mappers, defined in wear_cost.cpp) compare its output words with the
-/// specification at any input count. The same walk records a program's
-/// access sets (access.hpp) when its caller keeps them; `access_of` runs
-/// it for the sets alone.
+/// The exact walk is each family's one word-level interpreter. The same
+/// walk records a program's access sets (access.hpp) when its caller keeps
+/// them; `access_of` runs it for the sets alone.
 ///
-/// **Program check.** `check_program` runs every static check of one
-/// compiled program in order — the family linter, then one walk that yields
-/// the cost estimate and the access sets, the wear certificate and the cost
-/// certificate — and returns one report with the linter's diagnostics
-/// first, then the wear and the cost-budget diagnostics. It walks each
-/// program once after its linter. The flow and `cim-lint` both call it.
+/// **Program check.** `check_program` is the one check of a compiled
+/// program. It runs, in order, the family linter, one walk that yields the
+/// cost estimate and the access sets, the wear certificate and the cost
+/// certificate, and returns one report with the linter's diagnostics first,
+/// then the wear and the cost-budget diagnostics. Asked to match the source
+/// IR (`CheckOptions::match_source`), it first checks that the executor
+/// could run the program for that source, then compares the output words of
+/// the same exact walk with the source's truth tables on every assignment
+/// (`ProgramCheck::verified`); past `kExactCostInputCap` inputs the words
+/// take one exact walk beside the approximate cost walk. The flow and
+/// `cim-lint` both call it.
 #pragma once
 
 #include <cstdint>
@@ -136,26 +138,36 @@ struct CheckOptions {
   std::uint64_t planned_evaluations = 0;
   /// Per-execution cost budget (0 dimensions are unconstrained).
   CostBudget cost_budget{};
+  /// Compare the program's outputs with the source IR's truth tables on
+  /// every input assignment; needs the source.
+  bool match_source = false;
 };
 
-/// What `check_program` returns: the merged report (`max_writes_per_cell`
-/// and `cells_tracked` take the max over the linter and the access sets),
-/// the access sets and both certificates.
+/// What `check_program` returns: the merged report (its
+/// `max_writes_per_cell` is the access sets' worst write bound), the access
+/// sets, both certificates and the functional verdict.
 struct ProgramCheck {
   VerifyReport report;
   ProgramAccess access;
   WearCertificate wear;
   CostEstimate cost;
+  /// With `match_source`: the executor could run the program for the
+  /// source (its counts agree with the source's, and every cell, wordline,
+  /// bitline, input and latched DMR row it names exists), and every output
+  /// equals the source's on every assignment. False otherwise.
+  bool verified = false;
 };
 
-/// Runs lint_imply (liveness rules when `source` is set), the cost walk
-/// (which fills the access sets), certify_wear and certify_cost, in that
-/// order.
+/// Runs the family linter (IMPLY and MAGIC check liveness when `source` is
+/// set), the cost walk (which fills the access sets and, with
+/// `match_source`, yields `verified`), certify_wear and certify_cost, in
+/// that order. Throws std::invalid_argument when `match_source` is set and
+/// `source` is null.
 ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
                            const CheckOptions& opts = {});
 ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
                            const CheckOptions& opts = {});
-ProgramCheck check_program(const RevampProgram& prog,
+ProgramCheck check_program(const RevampProgram& prog, const Mig* source,
                            const CheckOptions& opts = {});
 
 /// Writes the per-cell static write bounds in the `cim-health-heatmap-v1`

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "eda/aig.hpp"
@@ -16,6 +17,7 @@
 #include "eda/mig.hpp"
 #include "eda/netlist.hpp"
 #include "eda/revamp_isa.hpp"
+#include "eda/verify/access.hpp"
 #include "eda/verify/verify.hpp"
 #include "eda/verify/wear_cost.hpp"
 
@@ -47,27 +49,28 @@ TEST(CheckProgram, CleanProgramPassesEveryCheck) {
 
 TEST(CheckProgram, VerdictMatchesTheStandaloneLinters) {
   // Clean programs gain no diagnostics from the certificates (no gate set),
-  // so the check must agree with the direct linter in every family.
+  // so the check must agree with the direct linter in every family, and its
+  // write count is the access sets' bound.
   const auto agree = [](const VerifyReport& checked,
-                        const VerifyReport& direct, const std::string& what) {
+                        const VerifyReport& direct, std::size_t write_bound,
+                        const std::string& what) {
     EXPECT_EQ(checked.errors(), direct.errors()) << what;
     EXPECT_EQ(checked.warnings(), direct.warnings()) << what;
-    EXPECT_EQ(checked.max_writes_per_cell, direct.max_writes_per_cell)
-        << what;
+    EXPECT_EQ(checked.max_writes_per_cell, write_bound) << what;
   };
   for (const auto& bc : standard_suite()) {
     const auto aig = Aig::from_netlist(bc.netlist);
     const auto iprog = compile_imply(aig, true);
     agree(check_program(iprog, &aig).report, lint_imply(iprog, &aig),
-          bc.name + "/IMPLY");
+          access_of(iprog).max_write_bound(), bc.name + "/IMPLY");
     const auto nor = aig.to_netlist().to_nor_only();
     const auto mprog = compile_magic(nor, true);
     agree(check_program(mprog, &nor).report, lint_magic(mprog, &nor),
-          bc.name + "/MAGIC");
+          access_of(mprog).max_write_bound(), bc.name + "/MAGIC");
     const auto mig = Mig::from_aig(aig);
     const auto rprog = assemble_revamp(mig, schedule_revamp(mig));
-    agree(check_program(rprog).report, lint_revamp(rprog),
-          bc.name + "/ReVAMP");
+    agree(check_program(rprog, &mig).report, lint_revamp(rprog),
+          access_of(rprog).max_write_bound(), bc.name + "/ReVAMP");
   }
 }
 
@@ -109,9 +112,34 @@ TEST(CheckProgram, EveryFamilyIsChecked) {
   EXPECT_TRUE(check_program(mprog, &nor).report.clean());
   const auto mig = Mig::from_aig(aig);
   const auto rprog = assemble_revamp(mig, schedule_revamp(mig));
-  const auto rchk = check_program(rprog);
+  const auto rchk = check_program(rprog, &mig);
   EXPECT_TRUE(rchk.report.clean());
   EXPECT_EQ(rchk.access.rows, rprog.wordlines);
+}
+
+// Matching the source is asked for, and needs the source; the verdict is
+// false unless asked.
+TEST(CheckProgram, MatchSourceNeedsTheSource) {
+  const auto aig = Aig::from_netlist(ripple_carry_adder(2));
+  const auto nor = aig.to_netlist().to_nor_only();
+  const auto mig = Mig::from_aig(aig);
+  const auto iprog = compile_imply(aig, true);
+  const auto mprog = compile_magic(nor, true);
+  const auto rprog = assemble_revamp(mig, schedule_revamp(mig));
+  EXPECT_FALSE(check_program(iprog, &aig).verified);
+  EXPECT_FALSE(check_program(mprog, &nor).verified);
+  EXPECT_FALSE(check_program(rprog, &mig).verified);
+  CheckOptions opts;
+  opts.match_source = true;
+  EXPECT_TRUE(check_program(iprog, &aig, opts).verified);
+  EXPECT_TRUE(check_program(mprog, &nor, opts).verified);
+  EXPECT_TRUE(check_program(rprog, &mig, opts).verified);
+  EXPECT_THROW((void)check_program(iprog, nullptr, opts),
+               std::invalid_argument);
+  EXPECT_THROW((void)check_program(mprog, nullptr, opts),
+               std::invalid_argument);
+  EXPECT_THROW((void)check_program(rprog, nullptr, opts),
+               std::invalid_argument);
 }
 
 // --- flow integration --------------------------------------------------------

@@ -28,7 +28,6 @@
 #include <fstream>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -386,10 +385,7 @@ std::string access_line(const std::string& tag,
 /// cost: the exact walk up to kExactCostInputCap inputs, the one-lane past.
 template <typename Prog>
 verify::ProgramAccess checked_access(const Prog& prog) {
-  if constexpr (std::is_same_v<Prog, RevampProgram>)
-    return verify::check_program(prog).access;
-  else
-    return verify::check_program(prog, nullptr).access;
+  return verify::check_program(prog, nullptr).access;
 }
 
 /// The access golden's lines, from `access_of`, or from `check_program`

@@ -1,11 +1,11 @@
 /// \file test_functional_verify.cpp
-/// \brief The word-level functional verifiers (verify_imply, verify_magic,
-///        verify_revamp) against wrong programs: a malformed program must
-///        be rejected, never run out of bounds, and a planted mapper bug
-///        must fail on every suite circuit. The ReVAMP assembler and device
-///        executor must throw on a hand-built schedule or program they
-///        cannot run. Registered under the `lint` label, so the sanitizer
-///        slice covers the interpreters.
+/// \brief The functional verdict of verify::check_program
+///        (`ProgramCheck::verified`) against wrong programs: a malformed
+///        program must be rejected, never run out of bounds, and a planted
+///        mapper bug must fail on every suite circuit. The ReVAMP
+///        assembler and device executor must throw on a hand-built schedule
+///        or program they cannot run. Registered under the `lint` label, so
+///        the sanitizer slice covers the interpreters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "eda/majority_mapper.hpp"
 #include "eda/mig.hpp"
 #include "eda/revamp_isa.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -56,9 +57,9 @@ std::size_t first_apply(const RevampProgram& p) {
 
 TEST(FunctionalVerifyMalformed, WellFormedProgramsVerify) {
   const auto& m = rca2();
-  EXPECT_TRUE(verify_imply(m.imply, m.aig));
-  EXPECT_TRUE(verify_magic(m.magic, m.nor));
-  EXPECT_TRUE(verify_revamp(m.revamp, m.mig));
+  EXPECT_TRUE(verified(m.imply, m.aig));
+  EXPECT_TRUE(verified(m.magic, m.nor));
+  EXPECT_TRUE(verified(m.revamp, m.mig));
 }
 
 TEST(FunctionalVerifyMalformed, OutputCountDiffersFromSpec) {
@@ -80,14 +81,14 @@ TEST(FunctionalVerifyMalformed, OutputCountDiffersFromSpec) {
       magic.const_values.push_back(magic.const_values.front());
       revamp.outputs.push_back(revamp.outputs.front());
     }
-    EXPECT_FALSE(verify_imply(imply, m.aig)) << delta;
-    EXPECT_FALSE(verify_magic(magic, m.nor)) << delta;
-    EXPECT_FALSE(verify_revamp(revamp, m.mig)) << delta;
+    EXPECT_FALSE(verified(imply, m.aig)) << delta;
+    EXPECT_FALSE(verified(magic, m.nor)) << delta;
+    EXPECT_FALSE(verified(revamp, m.mig)) << delta;
   }
   // MAGIC's three per-output vectors must agree with each other too.
   auto magic = m.magic;
   magic.const_values.pop_back();
-  EXPECT_FALSE(verify_magic(magic, m.nor));
+  EXPECT_FALSE(verified(magic, m.nor));
 }
 
 TEST(FunctionalVerifyMalformed, InputCountDiffersFromSpec) {
@@ -99,9 +100,9 @@ TEST(FunctionalVerifyMalformed, InputCountDiffersFromSpec) {
     imply.num_inputs += static_cast<std::size_t>(delta);
     magic.num_inputs += static_cast<std::size_t>(delta);
     revamp.num_inputs += static_cast<std::size_t>(delta);
-    EXPECT_FALSE(verify_imply(imply, m.aig)) << delta;
-    EXPECT_FALSE(verify_magic(magic, m.nor)) << delta;
-    EXPECT_FALSE(verify_revamp(revamp, m.mig)) << delta;
+    EXPECT_FALSE(verified(imply, m.aig)) << delta;
+    EXPECT_FALSE(verified(magic, m.nor)) << delta;
+    EXPECT_FALSE(verified(revamp, m.mig)) << delta;
   }
 }
 
@@ -112,7 +113,7 @@ TEST(FunctionalVerifyMalformed, CellIndexPastProgram) {
   {
     auto p = m.imply;
     p.instrs.back().dest = past_imply;
-    EXPECT_FALSE(verify_imply(p, m.aig));
+    EXPECT_FALSE(verified(p, m.aig));
   }
   {
     auto p = m.imply;
@@ -122,27 +123,27 @@ TEST(FunctionalVerifyMalformed, CellIndexPastProgram) {
         });
     ASSERT_NE(it, p.instrs.end());
     it->src = past_imply;
-    EXPECT_FALSE(verify_imply(p, m.aig));
+    EXPECT_FALSE(verified(p, m.aig));
   }
   {
     auto p = m.imply;
     p.output_cells.front() = past_imply;
-    EXPECT_FALSE(verify_imply(p, m.aig));
+    EXPECT_FALSE(verified(p, m.aig));
   }
   {
     auto p = m.magic;
     p.instrs.back().out_cell = past_magic;
-    EXPECT_FALSE(verify_magic(p, m.nor));
+    EXPECT_FALSE(verified(p, m.nor));
   }
   {
     auto p = m.magic;
     p.instrs.back().in_cells.back() = past_magic;
-    EXPECT_FALSE(verify_magic(p, m.nor));
+    EXPECT_FALSE(verified(p, m.nor));
   }
   {
     auto p = m.magic;
     p.output_cells.front() = past_magic;
-    EXPECT_FALSE(verify_magic(p, m.nor));
+    EXPECT_FALSE(verified(p, m.nor));
   }
 }
 
@@ -156,7 +157,7 @@ TEST(FunctionalVerifyMalformed, WordlinePastProgram) {
                      [kind](const auto& ins) { return ins.kind == kind; });
     ASSERT_NE(it, p.instrs.end());
     it->wordline = p.wordlines;
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
 }
 
@@ -167,7 +168,7 @@ TEST(FunctionalVerifyMalformed, BitlinePastProgram) {
     auto& cols = p.instrs[first_apply(p)].columns;
     cols.resize(p.bitlines + 1);
     cols.back() = RevampOperand{};
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
   {
     auto p = m.revamp;  // a DMR operand past the latched word
@@ -177,13 +178,13 @@ TEST(FunctionalVerifyMalformed, BitlinePastProgram) {
         });
     ASSERT_NE(it, p.outputs.end());
     it->dmr_col = p.bitlines;
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
   {
     auto p = m.revamp;  // a DMR operand past the array's rows
     p.outputs.front() = RevampOperand{RevampOperand::Src::kDmr, 0,
                                       p.wordlines, 0, false};
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
 }
 
@@ -193,13 +194,13 @@ TEST(FunctionalVerifyMalformed, InputIndexPastProgram) {
     auto p = m.revamp;
     p.instrs[first_apply(p)].wl =
         RevampOperand{RevampOperand::Src::kInput, p.num_inputs, 0, 0, false};
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
   {
     auto p = m.revamp;
     p.outputs.back() =
         RevampOperand{RevampOperand::Src::kInput, p.num_inputs, 0, 0, false};
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
 }
 
@@ -212,7 +213,7 @@ TEST(FunctionalVerifyMalformed, NorWithNoInputs) {
       });
   ASSERT_NE(it, p.instrs.end());
   it->in_cells.clear();
-  EXPECT_FALSE(verify_magic(p, m.nor));
+  EXPECT_FALSE(verified(p, m.nor));
 
   // A constant-1 output left SET by an empty NOR: the interpreter would
   // match, but the device executor rejects a NOR with no inputs.
@@ -226,9 +227,9 @@ TEST(FunctionalVerifyMalformed, NorWithNoInputs) {
   q.output_cells = {1};
   q.output_is_const = {false};
   q.const_values = {false};
-  EXPECT_FALSE(verify_magic(q, one));
+  EXPECT_FALSE(verified(q, one));
   q.instrs.pop_back();
-  EXPECT_TRUE(verify_magic(q, one));
+  EXPECT_TRUE(verified(q, one));
 }
 
 TEST(FunctionalVerifyMalformed, DmrRowNeverLatched) {
@@ -238,13 +239,13 @@ TEST(FunctionalVerifyMalformed, DmrRowNeverLatched) {
     std::erase_if(p.instrs, [](const auto& ins) {
       return ins.kind == RevampInstruction::Kind::kRead;
     });
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
   {
     auto p = m.revamp;  // only the final READs go: the output taps
     while (p.instrs.back().kind == RevampInstruction::Kind::kRead)
       p.instrs.pop_back();
-    EXPECT_FALSE(verify_revamp(p, m.mig));
+    EXPECT_FALSE(verified(p, m.mig));
   }
   {
     // A constant-0 output tapped from a row no READ latched: the register
@@ -257,9 +258,9 @@ TEST(FunctionalVerifyMalformed, DmrRowNeverLatched) {
     p.bitlines = 1;
     p.num_inputs = 1;
     p.outputs = {RevampOperand{RevampOperand::Src::kDmr, 0, 0, 0, false}};
-    EXPECT_FALSE(verify_revamp(p, mig));
+    EXPECT_FALSE(verified(p, mig));
     p.instrs.push_back({RevampInstruction::Kind::kRead, 0, {}, {}, {}});
-    EXPECT_TRUE(verify_revamp(p, mig));
+    EXPECT_TRUE(verified(p, mig));
   }
 }
 
@@ -338,7 +339,7 @@ class PlantedMapperBug : public ::testing::TestWithParam<std::size_t> {
 
 TEST_P(PlantedMapperBug, SwappedImplyOperandsFail) {
   const Mapped m(circuit().netlist);
-  ASSERT_TRUE(verify_imply(m.imply, m.aig));
+  ASSERT_TRUE(verified(m.imply, m.aig));
   // The last IMPLY completes an output: swapping it rewrites its source and
   // leaves the output one step short.
   auto p = m.imply;
@@ -348,12 +349,12 @@ TEST_P(PlantedMapperBug, SwappedImplyOperandsFail) {
       });
   ASSERT_NE(it, p.instrs.rend());
   std::swap(it->dest, it->src);
-  EXPECT_FALSE(verify_imply(p, m.aig)) << circuit().name;
+  EXPECT_FALSE(verified(p, m.aig)) << circuit().name;
 }
 
 TEST_P(PlantedMapperBug, DroppedMagicSetFails) {
   const Mapped m(circuit().netlist);
-  ASSERT_TRUE(verify_magic(m.magic, m.nor));
+  ASSERT_TRUE(verified(m.magic, m.nor));
   // The first SET presets a fresh cell; without it the NOR can only RESET
   // a cell that already reads 0.
   auto p = m.magic;
@@ -363,12 +364,12 @@ TEST_P(PlantedMapperBug, DroppedMagicSetFails) {
       });
   ASSERT_NE(it, p.instrs.end());
   p.instrs.erase(it);
-  EXPECT_FALSE(verify_magic(p, m.nor)) << circuit().name;
+  EXPECT_FALSE(verified(p, m.nor)) << circuit().name;
 }
 
 TEST_P(PlantedMapperBug, FlippedRevampComplementFails) {
   const Mapped m(circuit().netlist);
-  ASSERT_TRUE(verify_revamp(m.revamp, m.mig));
+  ASSERT_TRUE(verified(m.revamp, m.mig));
   // The last Apply is a majority step of the top level, whose nodes are
   // outputs: flip the complement of its first bitline operand.
   auto p = m.revamp;
@@ -381,7 +382,7 @@ TEST_P(PlantedMapperBug, FlippedRevampComplementFails) {
                                 [](const auto& c) { return c.has_value(); });
   ASSERT_NE(col, it->columns.end());
   (*col)->complemented = !(*col)->complemented;
-  EXPECT_FALSE(verify_revamp(p, m.mig)) << circuit().name;
+  EXPECT_FALSE(verified(p, m.mig)) << circuit().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, PlantedMapperBug,
@@ -395,9 +396,9 @@ INSTANTIATE_TEST_SUITE_P(Circuits, PlantedMapperBug,
 TEST(FunctionalVerifyWide, ThirteenInputsVerifyAndPlantedBugsFail) {
   const Mapped m(ripple_carry_adder(6));
   ASSERT_EQ(m.aig.num_inputs(), 13u);
-  EXPECT_TRUE(verify_imply(m.imply, m.aig));
-  EXPECT_TRUE(verify_magic(m.magic, m.nor));
-  EXPECT_TRUE(verify_revamp(m.revamp, m.mig));
+  EXPECT_TRUE(verified(m.imply, m.aig));
+  EXPECT_TRUE(verified(m.magic, m.nor));
+  EXPECT_TRUE(verified(m.revamp, m.mig));
 
   auto imply = m.imply;  // the last IMPLY's operands swapped
   const auto imp = std::find_if(
@@ -405,7 +406,7 @@ TEST(FunctionalVerifyWide, ThirteenInputsVerifyAndPlantedBugsFail) {
       [](const auto& ins) { return ins.kind == ImplyInstr::Kind::kImply; });
   ASSERT_NE(imp, imply.instrs.rend());
   std::swap(imp->dest, imp->src);
-  EXPECT_FALSE(verify_imply(imply, m.aig));
+  EXPECT_FALSE(verified(imply, m.aig));
 
   auto magic = m.magic;  // the first SET dropped
   const auto set = std::find_if(
@@ -413,7 +414,7 @@ TEST(FunctionalVerifyWide, ThirteenInputsVerifyAndPlantedBugsFail) {
       [](const auto& ins) { return ins.kind == MagicInstr::Kind::kSet; });
   ASSERT_NE(set, magic.instrs.end());
   magic.instrs.erase(set);
-  EXPECT_FALSE(verify_magic(magic, m.nor));
+  EXPECT_FALSE(verified(magic, m.nor));
 
   auto revamp = m.revamp;  // the last Apply's first bitline complemented
   const auto app = std::find_if(
@@ -425,7 +426,7 @@ TEST(FunctionalVerifyWide, ThirteenInputsVerifyAndPlantedBugsFail) {
                                 [](const auto& c) { return c.has_value(); });
   ASSERT_NE(col, app->columns.end());
   (*col)->complemented = !(*col)->complemented;
-  EXPECT_FALSE(verify_revamp(revamp, m.mig));
+  EXPECT_FALSE(verified(revamp, m.mig));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eda/bench_circuits.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -20,7 +21,7 @@ TEST(ImplyMapper, XorCompilesAndVerifies) {
   const auto prog = compile_imply(aig);
   EXPECT_GT(prog.delay(), 0u);
   EXPECT_GT(prog.num_cells, aig.num_inputs());
-  EXPECT_TRUE(verify_imply(prog, aig));
+  EXPECT_TRUE(verified(prog, aig));
 }
 
 TEST(ImplyMapper, ConstantOutputs) {
@@ -29,7 +30,7 @@ TEST(ImplyMapper, ConstantOutputs) {
   aig.mark_output(aig.const0());
   aig.mark_output(aig.const1());
   const auto prog = compile_imply(aig);
-  EXPECT_TRUE(verify_imply(prog, aig));
+  EXPECT_TRUE(verified(prog, aig));
 }
 
 TEST(ImplyMapper, InputPassthroughAndComplement) {
@@ -38,7 +39,7 @@ TEST(ImplyMapper, InputPassthroughAndComplement) {
   aig.mark_output(a);
   aig.mark_output(Aig::lnot(a));
   const auto prog = compile_imply(aig);
-  EXPECT_TRUE(verify_imply(prog, aig));
+  EXPECT_TRUE(verified(prog, aig));
 }
 
 class ImplySuite : public ::testing::TestWithParam<std::size_t> {};
@@ -48,7 +49,7 @@ TEST_P(ImplySuite, BenchmarkCircuitVerifies) {
   const auto& bc = suite[GetParam()];
   const auto aig = Aig::from_netlist(bc.netlist);
   const auto prog = compile_imply(aig);
-  EXPECT_TRUE(verify_imply(prog, aig)) << bc.name;
+  EXPECT_TRUE(verified(prog, aig)) << bc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -61,8 +62,8 @@ TEST(ImplyMapper, ReuseShrinksAreaKeepsFunction) {
   const auto plain = compile_imply(aig, /*reuse=*/false);
   const auto reuse = compile_imply(aig, /*reuse=*/true);
   EXPECT_LE(reuse.num_cells, plain.num_cells);
-  EXPECT_TRUE(verify_imply(reuse, aig));
-  EXPECT_TRUE(verify_imply(plain, aig));
+  EXPECT_TRUE(verified(reuse, aig));
+  EXPECT_TRUE(verified(plain, aig));
 }
 
 TEST(ImplyMapper, DelayGrowsWithCircuitSize) {

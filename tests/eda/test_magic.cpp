@@ -4,6 +4,7 @@
 
 #include "eda/aig.hpp"
 #include "eda/bench_circuits.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -20,7 +21,7 @@ TEST(MagicMapper, SimpleNorCompiles) {
   const auto prog = compile_magic(nl);
   EXPECT_EQ(prog.nor_count(), 1u);
   EXPECT_EQ(prog.delay(), 2u);  // SET + NOR
-  EXPECT_TRUE(verify_magic(prog, nl));
+  EXPECT_TRUE(verified(prog, nl));
 }
 
 TEST(MagicMapper, RejectsNonNorNetlist) {
@@ -38,7 +39,7 @@ TEST_P(MagicSuite, BenchmarkCircuitVerifies) {
   const auto& bc = suite[GetParam()];
   const auto nor = nor_of(bc.netlist);
   const auto prog = compile_magic(nor);
-  EXPECT_TRUE(verify_magic(prog, nor)) << bc.name;
+  EXPECT_TRUE(verified(prog, nor)) << bc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -51,7 +52,7 @@ TEST(MagicMapper, ReuseShrinksAreaSameDelay) {
   const auto reuse = compile_magic(nor, /*reuse=*/true);
   EXPECT_LT(reuse.num_cells, plain.num_cells);
   EXPECT_EQ(reuse.delay(), plain.delay());
-  EXPECT_TRUE(verify_magic(reuse, nor));
+  EXPECT_TRUE(verified(reuse, nor));
 }
 
 TEST(MagicMapper, DelayIsTwoPerGate) {
@@ -68,7 +69,7 @@ TEST(MagicMapper, ConstantOutputsResolvedStatically) {
   nl.mark_output(nl.add_gate(GateType::kNor, {a, one}));
   const auto prog = compile_magic(nl);
   EXPECT_EQ(prog.nor_count(), 0u);  // folded away
-  EXPECT_TRUE(verify_magic(prog, nl));
+  EXPECT_TRUE(verified(prog, nl));
 }
 
 TEST(MagicMapper, ConstZeroFaninsDropped) {
@@ -78,7 +79,7 @@ TEST(MagicMapper, ConstZeroFaninsDropped) {
   nl.mark_output(nl.add_gate(GateType::kNor, {a, zero}));  // == NOT a
   const auto prog = compile_magic(nl);
   EXPECT_EQ(prog.nor_count(), 1u);
-  EXPECT_TRUE(verify_magic(prog, nl));
+  EXPECT_TRUE(verified(prog, nl));
 }
 
 TEST(MagicMapper, AreaDelayTradeoffMeasured) {

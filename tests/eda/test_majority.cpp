@@ -4,6 +4,7 @@
 
 #include "eda/bench_circuits.hpp"
 #include "eda/revamp_isa.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -19,7 +20,7 @@ TEST(MajorityMapper, SingleMajNode) {
   const auto sched = schedule_revamp(mig);
   EXPECT_EQ(sched.num_levels, 1u);
   EXPECT_EQ(sched.device_count, 1u);
-  EXPECT_TRUE(verify_revamp(assemble_revamp(mig, sched), mig));
+  EXPECT_TRUE(verified(assemble_revamp(mig, sched), mig));
 }
 
 TEST(MajorityMapper, ConstantAndInputOutputs) {
@@ -28,7 +29,7 @@ TEST(MajorityMapper, ConstantAndInputOutputs) {
   mig.mark_output(mig.const1());
   mig.mark_output(a);
   mig.mark_output(Mig::lnot(a));
-  EXPECT_TRUE(verify_revamp(assemble_revamp(mig, schedule_revamp(mig)), mig));
+  EXPECT_TRUE(verified(assemble_revamp(mig, schedule_revamp(mig)), mig));
 }
 
 class MajoritySuite : public ::testing::TestWithParam<std::size_t> {};
@@ -38,7 +39,7 @@ TEST_P(MajoritySuite, BenchmarkCircuitVerifies) {
   const auto& bc = suite[GetParam()];
   const auto mig = from_bench(bc.netlist);
   const auto sched = schedule_revamp(mig);
-  EXPECT_TRUE(verify_revamp(assemble_revamp(mig, sched), mig)) << bc.name;
+  EXPECT_TRUE(verified(assemble_revamp(mig, sched), mig)) << bc.name;
   EXPECT_EQ(sched.device_count, mig.num_majs());
 }
 

@@ -19,6 +19,7 @@
 #include "eda/mig.hpp"
 #include "eda/revamp_isa.hpp"
 #include "util/rng.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -95,13 +96,13 @@ TEST_P(CrossRepresentation, AllMappingPathsAgree) {
   const auto mig = Mig::from_aig(aig);
 
   // IMPLY path.
-  EXPECT_TRUE(verify_imply(compile_imply(aig, true), aig));
+  EXPECT_TRUE(verified(compile_imply(aig, true), aig));
   // Majority path (word-level and on-crossbar).
-  EXPECT_TRUE(verify_revamp(assemble_revamp(mig, schedule_revamp(mig)), mig));
+  EXPECT_TRUE(verified(assemble_revamp(mig, schedule_revamp(mig)), mig));
   EXPECT_TRUE(revamp_matches_on_device(mig, {tt}));
   // MAGIC path.
   const auto nor = aig.to_netlist().to_nor_only();
-  EXPECT_TRUE(verify_magic(compile_magic(nor, true), nor));
+  EXPECT_TRUE(verified(compile_magic(nor, true), nor));
   // ESOP path.
   EXPECT_TRUE(verify_esop(compile_esop(Esop::from_truth_table(tt))));
 }

@@ -4,6 +4,7 @@
 
 #include "eda/aig.hpp"
 #include "eda/bench_circuits.hpp"
+#include "verified.hpp"
 
 namespace cim::eda {
 namespace {
@@ -22,7 +23,7 @@ TEST(RevampIsa, SingleMajAssemblesToThreeApplies) {
   // PIR), one final read for the output.
   EXPECT_EQ(prog.apply_count(), 3u);
   EXPECT_EQ(prog.read_count(), 1u);
-  EXPECT_TRUE(verify_revamp(prog, mig));
+  EXPECT_TRUE(verified(prog, mig));
 }
 
 TEST(RevampIsa, InstructionCountMatchesScheduleDelay) {
@@ -53,7 +54,7 @@ TEST(RevampIsa, ConstantAndPassthroughOutputs) {
   const auto a = mig.add_input();
   mig.mark_output(mig.const1());
   mig.mark_output(Mig::lnot(a));
-  EXPECT_TRUE(verify_revamp(assemble_revamp(mig, schedule_revamp(mig)), mig));
+  EXPECT_TRUE(verified(assemble_revamp(mig, schedule_revamp(mig)), mig));
 }
 
 TEST(RevampIsa, ExecutionRequiresBigEnoughArray) {

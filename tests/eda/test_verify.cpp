@@ -195,26 +195,6 @@ TEST(VerifyNegative, OutputNeverWrittenIsUnreachable) {
   EXPECT_EQ(rep.count(Rule::kOutputUnreachable), 1u);
 }
 
-// --- endurance-budget (warning severity) -------------------------------------
-
-TEST(VerifyNegative, EnduranceBudgetExceededIsWarningOnly) {
-  MagicProgram prog;
-  prog.num_inputs = 1;
-  prog.num_cells = 3;
-  prog.instrs.push_back({MagicInstr::Kind::kSet, 2, {}});
-  prog.instrs.push_back({MagicInstr::Kind::kNor, 2, {0}});  // 2nd write
-  prog.output_cells = {2};
-
-  verify::VerifyOptions opts;
-  opts.endurance_budget = 1;
-  const auto rep = verify::lint_magic(prog, nullptr, opts);
-  EXPECT_TRUE(rep.clean());  // warnings do not make a program dirty
-  EXPECT_EQ(rep.errors(), 0u);
-  EXPECT_EQ(rep.warnings(), 1u);
-  EXPECT_EQ(rep.count(Rule::kEnduranceBudget), 1u);
-  EXPECT_EQ(rep.max_writes_per_cell, 2u);
-}
-
 // --- dmr-not-latched ---------------------------------------------------------
 
 TEST(VerifyNegative, RevampUnlatchedDmrOperand) {
@@ -356,7 +336,6 @@ TEST(VerifyDiagnostics, RuleIdsAreStable) {
   EXPECT_EQ(verify::rule_id(Rule::kWriteAfterWrite), "write-after-write");
   EXPECT_EQ(verify::rule_id(Rule::kDeadCellRead), "dead-cell-read");
   EXPECT_EQ(verify::rule_id(Rule::kOobCell), "oob-cell");
-  EXPECT_EQ(verify::rule_id(Rule::kEnduranceBudget), "endurance-budget");
   EXPECT_EQ(verify::rule_id(Rule::kOutputUnreachable), "output-unreachable");
   EXPECT_EQ(verify::rule_id(Rule::kDmrNotLatched), "dmr-not-latched");
 }

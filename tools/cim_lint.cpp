@@ -147,7 +147,7 @@ std::pair<const char*, verify::ProgramCheck> check(
     return {"IMPLY", verify::check_program(p.imply, nullptr, opts)};
   if (p.family == verify::ProgramFamily::kMagic)
     return {"MAGIC", verify::check_program(p.magic, nullptr, opts)};
-  return {"ReVAMP", verify::check_program(p.revamp, opts)};
+  return {"ReVAMP", verify::check_program(p.revamp, nullptr, opts)};
 }
 
 }  // namespace
