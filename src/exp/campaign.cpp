@@ -180,10 +180,9 @@ CampaignConfig apply_env(CampaignConfig cfg) {
   if (const char* e = std::getenv("CIM_EXP_CONV_FILE");
       e != nullptr && *e != '\0')
     cfg.convergence_csv = e;
-  if (const char* e = std::getenv("CIM_EXP_PROGRESS"); e != nullptr) {
-    const std::string_view v(e);
-    cfg.progress = !(v == "0" || v == "off" || v == "");
-  }
+  if (const auto v = obs::record::env_switch("CIM_EXP_PROGRESS",
+                                             std::getenv("CIM_EXP_PROGRESS")))
+    cfg.progress = *v;
   return cfg;
 }
 

@@ -255,6 +255,27 @@ std::optional<double> env_f64(const char* name, const char* value) {
   return std::nullopt;
 }
 
+std::optional<std::size_t> env_choice(
+    const char* name, const char* value,
+    std::initializer_list<std::string_view> choices) {
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  std::string known;
+  for (std::size_t k = 0; k < choices.size(); ++k) {
+    if (choices.begin()[k] == value) return k;
+    known += (k == 0 ? "" : " ") + std::string(choices.begin()[k]);
+  }
+  std::fprintf(stderr, "%s: ignoring unknown value '%s' (one of: %s)\n", name,
+               value, known.c_str());
+  return std::nullopt;
+}
+
+std::optional<bool> env_switch(const char* name, const char* value) {
+  const auto k =
+      env_choice(name, value, {"0", "off", "false", "1", "on", "true"});
+  if (!k) return std::nullopt;
+  return *k >= 3;
+}
+
 std::string g17(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <limits>
 #include <optional>
@@ -62,6 +63,14 @@ std::optional<std::uint64_t> env_u64(const char* name, const char* value,
                                      std::uint64_t max = kU64Max);
 /// The same with f64, finite values only.
 std::optional<double> env_f64(const char* name, const char* value);
+/// The same for a named value: its position in `choices`. Any other value
+/// gives nullopt after one stderr line naming `name` and the choices.
+std::optional<std::size_t> env_choice(
+    const char* name, const char* value,
+    std::initializer_list<std::string_view> choices);
+/// An on/off switch through env_choice: `1`, `on` and `true` turn it on,
+/// `0`, `off` and `false` off.
+std::optional<bool> env_switch(const char* name, const char* value);
 
 /// `%.17g`: 17 significant digits, which round-trip every double bitwise.
 std::string g17(double v);

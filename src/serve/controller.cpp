@@ -1,6 +1,7 @@
 #include "serve/controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -655,25 +656,24 @@ void apply_env_overrides(TrafficConfig& traffic, ControllerConfig& ctl) {
   const auto f64 = [](const char* name) {
     return obs::record::env_f64(name, std::getenv(name));
   };
+  const auto choice = [](const char* name,
+                         std::initializer_list<std::string_view> names) {
+    return obs::record::env_choice(name, std::getenv(name), names);
+  };
   if (const auto v = u64("CIM_SERVE_REQUESTS")) traffic.requests = *v;
   if (const auto v = f64("CIM_SERVE_RATE_RPS")) traffic.rate_rps = *v;
-  if (const char* v = std::getenv("CIM_SERVE_PROCESS"); v != nullptr) {
-    const std::string s = v;
-    if (s == "poisson") traffic.process = ArrivalProcess::kPoisson;
-    if (s == "mmpp") traffic.process = ArrivalProcess::kMmpp;
-  }
+  if (const auto v = choice("CIM_SERVE_PROCESS", {"poisson", "mmpp"}))
+    traffic.process =
+        std::array{ArrivalProcess::kPoisson, ArrivalProcess::kMmpp}[*v];
   if (const auto v = u64("CIM_SERVE_BATCH")) ctl.max_batch = *v;
   if (const auto v = f64("CIM_SERVE_DEADLINE_NS")) ctl.batch_deadline_ns = *v;
-  if (const char* v = std::getenv("CIM_SERVE_POLICY"); v != nullptr) {
-    const std::string s = v;
-    if (s == "rr") ctl.routing = RoutingPolicy::kRoundRobin;
-    if (s == "least") ctl.routing = RoutingPolicy::kLeastLoaded;
-    if (s == "wear") ctl.routing = RoutingPolicy::kWearAware;
-  }
-  if (const char* v = std::getenv("CIM_SERVE_ESCALATE"); v != nullptr) {
-    const std::string s = v;
-    ctl.tier_escalation = (s == "1" || s == "on" || s == "true");
-  }
+  if (const auto v = choice("CIM_SERVE_POLICY", {"rr", "least", "wear"}))
+    ctl.routing = std::array{RoutingPolicy::kRoundRobin,
+                             RoutingPolicy::kLeastLoaded,
+                             RoutingPolicy::kWearAware}[*v];
+  if (const auto v = obs::record::env_switch(
+          "CIM_SERVE_ESCALATE", std::getenv("CIM_SERVE_ESCALATE")))
+    ctl.tier_escalation = *v;
   if (const auto v = f64("CIM_SERVE_WINDOW_NS")) ctl.window_ns = *v;
   if (const auto v = f64("CIM_SERVE_SLO_TARGET_NS")) ctl.slo_target_ns = *v;
   if (const auto v = f64("CIM_SERVE_SLO_OBJECTIVE")) {

@@ -277,30 +277,41 @@ TEST(Campaign, ConvergenceCsvAndTelemetryAreEmitted) {
 TEST(Campaign, EnvOverridesParseKnobs) {
   const char* const kNames[] = {"CIM_EXP_MAX_TRIALS",
                                 "CIM_EXP_CHECKPOINT_EVERY",
-                                "CIM_EXP_CI_TARGET"};
+                                "CIM_EXP_CI_TARGET", "CIM_EXP_PROGRESS"};
   ::setenv("CIM_EXP_MAX_TRIALS", "777", 1);
   ::setenv("CIM_EXP_CHECKPOINT_EVERY", "5", 1);
   ::setenv("CIM_EXP_CI_TARGET", "0.25", 1);
+  ::setenv("CIM_EXP_PROGRESS", "on", 1);
   CampaignConfig cfg = cim::exp::apply_env(base_config("env"));
   EXPECT_EQ(cfg.max_trials, 777u);
   EXPECT_EQ(cfg.checkpoint_every_rounds, 5u);
   EXPECT_DOUBLE_EQ(cfg.ci_target, 0.25);
+  EXPECT_TRUE(cfg.progress);
 
   // Malformed values keep the previous setting and print one stderr line
   // each.
   ::setenv("CIM_EXP_MAX_TRIALS", "1e30", 1);
   ::setenv("CIM_EXP_CHECKPOINT_EVERY", "five", 1);
   ::setenv("CIM_EXP_CI_TARGET", "nan", 1);
+  ::setenv("CIM_EXP_PROGRESS", "yes", 1);
   ::testing::internal::CaptureStderr();
   cfg = cim::exp::apply_env(cfg);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(cfg.max_trials, 777u);
   EXPECT_EQ(cfg.checkpoint_every_rounds, 5u);
   EXPECT_DOUBLE_EQ(cfg.ci_target, 0.25);
+  EXPECT_TRUE(cfg.progress);
   for (const char* name : kNames)
     EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
-  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 3) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 4) << err;
   for (const char* name : kNames) ::unsetenv(name);
+
+  // The switch's off spellings turn progress off.
+  for (const char* off : {"0", "off", "false"}) {
+    ::setenv("CIM_EXP_PROGRESS", off, 1);
+    EXPECT_FALSE(cim::exp::apply_env(cfg).progress) << off;
+  }
+  ::unsetenv("CIM_EXP_PROGRESS");
 }
 
 // --- failure paths -----------------------------------------------------------

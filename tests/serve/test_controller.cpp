@@ -284,6 +284,39 @@ TEST(Controller, EnvOverridesParseKnownKnobs) {
   EXPECT_EQ(c.routing, RoutingPolicy::kWearAware);
   EXPECT_TRUE(c.tier_escalation);
 
+  // A switch takes 0/1, off/on and false/true. Any other named value leaves
+  // its field untouched and prints one stderr line naming its variable.
+  for (const char* off : {"0", "off", "false"}) {
+    ::setenv("CIM_SERVE_ESCALATE", off, 1);
+    apply_env_overrides(t, c);
+    EXPECT_FALSE(c.tier_escalation) << off;
+  }
+  for (const char* on : {"1", "on", "true"}) {
+    ::setenv("CIM_SERVE_ESCALATE", on, 1);
+    apply_env_overrides(t, c);
+    EXPECT_TRUE(c.tier_escalation) << on;
+  }
+  const struct {
+    const char* var;
+    const char* good;
+  } named[] = {{"CIM_SERVE_PROCESS", "mmpp"},
+               {"CIM_SERVE_POLICY", "wear"},
+               {"CIM_SERVE_ESCALATE", "1"}};
+  for (const auto& k : named) {
+    for (const char* bad : {"yes", "MMPP", "least ", "2"}) {
+      ::setenv(k.var, bad, 1);
+      ::testing::internal::CaptureStderr();
+      apply_env_overrides(t, c);
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_EQ(t.process, ArrivalProcess::kMmpp) << k.var << "=" << bad;
+      EXPECT_EQ(c.routing, RoutingPolicy::kWearAware) << k.var << "=" << bad;
+      EXPECT_TRUE(c.tier_escalation) << k.var << "=" << bad;
+      EXPECT_NE(err.find(k.var), std::string::npos) << err;
+      EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
+    ::setenv(k.var, k.good, 1);
+  }
+
   // Malformed values leave fields untouched, and each prints one stderr
   // line naming its variable. Counts are decimal digits only, so -1 and
   // 1e30 are malformed rather than wrapped or cast past 2^64.
