@@ -477,8 +477,8 @@ std::string bench_json_line(
 /// heatmap dump (CSV when the path ends in .csv, flat JSON otherwise) when
 /// health telemetry is enabled. Every export goes through export_env_file:
 /// crash-safe, and a failed write throws std::runtime_error naming the
-/// variable and the path. When CIM_OBS_PROM_PORT is set the Prometheus
-/// endpoint is started on first use (obs/prom.hpp).
+/// variable and the path. It does not start the CIM_OBS_PROM_PORT endpoint:
+/// the CimSystem ctor and the serving controller do (obs/prom.hpp).
 void emit_bench_json(
     const std::string& bench, double wall_ms, double ops,
     std::initializer_list<std::pair<const char*, double>> extras = {});

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -341,7 +342,19 @@ std::uint16_t maybe_start_prometheus_from_env() {
   if (mode() == Mode::kOff) return 0;
   const auto p = record::env_u64("CIM_OBS_PROM_PORT",
                                  std::getenv("CIM_OBS_PROM_PORT"), 65535);
-  if (!p || !server.start(static_cast<std::uint16_t>(*p))) return 0;
+  if (!p) return 0;
+  if (!server.start(static_cast<std::uint16_t>(*p))) {
+    // Said once: a scraper of a port held by another process reads that
+    // process's metrics, so the failed bind must not pass in silence.
+    static bool warned = false;
+    if (!warned)
+      std::fprintf(stderr,
+                   "CIM_OBS_PROM_PORT: cannot serve metrics on port %llu; "
+                   "no endpoint started\n",
+                   static_cast<unsigned long long>(*p));
+    warned = true;
+    return 0;
+  }
   return server.port();
 }
 

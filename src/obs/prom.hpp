@@ -88,8 +88,10 @@ void stop_global_prometheus();
 
 /// Starts the process-wide scrape endpoint when CIM_OBS_PROM_PORT is set to
 /// a valid port and telemetry is enabled. Idempotent (double-start is a
-/// no-op); returns the bound port, or 0 when no server is running. Called
-/// from the CimSystem ctor and the serving controller.
+/// no-op); returns the bound port, or 0 when no server is running. A port
+/// that cannot be bound (one another process holds, say) gets one stderr
+/// line per process naming the variable and the port. Called from the
+/// CimSystem ctor and the serving controller.
 std::uint16_t maybe_start_prometheus_from_env();
 
 }  // namespace cim::obs

@@ -1,8 +1,10 @@
 /// Process-wide Prometheus endpoint lifecycle: explicit start/stop by
-/// non-CimSystem front-ends, idempotent double-start, rebind refusal, and
-/// the quantile gauge family the serving dashboards scrape.
+/// non-CimSystem front-ends, idempotent double-start, rebind refusal, the
+/// env hook on a port another endpoint holds, and the quantile gauge family
+/// the serving dashboards scrape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -29,6 +31,24 @@ TEST(PromLifecycle, EnvHookDeclinesWhenUnsetOrDisabled) {
         << bad;
     EXPECT_FALSE(global_prom_server().running());
   }
+  ::unsetenv("CIM_OBS_PROM_PORT");
+  set_mode(Mode::kOff);
+}
+
+TEST(PromLifecycle, EnvHookSaysOnceWhenThePortIsTaken) {
+  PromServer holder;  // another endpoint holds the port
+  ASSERT_TRUE(holder.start(0));
+  const std::string port = std::to_string(holder.port());
+  ::setenv("CIM_OBS_PROM_PORT", port.c_str(), 1);
+  set_mode(Mode::kMetrics);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(maybe_start_prometheus_from_env(), 0);
+  EXPECT_EQ(maybe_start_prometheus_from_env(), 0);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(global_prom_server().running());
+  EXPECT_NE(err.find("CIM_OBS_PROM_PORT"), std::string::npos) << err;
+  EXPECT_NE(err.find(port), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
   ::unsetenv("CIM_OBS_PROM_PORT");
   set_mode(Mode::kOff);
 }
