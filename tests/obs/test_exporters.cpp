@@ -1,9 +1,13 @@
 /// Exporter tests: the JSON snapshot, the Chrome trace_event document
 /// produced by a real CimSystem workload (the bench_cim_system telemetry
 /// path), the BENCH_JSON line schema, and the env-named exports failing
-/// loudly.
+/// loudly, into a missing directory and on a short write.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -166,6 +170,49 @@ TEST_F(ExporterTest, FailedEnvExportThrowsAfterTheBenchJsonLine) {
     EXPECT_NE(what.find(path), std::string::npos) << what;
   }
   HealthRegistry::global().clear();
+}
+
+// A short write: while the process may write at most 4 KiB to a file, an
+// export of 1 MiB fails part way (SIGXFSZ ignored, so write() returns EFBIG
+// instead of killing the process). The limit and the handler are restored
+// on leaving the scope.
+TEST_F(ExporterTest, ShortWriteLeavesNoFileAndThrowsNamingIt) {
+  const std::string path = ::testing::TempDir() + "cim-short-write.json";
+  const auto big = [](std::ostream& os) { os << std::string(1 << 20, 'x'); };
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
+  ::setenv("CIM_OBS_SNAPSHOT_FILE", path.c_str(), 1);
+  bool wrote = true;
+  std::string what;
+  {
+    struct FileSizeLimit {
+      rlimit old{};
+      void (*handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+      FileSizeLimit() {
+        ::getrlimit(RLIMIT_FSIZE, &old);
+        rlimit low = old;
+        low.rlim_cur = std::min<rlim_t>(4096, old.rlim_max);
+        ::setrlimit(RLIMIT_FSIZE, &low);
+      }
+      ~FileSizeLimit() {
+        ::setrlimit(RLIMIT_FSIZE, &old);
+        std::signal(SIGXFSZ, handler);
+      }
+    } limit;
+    wrote = write_file_atomic(path, big);
+    try {
+      export_env_file("CIM_OBS_SNAPSHOT_FILE",
+                      [&](std::ostream& os, auto) { big(os); });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+  }
+  ::unsetenv("CIM_OBS_SNAPSHOT_FILE");
+  EXPECT_FALSE(wrote);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_NE(what.find("CIM_OBS_SNAPSHOT_FILE"), std::string::npos) << what;
+  EXPECT_NE(what.find(path), std::string::npos) << what;
 }
 
 TEST_F(ExporterTest, JsonParserRejectsMalformedInput) {
