@@ -1,7 +1,8 @@
 /// verify::check_program (eda/verify/wear_cost.hpp): one call per program
 /// runs the family linter and both certificates and merges their
-/// diagnostics in that order, the flow must surface the certificates in its
-/// report, and the verdict must match the stand-alone linters.
+/// diagnostics in that order, matches the source only when asked (and only
+/// with one), the flow must surface the certificates in its report, and
+/// the verdict must match the stand-alone linters.
 #include <gtest/gtest.h>
 
 #include <cstdint>

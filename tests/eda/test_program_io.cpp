@@ -15,6 +15,7 @@
 #include "eda/mig.hpp"
 #include "eda/netlist.hpp"
 #include "eda/revamp_isa.hpp"
+#include "eda/verify/access.hpp"
 #include "eda/verify/program_io.hpp"
 #include "eda/verify/verify.hpp"
 
@@ -78,7 +79,8 @@ TEST(ProgramIo, ParsedProgramLintsIdenticallyToTheOriginal) {
   const auto after = lint_imply(parsed.imply);
   EXPECT_EQ(before.errors(), after.errors());
   EXPECT_EQ(before.warnings(), after.warnings());
-  EXPECT_EQ(before.max_writes_per_cell, after.max_writes_per_cell);
+  EXPECT_EQ(access_of(prog).max_write_bound(),
+            access_of(parsed.imply).max_write_bound());
 }
 
 TEST(ProgramIo, NodeAnnotationsSurviveTheRoundTrip) {
