@@ -259,10 +259,11 @@ std::optional<std::size_t> env_choice(
     const char* name, const char* value,
     std::initializer_list<std::string_view> choices) {
   if (value == nullptr || *value == '\0') return std::nullopt;
+  std::size_t k = 0;
   std::string known;
-  for (std::size_t k = 0; k < choices.size(); ++k) {
-    if (choices.begin()[k] == value) return k;
-    known += (k == 0 ? "" : " ") + std::string(choices.begin()[k]);
+  for (const auto choice : choices) {
+    if (choice == value) return k;
+    known += (k++ == 0 ? "" : " ") + std::string(choice);
   }
   std::fprintf(stderr, "%s: ignoring unknown value '%s' (one of: %s)\n", name,
                value, known.c_str());
