@@ -158,11 +158,11 @@ struct ProgramCheck {
   bool verified = false;
 };
 
-/// Runs the family linter (IMPLY and MAGIC check liveness when `source` is
-/// set), the cost walk (which fills the access sets and, with
-/// `match_source`, yields `verified`), certify_wear and certify_cost, in
-/// that order. Throws std::invalid_argument when `match_source` is set and
-/// `source` is null.
+/// Runs the structural checks (with `match_source`), the family linter
+/// (IMPLY and MAGIC check liveness when `source` is set), the cost walk
+/// (which fills the access sets and, with `match_source`, yields
+/// `verified`), certify_wear and certify_cost, in that order. Throws
+/// std::invalid_argument when `match_source` is set and `source` is null.
 ProgramCheck check_program(const ImplyProgram& prog, const Aig* source,
                            const CheckOptions& opts = {});
 ProgramCheck check_program(const MagicProgram& prog, const Netlist* source,
